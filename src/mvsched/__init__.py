@@ -34,6 +34,7 @@ from .errors import (
     NotACycle,
     ObjectNeverWritten,
     ParseError,
+    ReductionInadmissible,
     ScheduleError,
     TransactionSetMismatch,
     UnknownOperation,

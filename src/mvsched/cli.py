@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the checked property holds (or the command simply
 succeeded), 1 when it is violated (the report carries the counterexample),
-2 on input errors or internal disagreement, 3 when a search hit its limits.
+2 on input errors (bad search limits included), internal disagreement or
+any other internal error (its traceback goes to stderr), 3 when a search
+hit its limits, 130 on Ctrl-C.
 ``--json`` switches the report to the stable ``report-v1`` schema.
 """
 
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -126,7 +129,10 @@ def _limits_from(args: argparse.Namespace, base: SearchLimits = DEFAULT_LIMITS) 
     budget = args.budget_seconds if args.budget_seconds is not None else _env_default(
         "BUDGET_SECONDS", float, base.budget_seconds
     )
-    return SearchLimits(max_txns=max_txns, max_ops=max_ops, max_orders=max_orders, budget_seconds=budget)
+    try:
+        return SearchLimits(max_txns=max_txns, max_ops=max_ops, max_orders=max_orders, budget_seconds=budget)
+    except ValueError as exc:
+        raise ParseError(f"bad search limit: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,8 +326,11 @@ def _cmd_polygraph(args: argparse.Namespace) -> Report:
 
         alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
         doc = textio.render_schedule(schedule, alloc)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise ScheduleError(f"cannot write {args.output!r}: {exc.strerror}") from None
         details = {
             "output": args.output,
             "transactions": len(txns),
@@ -358,22 +367,23 @@ def run(argv: Sequence[str]) -> int:
     started = time.monotonic()
     try:
         report = handlers[args.cmd](args)
-    except ParseError as exc:
-        report = Report(command=list(argv), verdict=None, details={"error": str(exc)})
-        _emit(report, args, started)
-        return 2
+        code = 2 if report.verdict is None else 0 if report.verdict else 1
     except LimitExceeded as exc:
         report = Report(command=list(argv), verdict=None, details={"error": str(exc)}, limit_exceeded=True)
-        _emit(report, args, started)
-        return 3
+        code = 3
     except ScheduleError as exc:
         report = Report(command=list(argv), verdict=None, details={"error": str(exc)})
-        _emit(report, args, started)
-        return 2
+        code = 2
+    except KeyboardInterrupt:
+        report = Report(command=list(argv), verdict=None, details={"error": "interrupted"})
+        code = 130
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        report = Report(command=list(argv), verdict=None, details={"error": error})
+        code = 2
     _emit(report, args, started)
-    if report.verdict is None:
-        return 2
-    return 0 if report.verdict else 1
+    return code
 
 
 def _emit(report: Report, args: argparse.Namespace, started: float) -> None:

@@ -27,6 +27,11 @@ class NotACycle(ScheduleError):
     """A transaction set does not form a cycle in the serialization graph."""
 
 
+class ReductionInadmissible(ScheduleError):
+    """The polygraph reduction built an operation order with no completion
+    admissible under RC, which its construction rules out."""
+
+
 class LimitExceeded(ScheduleError):
     """A search exceeded its configured size, count, or time budget."""
 

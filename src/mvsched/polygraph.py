@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Action, Operation, OperationId, Schedule, Transaction, validate_schedule
-from .errors import LimitExceeded
+from .errors import LimitExceeded, ReductionInadmissible
 from .isolation import (
     IsolationLevel,
     LevelAllocation,
@@ -228,7 +228,8 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
 
     alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
     schedule = complete_under_allocation(txns, order, alloc)
-    assert schedule is not None, "reduction output must be admissible under RC"
+    if schedule is None:
+        raise ReductionInadmissible("reduction output is not admissible under RC")
     return tuple(sorted(txns, key=lambda t: t.id)), schedule
 
 

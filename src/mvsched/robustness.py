@@ -9,6 +9,13 @@ which by their shape are serializable in neither the conflict nor the view
 sense.  For level allocations the two must agree, and the test suite holds
 them to that.
 
+The split search has two paths.  :func:`find_split_counterexample` decides
+level allocations in polynomial time, one transaction pair and one
+breadth-first search at a time; :func:`iter_split_schedules` tries every
+subset, permutation and pivot and serves predicate allocations and, for
+level allocations, as the exhaustive oracle the fast path is tested
+against.
+
 Also here: recognizers for the two split-schedule shapes and the three
 constructive schedule transforms (serial-tail extension, restriction to a
 cycle, counterexample minimization).
@@ -62,7 +69,8 @@ class Workload:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps for the exhaustive searches; all positive.
+    """Caps for the exhaustive searches: the three counts at least 1, the
+    budget a non-negative number of seconds (0 stops at the first check).
 
     ``max_orders`` counts candidate operation orders (and, for predicate
     allocations, candidate version-data completions).
@@ -72,6 +80,13 @@ class SearchLimits:
     max_ops: int = 16
     max_orders: int = 10_000_000
     budget_seconds: float = 60.0
+
+    def __post_init__(self) -> None:
+        for name in ("max_txns", "max_ops", "max_orders"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.budget_seconds >= 0:
+            raise ValueError(f"budget_seconds must be a non-negative number, got {self.budget_seconds}")
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -503,11 +518,131 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                                 yield subset, s
 
 
+def _conflict_neighbours(txns: Sequence[Transaction]) -> dict[str, tuple[str, ...]]:
+    """Per transaction, the sorted ids of the others it has a conflicting
+    operation with (same object, at least one of the two a write)."""
+    reads = {t.id: {op.obj for op in t.ops if op.is_read} for t in txns}
+    writes = {t.id: {op.obj for op in t.ops if op.is_write} for t in txns}
+    out: dict[str, list[str]] = {t.id: [] for t in txns}
+    for a, b in itertools.combinations(sorted(out), 2):
+        if writes[a] & (reads[b] | writes[b]) or writes[b] & reads[a]:
+            out[a].append(b)
+            out[b].append(a)
+    return {tid: tuple(ids) for tid, ids in out.items()}
+
+
+def _shortest_paths(
+    start: str, neighbours: dict[str, tuple[str, ...]], free: set[str], last: set[str], max_len: int
+) -> Iterator[tuple[str, ...]]:
+    """For every ``last`` transaction reachable from ``start`` through ``free``
+    ones, the first shortest path found by a breadth-first search expanding
+    neighbours in sorted order; paths of more than ``max_len`` transactions
+    are not sought."""
+    parent = {start: start}
+    frontier = [start]
+    length = 1
+    while frontier and length < max_len:
+        length += 1
+        nxt: list[str] = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if v in parent or not (v in free or v in last):
+                    continue
+                parent[v] = u
+                if v in free:
+                    nxt.append(v)
+                    continue
+                path = [v]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                yield tuple(reversed(path))
+        frontier = nxt
+
+
+def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], Schedule] | None:
+    """Polynomial split-schedule search for a level allocation.
+
+    In an order ``T1[:cut] . T2 ... Tm . T1[cut:]`` the middle runs
+    serially, so every conflicting pair of middle transactions carries a
+    single forward dependency, and the dependencies, dirty writes and
+    concurrent writes between T1 and a middle transaction are those of the
+    two-transaction order ``T1[:cut] . Tj . T1[cut:]`` alone.  Per (T1, cut)
+    each other transaction is therefore: free (no conflict with T1), first
+    (only T1 -> Tj), last (only Tj -> T1), a two-transaction candidate (both
+    ways) or excluded (the pair has no completion).  A generalized split
+    schedule is then T1 with a first T2, a chordless path through free
+    transactions and a last Tm; a breadth-first shortest path is chordless.
+    Each candidate is completed over its subset, which rejects the one case
+    left (the SSI dangerous structure Tm -> T1 -> T2), and re-checked with
+    :func:`is_generalized_split_schedule`.
+
+    The result is the candidate smallest in (size, sorted subset,
+    permutation, cut), the order :func:`iter_split_schedules` yields in.
+    Every two- and three-transaction candidate is tried, so the result is
+    the exhaustive search's first whenever that has at most three
+    transactions; above that there is one path per (T1, cut, T2, Tm), so
+    the size is still minimal but a tie may resolve differently.
+    """
+    deadline = time.monotonic() + limits.budget_seconds
+    by_id = {t.id: t for t in w.txns}
+    neighbours = _conflict_neighbours(w.txns)
+    best: tuple | None = None
+    best_schedule: Schedule | None = None
+
+    def consider(perm: tuple[str, ...], cut: int) -> None:
+        nonlocal best, best_schedule
+        subset = tuple(sorted(perm))
+        key = (len(perm), subset, perm, cut)
+        if best is not None and key >= best:
+            return
+        t1 = by_id[perm[0]]
+        order = (INIT,) + t1.op_ids[:cut] + tuple(op for tid in perm[1:] for op in by_id[tid].op_ids) + t1.op_ids[cut:]
+        s = complete_under_allocation(tuple(by_id[tid] for tid in subset), order, w.alloc)
+        if s is not None and is_generalized_split_schedule(s)[0]:
+            best, best_schedule = key, s
+
+    for t1 in w.txns:
+        others = set(by_id) - {t1.id} - set(neighbours[t1.id])
+        for cut in range(1, len(t1.ops)):
+            if time.monotonic() >= deadline:
+                raise LimitExceeded("search exceeded its wall-clock budget")
+            head, tail = t1.op_ids[:cut], t1.op_ids[cut:]
+            first: list[str] = []
+            last: set[str] = set()
+            for tid in neighbours[t1.id]:
+                tj = by_id[tid]
+                s = complete_under_allocation((t1, tj), (INIT,) + head + tj.op_ids + tail, w.alloc)
+                if s is None:
+                    continue
+                pairs = serialization_graph(s).edge_pairs
+                forward, backward = (t1.id, tid) in pairs, (tid, t1.id) in pairs
+                if forward and backward:
+                    consider((t1.id, tid), cut)
+                elif forward:
+                    first.append(tid)
+                elif backward:
+                    last.add(tid)
+            for t2 in first:
+                max_len = len(by_id) - 1 if best is None else best[0] - 1
+                for path in _shortest_paths(t2, neighbours, others, last, max_len):
+                    consider((t1.id,) + path, cut)
+    return None if best is None else (best[1], best_schedule)
+
+
 def find_split_counterexample(
     w: Workload, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[tuple[str, ...], Schedule] | None:
-    """The canonically first generalized split schedule allowed under the
-    restricted allocation, or None when no subset admits one."""
+    """A generalized split schedule allowed under the restricted allocation,
+    as (subset, schedule), or None when no subset admits one.
+
+    Level allocations go to the polynomial decider (see
+    :func:`_decide_split` for its witness order); it runs no exhaustive
+    search, so only ``limits.budget_seconds`` applies.  Predicate
+    allocations take the canonically first hit of the exhaustive
+    :func:`iter_split_schedules`.
+    """
+    if isinstance(w.alloc, LevelAllocation):
+        return _decide_split(w, limits)
     return next(iter_split_schedules(w, limits), None)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -13,11 +14,14 @@ from fixtures import *
 
 from mvsched import (
     LevelAllocation,
+    Polygraph,
+    ReductionInadmissible,
     is_conflict_serializable,
     is_view_serializable,
     render_schedule,
     render_workload,
 )
+from mvsched import cli, polygraph
 from mvsched.cli import REPORT_SCHEMA, main, run
 
 
@@ -191,3 +195,92 @@ def test_main_entry_point(docs):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["check-schedule", docs["s1.sched"]]) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-txns", "0"), ("--max-ops", "0"), ("--max-orders", "0"), ("--budget-seconds", "-1")]
+)
+def test_bad_limit_values_are_input_errors(docs, flag, value):
+    for method in ("enumerate", "split"):
+        code, payload = invoke_json("robust", "--mode", "conflict", "--method", method, docs["s2-rc.wl"], flag, value)
+        assert code == 2 and payload["limit_exceeded"] is False
+        assert "bad search limit" in payload["details"]["error"]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("MAX_TXNS", "0"), ("MAX_OPS", "-2"), ("MAX_ORDERS", "0"), ("BUDGET_SECONDS", "-1"), ("BUDGET_SECONDS", "nan")],
+)
+def test_bad_limit_values_from_the_environment(docs, monkeypatch, name, value):
+    monkeypatch.setenv("MVSCHED_" + name, value)
+    code, payload = invoke_json("robust", "--mode", "conflict", docs["s2-rc.wl"])
+    assert code == 2 and "bad search limit" in payload["details"]["error"]
+
+
+def test_zero_budget_is_a_limit_hit(docs):
+    for method in ("enumerate", "split"):
+        argv = ("robust", "--mode", "conflict", "--method", method, docs["s2-rc.wl"], "--budget-seconds", "0")
+        code, payload = invoke_json(*argv)
+        assert code == 3 and payload["limit_exceeded"] is True
+
+
+def test_unwritable_reduce_output_is_an_input_error(docs, tmp_path):
+    out = str(tmp_path / "missing" / "out.sched")
+    code, payload = invoke_json("polygraph", "reduce", docs["choice.poly"], "-o", out)
+    assert code == 2 and payload["verdict"] is None
+    assert payload["details"]["error"].startswith("cannot write")
+
+
+def test_unexpected_exception_exits_2_with_a_report(docs, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check_schedule", boom)
+    code, payload = invoke_json("check-schedule", docs["s1.sched"])
+    assert code == 2 and payload["details"]["error"] == "internal error: RuntimeError: boom"
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_interrupt_exits_130(docs, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_robust", interrupted)
+    code, payload = invoke_json("robust", "--mode", "conflict", docs["s2-rc.wl"])
+    assert code == 130 and payload["details"]["error"] == "interrupted"
+
+
+def test_inadmissible_reduction_is_an_error_not_an_assert(docs, monkeypatch, tmp_path):
+    monkeypatch.setattr(polygraph, "complete_under_allocation", lambda *args, **kwargs: None)
+    with pytest.raises(ReductionInadmissible):
+        polygraph.reduce_to_schedule(Polygraph.of(("u",)))
+    reduce = ("polygraph", "reduce", docs["choice.poly"], "-o", str(tmp_path / "o"))
+    for argv in (("polygraph", "verify", docs["choice.poly"]), reduce):
+        code, payload = invoke_json(*argv)
+        assert code == 2 and "not admissible" in payload["details"]["error"]
+
+
+def _write_si_workload(path, bodies):
+    lines = [f"txn T{i}: {body} C" for i, body in enumerate(bodies, start=1)]
+    lines.append("alloc " + " ".join(f"T{i}=SI" for i in range(1, len(bodies) + 1)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_split_method_decides_large_workloads_with_default_limits(tmp_path):
+    family = _write_si_workload(tmp_path / "family.wl", [f"R(a) W(b{i})" for i in range(1, 101)])
+    started = time.process_time()
+    code, payload = invoke_json("robust", "--mode", "conflict", "--method", "split", family)
+    assert code == 0 and payload["verdict"] is True
+    assert time.process_time() - started < 2.0
+
+    n = 50
+    ring = _write_si_workload(tmp_path / "ring.wl", [f"R(x{i}) W(x{i % n + 1})" for i in range(1, n + 1)])
+    started = time.process_time()
+    code, payload = invoke_json("robust", "--mode", "conflict", "--method", "split", ring)
+    assert code == 1 and len(payload["details"]["counterexample"]["subset"]) == n
+    assert time.process_time() - started < 2.0
+    ce = tmp_path / "ring-ce.sched"
+    ce.write_text(payload["details"]["counterexample"]["schedule"], encoding="utf-8")
+    assert invoke_json("serializable", "--mode", "conflict", str(ce))[0] == 1
+    assert invoke_json("allowed", str(ce))[0] == 0

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from corpus import curated_workloads, random_workloads
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import curated_txn_sets, curated_workloads, random_workloads
 from fixtures import *
 
 from mvsched import (
@@ -222,6 +226,74 @@ def test_emitted_split_schedules_are_never_serializable():
             assert not ok
             assert not is_view_serializable(s).verdict
             assert allowed_under_allocation(s, w.alloc.restrict(subset)).allowed
+
+
+# --- polynomial split decider against the exhaustive oracle ---------------------------
+
+ORACLE_LIMITS = SearchLimits(max_txns=6, max_ops=24)
+
+
+def exhaustive_split(w):
+    return next(iter_split_schedules(w, ORACLE_LIMITS), None)
+
+
+def test_split_decider_matches_the_exhaustive_search_on_the_criterion_5_corpus():
+    for txns in curated_txn_sets():
+        ids = [t.id for t in txns]
+        for levels in itertools.product((RC, SI, SSI), repeat=len(ids)):
+            w = Workload(txns, LevelAllocation(dict(zip(ids, levels))))
+            assert find_split_counterexample(w) == exhaustive_split(w), w
+    for w in random_workloads(500):
+        assert find_split_counterexample(w) == exhaustive_split(w), w
+
+
+_BODY_OPS = st.sampled_from([f"{a}({o})" for a in "RW" for o in "xyzu"])
+
+
+@st.composite
+def level_workloads(draw, max_n=6):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    txns = []
+    for i in range(1, n + 1):
+        body = draw(st.lists(_BODY_OPS, min_size=1, max_size=3))
+        txns.append(make_transaction(f"T{i}", " ".join(body + ["C"])))
+    levels = draw(st.lists(st.sampled_from([RC, SI, SSI]), min_size=n, max_size=n))
+    return Workload(tuple(txns), LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)}))
+
+
+@given(level_workloads())
+@settings(max_examples=80, deadline=None)
+def test_split_decider_matches_the_exhaustive_search_on_generated_workloads(w):
+    expected = exhaustive_split(w)
+    got = find_split_counterexample(w)
+    assert (got is None) == (expected is None)
+    if expected is not None and len(expected[0]) <= 3:
+        assert got == expected
+    if got is not None:
+        subset, s = got
+        assert len(subset) == len(expected[0])
+        assert is_generalized_split_schedule(s)[0]
+        assert allowed_under_allocation(s, w.alloc.restrict(subset)).allowed
+
+
+def test_split_decider_ignores_count_limits_but_keeps_the_budget():
+    ring = tuple(make_transaction(f"T{i}", f"R(x{i}) W(x{i % 8 + 1}) C") for i in range(1, 9))
+    w = Workload(ring, LevelAllocation.uniform(SI, (t.id for t in ring)))
+    subset, s = find_split_counterexample(w, SearchLimits(max_txns=1, max_ops=1, max_orders=1))
+    assert len(subset) == 8
+    assert not is_conflict_serializable(s)[0]
+    assert allowed_under_allocation(s, w.alloc).allowed
+    with pytest.raises(LimitExceeded):
+        find_split_counterexample(w, SearchLimits(budget_seconds=0.0))
+
+
+def test_search_limits_reject_values_below_their_range():
+    for bad in (dict(max_txns=0), dict(max_ops=0), dict(max_orders=-1), dict(budget_seconds=-0.5)):
+        with pytest.raises(ValueError):
+            SearchLimits(**bad)
+    with pytest.raises(ValueError):
+        SearchLimits(budget_seconds=float("nan"))
+    assert SearchLimits(budget_seconds=0.0).budget_seconds == 0.0
 
 
 # --- transforms -----------------------------------------------------------------------
