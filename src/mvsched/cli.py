@@ -366,6 +366,7 @@ def run(argv: Sequence[str]) -> int:
     }
     started = time.monotonic()
     try:
+        _limits_from(args)  # every command rejects bad limits, whether or not it searches
         report = handlers[args.cmd](args)
         code = 2 if report.verdict is None else 0 if report.verdict else 1
     except LimitExceeded as exc:

@@ -16,6 +16,16 @@ subset, permutation and pivot and serves predicate allocations and, for
 level allocations, as the exhaustive oracle the fast path is tested
 against.
 
+The enumeration walks the interleavings depth-first in canonical order.
+Under a level allocation it builds each completion while it places the
+operations (see :func:`_enumerate_level`): a prefix holding a dirty or
+concurrent write is dropped with its whole subtree, and a leaf is checked
+on small-int ids, so a :class:`Schedule` is built only for a schedule that
+is emitted or returned as the counterexample.  ``max_orders`` counts
+interleavings, a dropped subtree adding all of those below it, so limits
+are hit exactly where completing every interleaving would hit them.
+Predicate allocations still complete every interleaving, in every way.
+
 Also here: recognizers for the two split-schedule shapes and the three
 constructive schedule transforms (serial-tail extension, restriction to a
 cycle, counterexample minimization).
@@ -25,13 +35,20 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import INIT, OperationId, Schedule, Transaction, make_schedule
 from .errors import LimitExceeded, NotACycle, TransactionSetMismatch
-from .isolation import Allocation, LevelAllocation, complete_under_allocation, respects_commit_order
+from .isolation import (
+    Allocation,
+    IsolationLevel,
+    LevelAllocation,
+    complete_under_allocation,
+    respects_commit_order,
+)
 from .serializability import (
     _shortest_cycle,
     is_conflict_serializable,
@@ -72,8 +89,9 @@ class SearchLimits:
     """Caps for the exhaustive searches: the three counts at least 1, the
     budget a non-negative number of seconds (0 stops at the first check).
 
-    ``max_orders`` counts candidate operation orders (and, for predicate
-    allocations, candidate version-data completions).
+    ``max_orders`` counts candidate operation orders, those dropped with a
+    rejected prefix included (and, for predicate allocations, candidate
+    version-data completions).
     """
 
     max_txns: int = 4
@@ -129,12 +147,13 @@ class _Budget:
         self.count = 0
         self._clock_check = 0
 
-    def tick(self) -> None:
-        self.count += 1
+    def tick(self, n: int = 1) -> None:
+        """Count ``n`` candidates: one examined, or a pruned block of them."""
+        self.count += n
         if self.count > self.max_orders:
             raise LimitExceeded(f"more than {self.max_orders} candidate orders examined")
-        self._clock_check += 1
-        if self._clock_check >= 256 or self.count == 1:
+        self._clock_check += n
+        if self._clock_check >= 256 or self.count == n:
             self._clock_check = 0
             if time.monotonic() >= self.deadline:
                 raise LimitExceeded("search exceeded its wall-clock budget")
@@ -153,33 +172,53 @@ def _subsets(ids: Sequence[str]) -> Iterator[tuple[str, ...]]:
         yield from itertools.combinations(ordered, size)
 
 
+def _multinomial(counts: Iterable[int]) -> int:
+    """Number of interleavings of sequences with these lengths."""
+    total, out = 0, 1
+    for c in counts:
+        total += c
+        out *= math.comb(total, c)
+    return out
+
+
 def _iter_interleavings(txns: Sequence[Transaction], budget: _Budget) -> Iterator[tuple[OperationId, ...]]:
     """All operation orders respecting each transaction's internal order.
 
     Canonical order: at every step the next operation is taken from the
     transaction with the smallest id whose turn is possible, exploring
     depth-first, so serial-prefix orders come out before heavily interleaved
-    ones and results are reproducible.
+    ones and results are reproducible.  The walk keeps its own stack, so a
+    long transaction does not run into the recursion limit.
     """
     seqs = [t.op_ids for t in txns]
+    n = len(seqs)
     total = sum(len(ops) for ops in seqs)
-    idx = [0] * len(seqs)
+    idx = [0] * n
     path: list[OperationId] = [INIT]
-
-    def rec() -> Iterator[tuple[OperationId, ...]]:
-        if len(path) == total + 1:
+    nxt = [0] * (total + 1)  # per depth: the next transaction to try there
+    on = [0] * total  # per depth: the transaction placed there
+    d = 0
+    while True:
+        if d == total:
             budget.tick()
             yield tuple(path)
-            return
-        for i, ops in enumerate(seqs):
-            if idx[i] < len(ops):
-                path.append(ops[idx[i]])
+        else:
+            i = nxt[d]
+            while i < n and idx[i] == len(seqs[i]):
+                i += 1
+            if i < n:
+                nxt[d] = i + 1
+                path.append(seqs[i][idx[i]])
                 idx[i] += 1
-                yield from rec()
-                idx[i] -= 1
-                path.pop()
-
-    yield from rec()
+                on[d] = i
+                d += 1
+                nxt[d] = 0
+                continue
+        if d == 0:
+            return
+        d -= 1
+        idx[on[d]] -= 1
+        path.pop()
 
 
 def _vorder_candidates(txns: Sequence[Transaction]) -> dict[str, list[tuple[OperationId, ...]]]:
@@ -233,18 +272,257 @@ def _iter_free_completions(
             yield make_schedule(txns, order, vorder, vf)
 
 
-def _enumerate_allowed(w: Workload, budget: _Budget) -> Iterator[Schedule]:
+_READ, _WRITE, _COMMIT = 0, 1, 2
+
+
+def _enumerate_level(w: Workload, budget: _Budget, failing: str | None) -> Iterator[Schedule]:
+    """The allowed schedules of a level-allocated workload, in canonical order,
+    completed while the interleaving walk places their operations.
+
+    Operations, transactions and objects are small ints here.  Placing a
+    write that is a dirty write (RC) or a concurrent write (SI, SSI) drops
+    the whole subtree below it, and the budget is charged for every
+    interleaving in that subtree.  An RC read observes the newest version
+    committed when it is placed, an SI or SSI read the newest committed at
+    its transaction's first operation, and a commit appends its
+    transaction's writes to the version orders.  SSI dangerous structures
+    are checked at the leaf.  This builds exactly the schedule
+    :func:`complete_under_allocation` builds for the order, and rejects
+    exactly the orders it rejects.
+
+    With ``failing`` set to ``"conflict"`` or ``"view"`` only the schedules
+    that are not serializable in that sense come out: a bitmask cycle test
+    on the dependencies, or a lookup of the view signature among those of
+    the serial orders.  A :class:`Schedule` is built only for a schedule
+    that comes out.
+    """
+    txns = w.txns
+    n = len(txns)
+    bits = [1 << i for i in range(n)]
+    rc = [w.alloc.level_of(t.id) is IsolationLevel.RC for t in txns]
+    ssi = [w.alloc.level_of(t.id) is IsolationLevel.SSI for t in txns]
+    read_only = [t.read_only for t in txns]
+    obj_ids: dict[str, int] = {}
+    for t in txns:
+        for op in t.ops:
+            if op.obj is not None:
+                obj_ids.setdefault(op.obj, len(obj_ids))
+    # per operation id g (0 is INIT): the OperationId, owner, kind, object,
+    # and for writes whether it is its transaction's first on that object
+    opids, owner, kind, obj_of, first_write = [INIT], [-1], [-1], [-1], [False]
+    ops_of: list[list[int]] = []
+    writes_of: list[list[tuple[int, int]]] = []  # per transaction, (object, g) in order
+    reads: list[tuple[int, int, int]] = []  # (g, transaction, object), in transaction order
+    for i, t in enumerate(txns):
+        gs: list[int] = []
+        ws: list[tuple[int, int]] = []
+        for op in t.ops:
+            g = len(opids)
+            o = -1 if op.obj is None else obj_ids[op.obj]
+            k = _READ if op.is_read else _WRITE if op.is_write else _COMMIT
+            opids.append(op.id)
+            owner.append(i)
+            kind.append(k)
+            obj_of.append(o)
+            first_write.append(k == _WRITE and all(wo != o for wo, _ in ws))
+            gs.append(g)
+            if k == _WRITE:
+                ws.append((o, g))
+            elif k == _READ:
+                reads.append((g, i, o))
+        ops_of.append(gs)
+        writes_of.append(ws)
+    names = list(obj_ids)
+    written = list(dict.fromkeys(o for ws in writes_of for o, _ in ws))  # in first-write order
+    reads_on: list[list[tuple[int, int]]] = [[] for _ in names]
+    for g, i, o in reads:
+        reads_on[o].append((g, i))
+    ssi_reads = [(g, i, o) for g, i, o in reads if ssi[i]]
+    check_ssi = sum(ssi) >= 3
+
+    lens = [len(t.ops) for t in txns]
+    total = sum(lens)
+    idx = [0] * n
+    chains: list[list[int]] = [[] for _ in names]  # committed versions per object
+    rank = [0] * len(opids)  # position of a version in its chain, INIT at 0
+    vf = [0] * len(opids)
+    pending = [0] * len(names)  # per object, transactions with uncommitted writes on it
+    snap: list[list[int]] = [[] for _ in txns]  # chain lengths at an SI transaction's start
+    first = [0] * n
+    commit = [0] * n
+    order = [0] * total  # per depth: the operation placed there
+    on = [0] * total  # per depth: its transaction
+    nxt = [0] * (total + 1)  # per depth: the next transaction to try there
+
+    def concurrent(a: int, b: int) -> bool:
+        return first[a] < commit[b] and first[b] < commit[a]
+
+    def dangerous() -> bool:
+        """A chain t1 -> t2 -> t3 of rw-antidependencies among SSI
+        transactions, as :func:`find_dangerous_structures` defines it."""
+        rw = [0] * n
+        for g, t, o in ssi_reads:
+            for wg in chains[o][rank[vf[g]] :]:
+                u = owner[wg]
+                if u != t and ssi[u]:
+                    rw[t] |= bits[u]
+        for t1 in range(n):
+            for t2 in range(n):
+                if not rw[t1] & bits[t2] or not concurrent(t1, t2):
+                    continue
+                for t3 in range(n):
+                    if (
+                        t3 != t1
+                        and rw[t2] & bits[t3]
+                        and concurrent(t2, t3)
+                        and commit[t3] < min(commit[t1], commit[t2])
+                        and (not read_only[t1] or commit[t3] < first[t1])
+                    ):
+                        return True
+        return False
+
+    def conflict_cyclic() -> bool:
+        succ = [0] * n
+        for o in written:
+            ow = [owner[g] for g in chains[o]]
+            later = 0
+            for u in reversed(ow):  # ww: every earlier version's writer -> later writers
+                succ[u] |= later & ~bits[u]
+                later |= bits[u]
+            for g, t in reads_on[o]:
+                seen = rank[vf[g]]
+                for p, u in enumerate(ow, 1):
+                    if u != t:
+                        if p <= seen:  # wr: the version read or an earlier one
+                            succ[u] |= bits[t]
+                        else:  # rw: a version installed after the one read
+                            succ[t] |= bits[u]
+        left = (1 << n) - 1
+        while left:
+            for t in range(n):
+                if left & bits[t] and not succ[t] & left:
+                    left ^= bits[t]
+                    break
+            else:
+                return True
+        return False
+
+    read_gids = [g for g, _, _ in reads]
+    pool: set | None = None
+
+    def view_fails() -> bool:
+        nonlocal pool
+        if pool is None:
+            pool = serial_pool()
+        return (tuple([vf[g] for g in read_gids]), tuple([chains[o][-1] for o in written])) not in pool
+
+    def serial_pool() -> set:
+        """View signatures of every serial order, in the leaf's encoding."""
+        out = set()
+        for perm in itertools.permutations(range(n)):
+            last = [0] * len(names)
+            seen: dict[int, int] = {}
+            for i in perm:
+                for g in ops_of[i]:
+                    if kind[g] == _WRITE:
+                        last[obj_of[g]] = g
+                    elif kind[g] == _READ:
+                        seen[g] = last[obj_of[g]]
+            out.add((tuple([seen[g] for g in read_gids]), tuple([last[o] for o in written])))
+        return out
+
+    def build() -> Schedule:
+        vorder = {names[o]: (INIT,) + tuple(opids[g] for g in chains[o]) for o in written}
+        for name in names:
+            vorder.setdefault(name, (INIT,))
+        return Schedule(
+            txns=txns,
+            order=(INIT,) + tuple(opids[g] for g in order),
+            vorder=vorder,
+            vf={opids[g]: opids[vf[g]] for g in read_gids},
+        )
+
+    fails = conflict_cyclic if failing == "conflict" else view_fails
+    d = 0
+    while True:
+        if d == total:
+            budget.tick()
+            if not (check_ssi and dangerous()) and (failing is None or fails()):
+                yield build()
+        else:
+            i = nxt[d]
+            while i < n and idx[i] == lens[i]:
+                i += 1
+            if i < n:
+                nxt[d] = i + 1
+                g = ops_of[i][idx[i]]
+                if idx[i] == 0:
+                    first[i] = d
+                    if not rc[i]:
+                        snap[i] = [len(c) for c in chains]
+                k = kind[g]
+                if k == _WRITE:
+                    o = obj_of[g]
+                    if pending[o] & ~bits[i] or (not rc[i] and len(chains[o]) > snap[i][o]):
+                        rest = [lens[j] - idx[j] for j in range(n)]
+                        rest[i] -= 1
+                        budget.tick(_multinomial(rest))
+                        continue
+                    pending[o] |= bits[i]
+                elif k == _READ:
+                    o = obj_of[g]
+                    c = chains[o]
+                    seen = len(c) if rc[i] else snap[i][o]
+                    vf[g] = c[seen - 1] if seen else 0
+                else:
+                    commit[i] = d
+                    for o, wg in writes_of[i]:
+                        c = chains[o]
+                        c.append(wg)
+                        rank[wg] = len(c)
+                        pending[o] &= ~bits[i]
+                idx[i] += 1
+                order[d] = g
+                on[d] = i
+                d += 1
+                nxt[d] = 0
+                continue
+        if d == 0:
+            return
+        d -= 1
+        i = on[d]
+        idx[i] -= 1
+        g = order[d]
+        if kind[g] == _COMMIT:
+            for o, wg in writes_of[i]:
+                chains[o].pop()
+                pending[o] |= bits[i]
+        elif kind[g] == _WRITE and first_write[g]:
+            pending[obj_of[g]] &= ~bits[i]
+
+
+def _is_view_serializable_pooled(s: Schedule) -> bool:
+    """View-serializability as membership in the pool of serial signatures."""
+    return view_signature(s) in serial_signature_pool(s.txns)
+
+
+def _enumerate_allowed(w: Workload, budget: _Budget, failing: str | None = None) -> Iterator[Schedule]:
+    """Allowed schedules over the workload's full transaction set, in
+    canonical order; with ``failing`` (``"conflict"`` or ``"view"``) only
+    those that are not serializable in that sense."""
     if isinstance(w.alloc, LevelAllocation):
-        for order in _iter_interleavings(w.txns, budget):
-            s = complete_under_allocation(w.txns, order, w.alloc)
-            if s is not None:
-                yield s
-    else:
-        vorder_cands = _vorder_candidates(w.txns)
-        for order in _iter_interleavings(w.txns, budget):
-            for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
-                if w.alloc.holds(s):
-                    yield s
+        yield from _enumerate_level(w, budget, failing)
+        return
+    vorder_cands = _vorder_candidates(w.txns)
+    for order in _iter_interleavings(w.txns, budget):
+        for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
+            if not w.alloc.holds(s):
+                continue
+            if failing == "conflict" and is_conflict_serializable(s)[0]:
+                continue
+            if failing == "view" and _is_view_serializable_pooled(s):
+                continue
+            yield s
 
 
 def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Iterator[Schedule]:
@@ -252,10 +530,13 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     transaction set that is allowed under its allocation.
 
     Under a level allocation each interleaving has at most one completion,
-    so this is exactly one pass over the interleavings.  Under a predicate
-    allocation all valid schedules are generated (all interleavings crossed
-    with all version orders and version functions) and filtered, which is
-    far more expensive and gated by the same limits.
+    built while the interleavings are walked; a prefix that already holds a
+    dirty or concurrent write is dropped whole.  ``max_orders`` still counts
+    every interleaving, those of a dropped prefix included, so a limit is
+    hit exactly where examining them one by one would hit it.  Under a
+    predicate allocation all valid schedules are generated (all
+    interleavings crossed with all version orders and version functions)
+    and filtered, which is far more expensive and gated by the same limits.
     """
     _check_limits(w, limits)
     budget = _Budget(limits)
@@ -267,29 +548,11 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
 # ---------------------------------------------------------------------------
 
 
-def _is_view_serializable_pooled(s: Schedule) -> bool:
-    """View-serializability as membership in the pool of serial signatures."""
-    return view_signature(s) in serial_signature_pool(s.txns)
-
-
-def _exact_sweep(w: Workload, budget: _Budget, view: bool) -> Schedule | None:
-    """First allowed schedule over the full set failing the serializability
-    notion, or None when every one passes."""
-    for s in _enumerate_allowed(w, budget):
-        if view:
-            ok = _is_view_serializable_pooled(s)
-        else:
-            ok, _ = is_conflict_serializable(s)
-        if not ok:
-            return s
-    return None
-
-
 def is_exact_conflict_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over exactly the full transaction set is
     conflict-serializable."""
     _check_limits(w, limits)
-    bad = _exact_sweep(w, _Budget(limits), view=False)
+    bad = next(_enumerate_allowed(w, _Budget(limits), "conflict"), None)
     ce = None if bad is None else (w.txn_ids, bad)
     return RobustnessVerdict(bad is None, RobustnessMode.EXACT_CONFLICT, ce, SearchMethod.ENUMERATION)
 
@@ -298,36 +561,31 @@ def is_exact_view_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
     """Every allowed schedule over exactly the full transaction set is
     view-serializable."""
     _check_limits(w, limits)
-    bad = _exact_sweep(w, _Budget(limits), view=True)
+    bad = next(_enumerate_allowed(w, _Budget(limits), "view"), None)
     ce = None if bad is None else (w.txn_ids, bad)
     return RobustnessVerdict(bad is None, RobustnessMode.EXACT_VIEW, ce, SearchMethod.ENUMERATION)
 
 
-def _subset_sweep(w: Workload, limits: SearchLimits, view: bool) -> tuple[tuple[str, ...], Schedule] | None:
+def _subset_sweep(w: Workload, limits: SearchLimits, failing: str) -> tuple[tuple[str, ...], Schedule] | None:
     """Check every subset, smallest first; shared budget across subsets."""
     _check_limits(w, limits)
     budget = _Budget(limits)
     for subset in _subsets(w.txn_ids):
-        sub = w.restrict(subset)
-        for s in _enumerate_allowed(sub, budget):
-            if view:
-                ok = _is_view_serializable_pooled(s)
-            else:
-                ok, _ = is_conflict_serializable(s)
-            if not ok:
-                return (subset, s)
+        bad = next(_enumerate_allowed(w.restrict(subset), budget, failing), None)
+        if bad is not None:
+            return (subset, bad)
     return None
 
 
 def is_conflict_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over every transaction subset is conflict-serializable."""
-    ce = _subset_sweep(w, limits, view=False)
+    ce = _subset_sweep(w, limits, "conflict")
     return RobustnessVerdict(ce is None, RobustnessMode.CONFLICT, ce, SearchMethod.ENUMERATION)
 
 
 def is_view_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over every transaction subset is view-serializable."""
-    ce = _subset_sweep(w, limits, view=True)
+    ce = _subset_sweep(w, limits, "view")
     return RobustnessVerdict(ce is None, RobustnessMode.VIEW, ce, SearchMethod.ENUMERATION)
 
 

@@ -232,6 +232,16 @@ def random_workloads(count: int, seed: int = 20260810) -> list[Workload]:
     return out
 
 
+def criterion_5_workloads() -> Iterator[Workload]:
+    """The criterion-5 corpus: every level allocation of each curated
+    transaction set, then ``random_workloads(500)``."""
+    for txns in curated_txn_sets():
+        ids = [t.id for t in txns]
+        for levels in itertools.product(LEVELS, repeat=len(ids)):
+            yield Workload(txns, LevelAllocation(dict(zip(ids, levels))))
+    yield from random_workloads(500)
+
+
 def random_polygraphs(count: int, seed: int = 421771, max_nodes: int = 5, max_choices: int = 3):
     """Seeded valid polygraphs for the reduction harness."""
     from mvsched import Polygraph

@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's decision procedures: they work from
 first principles (simulation of serial runs, literal clause evaluation) so
-that agreement is meaningful.
+that agreement is meaningful.  The enumeration oracle is the exception: it
+is the slow path the enumeration replaced, built from the library's own
+completion and serializability checks, one interleaving at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from mvsched import INIT, Schedule
+from mvsched import INIT, RobustnessMode, Schedule, SearchLimits, Workload, complete_under_allocation
+from mvsched.robustness import DEFAULT_LIMITS, _Budget, _iter_interleavings
+from mvsched.serializability import is_conflict_serializable, serial_signature_pool, view_signature
 
 
 def view_serializable_oracle(s: Schedule):
@@ -63,3 +67,48 @@ def single_version_oracle(s: Schedule) -> bool:
             if lo < pos[w.id] < hi:
                 return False
     return True
+
+
+def allowed_schedules_oracle(w: Workload, budget: _Budget):
+    """Every allowed schedule over the workload's full transaction set, with
+    one :func:`complete_under_allocation` call per interleaving: the
+    reference for the library's enumeration, which completes the schedule
+    while it walks the interleavings and drops rejected prefixes whole."""
+    for order in _iter_interleavings(w.txns, budget):
+        s = complete_under_allocation(w.txns, order, w.alloc)
+        if s is not None:
+            yield s
+
+
+def _fails(s: Schedule, view: bool) -> bool:
+    if view:
+        return view_signature(s) not in serial_signature_pool(s.txns)
+    return not is_conflict_serializable(s)[0]
+
+
+def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
+    """What the enumeration must give for a level allocation, from the
+    per-order oracle: the allowed schedules over the full set, and per
+    robustness mode the first allowed schedule failing its serializability
+    notion as (subset, schedule), or None.  Subset modes scan every subset,
+    smallest first, then lexicographic; the exact modes the full set."""
+    ids = sorted(w.txn_ids)
+    budget = _Budget(limits)
+    found = {}
+    allowed: list[Schedule] = []
+    for k in range(len(ids) + 1):
+        for subset in itertools.combinations(ids, k):
+            allowed = list(allowed_schedules_oracle(w.restrict(subset), budget))
+            full = k == len(ids)
+            for view, mode, exact in (
+                (False, RobustnessMode.CONFLICT, RobustnessMode.EXACT_CONFLICT),
+                (True, RobustnessMode.VIEW, RobustnessMode.EXACT_VIEW),
+            ):
+                if mode in found and not full:
+                    continue
+                bad = next((s for s in allowed if _fails(s, view)), None)
+                if bad is not None:
+                    found.setdefault(mode, (subset, bad))
+                    if full:
+                        found[exact] = (subset, bad)
+    return allowed, {mode: found.get(mode) for mode in RobustnessMode}

@@ -217,6 +217,40 @@ def test_bad_limit_values_from_the_environment(docs, monkeypatch, name, value):
     assert code == 2 and "bad search limit" in payload["details"]["error"]
 
 
+# every command but robust, which the test above covers; a "{out}" is an output path
+COMMANDS_WITH_LIMIT_FLAGS = [
+    ("check-schedule", "{s2.sched}"),
+    ("serializable", "--mode", "conflict", "{s2.sched}"),
+    ("serializable", "--mode", "view", "{s2.sched}"),
+    ("allowed", "{s2.sched}"),
+    ("enumerate", "{wlu-si.wl}"),
+    ("polygraph", "acyclic", "{choice.poly}"),
+    ("polygraph", "reduce", "{choice.poly}", "-o", "{out}"),
+    ("polygraph", "verify", "{choice.poly}"),
+]
+
+
+@pytest.mark.parametrize(
+    "command", COMMANDS_WITH_LIMIT_FLAGS, ids=lambda c: " ".join(a for a in c if not a.startswith("{"))
+)
+@pytest.mark.parametrize(
+    "flag, value", [("--max-txns", "0"), ("--max-ops", "0"), ("--max-orders", "0"), ("--budget-seconds", "-1")]
+)
+def test_every_command_rejects_bad_limit_values(docs, tmp_path, command, flag, value):
+    paths = dict(docs, out=str(tmp_path / "out.sched"))
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in command]
+    code, payload = invoke_json(*argv, flag, value)
+    assert code == 2 and payload["limit_exceeded"] is False
+    assert "bad search limit" in payload["details"]["error"]
+
+
+def test_enumerate_walks_a_transaction_longer_than_the_recursion_limit(tmp_path):
+    path = tmp_path / "long.wl"
+    path.write_text("txn T1: " + "R(a) " * 1499 + "C\nalloc T1=RC\n", encoding="utf-8")
+    code, payload = invoke_json("enumerate", str(path), "--max-ops", "5000", "--count-only")
+    assert code == 0 and payload["details"]["count"] == 1
+
+
 def test_zero_budget_is_a_limit_hit(docs):
     for method in ("enumerate", "split"):
         argv = ("robust", "--mode", "conflict", "--method", method, docs["s2-rc.wl"], "--budget-seconds", "0")

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import curated_txn_sets, curated_workloads, random_workloads
+from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, random_workloads
 from fixtures import *
+from oracles import allowed_schedules_oracle, enumeration_oracle
 
 from mvsched import (
     INIT,
     LevelAllocation,
     LimitExceeded,
     NotACycle,
+    RobustnessMode,
     SearchLimits,
     SplitDefect,
     TransactionSetMismatch,
@@ -36,10 +39,12 @@ from mvsched import (
     iter_split_schedules,
     make_transaction,
     minimize_counterexample,
+    render_schedule,
     restrict_to_cycle,
     serial_schedule,
     serialization_graph,
 )
+from mvsched.robustness import _Budget
 
 
 # --- recognizers ------------------------------------------------------------
@@ -294,6 +299,72 @@ def test_search_limits_reject_values_below_their_range():
     with pytest.raises(ValueError):
         SearchLimits(budget_seconds=float("nan"))
     assert SearchLimits(budget_seconds=0.0).budget_seconds == 0.0
+
+
+# --- the enumeration against the per-order oracle -----------------------------------
+
+def _until_limit(schedules):
+    """The schedules yielded before the search stopped, and whether a limit stopped it."""
+    out = []
+    try:
+        for s in schedules:
+            out.append(s)
+    except LimitExceeded:
+        return out, True
+    return out, False
+
+
+def test_max_orders_counts_every_interleaving_of_a_pruned_prefix():
+    cases = [workload(RC, *W_LU), workload(SI, *W_WS), s2_workload(RC), s2_workload(SI)]
+    for w in cases + [workload(SSI, SD_T1, SD_T2, SD_T3)]:
+        total = math.factorial(w.total_ops)
+        for t in w.txns:
+            total //= math.factorial(len(t.ops))
+        allowed = list(enumerate_allowed_schedules(w, SearchLimits(max_orders=total)))
+        with pytest.raises(LimitExceeded):
+            list(enumerate_allowed_schedules(w, SearchLimits(max_orders=total - 1)))
+        if w.txns == W_LU:
+            assert len(allowed) < total  # some prefixes are dropped whole
+            # the limit stops the walk after the same schedules as one
+            # completion per interleaving would
+            for m in range(1, total + 1):
+                got = _until_limit(enumerate_allowed_schedules(w, SearchLimits(max_orders=m)))
+                assert got == _until_limit(allowed_schedules_oracle(w, _Budget(SearchLimits(max_orders=m)))), m
+
+
+DECIDERS = {
+    RobustnessMode.CONFLICT: is_conflict_robust,
+    RobustnessMode.VIEW: is_view_robust,
+    RobustnessMode.EXACT_CONFLICT: is_exact_conflict_robust,
+    RobustnessMode.EXACT_VIEW: is_exact_view_robust,
+}
+
+
+def _rendered(w, ce):
+    if ce is None:
+        return None
+    subset, s = ce
+    return subset, render_schedule(s, w.alloc.restrict(subset))
+
+
+def assert_enumeration_matches_the_oracle(w):
+    allowed, expected = enumeration_oracle(w)
+    assert list(enumerate_allowed_schedules(w)) == allowed, w
+    for mode, decide in DECIDERS.items():
+        verdict = decide(w)
+        assert verdict.robust == (expected[mode] is None), (w, mode)
+        assert _rendered(w, verdict.counterexample) == _rendered(w, expected[mode]), (w, mode)
+
+
+def test_enumeration_matches_the_per_order_oracle_on_the_criterion_5_corpus():
+    for w in criterion_5_workloads():
+        assert_enumeration_matches_the_oracle(w)
+
+
+@given(level_workloads(max_n=3))
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_the_per_order_oracle_on_generated_workloads(w):
+    assert_enumeration_matches_the_oracle(w)
 
 
 # --- transforms -----------------------------------------------------------------------
