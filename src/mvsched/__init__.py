@@ -9,6 +9,7 @@ reduction connecting view-serializability to polygraph acyclicity.
 """
 
 from .core import (
+    DEFAULT_LIMITS,
     EMPTY_SCHEDULE,
     INIT,
     Action,
@@ -16,6 +17,7 @@ from .core import (
     OperationId,
     Schedule,
     ScheduleViolation,
+    SearchLimits,
     Transaction,
     ViolationKind,
     are_concurrent,
@@ -72,11 +74,8 @@ from .polygraph import (
     verify_reduction,
 )
 from .robustness import (
-    DEFAULT_LIMITS,
     RobustnessMode,
     RobustnessVerdict,
-    SearchLimits,
-    SearchMethod,
     SplitDefect,
     Workload,
     check_condition_1,
@@ -110,6 +109,7 @@ from .serializability import (
 from .textio import (
     parse_polygraph,
     parse_schedule,
+    parse_schedule_document,
     parse_workload,
     render_polygraph,
     render_schedule,

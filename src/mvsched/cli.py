@@ -16,17 +16,15 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import textio
-from .core import validate_schedule
+from .core import DEFAULT_LIMITS, SearchLimits, validate_schedule
 from .errors import LimitExceeded, ParseError, ScheduleError
-from .isolation import allowed_under_allocation
+from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
 from .polygraph import REDUCTION_LIMITS, is_acyclic_polygraph, reduce_to_schedule, verify_reduction
 from .robustness import (
-    DEFAULT_LIMITS,
-    SearchLimits,
     Workload,
     enumerate_allowed_schedules,
     find_split_counterexample,
@@ -55,6 +53,13 @@ REPORT_SCHEMA = {
 }
 
 _ENV_PREFIX = "MVSCHED_"
+
+#: Search limits each command starts from, before flags and environment
+#: variables; commands not listed use ``DEFAULT_LIMITS``.
+_BASE_LIMITS = {
+    "serializable": SearchLimits(max_txns=8, max_ops=24),
+    "polygraph": REDUCTION_LIMITS,
+}
 
 
 @dataclass
@@ -121,16 +126,14 @@ def _env_default(name: str, cast, fallback):
         raise ParseError(f"bad value for {_ENV_PREFIX + name}: {raw!r}") from None
 
 
-def _limits_from(args: argparse.Namespace, base: SearchLimits = DEFAULT_LIMITS) -> SearchLimits:
-    """Flags win over environment variables, which win over defaults."""
-    max_txns = args.max_txns if args.max_txns is not None else _env_default("MAX_TXNS", int, base.max_txns)
-    max_ops = args.max_ops if args.max_ops is not None else _env_default("MAX_OPS", int, base.max_ops)
-    max_orders = args.max_orders if args.max_orders is not None else _env_default("MAX_ORDERS", int, base.max_orders)
-    budget = args.budget_seconds if args.budget_seconds is not None else _env_default(
-        "BUDGET_SECONDS", float, base.budget_seconds
-    )
+def _limits_from(args: argparse.Namespace, base: SearchLimits) -> SearchLimits:
+    """Flags win over environment variables, which win over ``base``."""
+    values = {}
+    for name, default in asdict(base).items():
+        flag = getattr(args, name)
+        values[name] = flag if flag is not None else _env_default(name.upper(), type(default), default)
     try:
-        return SearchLimits(max_txns=max_txns, max_ops=max_ops, max_orders=max_orders, budget_seconds=budget)
+        return SearchLimits(**values)
     except ValueError as exc:
         raise ParseError(f"bad search limit: {exc}") from None
 
@@ -182,11 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_schedule(args: argparse.Namespace, *, validate: bool = True):
+    """The schedule argument and its allocation (``--workload`` wins over an
+    embedded ``alloc`` line)."""
     workload = None
     if args.workload is not None:
         workload = textio.parse_workload(_read_input(args.workload))
-    schedule = textio.parse_schedule(_read_input(args.schedule), workload, validate=validate)
-    return schedule, workload
+    return textio.parse_schedule_document(_read_input(args.schedule), workload, validate=validate)
 
 
 def _counterexample_details(w: Workload, ce) -> dict:
@@ -213,8 +217,7 @@ def _cmd_serializable(args: argparse.Namespace) -> Report:
         ok, cycle = is_conflict_serializable(schedule)
         details = {"mode": "conflict", "cycle": list(cycle) if cycle else []}
         return Report(command=_echo(args), verdict=ok, details=details)
-    limits = _limits_from(args, SearchLimits(max_txns=8, max_ops=24))
-    witness = is_view_serializable(schedule, max_txns=limits.max_txns, max_ops=limits.max_ops)
+    witness = is_view_serializable(schedule, max_txns=args.limits.max_txns, max_ops=args.limits.max_ops)
     details = {
         "mode": "view",
         "witness": list(witness.witness) if witness.witness else [],
@@ -224,15 +227,7 @@ def _cmd_serializable(args: argparse.Namespace) -> Report:
 
 
 def _cmd_allowed(args: argparse.Namespace) -> Report:
-    workload = None
-    if args.workload is not None:
-        workload = textio.parse_workload(_read_input(args.workload))
-    text = _read_input(args.schedule)
-    schedule = textio.parse_schedule(text, workload)
-    alloc = workload.alloc if workload is not None else None
-    if alloc is None:
-        embedded_txns, embedded_alloc, _ = textio._parse_declarations(text)
-        alloc = embedded_alloc
+    schedule, alloc = _load_schedule(args)
     if alloc is None:
         raise ParseError("no allocation: pass --workload or embed an alloc line")
     report = allowed_under_allocation(schedule, alloc)
@@ -243,68 +238,38 @@ def _cmd_allowed(args: argparse.Namespace) -> Report:
     )
 
 
-def _run_robust(w: Workload, mode: str, method: str, limits: SearchLimits) -> tuple[Report | None, dict, bool | None]:
-    """Returns (error report, details, verdict)."""
-    details: dict = {"mode": mode, "method": method}
-    if mode in ("exact-conflict", "exact-view"):
-        if method != "enumerate":
-            raise ParseError(f"--method {method} is only meaningful for subset robustness modes")
-        decide = is_exact_conflict_robust if mode == "exact-conflict" else is_exact_view_robust
-        verdict = decide(w, limits)
-        if verdict.counterexample:
-            details["counterexample"] = _counterexample_details(w, verdict.counterexample)
-        return None, details, verdict.robust
-
-    results = {}
-    if method in ("enumerate", "both"):
-        decide = is_conflict_robust if mode == "conflict" else is_view_robust
-        results["enumerate"] = decide(w, limits)
-    if method in ("split", "both"):
-        hit = find_split_counterexample(w, limits)
-        results["split"] = hit
-    if method == "both":
-        enum_robust = results["enumerate"].robust
-        split_robust = results["split"] is None
-        if enum_robust != split_robust:
-            err = Report(
-                command=[],
-                verdict=None,
-                details={
-                    "error": "internal disagreement between split search and enumeration",
-                    "enumerate": enum_robust,
-                    "split": split_robust,
-                },
-            )
-            return err, details, None
-        details["methods-agree"] = True
-
-    if "enumerate" in results:
-        verdict = results["enumerate"]
-        if verdict.counterexample:
-            details["counterexample"] = _counterexample_details(w, verdict.counterexample)
-        return None, details, verdict.robust
-    hit = results["split"]
-    if hit is not None:
-        details["counterexample"] = _counterexample_details(w, hit)
-    return None, details, hit is None
-
-
 def _cmd_robust(args: argparse.Namespace) -> Report:
     w = textio.parse_workload(_read_input(args.workload))
-    limits = _limits_from(args)
-    err, details, verdict = _run_robust(w, args.mode, args.method, limits)
-    if err is not None:
-        err.command = _echo(args)
-        return err
-    return Report(command=_echo(args), verdict=verdict, details=details)
+    mode, method = args.mode, args.method
+    if mode.startswith("exact-") and method != "enumerate":
+        raise ParseError(f"--method {method} is only meaningful for subset robustness modes")
+    if method != "enumerate" and not isinstance(w.alloc, LevelAllocation):
+        raise ParseError("the split method decides level allocations only")
+    details: dict = {"mode": mode, "method": method}
+    if method != "split":
+        decide = {"conflict": is_conflict_robust, "view": is_view_robust,
+                  "exact-conflict": is_exact_conflict_robust, "exact-view": is_exact_view_robust}[mode]
+        verdict = decide(w, args.limits)
+        robust, ce = verdict.robust, verdict.counterexample
+    if method != "enumerate":
+        hit = find_split_counterexample(w, args.limits)
+        if method == "split":
+            robust, ce = hit is None, hit
+        elif robust != (hit is None):
+            error = "internal disagreement between split search and enumeration"
+            return Report(_echo(args), None, {"error": error, "enumerate": robust, "split": hit is None})
+        else:
+            details["methods-agree"] = True
+    if ce:
+        details["counterexample"] = _counterexample_details(w, ce)
+    return Report(command=_echo(args), verdict=robust, details=details)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Report:
     w = textio.parse_workload(_read_input(args.workload))
-    limits = _limits_from(args)
     count = 0
     docs: list[str] = []
-    for s in enumerate_allowed_schedules(w, limits):
+    for s in enumerate_allowed_schedules(w, args.limits):
         count += 1
         if not args.count_only:
             docs.append(textio.render_schedule(s, w.alloc))
@@ -317,13 +282,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
 def _cmd_polygraph(args: argparse.Namespace) -> Report:
     p = textio.parse_polygraph(_read_input(args.polygraph))
     if args.polycmd == "acyclic":
-        acyclic, witness = is_acyclic_polygraph(p)
+        acyclic, witness = is_acyclic_polygraph(p, args.limits)
         details = {"resolved-edges": [f"{a}->{b}" for a, b in witness.extra_edges] if witness else []}
         return Report(command=_echo(args), verdict=acyclic, details=details)
     if args.polycmd == "reduce":
         txns, schedule = reduce_to_schedule(p)
-        from .isolation import IsolationLevel, LevelAllocation
-
         alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
         doc = textio.render_schedule(schedule, alloc)
         try:
@@ -337,8 +300,7 @@ def _cmd_polygraph(args: argparse.Namespace) -> Report:
             "operations": sum(len(t.ops) for t in txns),
         }
         return Report(command=_echo(args), verdict=True, details=details)
-    limits = _limits_from(args, REDUCTION_LIMITS)
-    report = verify_reduction(p, limits)
+    report = verify_reduction(p, args.limits)
     details = {
         "polygraph-acyclic": report.polygraph_acyclic,
         "view-serializable": report.schedule_view_serializable,
@@ -366,7 +328,8 @@ def run(argv: Sequence[str]) -> int:
     }
     started = time.monotonic()
     try:
-        _limits_from(args)  # every command rejects bad limits, whether or not it searches
+        # every command resolves (and so checks) the limits, whether or not it searches
+        args.limits = _limits_from(args, _BASE_LIMITS.get(args.cmd, DEFAULT_LIMITS))
         report = handlers[args.cmd](args)
         code = 2 if report.verdict is None else 0 if report.verdict else 1
     except LimitExceeded as exc:

@@ -8,20 +8,22 @@ model multiversion.  ``INIT`` is a distinguished pseudo-operation that
 installs the initial version of every object and sits first both in the
 operation order and in every per-object version order.
 
-All types here are immutable values and all functions are pure, so callers
-are free to share them across threads and to evaluate many schedules in
-parallel.
+All schedule types here are immutable values and all functions on them are
+pure, so callers are free to share them across threads and to evaluate many
+schedules in parallel.  The search limits every exhaustive search obeys,
+and the per-call :class:`Budget` that enforces them, live here too.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnknownOperation
+from .errors import LimitExceeded, UnknownOperation
 
 
 class Action(enum.Enum):
@@ -514,13 +516,14 @@ def is_single_version_serial(s: Schedule) -> bool:
     return True
 
 
-def _tid(t: Transaction | str) -> str:
+def txn_id(t: Transaction | str) -> str:
+    """The id of a transaction given as itself or by its id."""
     return t.id if isinstance(t, Transaction) else t
 
 
 def are_concurrent(s: Schedule, ti: Transaction | str, tj: Transaction | str) -> bool:
     """True when the two transactions overlap: each starts before the other commits."""
-    a, b = _tid(ti), _tid(tj)
+    a, b = txn_id(ti), txn_id(tj)
     if a == b:
         raise ValueError("concurrency is defined for two distinct transactions")
     for tid in (a, b):
@@ -560,3 +563,58 @@ def serial_schedule(txns: Sequence[Transaction]) -> Schedule:
             elif op.is_read:
                 vf[op.id] = last_write.get(op.obj, INIT)
     return make_schedule(txns, order, vorder, vf)
+
+
+# ---------------------------------------------------------------------------
+# Search limits
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    """Caps for the exhaustive searches: the three counts at least 1, the
+    budget a non-negative number of seconds (0 stops at the first check).
+
+    ``max_orders`` counts candidates: operation orders, those dropped with a
+    rejected prefix included (and, for predicate allocations, candidate
+    version-data completions), and the choice resolutions polygraph
+    acyclicity tries.
+    """
+
+    max_txns: int = 4
+    max_ops: int = 16
+    max_orders: int = 10_000_000
+    budget_seconds: float = 60.0
+
+    def __post_init__(self) -> None:
+        for name in ("max_txns", "max_ops", "max_orders"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.budget_seconds >= 0:
+            raise ValueError(f"budget_seconds must be a non-negative number, got {self.budget_seconds}")
+
+
+DEFAULT_LIMITS = SearchLimits()
+
+
+class Budget:
+    """Candidate counter plus wall-clock deadline for one search call."""
+
+    __slots__ = ("max_orders", "deadline", "count", "_clock_check")
+
+    def __init__(self, limits: SearchLimits):
+        self.max_orders = limits.max_orders
+        self.deadline = time.monotonic() + limits.budget_seconds
+        self.count = 0
+        self._clock_check = 0
+
+    def tick(self, n: int = 1) -> None:
+        """Count ``n`` candidates: one examined, or a pruned block of them."""
+        self.count += n
+        if self.count > self.max_orders:
+            raise LimitExceeded(f"more than {self.max_orders} candidate orders examined")
+        self._clock_check += n
+        if self._clock_check >= 256 or self.count == n:
+            self._clock_check = 0
+            if time.monotonic() >= self.deadline:
+                raise LimitExceeded("search exceeded its wall-clock budget")

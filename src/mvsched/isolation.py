@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Operation, OperationId, Schedule, Transaction, are_concurrent
+from .core import INIT, Operation, OperationId, Schedule, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, is_view_serializable
 
@@ -136,10 +136,6 @@ class DangerousStructure:
     witnesses: tuple[DependencyEdge, DependencyEdge]
 
 
-def _tid(t: Transaction | str) -> str:
-    return t.id if isinstance(t, Transaction) else t
-
-
 # ---------------------------------------------------------------------------
 # Per-operation clauses
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ def _dirty_write_witness(s: Schedule, tid: str) -> tuple[OperationId, OperationI
 
 def exhibits_dirty_write(s: Schedule, t: Transaction | str) -> bool:
     """The transaction overwrites an object whose earlier writer has not committed yet."""
-    return _dirty_write_witness(s, _tid(t)) is not None
+    return _dirty_write_witness(s, txn_id(t)) is not None
 
 
 def _concurrent_write_witness(s: Schedule, tid: str) -> tuple[OperationId, OperationId] | None:
@@ -225,7 +221,7 @@ def _concurrent_write_witness(s: Schedule, tid: str) -> tuple[OperationId, Opera
 
 def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
     """The transaction overwrites an object modified earlier by a concurrent transaction."""
-    return _concurrent_write_witness(s, _tid(t)) is not None
+    return _concurrent_write_witness(s, txn_id(t)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 
 def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
-    tid = _tid(t)
+    tid = txn_id(t)
     txn = s.transaction(tid)
     violations: list[AdmissibilityViolation] = []
     for op in txn.ops:
@@ -252,7 +248,7 @@ def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
 
 def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
-    tid = _tid(t)
+    tid = txn_id(t)
     txn = s.transaction(tid)
     first_id = txn.ops[0].id
     violations: list[AdmissibilityViolation] = []
@@ -445,11 +441,6 @@ def complete_under_allocation(
                 vorder[op.obj] = (INIT,)
 
     s = Schedule(txns=txns, order=order_t, vorder=vorder, vf=vf)
-    # prefill the lazily computed lookups already derived here
-    s.__dict__["pos"] = pos
-    s.__dict__["commit_pos"] = commit_pos
-    s.__dict__["first_pos"] = first_pos
-    s.__dict__["vpos"] = {obj: {opid: i for i, opid in enumerate(chain)} for obj, chain in vorder.items()}
 
     ssi_scope = [tid for tid, lvl in levels.items() if lvl is IsolationLevel.SSI]
     if len(ssi_scope) >= (2 if allow_degenerate_pivot else 3):

@@ -17,8 +17,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Action, Operation, OperationId, Schedule, Transaction, validate_schedule
-from .errors import LimitExceeded, ReductionInadmissible
+from .core import (
+    DEFAULT_LIMITS,
+    Action,
+    Budget,
+    Operation,
+    OperationId,
+    Schedule,
+    SearchLimits,
+    Transaction,
+    validate_schedule,
+)
+from .errors import ReductionInadmissible
 from .isolation import (
     IsolationLevel,
     LevelAllocation,
@@ -29,7 +39,6 @@ from .isolation import (
     read_last_committed,
     respects_commit_order,
 )
-from .robustness import SearchLimits
 from .serializability import is_view_serializable
 
 #: Bounds sized for reduction outputs, which are larger than the desk-scale
@@ -118,16 +127,18 @@ def _is_dag(nodes: frozenset[str], edges: frozenset[tuple[str, str]]) -> bool:
     return seen == len(nodes)
 
 
-def is_acyclic_polygraph(p: Polygraph, *, max_choices: int = 20) -> tuple[bool, CompatibilityWitness | None]:
+def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[bool, CompatibilityWitness | None]:
     """Brute force over all choice resolutions; first DAG found is the witness.
 
     Resolutions are tried in canonical order: choices sorted, and for each
-    choice the forward edge (u, v) before the closing edge (v, w).
+    choice the forward edge (u, v) before the closing edge (v, w).  Each
+    resolution tried counts as one candidate against ``limits.max_orders``
+    and the time budget.
     """
     choices = sorted(p.choices)
-    if len(choices) > max_choices:
-        raise LimitExceeded(f"{len(choices)} choices exceed the resolution bound of {max_choices}")
+    budget = Budget(limits)
     for bits in itertools.product((0, 1), repeat=len(choices)):
+        budget.tick()
         extra = tuple((u, v) if bit == 0 else (v, w) for bit, (u, v, w) in zip(bits, choices))
         full = p.arcs | frozenset(extra)
         if _is_dag(p.nodes, full):
@@ -296,7 +307,7 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> R
         ReductionCheck("size-linear", total_ops == expected, f"ops={total_ops}, expected={expected}")
     )
 
-    acyclic, _ = is_acyclic_polygraph(p)
+    acyclic, _ = is_acyclic_polygraph(p, limits)
     vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops)
     checks.append(
         ReductionCheck(

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import INIT, OperationId, Schedule, Transaction, make_schedule
+from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, SearchLimits, Transaction, make_schedule
 from .errors import LimitExceeded, NotACycle, TransactionSetMismatch
 from .isolation import (
     Allocation,
@@ -50,7 +50,6 @@ from .isolation import (
     respects_commit_order,
 )
 from .serializability import (
-    _shortest_cycle,
     is_conflict_serializable,
     serial_signature_pool,
     serialization_graph,
@@ -84,42 +83,11 @@ class Workload:
         return Workload(tuple(t for t in self.txns if t.id in keep), self.alloc.restrict(keep))
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Caps for the exhaustive searches: the three counts at least 1, the
-    budget a non-negative number of seconds (0 stops at the first check).
-
-    ``max_orders`` counts candidate operation orders, those dropped with a
-    rejected prefix included (and, for predicate allocations, candidate
-    version-data completions).
-    """
-
-    max_txns: int = 4
-    max_ops: int = 16
-    max_orders: int = 10_000_000
-    budget_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        for name in ("max_txns", "max_ops", "max_orders"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.budget_seconds >= 0:
-            raise ValueError(f"budget_seconds must be a non-negative number, got {self.budget_seconds}")
-
-
-DEFAULT_LIMITS = SearchLimits()
-
-
 class RobustnessMode(enum.Enum):
     CONFLICT = "conflict"
     VIEW = "view"
     EXACT_CONFLICT = "exact-conflict"
     EXACT_VIEW = "exact-view"
-
-
-class SearchMethod(enum.Enum):
-    SPLIT_SEARCH = "split"
-    ENUMERATION = "enumerate"
 
 
 @dataclass(frozen=True)
@@ -133,30 +101,6 @@ class RobustnessVerdict:
     robust: bool
     mode: RobustnessMode
     counterexample: tuple[tuple[str, ...], Schedule] | None
-    method: SearchMethod
-
-
-class _Budget:
-    """Candidate counter plus wall-clock deadline for one search call."""
-
-    __slots__ = ("max_orders", "deadline", "count", "_clock_check")
-
-    def __init__(self, limits: SearchLimits):
-        self.max_orders = limits.max_orders
-        self.deadline = time.monotonic() + limits.budget_seconds
-        self.count = 0
-        self._clock_check = 0
-
-    def tick(self, n: int = 1) -> None:
-        """Count ``n`` candidates: one examined, or a pruned block of them."""
-        self.count += n
-        if self.count > self.max_orders:
-            raise LimitExceeded(f"more than {self.max_orders} candidate orders examined")
-        self._clock_check += n
-        if self._clock_check >= 256 or self.count == n:
-            self._clock_check = 0
-            if time.monotonic() >= self.deadline:
-                raise LimitExceeded("search exceeded its wall-clock budget")
 
 
 def _check_limits(w: Workload, limits: SearchLimits) -> None:
@@ -181,7 +125,7 @@ def _multinomial(counts: Iterable[int]) -> int:
     return out
 
 
-def _iter_interleavings(txns: Sequence[Transaction], budget: _Budget) -> Iterator[tuple[OperationId, ...]]:
+def _iter_interleavings(txns: Sequence[Transaction], budget: Budget) -> Iterator[tuple[OperationId, ...]]:
     """All operation orders respecting each transaction's internal order.
 
     Canonical order: at every step the next operation is taken from the
@@ -248,7 +192,7 @@ def _iter_free_completions(
     txns: Sequence[Transaction],
     order: tuple[OperationId, ...],
     vorder_cands: dict[str, list[tuple[OperationId, ...]]],
-    budget: _Budget,
+    budget: Budget,
 ) -> Iterator[Schedule]:
     """Every valid schedule with this operation order: all version orders
     crossed with all version functions (each read may observe INIT or any
@@ -275,7 +219,7 @@ def _iter_free_completions(
 _READ, _WRITE, _COMMIT = 0, 1, 2
 
 
-def _enumerate_level(w: Workload, budget: _Budget, failing: str | None) -> Iterator[Schedule]:
+def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterator[Schedule]:
     """The allowed schedules of a level-allocated workload, in canonical order,
     completed while the interleaving walk places their operations.
 
@@ -501,12 +445,7 @@ def _enumerate_level(w: Workload, budget: _Budget, failing: str | None) -> Itera
             pending[obj_of[g]] &= ~bits[i]
 
 
-def _is_view_serializable_pooled(s: Schedule) -> bool:
-    """View-serializability as membership in the pool of serial signatures."""
-    return view_signature(s) in serial_signature_pool(s.txns)
-
-
-def _enumerate_allowed(w: Workload, budget: _Budget, failing: str | None = None) -> Iterator[Schedule]:
+def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
     """Allowed schedules over the workload's full transaction set, in
     canonical order; with ``failing`` (``"conflict"`` or ``"view"``) only
     those that are not serializable in that sense."""
@@ -520,7 +459,7 @@ def _enumerate_allowed(w: Workload, budget: _Budget, failing: str | None = None)
                 continue
             if failing == "conflict" and is_conflict_serializable(s)[0]:
                 continue
-            if failing == "view" and _is_view_serializable_pooled(s):
+            if failing == "view" and view_signature(s) in serial_signature_pool(s.txns):
                 continue
             yield s
 
@@ -539,8 +478,7 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     and filtered, which is far more expensive and gated by the same limits.
     """
     _check_limits(w, limits)
-    budget = _Budget(limits)
-    yield from _enumerate_allowed(w, budget)
+    yield from _enumerate_allowed(w, Budget(limits))
 
 
 # ---------------------------------------------------------------------------
@@ -548,45 +486,42 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
 # ---------------------------------------------------------------------------
 
 
+def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> RobustnessVerdict:
+    """The one sweep behind the four deciders: the allowed schedules of each
+    subset, smallest first and under one shared budget (the exact modes
+    sweep just the full set), until one is not serializable in the mode's
+    sense; that one is the counterexample."""
+    _check_limits(w, limits)
+    budget = Budget(limits)
+    exact = mode.value.startswith("exact-")
+    failing = mode.value.removeprefix("exact-")
+    for subset in [w.txn_ids] if exact else _subsets(w.txn_ids):
+        bad = next(_enumerate_allowed(w.restrict(subset), budget, failing), None)
+        if bad is not None:
+            return RobustnessVerdict(False, mode, (subset, bad))
+    return RobustnessVerdict(True, mode, None)
+
+
 def is_exact_conflict_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over exactly the full transaction set is
     conflict-serializable."""
-    _check_limits(w, limits)
-    bad = next(_enumerate_allowed(w, _Budget(limits), "conflict"), None)
-    ce = None if bad is None else (w.txn_ids, bad)
-    return RobustnessVerdict(bad is None, RobustnessMode.EXACT_CONFLICT, ce, SearchMethod.ENUMERATION)
+    return _first_failure(w, limits, RobustnessMode.EXACT_CONFLICT)
 
 
 def is_exact_view_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over exactly the full transaction set is
     view-serializable."""
-    _check_limits(w, limits)
-    bad = next(_enumerate_allowed(w, _Budget(limits), "view"), None)
-    ce = None if bad is None else (w.txn_ids, bad)
-    return RobustnessVerdict(bad is None, RobustnessMode.EXACT_VIEW, ce, SearchMethod.ENUMERATION)
-
-
-def _subset_sweep(w: Workload, limits: SearchLimits, failing: str) -> tuple[tuple[str, ...], Schedule] | None:
-    """Check every subset, smallest first; shared budget across subsets."""
-    _check_limits(w, limits)
-    budget = _Budget(limits)
-    for subset in _subsets(w.txn_ids):
-        bad = next(_enumerate_allowed(w.restrict(subset), budget, failing), None)
-        if bad is not None:
-            return (subset, bad)
-    return None
+    return _first_failure(w, limits, RobustnessMode.EXACT_VIEW)
 
 
 def is_conflict_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over every transaction subset is conflict-serializable."""
-    ce = _subset_sweep(w, limits, "conflict")
-    return RobustnessVerdict(ce is None, RobustnessMode.CONFLICT, ce, SearchMethod.ENUMERATION)
+    return _first_failure(w, limits, RobustnessMode.CONFLICT)
 
 
 def is_view_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
     """Every allowed schedule over every transaction subset is view-serializable."""
-    ce = _subset_sweep(w, limits, "view")
-    return RobustnessVerdict(ce is None, RobustnessMode.VIEW, ce, SearchMethod.ENUMERATION)
+    return _first_failure(w, limits, RobustnessMode.VIEW)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +681,7 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
     generalized split schedule.
     """
     _check_limits(w, limits)
-    budget = _Budget(limits)
+    budget = Budget(limits)
     by_id = {t.id: t for t in w.txns}
     for size in range(2, len(w.txns) + 1):
         for subset in itertools.combinations(sorted(by_id), size):
@@ -1020,8 +955,7 @@ def minimize_counterexample(
         ok, _ = is_generalized_split_schedule(current)
         if ok:
             return current
-        graph = serialization_graph(current)
-        cycle = _shortest_cycle(graph.nodes, graph.edge_pairs)
+        _, cycle = is_conflict_serializable(current)
         if cycle is None:
             raise ValueError("schedule is conflict-serializable; there is nothing to minimize")
         if frozenset(cycle) != frozenset(current.txn_ids):

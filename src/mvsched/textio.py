@@ -35,6 +35,7 @@ from .core import (
     Schedule,
     Transaction,
     make_schedule,
+    make_transaction,
     validate_schedule,
     validate_transaction,
 )
@@ -43,7 +44,6 @@ from .isolation import Allocation, IsolationLevel, LevelAllocation, PredicateAll
 from .polygraph import Polygraph, validate_polygraph
 from .robustness import Workload
 
-_TXN_OP = re.compile(r"^([RW])\(([^()\s]+)\)$|^(C)$")
 _POSITIONAL = re.compile(r"^(\S+)#(\d+)$")
 _SHORT_RW = re.compile(r"^([RW])(\d+)\((\S+)\)$")
 _SHORT_COMMIT = re.compile(r"^C(\d+)$")
@@ -89,17 +89,10 @@ def _parse_txn_line(line: str, lineno: int) -> Transaction:
     tid, rest = _split_keyword_head(line, "txn", lineno)
     if not tid:
         raise ParseError("transaction declaration without an id", lineno)
-    ops: list[Operation] = []
-    for k, token in enumerate(rest.split(), start=1):
-        m = _TXN_OP.match(token)
-        if m is None:
-            raise ParseError(f"bad operation token {token!r}", lineno)
-        if m.group(3):
-            ops.append(Operation(OperationId(tid, k), Action.COMMIT))
-        else:
-            action = Action.READ if m.group(1) == "R" else Action.WRITE
-            ops.append(Operation(OperationId(tid, k), action, m.group(2)))
-    t = Transaction(tid, tuple(ops))
+    try:
+        t = make_transaction(tid, rest)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
     bad = validate_transaction(t)
     if bad:
         raise ParseError(f"invalid transaction {tid!r}: " + "; ".join(map(str, bad)), lineno)
@@ -269,15 +262,25 @@ def render_op(txns_or_schedule: Schedule | dict[str, Transaction], opid: Operati
 
 
 def parse_schedule(text: str, workload: Workload | None = None, *, validate: bool = True) -> Schedule:
-    """Parse a schedule document.
+    """Parse a schedule document; see :func:`parse_schedule_document`."""
+    return parse_schedule_document(text, workload, validate=validate)[0]
+
+
+def parse_schedule_document(
+    text: str, workload: Workload | None = None, *, validate: bool = True
+) -> tuple[Schedule, Allocation | None]:
+    """Parse a schedule document into the schedule and the allocation it runs under.
 
     Transactions come from the embedded ``txn`` lines or from ``workload``;
-    when both are present they must agree.  With ``validate`` (the default)
-    the result must pass :func:`validate_schedule`, otherwise a
-    :class:`ParseError` lists the defects.
+    when both are present they must agree.  The allocation is the
+    workload's when one is given, else the embedded ``alloc`` line's (None
+    when there is neither).  With ``validate`` (the default) the schedule
+    must pass :func:`validate_schedule`, otherwise a :class:`ParseError`
+    lists the defects.
     """
-    embedded, _alloc, rest = _parse_declarations(text)
+    embedded, alloc, rest = _parse_declarations(text)
     if workload is not None:
+        alloc = workload.alloc
         declared = {t.id: t for t in workload.txns}
         if embedded and embedded != declared:
             raise ParseError("embedded transaction declarations disagree with the workload document")
@@ -336,7 +339,7 @@ def parse_schedule(text: str, workload: Workload | None = None, *, validate: boo
         bad = validate_schedule(s)
         if bad:
             raise ParseError("invalid schedule: " + "; ".join(str(v) for v in bad[:8]))
-    return s
+    return s, alloc
 
 
 def render_schedule(s: Schedule, alloc: Allocation | None = None) -> str:

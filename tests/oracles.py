@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 
 from mvsched import INIT, RobustnessMode, Schedule, SearchLimits, Workload, complete_under_allocation
-from mvsched.robustness import DEFAULT_LIMITS, _Budget, _iter_interleavings
+from mvsched.core import DEFAULT_LIMITS, Budget
+from mvsched.robustness import _iter_interleavings
 from mvsched.serializability import is_conflict_serializable, serial_signature_pool, view_signature
 
 
@@ -69,7 +70,7 @@ def single_version_oracle(s: Schedule) -> bool:
     return True
 
 
-def allowed_schedules_oracle(w: Workload, budget: _Budget):
+def allowed_schedules_oracle(w: Workload, budget: Budget):
     """Every allowed schedule over the workload's full transaction set, with
     one :func:`complete_under_allocation` call per interleaving: the
     reference for the library's enumeration, which completes the schedule
@@ -93,7 +94,7 @@ def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
     notion as (subset, schedule), or None.  Subset modes scan every subset,
     smallest first, then lexicographic; the exact modes the full set."""
     ids = sorted(w.txn_ids)
-    budget = _Budget(limits)
+    budget = Budget(limits)
     found = {}
     allowed: list[Schedule] = []
     for k in range(len(ids) + 1):

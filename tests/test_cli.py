@@ -136,6 +136,32 @@ def test_robust_modes_and_methods(docs):
     assert invoke_json("robust", "--mode", "exact-view", "--method", "split", docs["s2-rc.wl"])[0] == 2
 
 
+def test_method_both_reports_a_disagreement(docs, monkeypatch):
+    monkeypatch.setattr(cli, "find_split_counterexample", lambda w, limits: None)
+    code, payload = invoke_json("robust", "--mode", "conflict", "--method", "both", docs["s2-rc.wl"])
+    assert code == 2 and payload["verdict"] is None
+    assert payload["details"] == {
+        "error": "internal disagreement between split search and enumeration",
+        "enumerate": False,
+        "split": True,
+    }
+
+
+@pytest.mark.parametrize("method", ["split", "both"])
+def test_split_method_rejects_a_predicate_allocation(tmp_path, method):
+    # not conflict-robust (enumeration finds a counterexample), and the split
+    # search, which decides level allocations only, would call it robust
+    path = tmp_path / "pred.wl"
+    path.write_text(
+        "txn T1: W(v) R(t) W(t) C\ntxn T2: W(t) C\ntxn T3: W(t) W(v) C\nalloc predicate=view-serializable-only\n",
+        encoding="utf-8",
+    )
+    assert invoke_json("robust", "--mode", "conflict", "--method", "enumerate", str(path))[0] == 1
+    code, payload = invoke_json("robust", "--mode", "conflict", "--method", method, str(path))
+    assert code == 2 and payload["verdict"] is None
+    assert payload["details"]["error"] == "the split method decides level allocations only"
+
+
 def test_enumerate(docs):
     code, payload = invoke_json("enumerate", docs["wlu-si.wl"], "--count-only")
     assert code == 0 and payload["details"]["count"] == 2
@@ -155,6 +181,17 @@ def test_polygraph_commands(docs, tmp_path):
     code, payload = invoke_json("polygraph", "verify", docs["choice.poly"])
     assert code == 0 and all("pass" == v for v in payload["details"]["checks"].values())
     assert invoke_json("polygraph", "verify", docs["cycle.poly"])[0] == 0
+
+
+def test_polygraph_acyclic_applies_the_limits(docs, tmp_path):
+    # the first resolution (u->v) closes the cycle u->v->u, the second is a DAG
+    second = tmp_path / "second.poly"
+    second.write_text("node u v w\narc w u\narc v u\nchoice u v w\n", encoding="utf-8")
+    assert invoke_json("polygraph", "acyclic", str(second))[0] == 0
+    code, payload = invoke_json("polygraph", "acyclic", str(second), "--max-orders", "1")
+    assert code == 3 and payload["limit_exceeded"] is True
+    code, payload = invoke_json("polygraph", "acyclic", docs["choice.poly"], "--budget-seconds", "0")
+    assert code == 3 and payload["limit_exceeded"] is True
 
 
 def test_input_error_exit_codes(docs, tmp_path):

@@ -31,8 +31,8 @@ from mvsched import (
     serial_schedule,
     validate_schedule,
 )
-from mvsched.robustness import _Budget, _iter_interleavings
-from mvsched.robustness import SearchLimits
+from mvsched.core import Budget, SearchLimits
+from mvsched.robustness import _iter_interleavings
 
 
 # --- commit order -----------------------------------------------------------
@@ -140,7 +140,7 @@ def test_serial_schedules_have_no_dirty_or_concurrent_writes():
 
 def test_dirty_write_implies_concurrent_write_on_random_schedules():
     for w in random_workloads(60, seed=5):
-        budget = _Budget(SearchLimits())
+        budget = Budget(SearchLimits())
         for order in _iter_interleavings(w.txns, budget):
             s = complete_under_allocation(w.txns, order, LevelAllocation.uniform(RC, (t.id for t in w.txns)))
             if s is None:
@@ -302,7 +302,7 @@ def test_serial_order_always_completes():
 
 def test_completion_is_allowed_and_preserves_order():
     for w in random_workloads(40, seed=77):
-        budget = _Budget(SearchLimits())
+        budget = Budget(SearchLimits())
         for order in _iter_interleavings(w.txns, budget):
             s = complete_under_allocation(w.txns, order, w.alloc)
             if s is not None:

@@ -12,6 +12,7 @@ from mvsched import (
     LimitExceeded,
     Polygraph,
     PolygraphDefect,
+    SearchLimits,
     allowed_under_rc,
     allowed_under_si,
     is_acyclic_polygraph,
@@ -79,7 +80,7 @@ def test_acyclicity_choice_bound():
     choices = [c for c in itertools.permutations(nodes, 3)][:21]
     p = Polygraph.of(nodes, arcs, choices)
     with pytest.raises(LimitExceeded):
-        is_acyclic_polygraph(p)
+        is_acyclic_polygraph(p, SearchLimits(max_orders=100))
 
 
 # --- reduction --------------------------------------------------------------------

@@ -44,7 +44,7 @@ from mvsched import (
     serial_schedule,
     serialization_graph,
 )
-from mvsched.robustness import _Budget
+from mvsched.core import Budget
 
 
 # --- recognizers ------------------------------------------------------------
@@ -329,7 +329,7 @@ def test_max_orders_counts_every_interleaving_of_a_pruned_prefix():
             # completion per interleaving would
             for m in range(1, total + 1):
                 got = _until_limit(enumerate_allowed_schedules(w, SearchLimits(max_orders=m)))
-                assert got == _until_limit(allowed_schedules_oracle(w, _Budget(SearchLimits(max_orders=m)))), m
+                assert got == _until_limit(allowed_schedules_oracle(w, Budget(SearchLimits(max_orders=m)))), m
 
 
 DECIDERS = {
@@ -547,13 +547,14 @@ def test_every_all_ssi_schedule_is_conflict_serializable_with_degenerate_pivot()
     # dependency cycle
     from corpus import three_small_txn_workloads, two_txn_shape_workloads, sampled_three_txn_workloads
     from mvsched import complete_under_allocation
-    from mvsched.robustness import _Budget, _iter_interleavings
+    from mvsched.core import Budget
+    from mvsched.robustness import _iter_interleavings
 
     families = two_txn_shape_workloads() + three_small_txn_workloads()
     families += sampled_three_txn_workloads(8, seed=0xA11CE)
     for txns in families:
         alloc = LevelAllocation.uniform(SSI, (t.id for t in txns))
-        budget = _Budget(SearchLimits())
+        budget = Budget(SearchLimits())
         for order in _iter_interleavings(tuple(sorted(txns, key=lambda t: t.id)), budget):
             s = complete_under_allocation(txns, order, alloc, allow_degenerate_pivot=True)
             if s is None:
