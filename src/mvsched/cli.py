@@ -17,10 +17,11 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from . import textio
-from .core import DEFAULT_LIMITS, SearchLimits, validate_schedule
+from .core import DEFAULT_LIMITS, Budget, SearchLimits, validate_schedule
 from .errors import LimitExceeded, ParseError, ScheduleError
 from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
 from .polygraph import REDUCTION_LIMITS, is_acyclic_polygraph, reduce_to_schedule, verify_reduction
@@ -138,7 +139,9 @@ def _limits_from(args: argparse.Namespace, base: SearchLimits) -> SearchLimits:
         raise ParseError(f"bad search limit: {exc}") from None
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON (schema report-v1)")
     common.add_argument("--max-txns", type=int, default=None, help="transaction limit for searches")
@@ -217,7 +220,8 @@ def _cmd_serializable(args: argparse.Namespace) -> Report:
         ok, cycle = is_conflict_serializable(schedule)
         details = {"mode": "conflict", "cycle": list(cycle) if cycle else []}
         return Report(command=_echo(args), verdict=ok, details=details)
-    witness = is_view_serializable(schedule, max_txns=args.limits.max_txns, max_ops=args.limits.max_ops)
+    limits = args.limits
+    witness = is_view_serializable(schedule, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
     details = {
         "mode": "view",
         "witness": list(witness.witness) if witness.witness else [],

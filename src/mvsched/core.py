@@ -577,8 +577,8 @@ class SearchLimits:
 
     ``max_orders`` counts candidates: operation orders, those dropped with a
     rejected prefix included (and, for predicate allocations, candidate
-    version-data completions), and the choice resolutions polygraph
-    acyclicity tries.
+    version-data completions), the choice resolutions polygraph acyclicity
+    tries, and the prefixes the view search extends.
     """
 
     max_txns: int = 4

@@ -308,7 +308,7 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> R
     )
 
     acyclic, _ = is_acyclic_polygraph(p, limits)
-    vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops)
+    vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
     checks.append(
         ReductionCheck(
             "verdicts-match",

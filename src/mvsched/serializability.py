@@ -1,11 +1,17 @@
 """Conflicts, dependencies, serialization graphs, and serializability tests.
 
 Conflict-serializability is decided through acyclicity of the serialization
-graph.  View-serializability is decided exhaustively over serial orders of
-the transactions: the search walks permutation prefixes in canonical
-(lexicographic) order, discarding in bulk only prefixes that provably cannot
-extend to a view-equivalent serial schedule, so the witness returned is the
-canonically first one and a negative answer accounts for all n! orders.
+graph.  View-serializability is decided by a search over serial orders of
+the transactions (Papadimitriou's polygraph view): each read fixes the
+transaction whose version it sees as a required predecessor, each other
+writer of the object must not come between them, and each object's final
+writer must follow its other writers.  These placement constraints are
+computed before the search, so whether a serial prefix can be completed
+depends only on the set of transactions placed, and a bitmask of that set
+is the memo of failed prefixes.  The search walks prefixes in canonical
+(lexicographic) order and discards only prefixes with no completion, so the
+witness returned is the canonically first one; ``exhausted`` counts the
+serial orders accounted for, which is n! on a negative answer.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .core import INIT, Operation, OperationId, Schedule, Transaction
+from .core import INIT, Budget, Operation, OperationId, Schedule, Transaction
 from .errors import LimitExceeded, ObjectNeverWritten, TransactionSetMismatch
 
 
@@ -235,11 +241,12 @@ def view_equivalent(s: Schedule, s2: Schedule) -> bool:
 
 @dataclass(frozen=True)
 class ViewWitness:
-    """Outcome of the exhaustive view-serializability test.
+    """Outcome of the view-serializability test.
 
     ``exhausted`` counts serial orders ruled out (each pruned prefix accounts
-    for all of its completions), plus the witness itself when one is found;
-    on a negative verdict it always equals n!.
+    for all of its completions), plus the witness itself when one is found:
+    the witness's rank in lexicographic order plus one, and n! on a
+    negative verdict.
     """
 
     verdict: bool
@@ -275,17 +282,85 @@ def serial_signature_pool(txns: tuple[Transaction, ...]) -> frozenset:
     return frozenset(_serial_signature(perm) for perm in permutations(txns))
 
 
-def is_view_serializable(s: Schedule, *, max_txns: int = 8, max_ops: int = 24) -> ViewWitness:
+def _placement_constraints(s: Schedule):
+    """What a serial order must satisfy to be view-equivalent to ``s``, as
+    bitmasks on transaction index, or None when no serial order can be.
+
+    ``pred[k]`` holds the transactions that must precede transaction ``k``:
+    the writer of each version it reads, the transactions that read INIT of
+    an object it writes, and, for the final writer of an object, every other
+    writer of it.  ``forbid[k]`` lists ``(w, r)`` pairs: ``k`` writes an
+    object whose version by ``w`` transactions in ``r`` read, so ``k`` may not
+    be placed while ``w`` is placed and some transaction in ``r`` is not.
+    """
+    index = {t.id: k for k, t in enumerate(s.txns)}
+    writers: dict[str, list[int]] = {}
+    last_write: dict[tuple[int, str], OperationId] = {}
+    for k, t in enumerate(s.txns):
+        for op in t.ops:
+            if op.is_write:
+                if (k, op.obj) not in last_write:
+                    writers.setdefault(op.obj, []).append(k)
+                last_write[k, op.obj] = op.id
+    pred = [0] * len(s.txns)
+    readers: list[dict[int, int]] = [{} for _ in s.txns]
+    for r, t in enumerate(s.txns):
+        own: dict[str, OperationId] = {}
+        for op in t.ops:
+            if op.is_write:
+                own[op.obj] = op.id
+            if not op.is_read:
+                continue
+            seen = s.vf[op.id]
+            if op.obj in own:
+                if seen != own[op.obj]:
+                    return None  # a serial run reads its own latest write
+                continue
+            if seen.is_init:
+                for k in writers.get(op.obj, ()):
+                    if k != r:
+                        pred[k] |= 1 << r
+                continue
+            w = index[seen.txn]
+            if last_write[w, op.obj] != seen:
+                return None  # only a transaction's last write is ever seen from outside
+            pred[r] |= 1 << w
+            for k in writers[op.obj]:
+                if k != w and k != r:
+                    readers[k][w] = readers[k].get(w, 0) | 1 << r
+    for obj, chain in s.vorder.items():
+        if len(chain) > 1:
+            f = index[chain[-1].txn]
+            if last_write[f, obj] != chain[-1]:
+                return None  # the final version of a serial run is its writer's last
+            for k in writers[obj]:
+                if k != f:
+                    pred[f] |= 1 << k
+    forbid = [tuple((1 << w, rs) for w, rs in sorted(by_w.items())) for by_w in readers]
+    return pred, forbid
+
+
+def is_view_serializable(
+    s: Schedule, *, max_txns: int = 8, max_ops: int = 24, budget: Budget | None = None
+) -> ViewWitness:
     """Search all serial orders for one view-equivalent to ``s``.
 
-    Serial orders are explored prefix by prefix in lexicographic transaction
-    order.  A prefix dies as soon as a read in the transaction being placed
-    would observe the wrong version (that only depends on the prefix), when
-    an object's final version is already wrong with no writer left to fix
-    it, or when the same placed-set/installed-version state has already
-    failed; each discarded prefix accounts for every serial order extending
-    it.  The first completed order is therefore the canonically first
-    witness.
+    One pass over the transactions turns view-equivalence into placement
+    constraints (see :func:`_placement_constraints`): required predecessors
+    from reads and final versions, and the overwrite rule, under which a
+    writer may not come between the writer of a version and its readers.
+    A schedule no serial order can match (a read that sees a write other
+    than its writer's last, or skips its own transaction's earlier write; a
+    final version that is not its writer's last write) fails before the
+    search.  Serial orders are then explored prefix by prefix in
+    lexicographic transaction order; a transaction is placed only when its
+    constraints hold, so whether a prefix can be completed depends on the
+    set of placed transactions alone, and a bitmask of that set is the memo
+    of prefixes that failed.  Each discarded prefix accounts for every
+    serial order extending it, and only prefixes with no completion are
+    discarded, so the first completed order is the canonically first
+    witness and ``exhausted`` is its rank plus one (n! on a negative
+    verdict).  ``budget`` is charged one candidate per prefix extended.
     """
     n = len(s.txns)
     if n > max_txns:
@@ -293,74 +368,43 @@ def is_view_serializable(s: Schedule, *, max_txns: int = 8, max_ops: int = 24) -
     total_ops = sum(len(t.ops) for t in s.txns)
     if total_ops > max_ops:
         raise LimitExceeded(f"{total_ops} operations exceed the view-serializability bound of {max_ops}")
-
-    txns = s.txns  # already sorted by id
-    target_vf = dict(s.vf)
-    target_last = {obj: chain[-1] for obj, chain in s.vorder.items() if len(chain) > 1}
-    write_objs = [frozenset(op.obj for op in t.ops if op.is_write) for t in txns]
-    writers_left: dict[str, int] = {}
-    for objs in write_objs:
-        for obj in objs:
-            writers_left[obj] = writers_left.get(obj, 0) + 1
+    constraints = _placement_constraints(s)
+    if constraints is None:
+        return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
+    pred, forbid = constraints
 
     fact = [factorial(k) for k in range(n + 1)]
-    failed: set = set()
+    failed: set[int] = set()
     path: list[int] = []
-    exhausted = 0
-
-    def place(t: Transaction, last: dict[str, OperationId]):
-        local: dict[str, OperationId] = {}
-        for op in t.ops:
-            if op.is_write:
-                local[op.obj] = op.id
-            elif op.is_read:
-                seen = local[op.obj] if op.obj in local else last.get(op.obj, INIT)
-                if seen != target_vf[op.id]:
-                    return None
-        if local:
-            merged = dict(last)
-            merged.update(local)
-            return merged
-        return last
-
-    def explore(mask: int, last: dict[str, OperationId]) -> bool:
-        nonlocal exhausted
+    # iterative, so the transaction count is not bounded by the recursion limit
+    resume = [0]  # per depth, the next transaction index to try there
+    mask = exhausted = 0
+    while True:
         depth = len(path)
         if depth == n:
-            exhausted += 1
-            return last == target_last
-        remaining_after = fact[n - depth - 1]
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            new_last = place(txns[i], last)
-            if new_last is None:
-                exhausted += remaining_after
-                continue
-            key = (mask | (1 << i), tuple(sorted(new_last.items())))
-            if key in failed:
-                exhausted += remaining_after
-                continue
-            for obj in write_objs[i]:
-                writers_left[obj] -= 1
-            dead = any(
-                writers_left[obj] == 0 and new_last.get(obj) != target_last.get(obj) for obj in write_objs[i]
-            )
-            if dead:
-                for obj in write_objs[i]:
-                    writers_left[obj] += 1
-                failed.add(key)
-                exhausted += remaining_after
-                continue
+            return ViewWitness(verdict=True, witness=tuple(s.txns[i].id for i in path), exhausted=exhausted + 1)
+        i = resume[-1]
+        if i == 0 and budget is not None:
+            budget.tick()
+        while i < n:
+            if not mask >> i & 1:
+                if (
+                    pred[i] & ~mask
+                    or mask | 1 << i in failed
+                    or any(mask & w and mask & rs != rs for w, rs in forbid[i])
+                ):
+                    exhausted += fact[n - depth - 1]
+                else:
+                    break
+            i += 1
+        if i < n:
+            resume[-1] = i + 1
+            resume.append(0)
             path.append(i)
-            if explore(mask | (1 << i), new_last):
-                return True
-            path.pop()
-            for obj in write_objs[i]:
-                writers_left[obj] += 1
-            failed.add(key)
-        return False
-
-    found = explore(0, {})
-    witness = tuple(txns[i].id for i in path) if found else None
-    return ViewWitness(verdict=found, witness=witness, exhausted=exhausted)
+            mask |= 1 << i
+            continue
+        resume.pop()
+        if not path:
+            return ViewWitness(verdict=False, witness=None, exhausted=exhausted)
+        failed.add(mask)
+        mask &= ~(1 << path.pop())

@@ -258,3 +258,24 @@ def random_polygraphs(count: int, seed: int = 421771, max_nodes: int = 5, max_ch
         choices = frozenset(candidates[: rng.randint(0, min(max_choices, len(candidates)))])
         out.append(Polygraph.of(nodes, arcs, choices))
     return out
+
+
+def dense_polygraphs(count: int, seed: int = 5301, nodes: int = 6, choices: int = 4, acyclic=None):
+    """Seeded polygraphs of one shape: ``nodes`` nodes, ``nodes * (nodes - 1) // 3``
+    random arcs and ``choices`` choices anchored on them.  With ``acyclic``
+    (a polygraph predicate) they alternate between polygraphs it accepts
+    and polygraphs it rejects, starting with an accepted one."""
+    from mvsched import Polygraph
+
+    rng = random.Random(seed)
+    names = [f"n{k}" for k in range(nodes)]
+    out = []
+    while len(out) < count:
+        arcs = frozenset(rng.sample(list(itertools.permutations(names, 2)), nodes * (nodes - 1) // 3))
+        candidates = sorted(c for c in itertools.permutations(names, 3) if (c[2], c[0]) in arcs)
+        if len(candidates) < choices:
+            continue
+        p = Polygraph.of(names, arcs, rng.sample(candidates, choices))
+        if acyclic is None or acyclic(p) == (len(out) % 2 == 0):
+            out.append(p)
+    return out

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from fixtures import *
+from oracles import view_search_oracle
 
 from mvsched import (
     LevelAllocation,
@@ -192,6 +193,46 @@ def test_polygraph_acyclic_applies_the_limits(docs, tmp_path):
     assert code == 3 and payload["limit_exceeded"] is True
     code, payload = invoke_json("polygraph", "acyclic", docs["choice.poly"], "--budget-seconds", "0")
     assert code == 3 and payload["limit_exceeded"] is True
+
+
+def test_serializable_view_applies_the_limits(docs):
+    for flag, value in (("--budget-seconds", "0"), ("--max-orders", "1")):
+        code, payload = invoke_json("serializable", "--mode", "view", docs["s2.sched"], flag, value)
+        assert code == 3 and payload["limit_exceeded"] is True
+    # the acyclicity half tries one resolution; the view half extends five prefixes
+    assert invoke_json("polygraph", "verify", docs["choice.poly"], "--max-orders", "2")[0] == 3
+    assert invoke_json("polygraph", "verify", docs["choice.poly"], "--max-orders", "5")[0] == 0
+
+
+def test_serializable_view_reports_what_the_per_order_search_found(docs):
+    schedules = {"s1.sched": S1, "s2.sched": S2, "s3.sched": S3, "s4.sched": S4, "sd.sched": SD,
+                 "lu.sched": lost_update_schedule()}
+    for name, sched in schedules.items():
+        want = view_search_oracle(sched)
+        code, payload = invoke_json("serializable", "--mode", "view", docs[name])
+        assert code == (0 if want.verdict else 1)
+        assert payload["details"] == {"mode": "view", "witness": list(want.witness or ()), "exhausted": want.exhausted}
+
+
+#: A polygraph whose 30 arcs are acyclic and whose 8 choices close a cycle
+#: whichever way they are resolved: arcs as digit pairs, choices as triples.
+DENSE_ARCS = "06 09 10 13 14 15 19 26 29 30 36 39 46 49 50 52 54 56 59 70 73 74 76 80 81 82 83 85 86 89"
+DENSE_CHOICES = "018 045 063 618 901 935 980 981"
+
+
+def test_polygraph_verify_refutes_a_26_transaction_reduction(tmp_path):
+    lines = [f"node n{k}" for k in range(10)]
+    lines += [f"arc n{a} n{b}" for a, b in DENSE_ARCS.split()]
+    lines += [f"choice n{u} n{v} n{w}" for u, v, w in DENSE_CHOICES.split()]
+    path = tmp_path / "dense.poly"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, payload = invoke_json("polygraph", "reduce", str(path), "-o", str(tmp_path / "dense.sched"))
+    assert code == 0 and (payload["details"]["transactions"], payload["details"]["operations"]) == (26, 126)
+    started = time.process_time()
+    code, payload = invoke_json("polygraph", "verify", str(path), "--max-txns", "26")
+    assert code == 0
+    assert payload["details"]["view-serializable"] is False and payload["details"]["polygraph-acyclic"] is False
+    assert time.process_time() - started < 2.0
 
 
 def test_input_error_exit_codes(docs, tmp_path):

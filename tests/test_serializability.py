@@ -6,29 +6,43 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import enumerate_valid_schedules, three_small_txn_workloads, two_txn_shape_workloads
+from corpus import (
+    dense_polygraphs,
+    enumerate_valid_schedules,
+    random_polygraphs,
+    three_small_txn_workloads,
+    two_txn_shape_workloads,
+)
 from fixtures import *
-from oracles import view_serializable_oracle
+from oracles import view_search_oracle, view_serializable_oracle
 
 from mvsched import (
     INIT,
     ConflictKind,
     LimitExceeded,
+    SearchLimits,
     ObjectNeverWritten,
     TransactionSetMismatch,
     UnknownOperation,
     conflict_equivalent,
     conflicting,
     depends_on,
+    is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
     last_version,
+    make_schedule,
     make_transaction,
+    reduce_to_schedule,
     serial_schedule,
     serialization_graph,
+    validate_schedule,
     view_equivalent,
 )
+from mvsched.core import Budget
 
 
 def op(s, tid, k):
@@ -230,3 +244,80 @@ def test_empty_schedule_is_view_serializable():
 
     w = is_view_serializable(EMPTY_SCHEDULE)
     assert w.verdict and w.witness == () and w.exhausted == 1
+
+
+# --- the placement-constraint search against the per-order search ------------------------
+
+REDUCTION_BOUNDS = dict(max_txns=14, max_ops=128)
+
+
+def assert_same_as_oracle(s, **bounds):
+    got, want = is_view_serializable(s, **bounds), view_search_oracle(s, **bounds)
+    assert (got.verdict, got.witness, got.exhausted) == (want.verdict, want.witness, want.exhausted), s
+    return got
+
+
+def test_view_search_matches_the_oracle_on_polygraph_reductions():
+    for p in random_polygraphs(300):
+        assert_same_as_oracle(reduce_to_schedule(p)[1], **REDUCTION_BOUNDS)
+
+
+def test_view_search_matches_the_oracle_on_dense_reductions():
+    polygraphs = dense_polygraphs(40, acyclic=lambda p: is_acyclic_polygraph(p)[0])
+    verdicts = [assert_same_as_oracle(reduce_to_schedule(p)[1], **REDUCTION_BOUNDS).verdict for p in polygraphs]
+    assert verdicts.count(True) == verdicts.count(False) == 20
+
+
+_SCHEDULE_OPS = st.sampled_from(["R(x)", "R(y)", "W(x)", "W(y)"])
+
+
+@st.composite
+def valid_schedules(draw, max_n=4):
+    """Any interleaving of up to ``max_n`` transactions over x and y, with any
+    version order and version function the validity rules allow (reads after
+    the transaction's own writes included)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    txns = [
+        make_transaction(f"T{i}", " ".join(draw(st.lists(_SCHEDULE_OPS, max_size=3)) + ["C"]))
+        for i in range(1, n + 1)
+    ]
+    left = [list(t.ops) for t in txns]
+    ops = []
+    while any(left):
+        ops.append(left[draw(st.sampled_from([i for i, rest in enumerate(left) if rest]))].pop(0))
+    vorder, vf = {}, {}
+    for obj in ("x", "y"):
+        writes = [op.id for op in ops if op.is_write and op.obj == obj]
+        slots = draw(st.permutations(writes))
+        # each transaction's writes keep their own order within the drawn slots
+        per_txn = {tid: iter([w for w in writes if w.txn == tid]) for tid in {w.txn for w in writes}}
+        vorder[obj] = [next(per_txn[w.txn]) for w in slots]
+    for k, op in enumerate(ops):
+        if op.is_read:
+            earlier = [w.id for w in ops[:k] if w.is_write and w.obj == op.obj]
+            vf[op.id] = draw(st.sampled_from([INIT] + earlier))
+    s = make_schedule(txns, [op.id for op in ops], vorder, vf)
+    assert validate_schedule(s) == []
+    return s
+
+
+@given(valid_schedules())
+@settings(max_examples=300, deadline=None)
+def test_view_search_matches_the_oracle_on_generated_schedules(s):
+    got = assert_same_as_oracle(s)
+    if not got.verdict:
+        assert view_serializable_oracle(s) is None
+
+
+def test_view_search_charges_prefixes_not_pruned_orders():
+    budget = Budget(SearchLimits())
+    assert is_view_serializable(S2, budget=budget).verdict
+    assert budget.count == 3  # the empty prefix, T1, T1 T2
+    with pytest.raises(LimitExceeded):
+        is_view_serializable(S2, budget=Budget(SearchLimits(max_orders=2)))
+    with pytest.raises(LimitExceeded):
+        is_view_serializable(S2, budget=Budget(SearchLimits(budget_seconds=0.0)))
+    cyclic = dense_polygraphs(2, acyclic=lambda p: is_acyclic_polygraph(p)[0])[1]
+    budget = Budget(SearchLimits(max_orders=1000))
+    w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget, **REDUCTION_BOUNDS)
+    assert not w.verdict and w.exhausted == factorial(14) and budget.count < 1000
