@@ -576,9 +576,10 @@ class SearchLimits:
     budget a non-negative number of seconds (0 stops at the first check).
 
     ``max_orders`` counts candidates: operation orders, those dropped with a
-    rejected prefix included (and, for predicate allocations, candidate
-    version-data completions), the choice resolutions polygraph acyclicity
-    tries, and the prefixes the view search extends.
+    rejected prefix and those the robustness deciders skip as equivalent to
+    an order already checked included (and, for predicate allocations,
+    candidate version-data completions), the choice resolutions polygraph
+    acyclicity tries, and the prefixes the view search extends.
     """
 
     max_txns: int = 4

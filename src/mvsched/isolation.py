@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Operation, OperationId, Schedule, Transaction, are_concurrent, txn_id
+from .core import INIT, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, is_view_serializable
 
@@ -61,7 +61,7 @@ class LevelAllocation:
 VIEW_SERIALIZABLE_ONLY = "view-serializable-only"
 
 _PREDICATES = {
-    VIEW_SERIALIZABLE_ONLY: lambda s: is_view_serializable(s).verdict,
+    VIEW_SERIALIZABLE_ONLY: lambda s, **bounds: is_view_serializable(s, **bounds).verdict,
 }
 
 
@@ -79,8 +79,11 @@ class PredicateAllocation:
         if self.name not in _PREDICATES:
             raise ValueError(f"unknown allocation predicate {self.name!r}")
 
-    def holds(self, s: Schedule) -> bool:
-        return _PREDICATES[self.name](s)
+    def holds(self, s: Schedule, limits: SearchLimits | None = None, budget: Budget | None = None) -> bool:
+        """Whether the predicate admits ``s``, deciding it within ``limits``
+        (the predicate's own bounds when None) and charging ``budget``."""
+        bounds = {} if limits is None else {"max_txns": limits.max_txns, "max_ops": limits.max_ops}
+        return _PREDICATES[self.name](s, budget=budget, **bounds)
 
     def restrict(self, txn_ids: Iterable[str]) -> "PredicateAllocation":
         return self

@@ -21,10 +21,16 @@ Under a level allocation it builds each completion while it places the
 operations (see :func:`_enumerate_level`): a prefix holding a dirty or
 concurrent write is dropped with its whole subtree, and a leaf is checked
 on small-int ids, so a :class:`Schedule` is built only for a schedule that
-is emitted or returned as the counterexample.  ``max_orders`` counts
-interleavings, a dropped subtree adding all of those below it, so limits
-are hit exactly where completing every interleaving would hit them.
-Predicate allocations still complete every interleaving, in every way.
+is emitted or returned as the counterexample.  The robustness deciders,
+which only look for the first schedule that is not serializable, check
+one interleaving per commuting class (sleep sets, after Godefroid's
+partial-order methods): an interleaving is skipped when an equivalent one,
+reached by swapping adjacent operations that commute, came earlier.  The
+counterexamples are those of the full walk.  ``max_orders`` counts
+interleavings, a dropped or skipped subtree adding all of those below it,
+so limits are hit exactly where completing every interleaving would hit
+them.  Predicate allocations still complete every interleaving, in every
+way.
 
 Also here: recognizers for the two split-schedule shapes and the three
 constructive schedule transforms (serial-tail extension, restriction to a
@@ -239,6 +245,28 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
     on the dependencies, or a lookup of the view signature among those of
     the serial orders.  A :class:`Schedule` is built only for a schedule
     that comes out.
+
+    With ``failing`` set the walk also keeps a sleep set, a bitmask of
+    transactions, per depth.  Two operations of different transactions
+    are dependent (do not commute) when both write one object; when one
+    is T's commit and the other a write of an object T writes, an RC read
+    of one, or the first operation of a non-RC transaction U where T
+    writes an object U touches or both are SSI under the three-SSI gate
+    of the dangerous-structure check; or when both are commits whose
+    write sets meet or that are both SSI under that gate.  Reads see only
+    committed versions, so a read never depends on an uncommitted write.
+    Swapping adjacent operations that commute keeps the dropped-prefix
+    decision, the completion and the first/commit orders the dangerous-
+    structure check compares, hence the leaf's verdict.  A child's sleep
+    set holds the transactions, asleep at the parent or explored there
+    before it (a dropped sibling counts as explored), whose next operation
+    commutes with the one placed; a sleeping transaction is not placed,
+    and its subtree is charged to the budget like a dropped one.  Two
+    invariants follow.  The walk is lexicographic in transaction index and
+    a leaf is skipped only after an equivalent leaf, so the first failing
+    leaf, the least of its class, is never skipped: the yielded schedule
+    is the full walk's.  And every interleaving is still charged once, so
+    the budget's count and where ``max_orders`` trips do not change.
     """
     txns = w.txns
     n = len(txns)
@@ -257,6 +285,8 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
     ops_of: list[list[int]] = []
     writes_of: list[list[tuple[int, int]]] = []  # per transaction, (object, g) in order
     reads: list[tuple[int, int, int]] = []  # (g, transaction, object), in transaction order
+    wmask = [0] * n  # per transaction, bitmask of the objects it writes
+    touch = [0] * n  # ... and of those it reads or writes
     for i, t in enumerate(txns):
         gs: list[int] = []
         ws: list[tuple[int, int]] = []
@@ -272,8 +302,11 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
             gs.append(g)
             if k == _WRITE:
                 ws.append((o, g))
+                wmask[i] |= 1 << o
             elif k == _READ:
                 reads.append((g, i, o))
+            if k != _COMMIT:
+                touch[i] |= 1 << o
         ops_of.append(gs)
         writes_of.append(ws)
     names = list(obj_ids)
@@ -300,6 +333,26 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
 
     def concurrent(a: int, b: int) -> bool:
         return first[a] < commit[b] and first[b] < commit[a]
+
+    def dependent(g: int, h: int) -> bool:
+        """Whether two operations of different transactions fail to commute."""
+        if kind[g] != _COMMIT:
+            if kind[h] != _COMMIT:
+                return kind[g] == _WRITE and kind[h] == _WRITE and obj_of[g] == obj_of[h]
+            g, h = h, g
+        t, u = owner[g], owner[h]
+        both_ssi = check_ssi and ssi[t] and ssi[u]
+        if kind[h] == _COMMIT:
+            return bool(wmask[t] & wmask[u]) or both_ssi
+        if (kind[h] == _WRITE or rc[u]) and wmask[t] >> obj_of[h] & 1:
+            return True
+        return h == ops_of[u][0] and not rc[u] and bool(wmask[t] & touch[u] or both_ssi)
+
+    def skip(i: int) -> None:
+        """Charge the budget for every interleaving below placing ``i`` next."""
+        rest = [lens[j] - idx[j] for j in range(n)]
+        rest[i] -= 1
+        budget.tick(_multinomial(rest))
 
     def dangerous() -> bool:
         """A chain t1 -> t2 -> t3 of rw-antidependencies among SSI
@@ -387,6 +440,9 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
         )
 
     fails = conflict_cyclic if failing == "conflict" else view_fails
+    # per depth: the transactions asleep there, then also the siblings
+    # explored or dropped there (all below the next one to try)
+    sleep = [0] * (total + 1)
     d = 0
     while True:
         if d == total:
@@ -399,6 +455,9 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
                 i += 1
             if i < n:
                 nxt[d] = i + 1
+                if sleep[d] & bits[i]:
+                    skip(i)
+                    continue
                 g = ops_of[i][idx[i]]
                 if idx[i] == 0:
                     first[i] = d
@@ -408,9 +467,8 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
                 if k == _WRITE:
                     o = obj_of[g]
                     if pending[o] & ~bits[i] or (not rc[i] and len(chains[o]) > snap[i][o]):
-                        rest = [lens[j] - idx[j] for j in range(n)]
-                        rest[i] -= 1
-                        budget.tick(_multinomial(rest))
+                        skip(i)
+                        sleep[d] |= bits[i]
                         continue
                     pending[o] |= bits[i]
                 elif k == _READ:
@@ -425,11 +483,18 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
                         c.append(wg)
                         rank[wg] = len(c)
                         pending[o] &= ~bits[i]
+                z = 0
+                if failing is not None:
+                    for j in range(n):
+                        if sleep[d] & bits[j] and not dependent(g, ops_of[j][idx[j]]):
+                            z |= bits[j]
+                    sleep[d] |= bits[i]
                 idx[i] += 1
                 order[d] = g
                 on[d] = i
                 d += 1
                 nxt[d] = 0
+                sleep[d] = z
                 continue
         if d == 0:
             return
@@ -445,7 +510,9 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
             pending[obj_of[g]] &= ~bits[i]
 
 
-def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
+def _enumerate_allowed(
+    w: Workload, limits: SearchLimits, budget: Budget, failing: str | None = None
+) -> Iterator[Schedule]:
     """Allowed schedules over the workload's full transaction set, in
     canonical order; with ``failing`` (``"conflict"`` or ``"view"``) only
     those that are not serializable in that sense."""
@@ -455,7 +522,7 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
     vorder_cands = _vorder_candidates(w.txns)
     for order in _iter_interleavings(w.txns, budget):
         for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
-            if not w.alloc.holds(s):
+            if not w.alloc.holds(s, limits, budget):
                 continue
             if failing == "conflict" and is_conflict_serializable(s)[0]:
                 continue
@@ -478,7 +545,7 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     and filtered, which is far more expensive and gated by the same limits.
     """
     _check_limits(w, limits)
-    yield from _enumerate_allowed(w, Budget(limits))
+    yield from _enumerate_allowed(w, limits, Budget(limits))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +563,7 @@ def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> R
     exact = mode.value.startswith("exact-")
     failing = mode.value.removeprefix("exact-")
     for subset in [w.txn_ids] if exact else _subsets(w.txn_ids):
-        bad = next(_enumerate_allowed(w.restrict(subset), budget, failing), None)
+        bad = next(_enumerate_allowed(w.restrict(subset), limits, budget, failing), None)
         if bad is not None:
             return RobustnessVerdict(False, mode, (subset, bad))
     return RobustnessVerdict(True, mode, None)
@@ -707,7 +774,7 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                             yield subset, s
                     else:
                         for s in _iter_free_completions(sub_txns, order, free_cands, budget):
-                            if sub_alloc.holds(s) and is_generalized_split_schedule(s)[0]:
+                            if sub_alloc.holds(s, limits, budget) and is_generalized_split_schedule(s)[0]:
                                 yield subset, s
 
 

@@ -279,3 +279,28 @@ def dense_polygraphs(count: int, seed: int = 5301, nodes: int = 6, choices: int 
         if acyclic is None or acyclic(p) == (len(out) % 2 == 0):
             out.append(p)
     return out
+
+
+def four_txn_workloads(count: int, seed: int = 4044, read_write_first: bool = False) -> list[Workload]:
+    """Seeded four-transaction workloads of one body operation each (8
+    operations, 2,520 orders) over ``OBJECTS``.  Every third one runs at
+    least three transactions under SSI, where the enumeration's SSI
+    dependences come into play.  One operation per transaction makes each
+    transaction act at a single point, so these are all robust; with
+    ``read_write_first`` T1 reads one object and then writes one (9
+    operations, 7,560 orders) and runs under RC in every other workload,
+    which lets lost updates, write skews and dangerous structures arise."""
+    rng = random.Random(seed)
+    out: list[Workload] = []
+    for k in range(count):
+        txns = tuple(random_txn(f"T{i + 1}", rng, max_body=1) for i in range(4))
+        if read_write_first:
+            txns = (shape_txn("T1", (("R", rng.choice(OBJECTS)), ("W", rng.choice(OBJECTS)))),) + txns[1:]
+        levels = [rng.choice(LEVELS) for _ in txns]
+        if k % 3 == 0:
+            for i in rng.sample(range(4), 3):
+                levels[i] = SSI
+        if read_write_first and k % 2:
+            levels[0] = RC
+        out.append(Workload(txns, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)})))
+    return out

@@ -329,6 +329,13 @@ def test_enumerate_walks_a_transaction_longer_than_the_recursion_limit(tmp_path)
     assert code == 0 and payload["details"]["count"] == 1
 
 
+def test_the_view_serializable_predicate_applies_the_command_limits(tmp_path):
+    path = tmp_path / "reads.wl"
+    path.write_text("txn T1: " + "R(a) " * 24 + "C\nalloc predicate=view-serializable-only\n", encoding="utf-8")
+    code, payload = invoke_json("enumerate", str(path), "--count-only", "--max-ops", "40")
+    assert code == 0 and payload["details"]["count"] == 1
+
+
 def test_zero_budget_is_a_limit_hit(docs):
     for method in ("enumerate", "split"):
         argv = ("robust", "--mode", "conflict", "--method", method, docs["s2-rc.wl"], "--budget-seconds", "0")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, random_workloads
+from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, four_txn_workloads, random_workloads
 from fixtures import *
 from oracles import allowed_schedules_oracle, enumeration_oracle
 
@@ -314,9 +314,17 @@ def _until_limit(schedules):
     return out, False
 
 
+LIMIT_CASES = [
+    workload(RC, *W_LU),
+    workload(SI, *W_WS),
+    s2_workload(RC),
+    s2_workload(SI),
+    workload(SSI, SD_T1, SD_T2, SD_T3),
+]
+
+
 def test_max_orders_counts_every_interleaving_of_a_pruned_prefix():
-    cases = [workload(RC, *W_LU), workload(SI, *W_WS), s2_workload(RC), s2_workload(SI)]
-    for w in cases + [workload(SSI, SD_T1, SD_T2, SD_T3)]:
+    for w in LIMIT_CASES:
         total = math.factorial(w.total_ops)
         for t in w.txns:
             total //= math.factorial(len(t.ops))
@@ -359,6 +367,46 @@ def assert_enumeration_matches_the_oracle(w):
 def test_enumeration_matches_the_per_order_oracle_on_the_criterion_5_corpus():
     for w in criterion_5_workloads():
         assert_enumeration_matches_the_oracle(w)
+
+
+def test_enumeration_matches_the_per_order_oracle_on_four_transactions():
+    workloads = four_txn_workloads(30) + four_txn_workloads(8, seed=4045, read_write_first=True)
+    assert sum(list(w.alloc.levels.values()).count(SSI) >= 3 for w in workloads) >= 3
+    for w in workloads:
+        assert_enumeration_matches_the_oracle(w)
+    assert sum(not is_conflict_robust(w).robust for w in workloads) >= 3
+
+
+def _oracle_charge(w, mode):
+    """Interleavings the per-order oracle walks, smallest subset first, until
+    it has the verdict of ``mode``: those of every subset the decider sweeps
+    when robust, otherwise up to and including the counterexample's."""
+    ids = sorted(w.txn_ids)
+    if mode.value.startswith("exact-"):
+        subsets = [tuple(ids)]
+    else:
+        subsets = [sub for k in range(len(ids) + 1) for sub in itertools.combinations(ids, k)]
+    view = mode in (RobustnessMode.VIEW, RobustnessMode.EXACT_VIEW)
+    budget = Budget(SearchLimits())
+    for subset in subsets:
+        for s in allowed_schedules_oracle(w.restrict(subset), budget):
+            if not (is_view_serializable(s).verdict if view else is_conflict_serializable(s)[0]):
+                return budget.count, False
+    orders = 0
+    for subset in subsets:
+        part = w.restrict(subset)
+        orders += math.factorial(part.total_ops) // math.prod(math.factorial(len(t.ops)) for t in part.txns)
+    assert budget.count == orders
+    return orders, True
+
+
+def test_every_decider_is_charged_for_every_interleaving_up_to_its_verdict():
+    for w in LIMIT_CASES:
+        for mode, decide in DECIDERS.items():
+            charge, robust = _oracle_charge(w, mode)
+            assert decide(w, SearchLimits(max_orders=charge)).robust == robust, (w, mode)
+            with pytest.raises(LimitExceeded):
+                decide(w, SearchLimits(max_orders=charge - 1))
 
 
 @given(level_workloads(max_n=3))
