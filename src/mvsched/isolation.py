@@ -10,9 +10,13 @@ transactions.
 
 Because commit order pins the version order and the read rules pin the
 version function, a total operation order has at most one completion into
-an allowed schedule under a level allocation; :func:`complete_under_allocation`
-constructs it.  That uniqueness is what keeps exhaustive enumeration of
-allowed schedules finite.
+an allowed schedule under a level allocation.  That uniqueness is what
+keeps exhaustive enumeration of allowed schedules finite.  The completion
+is coded once, as the step function of :class:`LevelEngine` over a
+workload compiled to small ints; :func:`complete_under_allocation` drives
+it over one order, the robustness enumeration over every interleaving and
+the split decider over one order per candidate.
+:func:`allowed_under_allocation` stays the clause-by-clause specification.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import INIT, Action, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
-from .serializability import ConflictKind, DependencyEdge, is_view_serializable
+from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable
 
 
 class IsolationLevel(enum.Enum):
@@ -184,47 +188,31 @@ def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
     return True
 
 
-def _dirty_write_witness(s: Schedule, tid: str) -> tuple[OperationId, OperationId] | None:
-    """A pair (other write, own write) with the own write landing before the
-    other transaction commits, or None."""
-    t = s.transaction(tid)
-    pos = s.pos
-    for own in t.ops:
+def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
+    """A pair (other write, own write) with the own write landing after the
+    other and before the other transaction commits (a dirty write), or, with
+    ``concurrent``, with the other committing after this transaction's start
+    (a concurrent write); None when there is none."""
+    pos, start = s.pos, s.first_pos.get(tid)  # None only for a transaction without operations
+    for own in s.transaction(tid).ops:
         if not own.is_write:
             continue
         own_pos = pos[own.id]
+        bound = start if concurrent else own_pos
         for other in s.writes_by_obj.get(own.obj, ()):
-            if other.id.txn == tid:
-                continue
-            if pos[other.id] < own_pos < s.commit_pos[other.id.txn]:
+            if other.id.txn != tid and pos[other.id] < own_pos and bound < s.commit_pos[other.id.txn]:
                 return (other.id, own.id)
     return None
 
 
 def exhibits_dirty_write(s: Schedule, t: Transaction | str) -> bool:
     """The transaction overwrites an object whose earlier writer has not committed yet."""
-    return _dirty_write_witness(s, txn_id(t)) is not None
-
-
-def _concurrent_write_witness(s: Schedule, tid: str) -> tuple[OperationId, OperationId] | None:
-    t = s.transaction(tid)
-    pos = s.pos
-    my_first = s.first_pos[tid]
-    for own in t.ops:
-        if not own.is_write:
-            continue
-        own_pos = pos[own.id]
-        for other in s.writes_by_obj.get(own.obj, ()):
-            if other.id.txn == tid:
-                continue
-            if pos[other.id] < own_pos and my_first < s.commit_pos[other.id.txn]:
-                return (other.id, own.id)
-    return None
+    return _overwrite_witness(s, txn_id(t), False) is not None
 
 
 def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
     """The transaction overwrites an object modified earlier by a concurrent transaction."""
-    return _concurrent_write_witness(s, txn_id(t)) is not None
+    return _overwrite_witness(s, txn_id(t), True) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +220,32 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
-    """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
+def _allowed_at_level(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
+    """The RC clauses, or with ``si`` the SI ones: they differ in the read's
+    reference operation and in dirty against concurrent writes."""
     tid = txn_id(t)
-    txn = s.transaction(tid)
+    ops = s.transaction(tid).ops
     violations: list[AdmissibilityViolation] = []
-    for op in txn.ops:
+    for op in ops:
         if op.is_write and not respects_commit_order(s, op.id):
             violations.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,)))
-    for op in txn.ops:
-        if op.is_read and not read_last_committed(s, op.id, op.id):
+    for op in ops:
+        if op.is_read and not read_last_committed(s, op.id, ops[0].id if si else op.id):
             violations.append(AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (op.id,)))
-    dirty = _dirty_write_witness(s, tid)
-    if dirty is not None:
-        violations.append(AdmissibilityViolation(tid, Clause.DIRTY_WRITE, dirty))
+    overwrite = _overwrite_witness(s, tid, si)
+    if overwrite is not None:
+        violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
     return AdmissibilityReport(tuple(violations))
+
+
+def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
+    """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
+    return _allowed_at_level(s, t, False)
 
 
 def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
-    tid = txn_id(t)
-    txn = s.transaction(tid)
-    first_id = txn.ops[0].id
-    violations: list[AdmissibilityViolation] = []
-    for op in txn.ops:
-        if op.is_write and not respects_commit_order(s, op.id):
-            violations.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,)))
-    for op in txn.ops:
-        if op.is_read and not read_last_committed(s, op.id, first_id):
-            violations.append(AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (op.id,)))
-    concurrent = _concurrent_write_witness(s, tid)
-    if concurrent is not None:
-        violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE, concurrent))
-    return AdmissibilityReport(tuple(violations))
+    return _allowed_at_level(s, t, True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +353,223 @@ def allowed_under_allocation(
     return AdmissibilityReport(tuple(violations))
 
 
+
+
+# ---------------------------------------------------------------------------
+# The completion rule, compiled to small ints
+# ---------------------------------------------------------------------------
+
+
+class LevelEngine:
+    """A level-allocated transaction set compiled to small ints (transactions
+    in id order, operations from 1 with INIT at 0, objects by first mention),
+    with the one step function that completes an order under RC, SI and SSI.
+
+    A walk begins with :meth:`start`; ``place(g, d)`` then puts operation
+    ``g`` at position ``d`` and ``undo(g)`` takes it back.  A dirty write
+    (RC) or concurrent write (SI, SSI) is refused; an RC read observes the
+    newest version committed when it is placed, an SI or SSI read the
+    newest committed at its transaction's first operation; a commit appends
+    its writes to the version orders.  Its drivers are
+    :func:`complete_under_allocation` (one order, :meth:`walk`), the
+    robustness enumeration and the split decider.
+    """
+
+    READ, WRITE, COMMIT = 0, 1, 2
+
+    def __init__(self, txns: Iterable[Transaction], alloc: LevelAllocation) -> None:
+        txns = self.txns = tuple(sorted(txns, key=lambda t: t.id))
+        n = self.n = len(txns)
+        index, bits, rc, ssi = self.index, self.bits, self.rc, self.ssi = {}, [], [], []
+        for i, t in enumerate(txns):
+            level = alloc.level_of(t.id)
+            index[t.id] = i
+            bits.append(1 << i)
+            rc.append(level is IsolationLevel.RC)
+            ssi.append(level is IsolationLevel.SSI)
+        if len(index) != n:
+            raise ValueError("duplicate transaction ids")
+        self.ssi_mask = sum(b for b, x in zip(bits, ssi) if x)
+        READ, WRITE, COMMIT = self.READ, self.WRITE, self.COMMIT
+        obj_ids: dict[str, int] = {}
+        # per operation g: its id, owner, kind, object, and for writes whether
+        # it is its transaction's first on that object
+        opids, owner, kind, obj_of, first_write = [INIT], [-1], [-1], [-1], [False]
+        # per transaction: its operations, its reads and writes, (object, g) per
+        # write, and bitmasks of the objects it writes and of those it touches
+        self.ops_of, body, writes_of, self.wmask, self.touch = [], [], [], [], []
+        reads = self.reads = []  # (g, transaction, object), in transaction order
+        for i, t in enumerate(txns):
+            g0 = len(opids)
+            bd, ws, wm, tm = [], [], 0, 0
+            for g, op in enumerate(t.ops, g0):
+                opids.append(op.id)
+                owner.append(i)
+                if op.obj is None:
+                    kind.append(COMMIT)
+                    obj_of.append(-1)
+                    first_write.append(False)
+                    continue
+                o = obj_ids.setdefault(op.obj, len(obj_ids))
+                obj_of.append(o)
+                bd.append(g)
+                tm |= 1 << o
+                if op.action is Action.READ:
+                    kind.append(READ)
+                    first_write.append(False)
+                    reads.append((g, i, o))
+                else:
+                    kind.append(WRITE)
+                    first_write.append(not wm >> o & 1)
+                    wm |= 1 << o
+                    ws.append((o, g))
+            self.ops_of.append(list(range(g0, len(opids))))
+            body.append(bd)
+            writes_of.append(ws)
+            self.wmask.append(wm)
+            self.touch.append(tm)
+        self.opids, self.owner, self.kind, self.obj_of, self.writes_of = opids, owner, kind, obj_of, writes_of
+        self.names = list(obj_ids)
+        heads = [gs[0] if gs else -1 for gs in self.ops_of]
+
+        # the walk: committed versions per object and each one's position in
+        # its chain (INIT at 0), the version each read observes, per object
+        # the transactions with uncommitted writes on it, per operation of a
+        # non-RC transaction its chain's length at the transaction's start
+        chains = self.chains = [[] for _ in self.names]
+        rank = self.rank = [0] * len(opids)
+        vf = self.vf = [0] * len(opids)
+        pending = self.pending = [0] * len(self.names)
+        snap = [0] * len(opids)
+        first, commit = self.first, self.commit = [0] * n, [0] * n
+        # the walk's transactions, as a bitmask too, the objects they write and their reads
+        self.active, self.mask, self.written, self.active_reads = [], 0, [], []
+
+        def place(g: int, d: int) -> bool:
+            """Place ``g`` at position ``d``; False when refused (only ``first`` changes)."""
+            i = owner[g]
+            if g == heads[i]:
+                first[i] = d
+                if not rc[i]:
+                    for h in body[i]:
+                        snap[h] = len(chains[obj_of[h]])
+            k = kind[g]
+            if k == WRITE:
+                o = obj_of[g]
+                if pending[o] & ~bits[i] or (not rc[i] and len(chains[o]) > snap[g]):
+                    return False
+                pending[o] |= bits[i]
+            elif k == READ:
+                c = chains[obj_of[g]]
+                seen = len(c) if rc[i] else snap[g]
+                vf[g] = c[seen - 1] if seen else 0
+            else:
+                commit[i] = d
+                for o, wg in writes_of[i]:
+                    c = chains[o]
+                    c.append(wg)
+                    rank[wg] = len(c)
+                    pending[o] &= ~bits[i]
+            return True
+
+        def undo(g: int) -> None:
+            """Take back ``g``, the last operation placed."""
+            i = owner[g]
+            if kind[g] == COMMIT:
+                for o, _ in writes_of[i]:
+                    chains[o].pop()
+                    pending[o] |= bits[i]
+            elif first_write[g]:
+                pending[obj_of[g]] &= ~bits[i]
+
+        self.place, self.undo = place, undo
+
+    def start(self, active: list[int]) -> None:
+        """Begin a walk over the transactions ``active`` (ascending)."""
+        for o in self.written:
+            self.chains[o].clear()
+            self.pending[o] = 0
+        self.active = active
+        mask = 0
+        for i in active:
+            mask |= self.bits[i]
+        self.mask = mask
+        self.written = list(dict.fromkeys(o for i in active for o, _ in self.writes_of[i]))
+        self.active_reads = [(g, t, o) for g, t, o in self.reads if mask & self.bits[t]]
+
+    def order_of(self, order: Iterable[OperationId]) -> list[int]:
+        """The operation numbers of an interleaving of all the transactions
+        (INIT may lead it); ValueError for anything else."""
+        done, out = [0] * self.n, []
+        for opid in order:
+            i = self.index.get(opid.txn)
+            if i is None and opid.is_init:
+                continue
+            if i is None or opid.index != done[i] + 1 or done[i] == len(self.ops_of[i]):
+                raise ValueError(f"{opid!r} breaks the interleaving of the transactions' operations")
+            out.append(self.ops_of[i][done[i]])
+            done[i] += 1
+        if len(out) != len(self.opids) - 1:
+            raise ValueError("the order misses operations of the transactions")
+        return out
+
+    def walk(self, order: list[int], active: list[int], degenerate: bool = False) -> bool:
+        """Place ``order``, every operation of ``active`` in an order that
+        keeps each transaction's own, from scratch; whether it completes into
+        an allowed schedule (see :meth:`dangerous` for ``degenerate``)."""
+        self.start(active)
+        place = self.place
+        for d, g in enumerate(order):
+            if not place(g, d):
+                return False
+        return not self.dangerous(degenerate)
+
+    def dependencies(self) -> list[int]:
+        """Per transaction, the bitmask of the transactions that depend on it
+        in the completed walk (see :func:`dependency_masks`)."""
+        owner, rank, vf, chains = self.owner, self.rank, self.vf, self.chains
+        writers = {o: [owner[g] for g in chains[o]] for o in self.written}
+        return dependency_masks(self.n, writers, [(t, o, rank[vf[g]]) for g, t, o in self.active_reads])
+
+    def dangerous(self, degenerate: bool = False) -> bool:
+        """Whether the completed walk holds a dangerous structure among its
+        SSI transactions, as :func:`find_dangerous_structures` defines it
+        (``degenerate`` is its ``allow_degenerate_pivot``)."""
+        mask, bits, first, commit, ssi = self.mask, self.bits, self.first, self.commit, self.ssi
+        if bin(mask & self.ssi_mask).count("1") < (2 if degenerate else 3):
+            return False
+        rw: dict[int, int] = {}
+        for g, t, o in self.active_reads:
+            if ssi[t]:
+                for wg in self.chains[o][self.rank[self.vf[g]] :]:
+                    u = self.owner[wg]
+                    if u != t and ssi[u]:
+                        rw[t] = rw.get(t, 0) | bits[u]
+        for t1, r1 in rw.items():
+            for t2, r2 in rw.items():
+                if not r1 & bits[t2] or not (first[t1] < commit[t2] and first[t2] < commit[t1]):
+                    continue
+                for t3 in self.active:  # concurrent with t2 and committing before it
+                    if r2 & bits[t3] and first[t2] < commit[t3] < commit[t2]:
+                        if (commit[t3] < commit[t1] if t3 != t1 else degenerate) and (
+                            self.wmask[t1] or commit[t3] < first[t1]
+                        ):
+                            return True
+        return False
+
+    def schedule(self, order: list[int]) -> Schedule:
+        """The completed walk over ``order`` as a :class:`Schedule`."""
+        opids, names, vf, reads = self.opids, self.names, self.vf, self.active_reads
+        vorder = {names[o]: (INIT, *[opids[g] for g in self.chains[o]]) for o in self.written}
+        vorder.update({names[o]: (INIT,) for _, _, o in reads if names[o] not in vorder})  # objects only read
+        return Schedule(
+            txns=tuple([self.txns[i] for i in self.active]),
+            order=(INIT, *[opids[g] for g in order]),
+            vorder=vorder,
+            vf={opids[g]: opids[vf[g]] for g, _, _ in reads},
+        )
+
+
 def complete_under_allocation(
     txns: Iterable[Transaction],
     order: Sequence[OperationId],
@@ -388,65 +586,12 @@ def complete_under_allocation(
     outright, so admissibility of the completion reduces to the dirty-write,
     concurrent-write, and dangerous-structure clauses; the result is exactly
     the schedule accepted by :func:`allowed_under_allocation`, or None when
-    the order admits none.
+    the order admits none.  This walks the one order through
+    :class:`LevelEngine`; an order that is not an interleaving of the
+    transactions' operations raises ValueError.
     """
-    txns = tuple(sorted(txns, key=lambda t: t.id))
-    if len({t.id for t in txns}) != len(txns):
-        raise ValueError("duplicate transaction ids")
-    order_t = tuple(order)
-    if INIT not in order_t:
-        order_t = (INIT,) + order_t
-    pos = {opid: i for i, opid in enumerate(order_t)}
-    commit_pos = {t.id: pos[t.ops[-1].id] for t in txns}
-    first_pos = {t.id: pos[t.ops[0].id] for t in txns}
-    levels = {t.id: alloc.level_of(t.id) for t in txns}
-
-    writes: dict[str, list[Operation]] = {}
-    for t in txns:
-        for op in t.ops:
-            if op.is_write:
-                writes.setdefault(op.obj, []).append(op)
-
-    # dirty writes (RC transactions) and concurrent writes (SI/SSI) reject
-    # the order before any schedule is built
-    for ws in writes.values():
-        for a in ws:
-            a_pos = pos[a.id]
-            rc = levels[a.id.txn] is IsolationLevel.RC
-            bound = a_pos if rc else first_pos[a.id.txn]
-            for b in ws:
-                if b.id.txn != a.id.txn and pos[b.id] < a_pos and bound < commit_pos[b.id.txn]:
-                    return None
-
-    vorder: dict[str, tuple[OperationId, ...]] = {}
-    for obj, ws in writes.items():
-        ws_sorted = sorted(ws, key=lambda op: (commit_pos[op.id.txn], op.id.index))
-        vorder[obj] = (INIT,) + tuple(op.id for op in ws_sorted)
-
-    vf: dict[OperationId, OperationId] = {}
-    for t in txns:
-        first_id = t.ops[0].id
-        rc = levels[t.id] is IsolationLevel.RC
-        for op in t.ops:
-            if not op.is_read:
-                continue
-            rel_pos = pos[op.id] if rc else pos[first_id]
-            chosen = INIT
-            for wid in reversed(vorder.get(op.obj, (INIT,))[1:]):
-                if commit_pos[wid.txn] < rel_pos:
-                    chosen = wid
-                    break
-            vf[op.id] = chosen
-
-    for t in txns:
-        for op in t.ops:
-            if op.obj is not None and op.obj not in vorder:
-                vorder[op.obj] = (INIT,)
-
-    s = Schedule(txns=txns, order=order_t, vorder=vorder, vf=vf)
-
-    ssi_scope = [tid for tid, lvl in levels.items() if lvl is IsolationLevel.SSI]
-    if len(ssi_scope) >= (2 if allow_degenerate_pivot else 3):
-        if find_dangerous_structures(s, ssi_scope, allow_degenerate_pivot=allow_degenerate_pivot):
-            return None
-    return s
+    engine = LevelEngine(txns, alloc)
+    gs = engine.order_of(order)
+    if not engine.walk(gs, list(range(engine.n)), allow_degenerate_pivot):
+        return None
+    return engine.schedule(gs)

@@ -39,7 +39,7 @@ from .isolation import (
     read_last_committed,
     respects_commit_order,
 )
-from .serializability import is_view_serializable
+from .serializability import has_cycle, is_view_serializable
 
 #: Bounds sized for reduction outputs, which are larger than the desk-scale
 #: robustness defaults (a polygraph with 5 nodes and 3 choices yields 11
@@ -109,24 +109,6 @@ class CompatibilityWitness:
     full_graph: frozenset[tuple[str, str]]
 
 
-def _is_dag(nodes: frozenset[str], edges: frozenset[tuple[str, str]]) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    indeg: dict[str, int] = {n: 0 for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while ready:
-        n = ready.pop()
-        seen += 1
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    return seen == len(nodes)
-
-
 def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[bool, CompatibilityWitness | None]:
     """Brute force over all choice resolutions; first DAG found is the witness.
 
@@ -137,11 +119,15 @@ def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) ->
     """
     choices = sorted(p.choices)
     budget = Budget(limits)
+    index = {node: i for i, node in enumerate(p.nodes)}
     for bits in itertools.product((0, 1), repeat=len(choices)):
         budget.tick()
         extra = tuple((u, v) if bit == 0 else (v, w) for bit, (u, v, w) in zip(bits, choices))
         full = p.arcs | frozenset(extra)
-        if _is_dag(p.nodes, full):
+        succ = [0] * len(index)
+        for a, b in full:
+            succ[index[a]] |= 1 << index[b]
+        if not has_cycle(succ):
             return True, CompatibilityWitness(extra, full)
     return False, None
 

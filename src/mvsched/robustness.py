@@ -9,28 +9,22 @@ which by their shape are serializable in neither the conflict nor the view
 sense.  For level allocations the two must agree, and the test suite holds
 them to that.
 
-The split search has two paths.  :func:`find_split_counterexample` decides
-level allocations in polynomial time, one transaction pair and one
-breadth-first search at a time; :func:`iter_split_schedules` tries every
-subset, permutation and pivot and serves predicate allocations and, for
-level allocations, as the exhaustive oracle the fast path is tested
-against.
-
-The enumeration walks the interleavings depth-first in canonical order.
-Under a level allocation it builds each completion while it places the
-operations (see :func:`_enumerate_level`): a prefix holding a dirty or
-concurrent write is dropped with its whole subtree, and a leaf is checked
-on small-int ids, so a :class:`Schedule` is built only for a schedule that
-is emitted or returned as the counterexample.  The robustness deciders,
-which only look for the first schedule that is not serializable, check
-one interleaving per commuting class (sleep sets, after Godefroid's
-partial-order methods): an interleaving is skipped when an equivalent one,
-reached by swapping adjacent operations that commute, came earlier.  The
-counterexamples are those of the full walk.  ``max_orders`` counts
-interleavings, a dropped or skipped subtree adding all of those below it,
-so limits are hit exactly where completing every interleaving would hit
-them.  Predicate allocations still complete every interleaving, in every
-way.
+Under a level allocation both run on the workload compiled once into a
+:class:`~mvsched.isolation.LevelEngine`, whose step function completes an
+operation order as it is placed.  :func:`find_split_counterexample`
+decides in polynomial time, classifying transaction pairs and checking
+candidates on small ints, and builds a :class:`Schedule` for its witness
+alone; :func:`iter_split_schedules` tries every subset, permutation and
+pivot, serving predicate allocations and, for level allocations, as the
+exhaustive oracle.  The enumeration (:func:`_enumerate_level`) walks the
+interleavings depth-first in canonical order, each subset of the sweep
+being a list of transaction numbers: a refused write drops its whole
+subtree, and the robustness deciders check one interleaving per commuting
+class (sleep sets, after Godefroid's partial-order methods).  The
+counterexamples are those of the full walk, and ``max_orders`` counts
+every interleaving, dropped and skipped ones included, so limits are hit
+where completing each interleaving would hit them.  Predicate allocations
+still complete every interleaving, in every way.
 
 Also here: recognizers for the two split-schedule shapes and the three
 constructive schedule transforms (serial-tail extension, restriction to a
@@ -50,12 +44,13 @@ from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, SearchLim
 from .errors import LimitExceeded, NotACycle, TransactionSetMismatch
 from .isolation import (
     Allocation,
-    IsolationLevel,
     LevelAllocation,
+    LevelEngine,
     complete_under_allocation,
     respects_commit_order,
 )
 from .serializability import (
+    has_cycle,
     is_conflict_serializable,
     serial_signature_pool,
     serialization_graph,
@@ -116,10 +111,9 @@ def _check_limits(w: Workload, limits: SearchLimits) -> None:
         raise LimitExceeded(f"{w.total_ops} operations exceed the limit of {limits.max_ops}")
 
 
-def _subsets(ids: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    ordered = sorted(ids)
-    for size in range(len(ordered) + 1):
-        yield from itertools.combinations(ordered, size)
+def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    for size in range(len(items) + 1):
+        yield from itertools.combinations(items, size)
 
 
 def _multinomial(counts: Iterable[int]) -> int:
@@ -222,129 +216,56 @@ def _iter_free_completions(
             yield make_schedule(txns, order, vorder, vf)
 
 
-_READ, _WRITE, _COMMIT = 0, 1, 2
+def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failing: str | None) -> Iterator[Schedule]:
+    """The allowed schedules over the transactions ``active`` of a compiled
+    level workload, in canonical order, the engine's step completing each
+    while the walk places its operations.
 
-
-def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterator[Schedule]:
-    """The allowed schedules of a level-allocated workload, in canonical order,
-    completed while the interleaving walk places their operations.
-
-    Operations, transactions and objects are small ints here.  Placing a
-    write that is a dirty write (RC) or a concurrent write (SI, SSI) drops
-    the whole subtree below it, and the budget is charged for every
-    interleaving in that subtree.  An RC read observes the newest version
-    committed when it is placed, an SI or SSI read the newest committed at
-    its transaction's first operation, and a commit appends its
-    transaction's writes to the version orders.  SSI dangerous structures
-    are checked at the leaf.  This builds exactly the schedule
-    :func:`complete_under_allocation` builds for the order, and rejects
-    exactly the orders it rejects.
-
-    With ``failing`` set to ``"conflict"`` or ``"view"`` only the schedules
-    that are not serializable in that sense come out: a bitmask cycle test
-    on the dependencies, or a lookup of the view signature among those of
-    the serial orders.  A :class:`Schedule` is built only for a schedule
-    that comes out.
-
-    With ``failing`` set the walk also keeps a sleep set, a bitmask of
-    transactions, per depth.  Two operations of different transactions
-    are dependent (do not commute) when both write one object; when one
-    is T's commit and the other a write of an object T writes, an RC read
-    of one, or the first operation of a non-RC transaction U where T
-    writes an object U touches or both are SSI under the three-SSI gate
-    of the dangerous-structure check; or when both are commits whose
-    write sets meet or that are both SSI under that gate.  Reads see only
-    committed versions, so a read never depends on an uncommitted write.
-    Swapping adjacent operations that commute keeps the dropped-prefix
-    decision, the completion and the first/commit orders the dangerous-
-    structure check compares, hence the leaf's verdict.  A child's sleep
-    set holds the transactions, asleep at the parent or explored there
-    before it (a dropped sibling counts as explored), whose next operation
-    commutes with the one placed; a sleeping transaction is not placed,
-    and its subtree is charged to the budget like a dropped one.  Two
-    invariants follow.  The walk is lexicographic in transaction index and
-    a leaf is skipped only after an equivalent leaf, so the first failing
-    leaf, the least of its class, is never skipped: the yielded schedule
-    is the full walk's.  And every interleaving is still charged once, so
-    the budget's count and where ``max_orders`` trips do not change.
+    A refused write (dirty under RC, concurrent under SI or SSI) drops the
+    whole subtree below it, charged to the budget interleaving by
+    interleaving; SSI dangerous structures are checked at the leaf.  With
+    ``failing`` (``"conflict"`` or ``"view"``) only the schedules that are
+    not serializable in that sense come out (a bitmask cycle test, or the
+    view signature looked up among the serial orders'), and the walk keeps
+    a sleep set of transactions per depth.  Two operations of different
+    transactions are dependent when both write one object; when one is T's
+    commit and the other a write of an object T writes, an RC read of one,
+    or the first operation of a non-RC transaction U where T writes an
+    object U touches or both are SSI under the three-SSI gate of the
+    dangerous-structure check; or when both are commits whose write sets
+    meet or that are both SSI under that gate.  Swapping adjacent
+    commuting operations keeps the dropped-prefix decision, the completion
+    and the orders the dangerous-structure check compares.  A child's
+    sleep set holds the transactions, asleep at the parent or explored
+    there before it, whose next operation commutes with the one placed; a
+    sleeping transaction is not placed and its subtree is charged like a
+    dropped one.  So the first failing leaf, least of its class, is never
+    skipped, and every interleaving is still charged once.
     """
-    txns = w.txns
-    n = len(txns)
-    bits = [1 << i for i in range(n)]
-    rc = [w.alloc.level_of(t.id) is IsolationLevel.RC for t in txns]
-    ssi = [w.alloc.level_of(t.id) is IsolationLevel.SSI for t in txns]
-    read_only = [t.read_only for t in txns]
-    obj_ids: dict[str, int] = {}
-    for t in txns:
-        for op in t.ops:
-            if op.obj is not None:
-                obj_ids.setdefault(op.obj, len(obj_ids))
-    # per operation id g (0 is INIT): the OperationId, owner, kind, object,
-    # and for writes whether it is its transaction's first on that object
-    opids, owner, kind, obj_of, first_write = [INIT], [-1], [-1], [-1], [False]
-    ops_of: list[list[int]] = []
-    writes_of: list[list[tuple[int, int]]] = []  # per transaction, (object, g) in order
-    reads: list[tuple[int, int, int]] = []  # (g, transaction, object), in transaction order
-    wmask = [0] * n  # per transaction, bitmask of the objects it writes
-    touch = [0] * n  # ... and of those it reads or writes
-    for i, t in enumerate(txns):
-        gs: list[int] = []
-        ws: list[tuple[int, int]] = []
-        for op in t.ops:
-            g = len(opids)
-            o = -1 if op.obj is None else obj_ids[op.obj]
-            k = _READ if op.is_read else _WRITE if op.is_write else _COMMIT
-            opids.append(op.id)
-            owner.append(i)
-            kind.append(k)
-            obj_of.append(o)
-            first_write.append(k == _WRITE and all(wo != o for wo, _ in ws))
-            gs.append(g)
-            if k == _WRITE:
-                ws.append((o, g))
-                wmask[i] |= 1 << o
-            elif k == _READ:
-                reads.append((g, i, o))
-            if k != _COMMIT:
-                touch[i] |= 1 << o
-        ops_of.append(gs)
-        writes_of.append(ws)
-    names = list(obj_ids)
-    written = list(dict.fromkeys(o for ws in writes_of for o, _ in ws))  # in first-write order
-    reads_on: list[list[tuple[int, int]]] = [[] for _ in names]
-    for g, i, o in reads:
-        reads_on[o].append((g, i))
-    ssi_reads = [(g, i, o) for g, i, o in reads if ssi[i]]
-    check_ssi = sum(ssi) >= 3
-
-    lens = [len(t.ops) for t in txns]
+    eng.start(active)
+    n, bits, ops_of, kind, owner, obj_of = eng.n, eng.bits, eng.ops_of, eng.kind, eng.owner, eng.obj_of
+    rc, ssi, wmask, touch, chains, vf = eng.rc, eng.ssi, eng.wmask, eng.touch, eng.chains, eng.vf
+    place, undo, dangerous = eng.place, eng.undo, eng.dangerous
+    READ, WRITE, COMMIT = eng.READ, eng.WRITE, eng.COMMIT
+    check_ssi = sum(ssi[i] for i in active) >= 3
+    lens = [len(ops_of[i]) if eng.mask & bits[i] else 0 for i in range(n)]  # the others count as done
     total = sum(lens)
     idx = [0] * n
-    chains: list[list[int]] = [[] for _ in names]  # committed versions per object
-    rank = [0] * len(opids)  # position of a version in its chain, INIT at 0
-    vf = [0] * len(opids)
-    pending = [0] * len(names)  # per object, transactions with uncommitted writes on it
-    snap: list[list[int]] = [[] for _ in txns]  # chain lengths at an SI transaction's start
-    first = [0] * n
-    commit = [0] * n
     order = [0] * total  # per depth: the operation placed there
     on = [0] * total  # per depth: its transaction
     nxt = [0] * (total + 1)  # per depth: the next transaction to try there
 
-    def concurrent(a: int, b: int) -> bool:
-        return first[a] < commit[b] and first[b] < commit[a]
-
     def dependent(g: int, h: int) -> bool:
         """Whether two operations of different transactions fail to commute."""
-        if kind[g] != _COMMIT:
-            if kind[h] != _COMMIT:
-                return kind[g] == _WRITE and kind[h] == _WRITE and obj_of[g] == obj_of[h]
+        if kind[g] != COMMIT:
+            if kind[h] != COMMIT:
+                return kind[g] == WRITE and kind[h] == WRITE and obj_of[g] == obj_of[h]
             g, h = h, g
         t, u = owner[g], owner[h]
         both_ssi = check_ssi and ssi[t] and ssi[u]
-        if kind[h] == _COMMIT:
+        if kind[h] == COMMIT:
             return bool(wmask[t] & wmask[u]) or both_ssi
-        if (kind[h] == _WRITE or rc[u]) and wmask[t] >> obj_of[h] & 1:
+        if (kind[h] == WRITE or rc[u]) and wmask[t] >> obj_of[h] & 1:
             return True
         return h == ops_of[u][0] and not rc[u] and bool(wmask[t] & touch[u] or both_ssi)
 
@@ -354,92 +275,27 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
         rest[i] -= 1
         budget.tick(_multinomial(rest))
 
-    def dangerous() -> bool:
-        """A chain t1 -> t2 -> t3 of rw-antidependencies among SSI
-        transactions, as :func:`find_dangerous_structures` defines it."""
-        rw = [0] * n
-        for g, t, o in ssi_reads:
-            for wg in chains[o][rank[vf[g]] :]:
-                u = owner[wg]
-                if u != t and ssi[u]:
-                    rw[t] |= bits[u]
-        for t1 in range(n):
-            for t2 in range(n):
-                if not rw[t1] & bits[t2] or not concurrent(t1, t2):
-                    continue
-                for t3 in range(n):
-                    if (
-                        t3 != t1
-                        and rw[t2] & bits[t3]
-                        and concurrent(t2, t3)
-                        and commit[t3] < min(commit[t1], commit[t2])
-                        and (not read_only[t1] or commit[t3] < first[t1])
-                    ):
-                        return True
-        return False
-
-    def conflict_cyclic() -> bool:
-        succ = [0] * n
-        for o in written:
-            ow = [owner[g] for g in chains[o]]
-            later = 0
-            for u in reversed(ow):  # ww: every earlier version's writer -> later writers
-                succ[u] |= later & ~bits[u]
-                later |= bits[u]
-            for g, t in reads_on[o]:
-                seen = rank[vf[g]]
-                for p, u in enumerate(ow, 1):
-                    if u != t:
-                        if p <= seen:  # wr: the version read or an earlier one
-                            succ[u] |= bits[t]
-                        else:  # rw: a version installed after the one read
-                            succ[t] |= bits[u]
-        left = (1 << n) - 1
-        while left:
-            for t in range(n):
-                if left & bits[t] and not succ[t] & left:
-                    left ^= bits[t]
-                    break
-            else:
-                return True
-        return False
-
-    read_gids = [g for g, _, _ in reads]
+    read_gids = [g for g, _, _ in eng.active_reads]
+    written = eng.written
     pool: set | None = None
 
     def view_fails() -> bool:
         nonlocal pool
-        if pool is None:
-            pool = serial_pool()
+        if pool is None:  # the view signatures of every serial order, in the leaf's encoding
+            pool = set()
+            for perm in itertools.permutations(active):
+                last = [0] * len(chains)
+                seen: dict[int, int] = {}
+                for i in perm:
+                    for g in ops_of[i]:
+                        if kind[g] == WRITE:
+                            last[obj_of[g]] = g
+                        elif kind[g] == READ:
+                            seen[g] = last[obj_of[g]]
+                pool.add((tuple([seen[g] for g in read_gids]), tuple([last[o] for o in written])))
         return (tuple([vf[g] for g in read_gids]), tuple([chains[o][-1] for o in written])) not in pool
 
-    def serial_pool() -> set:
-        """View signatures of every serial order, in the leaf's encoding."""
-        out = set()
-        for perm in itertools.permutations(range(n)):
-            last = [0] * len(names)
-            seen: dict[int, int] = {}
-            for i in perm:
-                for g in ops_of[i]:
-                    if kind[g] == _WRITE:
-                        last[obj_of[g]] = g
-                    elif kind[g] == _READ:
-                        seen[g] = last[obj_of[g]]
-            out.add((tuple([seen[g] for g in read_gids]), tuple([last[o] for o in written])))
-        return out
-
-    def build() -> Schedule:
-        vorder = {names[o]: (INIT,) + tuple(opids[g] for g in chains[o]) for o in written}
-        for name in names:
-            vorder.setdefault(name, (INIT,))
-        return Schedule(
-            txns=txns,
-            order=(INIT,) + tuple(opids[g] for g in order),
-            vorder=vorder,
-            vf={opids[g]: opids[vf[g]] for g in read_gids},
-        )
-
-    fails = conflict_cyclic if failing == "conflict" else view_fails
+    fails = (lambda: has_cycle(eng.dependencies())) if failing == "conflict" else view_fails
     # per depth: the transactions asleep there, then also the siblings
     # explored or dropped there (all below the next one to try)
     sleep = [0] * (total + 1)
@@ -448,7 +304,7 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
         if d == total:
             budget.tick()
             if not (check_ssi and dangerous()) and (failing is None or fails()):
-                yield build()
+                yield eng.schedule(order)
         else:
             i = nxt[d]
             while i < n and idx[i] == lens[i]:
@@ -459,30 +315,10 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
                     skip(i)
                     continue
                 g = ops_of[i][idx[i]]
-                if idx[i] == 0:
-                    first[i] = d
-                    if not rc[i]:
-                        snap[i] = [len(c) for c in chains]
-                k = kind[g]
-                if k == _WRITE:
-                    o = obj_of[g]
-                    if pending[o] & ~bits[i] or (not rc[i] and len(chains[o]) > snap[i][o]):
-                        skip(i)
-                        sleep[d] |= bits[i]
-                        continue
-                    pending[o] |= bits[i]
-                elif k == _READ:
-                    o = obj_of[g]
-                    c = chains[o]
-                    seen = len(c) if rc[i] else snap[i][o]
-                    vf[g] = c[seen - 1] if seen else 0
-                else:
-                    commit[i] = d
-                    for o, wg in writes_of[i]:
-                        c = chains[o]
-                        c.append(wg)
-                        rank[wg] = len(c)
-                        pending[o] &= ~bits[i]
+                if not place(g, d):
+                    skip(i)
+                    sleep[d] |= bits[i]
+                    continue
                 z = 0
                 if failing is not None:
                     for j in range(n):
@@ -499,26 +335,16 @@ def _enumerate_level(w: Workload, budget: Budget, failing: str | None) -> Iterat
         if d == 0:
             return
         d -= 1
-        i = on[d]
-        idx[i] -= 1
-        g = order[d]
-        if kind[g] == _COMMIT:
-            for o, wg in writes_of[i]:
-                chains[o].pop()
-                pending[o] |= bits[i]
-        elif kind[g] == _WRITE and first_write[g]:
-            pending[obj_of[g]] &= ~bits[i]
+        idx[on[d]] -= 1
+        undo(order[d])
 
 
 def _enumerate_allowed(
     w: Workload, limits: SearchLimits, budget: Budget, failing: str | None = None
 ) -> Iterator[Schedule]:
-    """Allowed schedules over the workload's full transaction set, in
-    canonical order; with ``failing`` (``"conflict"`` or ``"view"``) only
-    those that are not serializable in that sense."""
-    if isinstance(w.alloc, LevelAllocation):
-        yield from _enumerate_level(w, budget, failing)
-        return
+    """Allowed schedules of a predicate-allocated workload over its full
+    transaction set, in canonical order; with ``failing`` (``"conflict"``
+    or ``"view"``) only those that are not serializable in that sense."""
     vorder_cands = _vorder_candidates(w.txns)
     for order in _iter_interleavings(w.txns, budget):
         for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
@@ -536,16 +362,17 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     transaction set that is allowed under its allocation.
 
     Under a level allocation each interleaving has at most one completion,
-    built while the interleavings are walked; a prefix that already holds a
-    dirty or concurrent write is dropped whole.  ``max_orders`` still counts
-    every interleaving, those of a dropped prefix included, so a limit is
-    hit exactly where examining them one by one would hit it.  Under a
-    predicate allocation all valid schedules are generated (all
-    interleavings crossed with all version orders and version functions)
-    and filtered, which is far more expensive and gated by the same limits.
+    built while the interleavings are walked (see :func:`_enumerate_level`);
+    ``max_orders`` counts every interleaving, those of a dropped prefix
+    included.  Under a predicate allocation all valid schedules (every
+    interleaving crossed with every version order and version function)
+    are generated and filtered, under the same limits.
     """
     _check_limits(w, limits)
-    yield from _enumerate_allowed(w, limits, Budget(limits))
+    if isinstance(w.alloc, LevelAllocation):
+        yield from _enumerate_level(LevelEngine(w.txns, w.alloc), list(range(len(w.txns))), Budget(limits), None)
+    else:
+        yield from _enumerate_allowed(w, limits, Budget(limits))
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +384,22 @@ def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> R
     """The one sweep behind the four deciders: the allowed schedules of each
     subset, smallest first and under one shared budget (the exact modes
     sweep just the full set), until one is not serializable in the mode's
-    sense; that one is the counterexample."""
+    sense; that one is the counterexample.  A level workload is compiled
+    once, and each subset is a list of its transaction numbers."""
     _check_limits(w, limits)
     budget = Budget(limits)
-    exact = mode.value.startswith("exact-")
     failing = mode.value.removeprefix("exact-")
-    for subset in [w.txn_ids] if exact else _subsets(w.txn_ids):
-        bad = next(_enumerate_allowed(w.restrict(subset), limits, budget, failing), None)
+    ids = w.txn_ids
+    everything = tuple(range(len(ids)))
+    subsets = [everything] if mode.value.startswith("exact-") else _subsets(everything)
+    eng = LevelEngine(w.txns, w.alloc) if isinstance(w.alloc, LevelAllocation) else None
+    for subset in subsets:
+        if eng is not None:
+            bad = next(_enumerate_level(eng, list(subset), budget, failing), None)
+        else:
+            bad = next(_enumerate_allowed(w.restrict(ids[i] for i in subset), limits, budget, failing), None)
         if bad is not None:
-            return RobustnessVerdict(False, mode, (subset, bad))
+            return RobustnessVerdict(False, mode, (tuple(ids[i] for i in subset), bad))
     return RobustnessVerdict(True, mode, None)
 
 
@@ -757,16 +591,9 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
             free_cands = None if isinstance(sub_alloc, LevelAllocation) else _vorder_candidates(sub_txns)
             for perm in itertools.permutations(subset):
                 t1 = by_id[perm[0]]
-                middle_ops: list[OperationId] = []
-                for tid in perm[1:]:
-                    middle_ops.extend(by_id[tid].op_ids)
+                middle_ops = [op for tid in perm[1:] for op in by_id[tid].op_ids]
                 for cut in range(1, len(t1.ops) + 1):
-                    order = (
-                        (INIT,)
-                        + t1.op_ids[:cut]
-                        + tuple(middle_ops)
-                        + t1.op_ids[cut:]
-                    )
+                    order = (INIT, *t1.op_ids[:cut], *middle_ops, *t1.op_ids[cut:])
                     if isinstance(sub_alloc, LevelAllocation):
                         budget.tick()
                         s = complete_under_allocation(sub_txns, order, sub_alloc)
@@ -778,32 +605,19 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                                 yield subset, s
 
 
-def _conflict_neighbours(txns: Sequence[Transaction]) -> dict[str, tuple[str, ...]]:
-    """Per transaction, the sorted ids of the others it has a conflicting
-    operation with (same object, at least one of the two a write)."""
-    reads = {t.id: {op.obj for op in t.ops if op.is_read} for t in txns}
-    writes = {t.id: {op.obj for op in t.ops if op.is_write} for t in txns}
-    out: dict[str, list[str]] = {t.id: [] for t in txns}
-    for a, b in itertools.combinations(sorted(out), 2):
-        if writes[a] & (reads[b] | writes[b]) or writes[b] & reads[a]:
-            out[a].append(b)
-            out[b].append(a)
-    return {tid: tuple(ids) for tid, ids in out.items()}
-
-
 def _shortest_paths(
-    start: str, neighbours: dict[str, tuple[str, ...]], free: set[str], last: set[str], max_len: int
-) -> Iterator[tuple[str, ...]]:
+    start: int, neighbours: list[list[int]], free: set[int], last: set[int], max_len: int
+) -> Iterator[tuple[int, ...]]:
     """For every ``last`` transaction reachable from ``start`` through ``free``
     ones, the first shortest path found by a breadth-first search expanding
-    neighbours in sorted order; paths of more than ``max_len`` transactions
-    are not sought."""
+    neighbours in ascending order; paths of more than ``max_len``
+    transactions are not sought."""
     parent = {start: start}
     frontier = [start]
     length = 1
     while frontier and length < max_len:
         length += 1
-        nxt: list[str] = []
+        nxt: list[int] = []
         for u in frontier:
             for v in neighbours[u]:
                 if v in parent or not (v in free or v in last):
@@ -832,8 +646,10 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     ways) or excluded (the pair has no completion).  A generalized split
     schedule is then T1 with a first T2, a chordless path through free
     transactions and a last Tm; a breadth-first shortest path is chordless.
-    Each candidate is completed over its subset, which rejects the one case
-    left (the SSI dangerous structure Tm -> T1 -> T2), and re-checked with
+    Each candidate is completed over its subset on the compiled workload,
+    which rejects the one case left (the SSI dangerous structure Tm -> T1 ->
+    T2), and its dependencies must be exactly the ring's edges.  Only the
+    winner becomes a :class:`Schedule`, re-checked with
     :func:`is_generalized_split_schedule`.
 
     The result is the candidate smallest in (size, sorted subset,
@@ -844,49 +660,56 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     the size is still minimal but a tie may resolve differently.
     """
     deadline = time.monotonic() + limits.budget_seconds
-    by_id = {t.id: t for t in w.txns}
-    neighbours = _conflict_neighbours(w.txns)
+    eng = LevelEngine(w.txns, w.alloc)
+    n, bits, ops_of, wmask, touch = eng.n, eng.bits, eng.ops_of, eng.wmask, eng.touch
+    neighbours = [[j for j in range(n) if j != i and (wmask[i] & touch[j] or wmask[j] & touch[i])] for i in range(n)]
     best: tuple | None = None
-    best_schedule: Schedule | None = None
 
-    def consider(perm: tuple[str, ...], cut: int) -> None:
-        nonlocal best, best_schedule
+    def split_order(perm: tuple[int, ...], cut: int) -> list[int]:
+        head = ops_of[perm[0]]
+        return head[:cut] + [g for j in perm[1:] for g in ops_of[j]] + head[cut:]
+
+    def consider(perm: tuple[int, ...], cut: int) -> None:
+        nonlocal best
         subset = tuple(sorted(perm))
         key = (len(perm), subset, perm, cut)
         if best is not None and key >= best:
             return
-        t1 = by_id[perm[0]]
-        order = (INIT,) + t1.op_ids[:cut] + tuple(op for tid in perm[1:] for op in by_id[tid].op_ids) + t1.op_ids[cut:]
-        s = complete_under_allocation(tuple(by_id[tid] for tid in subset), order, w.alloc)
-        if s is not None and is_generalized_split_schedule(s)[0]:
-            best, best_schedule = key, s
+        if eng.walk(split_order(perm, cut), list(subset)):
+            succ = eng.dependencies()
+            if all(succ[u] == bits[v] for u, v in zip(perm, perm[1:] + perm[:1])):
+                best = key
 
-    for t1 in w.txns:
-        others = set(by_id) - {t1.id} - set(neighbours[t1.id])
-        for cut in range(1, len(t1.ops)):
+    for t1 in range(n):
+        others = set(range(n)) - {t1} - set(neighbours[t1])
+        for cut in range(1, len(ops_of[t1])):
             if time.monotonic() >= deadline:
                 raise LimitExceeded("search exceeded its wall-clock budget")
-            head, tail = t1.op_ids[:cut], t1.op_ids[cut:]
-            first: list[str] = []
-            last: set[str] = set()
-            for tid in neighbours[t1.id]:
-                tj = by_id[tid]
-                s = complete_under_allocation((t1, tj), (INIT,) + head + tj.op_ids + tail, w.alloc)
-                if s is None:
+            first, last = [], set()  # those with only T1 -> Tj, only Tj -> T1
+            for tj in neighbours[t1]:
+                if not eng.walk(split_order((t1, tj), cut), sorted((t1, tj))):
                     continue
-                pairs = serialization_graph(s).edge_pairs
-                forward, backward = (t1.id, tid) in pairs, (tid, t1.id) in pairs
+                succ = eng.dependencies()
+                forward, backward = succ[t1] & bits[tj], succ[tj] & bits[t1]
                 if forward and backward:
-                    consider((t1.id, tid), cut)
+                    consider((t1, tj), cut)
                 elif forward:
-                    first.append(tid)
+                    first.append(tj)
                 elif backward:
-                    last.add(tid)
+                    last.add(tj)
             for t2 in first:
-                max_len = len(by_id) - 1 if best is None else best[0] - 1
+                max_len = n - 1 if best is None else best[0] - 1
                 for path in _shortest_paths(t2, neighbours, others, last, max_len):
-                    consider((t1.id,) + path, cut)
-    return None if best is None else (best[1], best_schedule)
+                    consider((t1,) + path, cut)
+    if best is None:
+        return None
+    _, subset, perm, cut = best
+    order = split_order(perm, cut)
+    eng.walk(order, list(subset))
+    s = eng.schedule(order)
+    if not is_generalized_split_schedule(s)[0]:
+        raise RuntimeError("the split decider accepted a schedule that is not a generalized split schedule")
+    return tuple(w.txn_ids[i] for i in subset), s
 
 
 def find_split_counterexample(

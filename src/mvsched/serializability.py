@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import INIT, Budget, Operation, OperationId, Schedule, Transaction
 from .errors import LimitExceeded, ObjectNeverWritten, TransactionSetMismatch
@@ -185,11 +185,58 @@ def _shortest_cycle(nodes: Sequence[str], edge_pairs: frozenset[tuple[str, str]]
     return best[1] if best else None
 
 
+def has_cycle(succ: Sequence[int]) -> bool:
+    """Whether the graph given by per-node successor bitmasks has a cycle:
+    nodes without successors left are peeled off until none is."""
+    left = (1 << len(succ)) - 1
+    while left:
+        sinks = 0
+        for t, out in enumerate(succ):
+            if left >> t & 1 and not out & left:
+                sinks |= 1 << t
+        if not sinks:
+            return True
+        left &= ~sinks
+    return False
+
+
+def dependency_masks(n: int, writers: Mapping, reads: Iterable[tuple[int, object, int]]) -> list[int]:
+    """The edges of the serialization graph of ``n`` transactions, without
+    their witnesses: per transaction, the bitmask of those that depend on it.
+
+    ``writers`` maps each object to the writer of each of its versions, in
+    version order without INIT; ``reads`` lists (reader, object, position of
+    the version read in its version order, INIT being 0)."""
+    succ = [0] * n
+    for ow in writers.values():
+        later = 0
+        for u in reversed(ow):  # ww: every earlier version's writer -> later writers
+            succ[u] |= later & ~(1 << u)
+            later |= 1 << u
+    for t, obj, seen in reads:
+        for p, u in enumerate(writers.get(obj, ()), 1):
+            if u != t:
+                if p <= seen:  # wr: the version read or an earlier one
+                    succ[u] |= 1 << t
+                else:  # rw: a version installed after the one read
+                    succ[t] |= 1 << u
+    return succ
+
+
 def is_conflict_serializable(s: Schedule) -> tuple[bool, tuple[str, ...] | None]:
-    """Acyclicity of the serialization graph, with a witnessing cycle when not."""
-    graph = serialization_graph(s)
-    cycle = _shortest_cycle(graph.nodes, graph.edge_pairs)
-    return (cycle is None, cycle)
+    """Acyclicity of the serialization graph, with a witnessing cycle when not.
+
+    Decided on per-transaction dependency bitmasks, whose edges are the
+    graph's; the shortest cycle is sought only in a cyclic one."""
+    ids = s.txn_ids
+    index = {tid: i for i, tid in enumerate(ids)}
+    writers = {obj: [index[w.txn] for w in chain[1:]] for obj, chain in s.vorder.items()}
+    reads = [(index[r.id.txn], r.obj, s.vpos[r.obj][s.vf[r.id]]) for r in s.reads if r.obj in writers]
+    succ = dependency_masks(len(ids), writers, reads)
+    if not has_cycle(succ):
+        return (True, None)
+    pairs = frozenset((a, b) for u, a in enumerate(ids) for b in ids if succ[u] >> index[b] & 1)
+    return (False, _shortest_cycle(ids, pairs))
 
 
 def _require_same_txns(s: Schedule, s2: Schedule) -> None:

@@ -48,15 +48,12 @@ _POSITIONAL = re.compile(r"^(\S+)#(\d+)$")
 _SHORT_RW = re.compile(r"^([RW])(\d+)\((\S+)\)$")
 _SHORT_COMMIT = re.compile(r"^C(\d+)$")
 _NUMBERED_TXN = re.compile(r"^T(\d+)$")
+_COMMENT = re.compile(r"(?<!\S)#")  # a '#' at line start or after whitespace
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1].isspace()):
-            break
-        out.append(ch)
-    return "".join(out).strip()
+    m = _COMMENT.search(line)
+    return (line if m is None else line[: m.start()]).strip()
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:

@@ -2,32 +2,42 @@
 
 These deliberately avoid the library's decision procedures: they work from
 first principles (simulation of serial runs, literal clause evaluation) so
-that agreement is meaningful.  Two are exceptions.  The enumeration oracle
-is the slow path the enumeration replaced, built from the library's own
-completion and serializability checks, one interleaving at a time.  The view
-search oracle is the view-serializability search the placement-constraint
-search replaced: it tracks installed versions per serial prefix.
+that agreement is meaningful.  The rest are the slow paths that fast ones
+replaced, kept as their references.  The completion oracle builds the one
+allowed completion of an order from dictionaries keyed by operation id,
+where the library walks a compiled engine.  The conflict oracle finds the
+shortest cycle of the full serialization graph.  The enumeration oracle
+completes one interleaving at a time.  The split decider oracle classifies
+and checks candidates on completed schedules.  The view search oracle
+tracks installed versions per serial prefix.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from math import factorial
+from typing import Iterable, Iterator, Sequence
 
 from mvsched import (
     INIT,
+    IsolationLevel,
+    LevelAllocation,
     LimitExceeded,
+    Operation,
     OperationId,
     RobustnessMode,
     Schedule,
     SearchLimits,
     Transaction,
     Workload,
-    complete_under_allocation,
+    find_dangerous_structures,
+    is_generalized_split_schedule,
+    serialization_graph,
 )
 from mvsched.core import DEFAULT_LIMITS, Budget
 from mvsched.robustness import _iter_interleavings
-from mvsched.serializability import ViewWitness, is_conflict_serializable, serial_signature_pool, view_signature
+from mvsched.serializability import ViewWitness, _shortest_cycle, serial_signature_pool, view_signature
 
 
 def view_serializable_oracle(s: Schedule):
@@ -83,13 +93,101 @@ def single_version_oracle(s: Schedule) -> bool:
     return True
 
 
+def conflict_serializable_oracle(s: Schedule) -> tuple[bool, tuple[str, ...] | None]:
+    """Conflict-serializability from the full serialization graph: its
+    shortest cycle, or None."""
+    graph = serialization_graph(s)
+    cycle = _shortest_cycle(graph.nodes, graph.edge_pairs)
+    return (cycle is None, cycle)
+
+
+def complete_under_allocation_oracle(
+    txns: Iterable[Transaction],
+    order: Sequence[OperationId],
+    alloc: LevelAllocation,
+    *,
+    allow_degenerate_pivot: bool = False,
+) -> Schedule | None:
+    """Complete a total operation order into the unique allowed schedule, if any.
+
+    The version order is forced by commit order (transaction-internal order
+    between writes of one transaction), and the version function is forced
+    by the read-last-committed rule at each transaction's level.  That
+    construction satisfies the commit-order and read-freshness clauses
+    outright, so admissibility of the completion reduces to the dirty-write,
+    concurrent-write, and dangerous-structure clauses; the result is exactly
+    the schedule accepted by :func:`allowed_under_allocation`, or None when
+    the order admits none.
+    """
+    txns = tuple(sorted(txns, key=lambda t: t.id))
+    if len({t.id for t in txns}) != len(txns):
+        raise ValueError("duplicate transaction ids")
+    order_t = tuple(order)
+    if INIT not in order_t:
+        order_t = (INIT,) + order_t
+    pos = {opid: i for i, opid in enumerate(order_t)}
+    commit_pos = {t.id: pos[t.ops[-1].id] for t in txns}
+    first_pos = {t.id: pos[t.ops[0].id] for t in txns}
+    levels = {t.id: alloc.level_of(t.id) for t in txns}
+
+    writes: dict[str, list[Operation]] = {}
+    for t in txns:
+        for op in t.ops:
+            if op.is_write:
+                writes.setdefault(op.obj, []).append(op)
+
+    # dirty writes (RC transactions) and concurrent writes (SI/SSI) reject
+    # the order before any schedule is built
+    for ws in writes.values():
+        for a in ws:
+            a_pos = pos[a.id]
+            rc = levels[a.id.txn] is IsolationLevel.RC
+            bound = a_pos if rc else first_pos[a.id.txn]
+            for b in ws:
+                if b.id.txn != a.id.txn and pos[b.id] < a_pos and bound < commit_pos[b.id.txn]:
+                    return None
+
+    vorder: dict[str, tuple[OperationId, ...]] = {}
+    for obj, ws in writes.items():
+        ws_sorted = sorted(ws, key=lambda op: (commit_pos[op.id.txn], op.id.index))
+        vorder[obj] = (INIT,) + tuple(op.id for op in ws_sorted)
+
+    vf: dict[OperationId, OperationId] = {}
+    for t in txns:
+        first_id = t.ops[0].id
+        rc = levels[t.id] is IsolationLevel.RC
+        for op in t.ops:
+            if not op.is_read:
+                continue
+            rel_pos = pos[op.id] if rc else pos[first_id]
+            chosen = INIT
+            for wid in reversed(vorder.get(op.obj, (INIT,))[1:]):
+                if commit_pos[wid.txn] < rel_pos:
+                    chosen = wid
+                    break
+            vf[op.id] = chosen
+
+    for t in txns:
+        for op in t.ops:
+            if op.obj is not None and op.obj not in vorder:
+                vorder[op.obj] = (INIT,)
+
+    s = Schedule(txns=txns, order=order_t, vorder=vorder, vf=vf)
+
+    ssi_scope = [tid for tid, lvl in levels.items() if lvl is IsolationLevel.SSI]
+    if len(ssi_scope) >= (2 if allow_degenerate_pivot else 3):
+        if find_dangerous_structures(s, ssi_scope, allow_degenerate_pivot=allow_degenerate_pivot):
+            return None
+    return s
+
+
 def allowed_schedules_oracle(w: Workload, budget: Budget):
     """Every allowed schedule over the workload's full transaction set, with
-    one :func:`complete_under_allocation` call per interleaving: the
+    one :func:`complete_under_allocation_oracle` call per interleaving: the
     reference for the library's enumeration, which completes the schedule
     while it walks the interleavings and drops rejected prefixes whole."""
     for order in _iter_interleavings(w.txns, budget):
-        s = complete_under_allocation(w.txns, order, w.alloc)
+        s = complete_under_allocation_oracle(w.txns, order, w.alloc)
         if s is not None:
             yield s
 
@@ -97,7 +195,118 @@ def allowed_schedules_oracle(w: Workload, budget: Budget):
 def _fails(s: Schedule, view: bool) -> bool:
     if view:
         return view_signature(s) not in serial_signature_pool(s.txns)
-    return not is_conflict_serializable(s)[0]
+    return not conflict_serializable_oracle(s)[0]
+
+
+def _conflict_neighbours(txns: Sequence[Transaction]) -> dict[str, tuple[str, ...]]:
+    """Per transaction, the sorted ids of the others it has a conflicting
+    operation with (same object, at least one of the two a write)."""
+    reads = {t.id: {op.obj for op in t.ops if op.is_read} for t in txns}
+    writes = {t.id: {op.obj for op in t.ops if op.is_write} for t in txns}
+    out: dict[str, list[str]] = {t.id: [] for t in txns}
+    for a, b in itertools.combinations(sorted(out), 2):
+        if writes[a] & (reads[b] | writes[b]) or writes[b] & reads[a]:
+            out[a].append(b)
+            out[b].append(a)
+    return {tid: tuple(ids) for tid, ids in out.items()}
+
+
+def _shortest_paths(
+    start: str, neighbours: dict[str, tuple[str, ...]], free: set[str], last: set[str], max_len: int
+) -> Iterator[tuple[str, ...]]:
+    """For every ``last`` transaction reachable from ``start`` through ``free``
+    ones, the first shortest path found by a breadth-first search expanding
+    neighbours in sorted order; paths of more than ``max_len`` transactions
+    are not sought."""
+    parent = {start: start}
+    frontier = [start]
+    length = 1
+    while frontier and length < max_len:
+        length += 1
+        nxt: list[str] = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if v in parent or not (v in free or v in last):
+                    continue
+                parent[v] = u
+                if v in free:
+                    nxt.append(v)
+                    continue
+                path = [v]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                yield tuple(reversed(path))
+        frontier = nxt
+
+
+def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[tuple[str, ...], Schedule] | None:
+    """Polynomial split-schedule search for a level allocation.
+
+    In an order ``T1[:cut] . T2 ... Tm . T1[cut:]`` the middle runs
+    serially, so every conflicting pair of middle transactions carries a
+    single forward dependency, and the dependencies, dirty writes and
+    concurrent writes between T1 and a middle transaction are those of the
+    two-transaction order ``T1[:cut] . Tj . T1[cut:]`` alone.  Per (T1, cut)
+    each other transaction is therefore: free (no conflict with T1), first
+    (only T1 -> Tj), last (only Tj -> T1), a two-transaction candidate (both
+    ways) or excluded (the pair has no completion).  A generalized split
+    schedule is then T1 with a first T2, a chordless path through free
+    transactions and a last Tm; a breadth-first shortest path is chordless.
+    Each candidate is completed over its subset, which rejects the one case
+    left (the SSI dangerous structure Tm -> T1 -> T2), and re-checked with
+    :func:`is_generalized_split_schedule`.
+
+    The result is the candidate smallest in (size, sorted subset,
+    permutation, cut), the order :func:`iter_split_schedules` yields in.
+    Every two- and three-transaction candidate is tried, so the result is
+    the exhaustive search's first whenever that has at most three
+    transactions; above that there is one path per (T1, cut, T2, Tm), so
+    the size is still minimal but a tie may resolve differently.
+    """
+    deadline = time.monotonic() + limits.budget_seconds
+    by_id = {t.id: t for t in w.txns}
+    neighbours = _conflict_neighbours(w.txns)
+    best: tuple | None = None
+    best_schedule: Schedule | None = None
+
+    def consider(perm: tuple[str, ...], cut: int) -> None:
+        nonlocal best, best_schedule
+        subset = tuple(sorted(perm))
+        key = (len(perm), subset, perm, cut)
+        if best is not None and key >= best:
+            return
+        t1 = by_id[perm[0]]
+        order = (INIT,) + t1.op_ids[:cut] + tuple(op for tid in perm[1:] for op in by_id[tid].op_ids) + t1.op_ids[cut:]
+        s = complete_under_allocation_oracle(tuple(by_id[tid] for tid in subset), order, w.alloc)
+        if s is not None and is_generalized_split_schedule(s)[0]:
+            best, best_schedule = key, s
+
+    for t1 in w.txns:
+        others = set(by_id) - {t1.id} - set(neighbours[t1.id])
+        for cut in range(1, len(t1.ops)):
+            if time.monotonic() >= deadline:
+                raise LimitExceeded("search exceeded its wall-clock budget")
+            head, tail = t1.op_ids[:cut], t1.op_ids[cut:]
+            first: list[str] = []
+            last: set[str] = set()
+            for tid in neighbours[t1.id]:
+                tj = by_id[tid]
+                s = complete_under_allocation_oracle((t1, tj), (INIT,) + head + tj.op_ids + tail, w.alloc)
+                if s is None:
+                    continue
+                pairs = serialization_graph(s).edge_pairs
+                forward, backward = (t1.id, tid) in pairs, (tid, t1.id) in pairs
+                if forward and backward:
+                    consider((t1.id, tid), cut)
+                elif forward:
+                    first.append(tid)
+                elif backward:
+                    last.add(tid)
+            for t2 in first:
+                max_len = len(by_id) - 1 if best is None else best[0] - 1
+                for path in _shortest_paths(t2, neighbours, others, last, max_len):
+                    consider((t1.id,) + path, cut)
+    return None if best is None else (best[1], best_schedule)
 
 
 def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):

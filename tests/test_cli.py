@@ -5,10 +5,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import tempfile
 import time
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fixtures import *
 from oracles import view_search_oracle
@@ -403,3 +407,70 @@ def test_split_method_decides_large_workloads_with_default_limits(tmp_path):
     ce.write_text(payload["details"]["counterexample"]["schedule"], encoding="utf-8")
     assert invoke_json("serializable", "--mode", "conflict", str(ce))[0] == 1
     assert invoke_json("allowed", str(ce))[0] == 0
+
+
+# --- the exit-code contract under malformed input -----------------------------------
+
+_FUZZ_TOKENS = [
+    "txn", "T1:", "T2:", "T3", "alloc", "T1=RC", "T2=SI", "T3=SSI", "T1=XX", "predicate=view-serializable-only",
+    "order:", "reads:", "vorder", "x:", "t:", "node", "arc", "choice", "u", "v", "w", "R(t)", "W(t)", "R(x)",
+    "W(x)", "C", "R1(t)", "W2(t)", "C1", "C2", "T1#1", "T2#2", "T1#9", "init", "R1(t)<-init", "R2(v)<-W1(t)",
+    "init<W2(t)", "init<W4(t)<W2(t)", "<-", "<", "#", "=", ":", "()", "R()", "\t", "\u00e9", "0",
+]
+_FUZZ_BASES = [
+    render_workload(s2_workload(RC)),
+    render_workload(workload(SSI, SD_T1, SD_T2, SD_T3)),
+    render_schedule(S1, LevelAllocation({"T1": RC, "T2": SI, "T3": SSI, "T4": RC})),
+    "node u v w\narc w u\nchoice u v w\n",
+]
+_FUZZ_COMMANDS = [
+    ("check-schedule",),
+    ("serializable", "--mode", "conflict"),
+    ("serializable", "--mode", "view"),
+    ("allowed",),
+    *[("robust", "--mode", mode, "--method", method)
+      for mode in ("conflict", "view", "exact-conflict", "exact-view") for method in ("split", "enumerate", "both")],
+    ("enumerate",),
+    ("enumerate", "--count-only"),
+    ("polygraph", "acyclic"),
+    ("polygraph", "verify"),
+]
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A valid document of one of the kinds after up to three edits: a line
+    dropped, a line of the formats' own tokens (junk included) inserted, or
+    a token put into a line."""
+    lines = draw(st.sampled_from(_FUZZ_BASES)).splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines)))
+        edit = draw(st.sampled_from(["drop", "insert", "token"]))
+        if edit == "insert" or not lines:
+            lines.insert(k, " ".join(draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=7))))
+        elif edit == "drop":
+            del lines[min(k, len(lines) - 1)]
+        else:
+            words = lines[min(k, len(lines) - 1)].split(" ")
+            words.insert(draw(st.integers(min_value=0, max_value=len(words))), draw(st.sampled_from(_FUZZ_TOKENS)))
+            lines[min(k, len(lines) - 1)] = " ".join(words)
+    return "\n".join(lines)
+
+
+@given(fuzz_documents())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_command_keeps_the_exit_code_contract_on_fuzzed_input(text):
+    limits = ("--max-orders", "20000", "--budget-seconds", "5")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argvs = [(*command, path, *limits) for command in _FUZZ_COMMANDS]
+        argvs.append(("polygraph", "reduce", path, "-o", os.path.join(tmp, "out.sched"), *limits))
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, payload = invoke_json(*argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue(), argv
+            assert not str(payload["details"].get("error", "")).startswith("internal error"), argv

@@ -5,9 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_workloads
+from corpus import criterion_5_workloads, random_workloads
 from fixtures import *
+from oracles import complete_under_allocation_oracle
 
 from mvsched import (
     INIT,
@@ -342,3 +345,53 @@ def test_any_allowed_schedule_equals_completion_of_its_own_order():
     ):
         assert allowed_under_allocation(s, alloc).allowed
         assert complete_under_allocation(s.txns, s.order, alloc) == s
+
+
+# --- the engine's completion against the dictionary-based oracle ----------------------
+
+
+def assert_completion_matches_the_oracle(txns, order, alloc):
+    for degenerate in (False, True):
+        got = complete_under_allocation(txns, order, alloc, allow_degenerate_pivot=degenerate)
+        assert got == complete_under_allocation_oracle(txns, order, alloc, allow_degenerate_pivot=degenerate), order
+
+
+def test_completion_matches_the_oracle_on_the_criterion_5_corpus():
+    """Every 37th interleaving of each workload, the first one included (the
+    enumeration tests walk all of them through the same step function)."""
+    checked = 0
+    for w in criterion_5_workloads():
+        for k, order in enumerate(_iter_interleavings(w.txns, Budget(SearchLimits()))):
+            if k % 37 == 0:
+                assert_completion_matches_the_oracle(w.txns, order, w.alloc)
+                checked += 1
+    assert checked > 30_000
+
+
+_BODY_OPS = st.sampled_from([f"{a}({o})" for a in "RW" for o in "xyz"])
+
+
+@st.composite
+def interleaved_workloads(draw, max_n=4):
+    """Up to ``max_n`` transactions under any levels, and one interleaving of
+    their operations."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    txns = [make_transaction(f"T{i}", " ".join(draw(st.lists(_BODY_OPS, max_size=3)) + ["C"])) for i in range(1, n + 1)]
+    levels = draw(st.lists(st.sampled_from([RC, SI, SSI]), min_size=n, max_size=n))
+    left = [list(t.op_ids) for t in txns]
+    slots = draw(st.permutations([i for i, ops in enumerate(left) for _ in ops]))
+    order = [left[i].pop(0) for i in slots]
+    return txns, order, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)})
+
+
+@given(interleaved_workloads())
+@settings(max_examples=400, deadline=None)
+def test_completion_matches_the_oracle_on_generated_orders(case):
+    assert_completion_matches_the_oracle(*case)
+
+
+def test_completion_rejects_an_order_that_is_not_an_interleaving():
+    order = [o for t in W_LU for o in t.op_ids]
+    for bad in (order[1:], order[::-1], order + order[:1], [opid("T3", 1)] + order):
+        with pytest.raises(ValueError):
+            complete_under_allocation(W_LU, bad, all_level(RC, *W_LU))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, four_txn_workloads, random_workloads
 from fixtures import *
-from oracles import allowed_schedules_oracle, enumeration_oracle
+from oracles import allowed_schedules_oracle, enumeration_oracle, split_decider_oracle
 
 from mvsched import (
     INIT,
@@ -279,6 +279,35 @@ def test_split_decider_matches_the_exhaustive_search_on_generated_workloads(w):
         assert len(subset) == len(expected[0])
         assert is_generalized_split_schedule(s)[0]
         assert allowed_under_allocation(s, w.alloc.restrict(subset)).allowed
+
+
+def test_split_decider_matches_the_schedule_based_decider_it_replaced():
+    for w in [*criterion_5_workloads(), *curated_workloads()]:
+        assert find_split_counterexample(w) == split_decider_oracle(w), w
+
+
+@given(level_workloads())
+@settings(max_examples=60, deadline=None)
+def test_split_decider_matches_the_schedule_based_decider_on_generated_workloads(w):
+    assert find_split_counterexample(w) == split_decider_oracle(w)
+
+
+def test_the_split_decider_rejects_a_candidate_holding_an_ssi_dangerous_structure():
+    # T2[:1] . T1 . T3 . T2[1:] carries the ring T2 -> T1 -> T3 -> T2 and is
+    # allowed under SI; under SSI it holds the dangerous structure T3 -> T2 -> T1
+    txns = (
+        make_transaction("T1", "W(y) W(z) C"),
+        make_transaction("T2", "R(y) W(x) C"),
+        make_transaction("T3", "W(z) R(x) C"),
+    )
+    ssi = Workload(txns, LevelAllocation.uniform(SSI, ("T1", "T2", "T3")))
+    assert find_split_counterexample(ssi) is None
+    assert is_conflict_robust(ssi).robust
+    si = Workload(txns, LevelAllocation.uniform(SI, ("T1", "T2", "T3")))
+    hit = find_split_counterexample(si)
+    assert hit is not None and hit[0] == ("T1", "T2", "T3")
+    assert hit == next(iter_split_schedules(si))
+    assert render_schedule(hit[1]).splitlines()[3] == "order: R2(y) W1(y) W1(z) C1 W3(z) R3(x) C3 W2(x) C2"
 
 
 def test_split_decider_ignores_count_limits_but_keeps_the_budget():

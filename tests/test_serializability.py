@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from corpus import (
     dense_polygraphs,
     enumerate_valid_schedules,
+    implication_corpus_workloads,
     random_polygraphs,
     three_small_txn_workloads,
     two_txn_shape_workloads,
 )
 from fixtures import *
-from oracles import view_search_oracle, view_serializable_oracle
+from oracles import conflict_serializable_oracle, view_search_oracle, view_serializable_oracle
 
 from mvsched import (
     INIT,
@@ -321,3 +322,21 @@ def test_view_search_charges_prefixes_not_pruned_orders():
     budget = Budget(SearchLimits(max_orders=1000))
     w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget, **REDUCTION_BOUNDS)
     assert not w.verdict and w.exhausted == factorial(14) and budget.count < 1000
+
+
+# --- conflict-serializability on dependency bitmasks against the full graph ----------
+
+
+def test_conflict_serializability_matches_the_graph_oracle_on_the_criterion_3_corpus():
+    checked = 0
+    for txns in implication_corpus_workloads():
+        for s in enumerate_valid_schedules(txns):
+            assert is_conflict_serializable(s) == conflict_serializable_oracle(s), s
+            checked += 1
+    assert checked == 321_663
+
+
+@given(valid_schedules())
+@settings(max_examples=300, deadline=None)
+def test_conflict_serializability_matches_the_graph_oracle_on_generated_schedules(s):
+    assert is_conflict_serializable(s) == conflict_serializable_oracle(s)

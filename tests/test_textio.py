@@ -169,6 +169,16 @@ def test_comments_do_not_break_positional_tokens():
     assert validate_schedule(s) == []
 
 
+def test_comment_rule_at_line_start_after_a_tab_and_after_a_positional_reference():
+    doc = "#T1#1 leading comment\ntxn T1: R(t) C\t# after a tab\norder: T1#1 T1#2#kept? # trailing\nreads: T1#1<-init\n"
+    with pytest.raises(ParseError, match="T1#2#kept"):
+        parse_schedule(doc)
+    s = parse_schedule(doc.replace(" T1#2#kept?", " T1#2"))
+    assert s.order == (INIT, opid("T1", 1), opid("T1", 2))
+    assert parse_schedule("txn T1: R(t) C\norder: T1#1\tT1#2\t#T1#9\nreads: T1#1<-init\n") == s
+    assert parse_polygraph("\t# indented\nnode u#1 v\narc u#1 v # arc\n").arcs == frozenset({("u#1", "v")})
+
+
 def test_reduction_schedule_survives_round_trip():
     p = Polygraph.of("uvw", [("w", "u")], [("u", "v", "w")])
     txns, s = reduce_to_schedule(p)
