@@ -16,7 +16,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -130,9 +130,9 @@ def _env_default(name: str, cast, fallback):
 def _limits_from(args: argparse.Namespace, base: SearchLimits) -> SearchLimits:
     """Flags win over environment variables, which win over ``base``."""
     values = {}
-    for name, default in asdict(base).items():
-        flag = getattr(args, name)
-        values[name] = flag if flag is not None else _env_default(name.upper(), type(default), default)
+    for f in fields(base):
+        flag, default = getattr(args, f.name), getattr(base, f.name)
+        values[f.name] = flag if flag is not None else _env_default(f.name.upper(), type(default), default)
     try:
         return SearchLimits(**values)
     except ValueError as exc:

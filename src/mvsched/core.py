@@ -21,7 +21,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LimitExceeded, UnknownOperation
 
@@ -34,12 +34,17 @@ class Action(enum.Enum):
     COMMIT = "C"
 
 
-@dataclass(frozen=True, order=True)
-class OperationId:
+# looking a member up on an Enum class is slow; the per-operation tests use these
+_READ, _WRITE, _COMMIT = Action
+
+
+class OperationId(NamedTuple):
     """Positional identity of an operation: owning transaction and 1-based index.
 
     The initial pseudo-operation is the single value with an empty
-    transaction id and index 0; it belongs to no transaction.
+    transaction id and index 0; it belongs to no transaction.  A named
+    tuple, so hashing and comparing ids runs in C; ids sort by (txn, index)
+    and equal the plain tuple ``(txn, index)``.
     """
 
     txn: str
@@ -69,7 +74,7 @@ class Operation:
     obj: str | None = None
 
     def __post_init__(self) -> None:
-        if self.action is Action.COMMIT:
+        if self.action is _COMMIT:
             if self.obj is not None:
                 raise ValueError(f"commit {self.id!r} must not carry an object")
         else:
@@ -78,15 +83,15 @@ class Operation:
 
     @property
     def is_read(self) -> bool:
-        return self.action is Action.READ
+        return self.action is _READ
 
     @property
     def is_write(self) -> bool:
-        return self.action is Action.WRITE
+        return self.action is _WRITE
 
     @property
     def is_commit(self) -> bool:
-        return self.action is Action.COMMIT
+        return self.action is _COMMIT
 
     def __repr__(self) -> str:
         if self.is_commit:
@@ -226,7 +231,7 @@ class Schedule:
         out: dict[str, list[Operation]] = {}
         for t in self.txns:
             for op in t.ops:
-                if op.is_write:
+                if op.action is _WRITE:
                     out.setdefault(op.obj, []).append(op)
         return {obj: tuple(ws) for obj, ws in out.items()}
 
@@ -235,8 +240,8 @@ class Schedule:
         return tuple(op for t in self.txns for op in t.ops if op.is_read)
 
     @cached_property
-    def objects(self) -> frozenset[str]:
-        return frozenset(op.obj for t in self.txns for op in t.ops if op.obj is not None)
+    def index(self) -> "ScheduleIndex":
+        return ScheduleIndex(self)
 
     # -- small accessors ---------------------------------------------------
 
@@ -252,14 +257,42 @@ class Schedule:
         except KeyError:
             raise UnknownOperation(f"transaction {tid!r} is not part of this schedule") from None
 
-    def before(self, a: OperationId, b: OperationId) -> bool:
-        """True when a is strictly before b in the operation order."""
-        return self.pos[a] < self.pos[b]
 
-    def vorder_before(self, obj: str, a: OperationId, b: OperationId) -> bool:
-        """True when version a is installed strictly before version b for obj."""
-        chain = self.vpos[obj]
-        return chain[a] < chain[b]
+class ScheduleIndex:
+    """A schedule indexed by small ints, built in one pass over its operations and one
+    over its version orders: transactions numbered (``number``) in ``txns``
+    order, operations by position in ``order`` (INIT at 0).  Per position:
+    ``txn`` and ``kind`` (-1 for INIT), ``obj`` (None for commits and INIT),
+    a write's ``rank`` in its version order (INIT's 0) and the position
+    ``vf`` of the version a read observes.  Per transaction: its positions
+    ``at``, ``first`` and ``commit``, ending in INIT's -1.  Per object it
+    touches: its ``writes``' positions in transaction order."""
+
+    READ, WRITE, COMMIT = 0, 1, 2
+
+    def __init__(self, s: Schedule) -> None:
+        pos, vf, size = s.pos, s.vf, len(s.order)
+        txn, kind, obj, rank, seen = self.txn, self.kind, self.obj, self.rank, self.vf = (
+            [-1] * size, [-1] * size, [None] * size, [0] * size, [0] * size)
+        number, at, writes = self.number, self.at, self.writes = {}, [], {}
+        for i, t in enumerate(s.txns):
+            number[t.id] = i
+            at.append([pos[op.id] for op in t.ops])
+            for p, op in zip(at[i], t.ops):
+                txn[p], obj[p] = i, op.obj
+                if op.obj is None:
+                    kind[p] = self.COMMIT
+                    continue
+                ws = writes.setdefault(op.obj, [])
+                if op.action is _WRITE:
+                    kind[p] = self.WRITE
+                    ws.append(p)
+                else:
+                    kind[p], seen[p] = self.READ, pos[vf[op.id]]
+        for chain in s.vorder.values():
+            for r, w in enumerate(chain):
+                rank[pos[w]] = r
+        self.first, self.commit = [a[0] if a else -1 for a in at] + [-1], [a[-1] if a else -1 for a in at] + [-1]
 
 
 def make_schedule(
@@ -359,7 +392,7 @@ def validate_transaction(t: Transaction) -> list[ScheduleViolation]:
         if op.id.txn != t.id or op.id.index != k:
             out.append(ScheduleViolation(ViolationKind.BAD_OPERATION_ID, (op.id,)))
     for op in t.ops[:-1]:
-        if op.is_commit:
+        if op.action is _COMMIT:
             out.append(ScheduleViolation(ViolationKind.COMMIT_NOT_LAST, (op.id,)))
     if not t.ops[-1].is_commit:
         out.append(ScheduleViolation(ViolationKind.MISSING_COMMIT, (t.ops[-1].id,)))
@@ -381,7 +414,7 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     for t in s.txns:
         out.extend(validate_transaction(t))
 
-    all_ops = {op.id for t in s.txns for op in t.ops}
+    all_ops = s.op_by_id.keys()
 
     # total order over all operations plus INIT
     seen: set[OperationId] = set()
@@ -389,7 +422,7 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
         if opid in seen:
             out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
         seen.add(opid)
-        if not opid.is_init and opid not in all_ops:
+        if opid not in all_ops and not opid.is_init:
             out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
     missing = (all_ops | {INIT}) - seen
     for opid in sorted(missing):
@@ -399,7 +432,7 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     elif not s.order:
         out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
 
-    pos = {opid: i for i, opid in enumerate(s.order)}
+    pos = s.pos
 
     # version order: per object a total order over INIT and that object's writes
     for obj in sorted(set(s.vorder) | set(s.writes_by_obj)):
@@ -413,7 +446,7 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
             if opid in chain_seen:
                 out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
             chain_seen.add(opid)
-            if not opid.is_init and opid not in writes:
+            if opid not in writes and not opid.is_init:
                 out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
         for opid in sorted(writes - chain_seen):
             out.append(ScheduleViolation(ViolationKind.VORDER_NOT_TOTAL, (opid,)))
@@ -424,13 +457,12 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     for t in s.txns:
         writes_per_obj: dict[str, list[OperationId]] = {}
         for op in t.ops:
-            if op.is_write:
+            if op.action is _WRITE:
                 writes_per_obj.setdefault(op.obj, []).append(op.id)
         for obj, ws in writes_per_obj.items():
-            chain = s.vorder.get(obj)
-            if chain is None:
+            vpos = s.vpos.get(obj)
+            if vpos is None:
                 continue
-            vpos = {opid: i for i, opid in enumerate(chain)}
             for a, b in zip(ws, ws[1:]):
                 if a in vpos and b in vpos and vpos[a] >= vpos[b]:
                     out.append(ScheduleViolation(ViolationKind.INTRA_TXN_VORDER, (a, b)))
@@ -442,8 +474,8 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
                 out.append(ScheduleViolation(ViolationKind.TXN_ORDER_NOT_PRESERVED, (a.id, b.id)))
 
     # version function: total on reads, targets are earlier same-object writes
-    op_by_id = {op.id: op for t in s.txns for op in t.ops}
-    reads = {op.id for t in s.txns for op in t.ops if op.is_read}
+    op_by_id = s.op_by_id
+    reads = {op.id for op in s.reads}
     for rid in sorted(reads - set(s.vf)):
         out.append(ScheduleViolation(ViolationKind.UNMAPPED_READ, (rid,)))
     for rid in sorted(s.vf):

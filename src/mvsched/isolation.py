@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Action, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import INIT, Budget, OperationId, Schedule, ScheduleIndex, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable
 
@@ -34,6 +34,9 @@ class IsolationLevel(enum.Enum):
     RC = "RC"
     SI = "SI"
     SSI = "SSI"
+
+
+_RC, _SI, _SSI = IsolationLevel  # faster to compare with than a lookup on the Enum class
 
 
 @dataclass(frozen=True)
@@ -148,20 +151,36 @@ class DangerousStructure:
 # ---------------------------------------------------------------------------
 
 
-def respects_commit_order(s: Schedule, w: OperationId) -> bool:
-    """Versions install in commit order: for every other transaction's write
-    on the same object, vorder and commit order point the same way."""
-    op = s.operation(w)
-    if not op.is_write:
-        raise UnknownOperation(f"{w!r} is not a write operation")
-    my_commit = s.commit_pos[w.txn]
-    vpos = s.vpos[op.obj]
-    for other in s.writes_by_obj[op.obj]:
-        if other.id.txn == w.txn:
-            continue
-        if (vpos[w] < vpos[other.id]) != (my_commit < s.commit_pos[other.id.txn]):
+def _commit_ordered(ix: ScheduleIndex, p: int) -> bool:
+    """Whether the write at position ``p`` installs in commit order against
+    every other transaction's write on its object."""
+    txn, rank, commit = ix.txn, ix.rank, ix.commit
+    t, r = txn[p], rank[p]
+    for q in ix.writes[ix.obj[p]]:
+        if txn[q] != t and (r < rank[q]) != (commit[t] < commit[txn[q]]):
             return False
     return True
+
+
+def _fresh(ix: ScheduleIndex, p: int, rel: int) -> bool:
+    """Whether the read at position ``p`` observes the newest version
+    committed before position ``rel`` (INIT commits at -1)."""
+    txn, rank, commit, v = ix.txn, ix.rank, ix.commit, ix.vf[p]
+    if commit[txn[v]] >= rel:
+        return False
+    for q in ix.writes[ix.obj[p]]:
+        if commit[txn[q]] < rel and rank[q] > rank[v]:
+            return False
+    return True
+
+
+def respects_commit_order(s: Schedule, w: OperationId) -> bool:
+    """Versions install in commit order: for every other transaction's write
+    on the same object, vorder and commit order point the same way.  Reads
+    the schedule's int index."""
+    if not s.operation(w).is_write:
+        raise UnknownOperation(f"{w!r} is not a write operation")
+    return _commit_ordered(s.index, s.pos[w])
 
 
 def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
@@ -169,39 +188,30 @@ def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
 
     Holds when the observed version is INIT or committed before ``rel``, and
     no version committed before ``rel`` installs after the observed one.
+    Reads the schedule's int index.
     """
-    read_op = s.operation(r)
-    if not read_op.is_read:
+    if not s.operation(r).is_read:
         raise UnknownOperation(f"{r!r} is not a read operation")
-    rel_op = s.operation(rel)
-    if rel_op.id.txn != r.txn:
+    if s.operation(rel).id.txn != r.txn:
         raise ValueError("the reference operation must belong to the reading transaction")
-    rel_pos = s.pos[rel]
-    observed = s.vf[r]
-    if not observed.is_init and s.commit_pos[observed.txn] >= rel_pos:
-        return False
-    vpos = s.vpos[read_op.obj]
-    observed_rank = vpos[observed]
-    for w in s.writes_by_obj.get(read_op.obj, ()):
-        if s.commit_pos[w.id.txn] < rel_pos and vpos[w.id] > observed_rank:
-            return False
-    return True
+    return _fresh(s.index, s.pos[r], s.pos[rel])
 
 
 def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
     """A pair (other write, own write) with the own write landing after the
     other and before the other transaction commits (a dirty write), or, with
     ``concurrent``, with the other committing after this transaction's start
-    (a concurrent write); None when there is none."""
-    pos, start = s.pos, s.first_pos.get(tid)  # None only for a transaction without operations
-    for own in s.transaction(tid).ops:
-        if not own.is_write:
-            continue
-        own_pos = pos[own.id]
-        bound = start if concurrent else own_pos
-        for other in s.writes_by_obj.get(own.obj, ()):
-            if other.id.txn != tid and pos[other.id] < own_pos and bound < s.commit_pos[other.id.txn]:
-                return (other.id, own.id)
+    (a concurrent write); None when there is none.  Reads the schedule's int
+    index."""
+    ix = s.index
+    i = ix.number[s.transaction(tid).id]
+    txn, commit, start = ix.txn, ix.commit, ix.first[i]
+    for p in ix.at[i]:
+        if ix.kind[p] == ix.WRITE:
+            bound = start if concurrent else p
+            for q in ix.writes[ix.obj[p]]:
+                if txn[q] != i and q < p and bound < commit[txn[q]]:
+                    return s.order[q], s.order[p]
     return None
 
 
@@ -222,17 +232,22 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 
 def _allowed_at_level(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
     """The RC clauses, or with ``si`` the SI ones: they differ in the read's
-    reference operation and in dirty against concurrent writes."""
+    reference operation and in dirty against concurrent writes.  Reads the
+    schedule's int index."""
     tid = txn_id(t)
-    ops = s.transaction(tid).ops
-    violations: list[AdmissibilityViolation] = []
-    for op in ops:
-        if op.is_write and not respects_commit_order(s, op.id):
-            violations.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,)))
-    for op in ops:
-        if op.is_read and not read_last_committed(s, op.id, ops[0].id if si else op.id):
-            violations.append(AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (op.id,)))
     overwrite = _overwrite_witness(s, tid, si)
+    ix, order = s.index, s.order
+    at, kind = ix.at[ix.number[tid]], ix.kind
+    violations = [
+        AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],))
+        for p in at
+        if kind[p] == ix.WRITE and not _commit_ordered(ix, p)
+    ]
+    violations += [
+        AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (order[p],))
+        for p in at
+        if kind[p] == ix.READ and not _fresh(ix, p, at[0] if si else p)
+    ]
     if overwrite is not None:
         violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
     return AdmissibilityReport(tuple(violations))
@@ -254,22 +269,20 @@ def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
 
 
 def _rw_edges(s: Schedule, scope: frozenset[str]) -> dict[tuple[str, str], DependencyEdge]:
-    """First witnessing rw-antidependency for each ordered transaction pair in scope."""
+    """First witnessing rw-antidependency for each ordered transaction pair
+    in scope, read off the schedule's int index."""
+    ix, ids, order = s.index, s.txn_ids, s.order
+    txn, rank, inside = ix.txn, ix.rank, [tid in scope for tid in ids]
     edges: dict[tuple[str, str], DependencyEdge] = {}
-    for obj, writes in s.writes_by_obj.items():
-        vpos = s.vpos[obj]
-        for read in s.reads:
-            if read.obj != obj or read.id.txn not in scope:
-                continue
-            observed_rank = vpos[s.vf[read.id]]
-            for w in writes:
-                if w.id.txn == read.id.txn or w.id.txn not in scope:
-                    continue
-                if observed_rank < vpos[w.id]:
-                    pair = (read.id.txn, w.id.txn)
-                    edge = DependencyEdge(read.id, w.id, ConflictKind.RW)
-                    if pair not in edges or (edge.src, edge.dst) < (edges[pair].src, edges[pair].dst):
-                        edges[pair] = edge
+    for p, k in enumerate(ix.kind):
+        if k != ix.READ or not inside[txn[p]]:
+            continue
+        for q in ix.writes[ix.obj[p]]:
+            if txn[q] != txn[p] and inside[txn[q]] and rank[ix.vf[p]] < rank[q]:
+                pair = (ids[txn[p]], ids[txn[q]])
+                edge = DependencyEdge(order[p], order[q], ConflictKind.RW)
+                if pair not in edges or (edge.src, edge.dst) < (edges[pair].src, edges[pair].dst):
+                    edges[pair] = edge
     return edges
 
 
@@ -385,8 +398,8 @@ class LevelEngine:
             level = alloc.level_of(t.id)
             index[t.id] = i
             bits.append(1 << i)
-            rc.append(level is IsolationLevel.RC)
-            ssi.append(level is IsolationLevel.SSI)
+            rc.append(level is _RC)
+            ssi.append(level is _SSI)
         if len(index) != n:
             raise ValueError("duplicate transaction ids")
         self.ssi_mask = sum(b for b, x in zip(bits, ssi) if x)
@@ -414,7 +427,7 @@ class LevelEngine:
                 obj_of.append(o)
                 bd.append(g)
                 tm |= 1 << o
-                if op.action is Action.READ:
+                if op.is_read:
                     kind.append(READ)
                     first_write.append(False)
                     reads.append((g, i, o))

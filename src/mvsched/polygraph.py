@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,16 +30,7 @@ from .core import (
     validate_schedule,
 )
 from .errors import ReductionInadmissible
-from .isolation import (
-    IsolationLevel,
-    LevelAllocation,
-    allowed_under_rc,
-    allowed_under_si,
-    complete_under_allocation,
-    exhibits_concurrent_write,
-    read_last_committed,
-    respects_commit_order,
-)
+from .isolation import Clause, IsolationLevel, LevelAllocation, allowed_under_rc, allowed_under_si, complete_under_allocation
 from .serializability import has_cycle, is_view_serializable
 
 #: Bounds sized for reduction outputs, which are larger than the desk-scale
@@ -171,16 +163,19 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     choices = sorted(p.choices)
     nodes = sorted(p.nodes)
 
-    txns: list[Transaction] = []
+    # per node, its operations in the five groups above, each in arc or choice order
+    groups: dict[str, tuple[list, ...]] = defaultdict(lambda: ([], [], [], [], []))
+    for a in arcs:
+        groups[a[0]][0].append((Action.READ, arc_object(a)))
+        groups[a[1]][2].append((Action.WRITE, arc_object(a)))
+    for c in choices:
+        groups[c[0]][1].append((Action.READ, choice_object(c)))
+        groups[c[1]][3].append((Action.WRITE, choice_object(c)))
+        groups[c[2]][4].append((Action.READ, choice_object(c)))
     node_txns: list[Transaction] = []
     for x in nodes:
-        specs: list[tuple[Action, str]] = []
-        specs += [(Action.READ, arc_object(a)) for a in arcs if a[0] == x]
-        specs += [(Action.READ, choice_object(c)) for c in choices if c[0] == x]
-        specs += [(Action.WRITE, arc_object(a)) for a in arcs if a[1] == x]
-        specs += [(Action.WRITE, choice_object(c)) for c in choices if c[1] == x]
-        specs += [(Action.READ, choice_object(c)) for c in choices if c[2] == x]
         tid = _node_txn_id(x)
+        specs = itertools.chain.from_iterable(groups[x])
         ops = [Operation(OperationId(tid, k), action, obj) for k, (action, obj) in enumerate(specs, start=1)]
         ops.append(Operation(OperationId(tid, len(ops) + 1), Action.COMMIT))
         node_txns.append(Transaction(tid, tuple(ops)))
@@ -263,28 +258,24 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> R
     violations = validate_schedule(s)
     checks.append(ReductionCheck("schedule-valid", not violations, "; ".join(map(str, violations))))
 
-    writes = [op for t in s.txns for op in t.ops if op.is_write]
-    bad_commit = [op.id for op in writes if not respects_commit_order(s, op.id)]
+    # each transaction's RC and SI reports hold the four clause checks below
+    rc = [allowed_under_rc(s, t) for t in s.txns]
+    si = [allowed_under_si(s, t) for t in s.txns]
+
+    def failing(reports, clause):
+        return [v for r in reports for v in r.violations if v.clause is clause]
+
+    bad_commit = [v.witnesses[0] for v in failing(rc, Clause.COMMIT_ORDER)]
     checks.append(ReductionCheck("writes-respect-commit-order", not bad_commit, repr(bad_commit)))
-
-    cw = [t.id for t in s.txns if exhibits_concurrent_write(s, t)]
+    cw = [v.txn for v in failing(si, Clause.CONCURRENT_WRITE)]
     checks.append(ReductionCheck("no-concurrent-writes", not cw, repr(cw)))
-
-    stale_self = [
-        op.id for t in s.txns for op in t.ops if op.is_read and not read_last_committed(s, op.id, op.id)
-    ]
+    stale_self = [v.witnesses[0] for v in failing(rc, Clause.READ_LAST_COMMITTED)]
     checks.append(ReductionCheck("reads-fresh-at-read", not stale_self, repr(stale_self)))
-    stale_first = [
-        op.id
-        for t in s.txns
-        for op in t.ops
-        if op.is_read and not read_last_committed(s, op.id, t.ops[0].id)
-    ]
+    stale_first = [v.witnesses[0] for v in failing(si, Clause.READ_LAST_COMMITTED)]
     checks.append(ReductionCheck("reads-fresh-at-start", not stale_first, repr(stale_first)))
-
-    not_rc = [t.id for t in s.txns if not allowed_under_rc(s, t).allowed]
+    not_rc = [t.id for t, r in zip(s.txns, rc) if not r.allowed]
     checks.append(ReductionCheck("rc-admissible", not_rc == [], repr(not_rc)))
-    not_si = [t.id for t in s.txns if not allowed_under_si(s, t).allowed]
+    not_si = [t.id for t, r in zip(s.txns, si) if not r.allowed]
     checks.append(ReductionCheck("si-admissible", not_si == [], repr(not_si)))
 
     total_ops = sum(len(t.ops) for t in txns)

@@ -60,12 +60,6 @@ class SerializationGraph:
     nodes: tuple[str, ...]
     edges: Mapping[tuple[str, str], tuple[DependencyEdge, ...]]
 
-    def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self.edges
-
-    def successors(self, src: str) -> tuple[str, ...]:
-        return tuple(sorted(dst for (a, dst) in self.edges if a == src))
-
     @property
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
@@ -226,16 +220,17 @@ def dependency_masks(n: int, writers: Mapping, reads: Iterable[tuple[int, object
 def is_conflict_serializable(s: Schedule) -> tuple[bool, tuple[str, ...] | None]:
     """Acyclicity of the serialization graph, with a witnessing cycle when not.
 
-    Decided on per-transaction dependency bitmasks, whose edges are the
-    graph's; the shortest cycle is sought only in a cyclic one."""
-    ids = s.txn_ids
-    index = {tid: i for i, tid in enumerate(ids)}
-    writers = {obj: [index[w.txn] for w in chain[1:]] for obj, chain in s.vorder.items()}
-    reads = [(index[r.id.txn], r.obj, s.vpos[r.obj][s.vf[r.id]]) for r in s.reads if r.obj in writers]
+    Decided on per-transaction dependency bitmasks read off the schedule's
+    int index, whose edges are the graph's; the shortest cycle is sought
+    only in a cyclic one."""
+    ix, ids = s.index, s.txn_ids
+    txn, rank = ix.txn, ix.rank
+    writers = {o: [txn[q] for q in sorted(ws, key=rank.__getitem__)] for o, ws in ix.writes.items()}
+    reads = [(txn[p], ix.obj[p], rank[ix.vf[p]]) for p, k in enumerate(ix.kind) if k == ix.READ]
     succ = dependency_masks(len(ids), writers, reads)
     if not has_cycle(succ):
         return (True, None)
-    pairs = frozenset((a, b) for u, a in enumerate(ids) for b in ids if succ[u] >> index[b] & 1)
+    pairs = frozenset((a, ids[v]) for u, a in enumerate(ids) for v in range(len(ids)) if succ[u] >> v & 1)
     return (False, _shortest_cycle(ids, pairs))
 
 
@@ -340,49 +335,44 @@ def _placement_constraints(s: Schedule):
     object whose version by ``w`` transactions in ``r`` read, so ``k`` may not
     be placed while ``w`` is placed and some transaction in ``r`` is not.
     """
-    index = {t.id: k for k, t in enumerate(s.txns)}
-    writers: dict[str, list[int]] = {}
-    last_write: dict[tuple[int, str], OperationId] = {}
-    for k, t in enumerate(s.txns):
-        for op in t.ops:
-            if op.is_write:
-                if (k, op.obj) not in last_write:
-                    writers.setdefault(op.obj, []).append(k)
-                last_write[k, op.obj] = op.id
+    ix = s.index
+    txn, kind, obj, vf = ix.txn, ix.kind, ix.obj, ix.vf
+    last_write = {(txn[q], o): q for o, ws in ix.writes.items() for q in ws}
+    writers = {o: list(dict.fromkeys(txn[q] for q in ws)) for o, ws in ix.writes.items()}
     pred = [0] * len(s.txns)
     readers: list[dict[int, int]] = [{} for _ in s.txns]
-    for r, t in enumerate(s.txns):
-        own: dict[str, OperationId] = {}
-        for op in t.ops:
-            if op.is_write:
-                own[op.obj] = op.id
-            if not op.is_read:
+    for r, at in enumerate(ix.at):
+        own: dict[str, int] = {}
+        for p in at:
+            o, seen = obj[p], vf[p]
+            if kind[p] == ix.WRITE:
+                own[o] = p
+            if kind[p] != ix.READ:
                 continue
-            seen = s.vf[op.id]
-            if op.obj in own:
-                if seen != own[op.obj]:
+            if o in own:
+                if seen != own[o]:
                     return None  # a serial run reads its own latest write
                 continue
-            if seen.is_init:
-                for k in writers.get(op.obj, ()):
+            if not seen:  # INIT
+                for k in writers[o]:
                     if k != r:
                         pred[k] |= 1 << r
                 continue
-            w = index[seen.txn]
-            if last_write[w, op.obj] != seen:
+            w = txn[seen]
+            if last_write[w, o] != seen:
                 return None  # only a transaction's last write is ever seen from outside
             pred[r] |= 1 << w
-            for k in writers[op.obj]:
+            for k in writers[o]:
                 if k != w and k != r:
                     readers[k][w] = readers[k].get(w, 0) | 1 << r
-    for obj, chain in s.vorder.items():
-        if len(chain) > 1:
-            f = index[chain[-1].txn]
-            if last_write[f, obj] != chain[-1]:
+    for o, ws in ix.writes.items():
+        if ws:
+            final = max(ws, key=ix.rank.__getitem__)
+            if last_write[txn[final], o] != final:
                 return None  # the final version of a serial run is its writer's last
-            for k in writers[obj]:
-                if k != f:
-                    pred[f] |= 1 << k
+            for k in writers[o]:
+                if k != txn[final]:
+                    pred[txn[final]] |= 1 << k
     forbid = [tuple((1 << w, rs) for w, rs in sorted(by_w.items())) for by_w in readers]
     return pred, forbid
 

@@ -190,11 +190,15 @@ def _render_alloc(alloc: Allocation) -> str:
 class _OpResolver:
     def __init__(self, txns: dict[str, Transaction]):
         self.txns = txns
-        self.by_number: dict[str, Transaction] = {}
+        self.numbers: set[str] = set()
+        # (number, action, object) -> the numbered transaction's matching operations
+        self.short: dict[tuple[str, Action, str | None], list[OperationId]] = {}
         for tid, t in txns.items():
             m = _NUMBERED_TXN.match(tid)
             if m:
-                self.by_number[m.group(1)] = t
+                self.numbers.add(m.group(1))
+                for op in t.ops:
+                    self.short.setdefault((m.group(1), op.action, op.obj), []).append(op.id)
 
     def resolve(self, token: str, lineno: int) -> OperationId:
         if token == "init":
@@ -210,27 +214,25 @@ class _OpResolver:
             return t.ops[index - 1].id
         m = _SHORT_COMMIT.match(token)
         if m:
-            t = self.by_number.get(m.group(1))
-            if t is None:
+            if m.group(1) not in self.numbers:
                 raise ParseError(f"unknown transaction T{m.group(1)} in {token!r}", lineno)
-            commits = [op for op in t.ops if op.is_commit]
+            commits = self.short.get((m.group(1), Action.COMMIT, None), ())
             if len(commits) != 1:
                 raise ParseError(f"{token!r} is ambiguous: transaction has {len(commits)} commits", lineno)
-            return commits[0].id
+            return commits[0]
         m = _SHORT_RW.match(token)
         if m:
             action = Action.READ if m.group(1) == "R" else Action.WRITE
-            t = self.by_number.get(m.group(2))
-            if t is None:
+            if m.group(2) not in self.numbers:
                 raise ParseError(f"unknown transaction T{m.group(2)} in {token!r}", lineno)
-            hits = [op for op in t.ops if op.action is action and op.obj == m.group(3)]
+            hits = self.short.get((m.group(2), action, m.group(3)), ())
             if not hits:
                 raise ParseError(f"no operation matches {token!r}", lineno)
             if len(hits) > 1:
                 raise ParseError(
-                    f"{token!r} is ambiguous: use a positional reference like {hits[0].id!r}", lineno
+                    f"{token!r} is ambiguous: use a positional reference like {hits[0]!r}", lineno
                 )
-            return hits[0].id
+            return hits[0]
         raise ParseError(f"unrecognized operation reference {token!r}", lineno)
 
 

@@ -14,6 +14,8 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
+from hypothesis import strategies as st
+
 from mvsched import (
     INIT,
     LevelAllocation,
@@ -24,6 +26,7 @@ from mvsched import (
     Workload,
     make_schedule,
     make_transaction,
+    validate_schedule,
 )
 
 from fixtures import S2_TXNS, RC, SD_T1, SD_T2, SD_T3, SI, SSI, W_LU, W_WS
@@ -304,3 +307,36 @@ def four_txn_workloads(count: int, seed: int = 4044, read_write_first: bool = Fa
             levels[0] = RC
         out.append(Workload(txns, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)})))
     return out
+
+
+_SCHEDULE_OPS = st.sampled_from(["R(x)", "R(y)", "W(x)", "W(y)"])
+
+
+@st.composite
+def valid_schedules(draw, max_n=4):
+    """Any interleaving of up to ``max_n`` transactions over x and y, with any
+    version order and version function the validity rules allow (reads after
+    the transaction's own writes included)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    txns = [
+        make_transaction(f"T{i}", " ".join(draw(st.lists(_SCHEDULE_OPS, max_size=3)) + ["C"]))
+        for i in range(1, n + 1)
+    ]
+    left = [list(t.ops) for t in txns]
+    ops = []
+    while any(left):
+        ops.append(left[draw(st.sampled_from([i for i, rest in enumerate(left) if rest]))].pop(0))
+    vorder, vf = {}, {}
+    for obj in ("x", "y"):
+        writes = [op.id for op in ops if op.is_write and op.obj == obj]
+        slots = draw(st.permutations(writes))
+        # each transaction's writes keep their own order within the drawn slots
+        per_txn = {tid: iter([w for w in writes if w.txn == tid]) for tid in {w.txn for w in writes}}
+        vorder[obj] = [next(per_txn[w.txn]) for w in slots]
+    for k, op in enumerate(ops):
+        if op.is_read:
+            earlier = [w.id for w in ops[:k] if w.is_write and w.obj == op.obj]
+            vf[op.id] = draw(st.sampled_from([INIT] + earlier))
+    s = make_schedule(txns, [op.id for op in ops], vorder, vf)
+    assert validate_schedule(s) == []
+    return s

@@ -9,7 +9,12 @@ where the library walks a compiled engine.  The conflict oracle finds the
 shortest cycle of the full serialization graph.  The enumeration oracle
 completes one interleaving at a time.  The split decider oracle classifies
 and checks candidates on completed schedules.  The view search oracle
-tracks installed versions per serial prefix.
+tracks installed versions per serial prefix.  The clause oracles evaluate
+the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
+operation id, where the library reads the schedule's int index, and the
+reduction-check oracle evaluates
+each clause per operation where the library reads the per-transaction
+reports.
 """
 
 from __future__ import annotations
@@ -21,21 +26,34 @@ from typing import Iterable, Iterator, Sequence
 
 from mvsched import (
     INIT,
+    REDUCTION_LIMITS,
+    AdmissibilityReport,
+    AdmissibilityViolation,
+    Clause,
+    ConflictKind,
+    DependencyEdge,
     IsolationLevel,
     LevelAllocation,
     LimitExceeded,
     Operation,
     OperationId,
+    Polygraph,
     RobustnessMode,
     Schedule,
     SearchLimits,
     Transaction,
+    UnknownOperation,
     Workload,
     find_dangerous_structures,
+    is_acyclic_polygraph,
     is_generalized_split_schedule,
+    is_view_serializable,
+    reduce_to_schedule,
     serialization_graph,
+    validate_schedule,
 )
-from mvsched.core import DEFAULT_LIMITS, Budget
+from mvsched.core import DEFAULT_LIMITS, Budget, txn_id
+from mvsched.polygraph import ReductionCheck
 from mvsched.robustness import _iter_interleavings
 from mvsched.serializability import ViewWitness, _shortest_cycle, serial_signature_pool, view_signature
 
@@ -426,3 +444,149 @@ def view_search_oracle(s: Schedule, *, max_txns: int = 8, max_ops: int = 24) -> 
     found = explore(0, {})
     witness = tuple(txns[i].id for i in path) if found else None
     return ViewWitness(verdict=found, witness=witness, exhausted=exhausted)
+
+
+def respects_commit_order_oracle(s: Schedule, w: OperationId) -> bool:
+    """Versions install in commit order: for every other transaction's write
+    on the same object, vorder and commit order point the same way."""
+    op = s.operation(w)
+    if not op.is_write:
+        raise UnknownOperation(f"{w!r} is not a write operation")
+    my_commit = s.commit_pos[w.txn]
+    vpos = s.vpos[op.obj]
+    for other in s.writes_by_obj[op.obj]:
+        if other.id.txn == w.txn:
+            continue
+        if (vpos[w] < vpos[other.id]) != (my_commit < s.commit_pos[other.id.txn]):
+            return False
+    return True
+
+
+def read_last_committed_oracle(s: Schedule, r: OperationId, rel: OperationId) -> bool:
+    """The read observes the most recently committed version as of ``rel``.
+
+    Holds when the observed version is INIT or committed before ``rel``, and
+    no version committed before ``rel`` installs after the observed one.
+    """
+    read_op = s.operation(r)
+    if not read_op.is_read:
+        raise UnknownOperation(f"{r!r} is not a read operation")
+    rel_op = s.operation(rel)
+    if rel_op.id.txn != r.txn:
+        raise ValueError("the reference operation must belong to the reading transaction")
+    rel_pos = s.pos[rel]
+    observed = s.vf[r]
+    if not observed.is_init and s.commit_pos[observed.txn] >= rel_pos:
+        return False
+    vpos = s.vpos[read_op.obj]
+    observed_rank = vpos[observed]
+    for w in s.writes_by_obj.get(read_op.obj, ()):
+        if s.commit_pos[w.id.txn] < rel_pos and vpos[w.id] > observed_rank:
+            return False
+    return True
+
+
+def overwrite_witness_oracle(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
+    """A pair (other write, own write) with the own write landing after the
+    other and before the other transaction commits (a dirty write), or, with
+    ``concurrent``, with the other committing after this transaction's start
+    (a concurrent write); None when there is none."""
+    pos, start = s.pos, s.first_pos.get(tid)  # None only for a transaction without operations
+    for own in s.transaction(tid).ops:
+        if not own.is_write:
+            continue
+        own_pos = pos[own.id]
+        bound = start if concurrent else own_pos
+        for other in s.writes_by_obj.get(own.obj, ()):
+            if other.id.txn != tid and pos[other.id] < own_pos and bound < s.commit_pos[other.id.txn]:
+                return (other.id, own.id)
+    return None
+
+
+def rw_edges_oracle(s: Schedule, scope: frozenset[str]) -> dict[tuple[str, str], DependencyEdge]:
+    """First witnessing rw-antidependency for each ordered transaction pair in scope."""
+    edges: dict[tuple[str, str], DependencyEdge] = {}
+    for obj, writes in s.writes_by_obj.items():
+        vpos = s.vpos[obj]
+        for read in s.reads:
+            if read.obj != obj or read.id.txn not in scope:
+                continue
+            observed_rank = vpos[s.vf[read.id]]
+            for w in writes:
+                if w.id.txn == read.id.txn or w.id.txn not in scope:
+                    continue
+                if observed_rank < vpos[w.id]:
+                    pair = (read.id.txn, w.id.txn)
+                    edge = DependencyEdge(read.id, w.id, ConflictKind.RW)
+                    if pair not in edges or (edge.src, edge.dst) < (edges[pair].src, edges[pair].dst):
+                        edges[pair] = edge
+    return edges
+
+
+def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
+    """The RC clauses, or with ``si`` the SI ones: they differ in the read's
+    reference operation and in dirty against concurrent writes."""
+    tid = txn_id(t)
+    ops = s.transaction(tid).ops
+    violations: list[AdmissibilityViolation] = []
+    for op in ops:
+        if op.is_write and not respects_commit_order_oracle(s, op.id):
+            violations.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,)))
+    for op in ops:
+        if op.is_read and not read_last_committed_oracle(s, op.id, ops[0].id if si else op.id):
+            violations.append(AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (op.id,)))
+    overwrite = overwrite_witness_oracle(s, tid, si)
+    if overwrite is not None:
+        violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
+    return AdmissibilityReport(tuple(violations))
+
+
+def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> tuple[ReductionCheck, ...]:
+    """The checks of :func:`verify_reduction`, each clause evaluated on its
+    own for every operation and transaction."""
+    txns, s = reduce_to_schedule(p)
+    checks: list[ReductionCheck] = []
+
+    violations = validate_schedule(s)
+    checks.append(ReductionCheck("schedule-valid", not violations, "; ".join(map(str, violations))))
+
+    writes = [op for t in s.txns for op in t.ops if op.is_write]
+    bad_commit = [op.id for op in writes if not respects_commit_order_oracle(s, op.id)]
+    checks.append(ReductionCheck("writes-respect-commit-order", not bad_commit, repr(bad_commit)))
+
+    cw = [t.id for t in s.txns if overwrite_witness_oracle(s, t.id, True) is not None]
+    checks.append(ReductionCheck("no-concurrent-writes", not cw, repr(cw)))
+
+    stale_self = [
+        op.id for t in s.txns for op in t.ops if op.is_read and not read_last_committed_oracle(s, op.id, op.id)
+    ]
+    checks.append(ReductionCheck("reads-fresh-at-read", not stale_self, repr(stale_self)))
+    stale_first = [
+        op.id
+        for t in s.txns
+        for op in t.ops
+        if op.is_read and not read_last_committed_oracle(s, op.id, t.ops[0].id)
+    ]
+    checks.append(ReductionCheck("reads-fresh-at-start", not stale_first, repr(stale_first)))
+
+    not_rc = [t.id for t in s.txns if not allowed_at_level_oracle(s, t, False).allowed]
+    checks.append(ReductionCheck("rc-admissible", not_rc == [], repr(not_rc)))
+    not_si = [t.id for t in s.txns if not allowed_at_level_oracle(s, t, True).allowed]
+    checks.append(ReductionCheck("si-admissible", not_si == [], repr(not_si)))
+
+    total_ops = sum(len(t.ops) for t in txns)
+    expected = 2 * len(p.arcs) + 7 * len(p.choices) + len(p.nodes)
+    checks.append(
+        ReductionCheck("size-linear", total_ops == expected, f"ops={total_ops}, expected={expected}")
+    )
+
+    acyclic, _ = is_acyclic_polygraph(p, limits)
+    vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
+    checks.append(
+        ReductionCheck(
+            "verdicts-match",
+            acyclic == vs.verdict,
+            f"acyclic={acyclic}, view-serializable={vs.verdict}",
+        )
+    )
+    return tuple(checks)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,22 @@ def test_init_identity():
     assert not OperationId("T1", 1).is_init
     assert repr(INIT) == "INIT"
     assert repr(OperationId("T1", 2)) == "T1#2"
+
+
+def test_operation_id_semantics():
+    ids = [OperationId("T2", 1), OperationId("T1", 10), INIT, OperationId("T1", 2), OperationId("", 1)]
+    assert sorted(ids) == [INIT, OperationId("", 1), OperationId("T1", 2), OperationId("T1", 10), OperationId("T2", 1)]
+    assert [repr(i) for i in (INIT, OperationId("T1", 2))] == ["INIT", "T1#2"] and str(INIT) == "INIT"
+    table = {OperationId("T1", 2): "a"}
+    table[OperationId("T" + "1", 1 + 1)] = "b"
+    assert table == {OperationId("T1", 2): "b"}
+    again = pickle.loads(pickle.dumps(OperationId("T1", 2)))
+    assert again == OperationId("T1", 2) and type(again) is OperationId
+    assert [i.is_init for i in ids] == [False, False, True, False, False]
+    assert OperationId(txn="", index=0).is_init and not OperationId("", 1).is_init and not OperationId("T0", 0).is_init
+    # on purpose: an id is a named tuple, so it equals (and hashes like) the plain tuple (txn, index)
+    assert OperationId("T1", 2) == ("T1", 2) and hash(OperationId("T1", 2)) == hash(("T1", 2))
+    assert INIT == ("", 0) and ("T1", 2) in {OperationId("T1", 2)}
 
 
 def test_validate_transaction_accepts_s1_t4():

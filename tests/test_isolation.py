@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import criterion_5_workloads, random_workloads
+from corpus import (
+    criterion_5_workloads,
+    dense_polygraphs,
+    enumerate_valid_schedules,
+    implication_corpus_workloads,
+    random_polygraphs,
+    random_workloads,
+    valid_schedules,
+)
 from fixtures import *
-from oracles import complete_under_allocation_oracle
+from oracles import (
+    allowed_at_level_oracle,
+    complete_under_allocation_oracle,
+    overwrite_witness_oracle,
+    read_last_committed_oracle,
+    respects_commit_order_oracle,
+    rw_edges_oracle,
+)
 
 from mvsched import (
     INIT,
@@ -30,11 +46,13 @@ from mvsched import (
     make_schedule,
     make_transaction,
     read_last_committed,
+    reduce_to_schedule,
     respects_commit_order,
     serial_schedule,
     validate_schedule,
 )
 from mvsched.core import Budget, SearchLimits
+from mvsched.isolation import _overwrite_witness, _rw_edges
 from mvsched.robustness import _iter_interleavings
 
 
@@ -395,3 +413,53 @@ def test_completion_rejects_an_order_that_is_not_an_interleaving():
     for bad in (order[1:], order[::-1], order + order[:1], [opid("T3", 1)] + order):
         with pytest.raises(ValueError):
             complete_under_allocation(W_LU, bad, all_level(RC, *W_LU))
+
+
+# --- the clauses on the schedule's int index against the dictionary-keyed oracles -----
+
+
+def assert_clauses_match_the_oracles(s) -> bool:
+    """Every clause, both per-transaction reports and the rw-antidependencies
+    (over all transactions and over all but the first) agree with the
+    oracles, violations, witnesses and their order included; whether some
+    transaction fails its RC or SI report."""
+    failed = False
+    for t in s.txns:
+        for op in t.ops:
+            if op.is_write:
+                assert respects_commit_order(s, op.id) == respects_commit_order_oracle(s, op.id), (s, op)
+            elif op.is_read:
+                for rel in t.op_ids:
+                    assert read_last_committed(s, op.id, rel) == read_last_committed_oracle(s, op.id, rel), (s, op, rel)
+        for si, allowed in ((False, allowed_under_rc), (True, allowed_under_si)):
+            assert _overwrite_witness(s, t.id, si) == overwrite_witness_oracle(s, t.id, si), (s, t.id, si)
+            report = allowed(s, t)
+            assert report == allowed_at_level_oracle(s, t, si), (s, t.id, si)
+            failed |= not report.allowed
+    for scope in (frozenset(s.txn_ids), frozenset(s.txn_ids[1:])):
+        assert _rw_edges(s, scope) == rw_edges_oracle(s, scope), (s, scope)
+    return failed
+
+
+def test_clauses_match_the_oracles_on_polygraph_reductions():
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        assert not assert_clauses_match_the_oracles(reduce_to_schedule(p)[1]), p
+
+
+def test_clauses_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():
+    """Every 13th schedule of a seeded third of the workloads; most of them
+    fail some clause."""
+    rng = random.Random(8)
+    checked = failing = 0
+    for txns in rng.sample(implication_corpus_workloads(), 42):
+        for s in itertools.islice(enumerate_valid_schedules(txns), 0, None, 13):
+            failing += assert_clauses_match_the_oracles(s)
+            checked += 1
+    assert checked > 4000 and failing > checked // 2
+
+
+@given(valid_schedules())
+@settings(max_examples=300, deadline=None)
+def test_clauses_match_the_oracles_on_generated_schedules(s):
+    """Any version order, commit-order-incompatible ones included."""
+    assert_clauses_match_the_oracles(s)

@@ -1,13 +1,16 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names, and
+every module boundary the benchmark's tracer wraps still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import mvsched
 
 SRC = pathlib.Path(mvsched.__file__).parent
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def _private(name: str) -> bool:
@@ -61,3 +64,26 @@ def test_the_scan_sees_both_forms(tmp_path):
         "sample.py:2: from .serializability import _shortest_cycle",
         "sample.py:3: textio._parse_declarations",
     ]
+
+
+def tracer_boundaries() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of ``BOUNDARIES`` in the benchmark's
+    tracer, read from its source without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES" for t in node.targets):
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.value.elts]
+    raise AssertionError("bench/tracing.py defines no BOUNDARIES")
+
+
+def test_every_traced_boundary_resolves_to_a_callable():
+    """A refactor that renames or stops importing a wrapped name would leave a
+    per-layer metric silently reading 0."""
+    boundaries = tracer_boundaries()
+    assert len(boundaries) > 20
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in boundaries
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

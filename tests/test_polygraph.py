@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from oracles import view_serializable_oracle
+from corpus import dense_polygraphs, random_polygraphs
+from oracles import reduction_checks_oracle, view_serializable_oracle
 
 from mvsched import (
     LimitExceeded,
@@ -143,3 +144,11 @@ def test_verify_reduction_exhaustive_two_nodes():
             arcs = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
             p = Polygraph.of(nodes, arcs)
             assert verify_reduction(p).ok, p
+
+
+def test_verify_reduction_checks_match_the_per_clause_oracle():
+    """The four clause checks read off the per-transaction reports give the
+    same names, verdicts and details as evaluating each clause on its own."""
+    limits = SearchLimits(max_txns=14, max_ops=128)
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        assert verify_reduction(p, limits).checks == reduction_checks_oracle(p, limits), p

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from corpus import (
     dense_polygraphs,
@@ -16,6 +16,7 @@ from corpus import (
     random_polygraphs,
     three_small_txn_workloads,
     two_txn_shape_workloads,
+    valid_schedules,
 )
 from fixtures import *
 from oracles import conflict_serializable_oracle, view_search_oracle, view_serializable_oracle
@@ -35,12 +36,10 @@ from mvsched import (
     is_conflict_serializable,
     is_view_serializable,
     last_version,
-    make_schedule,
     make_transaction,
     reduce_to_schedule,
     serial_schedule,
     serialization_graph,
-    validate_schedule,
     view_equivalent,
 )
 from mvsched.core import Budget
@@ -269,39 +268,6 @@ def test_view_search_matches_the_oracle_on_dense_reductions():
     assert verdicts.count(True) == verdicts.count(False) == 20
 
 
-_SCHEDULE_OPS = st.sampled_from(["R(x)", "R(y)", "W(x)", "W(y)"])
-
-
-@st.composite
-def valid_schedules(draw, max_n=4):
-    """Any interleaving of up to ``max_n`` transactions over x and y, with any
-    version order and version function the validity rules allow (reads after
-    the transaction's own writes included)."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    txns = [
-        make_transaction(f"T{i}", " ".join(draw(st.lists(_SCHEDULE_OPS, max_size=3)) + ["C"]))
-        for i in range(1, n + 1)
-    ]
-    left = [list(t.ops) for t in txns]
-    ops = []
-    while any(left):
-        ops.append(left[draw(st.sampled_from([i for i, rest in enumerate(left) if rest]))].pop(0))
-    vorder, vf = {}, {}
-    for obj in ("x", "y"):
-        writes = [op.id for op in ops if op.is_write and op.obj == obj]
-        slots = draw(st.permutations(writes))
-        # each transaction's writes keep their own order within the drawn slots
-        per_txn = {tid: iter([w for w in writes if w.txn == tid]) for tid in {w.txn for w in writes}}
-        vorder[obj] = [next(per_txn[w.txn]) for w in slots]
-    for k, op in enumerate(ops):
-        if op.is_read:
-            earlier = [w.id for w in ops[:k] if w.is_write and w.obj == op.obj]
-            vf[op.id] = draw(st.sampled_from([INIT] + earlier))
-    s = make_schedule(txns, [op.id for op in ops], vorder, vf)
-    assert validate_schedule(s) == []
-    return s
-
-
 @given(valid_schedules())
 @settings(max_examples=300, deadline=None)
 def test_view_search_matches_the_oracle_on_generated_schedules(s):
@@ -334,6 +300,20 @@ def test_conflict_serializability_matches_the_graph_oracle_on_the_criterion_3_co
             assert is_conflict_serializable(s) == conflict_serializable_oracle(s), s
             checked += 1
     assert checked == 321_663
+
+
+def test_conflict_serializability_matches_the_graph_oracle_on_polygraph_reductions():
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        s = reduce_to_schedule(p)[1]
+        assert is_conflict_serializable(s) == conflict_serializable_oracle(s), p
+
+
+def test_view_search_matches_the_oracle_on_a_sample_of_the_criterion_3_corpus():
+    """Every 13th schedule of a seeded third of the workloads."""
+    rng = random.Random(8)
+    for txns in rng.sample(implication_corpus_workloads(), 42):
+        for s in itertools.islice(enumerate_valid_schedules(txns), 0, None, 13):
+            assert_same_as_oracle(s)
 
 
 @given(valid_schedules())

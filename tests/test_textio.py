@@ -8,6 +8,9 @@ from fixtures import *
 
 from mvsched import (
     INIT,
+    Action,
+    Operation,
+    Transaction,
     LevelAllocation,
     ParseError,
     Polygraph,
@@ -20,6 +23,7 @@ from mvsched import (
     render_workload,
     validate_schedule,
 )
+from mvsched.textio import _OpResolver
 
 S1_DOC = """
 # the four-transaction tangle on objects t and v
@@ -161,6 +165,33 @@ def test_unknown_reference_errors():
         parse_schedule("txn T1: C\norder: T1#2\n")
     with pytest.raises(ParseError, match="unrecognized"):
         parse_schedule("txn T1: C\norder: ???\n")
+
+
+def test_operation_reference_error_messages():
+    head = "txn T1: R(x) R(x) W(x) C\ntxn T2: W(x) C\ntxn A: R(x) C\n"
+    expected = {
+        "T3#1": "unknown transaction 'T3' in 'T3#1' (line 4)",
+        "T1#9": "operation index out of range in 'T1#9' (line 4)",
+        "T1#0": "operation index out of range in 'T1#0' (line 4)",
+        "A#3": "operation index out of range in 'A#3' (line 4)",
+        "C7": "unknown transaction T7 in 'C7' (line 4)",
+        "R7(x)": "unknown transaction T7 in 'R7(x)' (line 4)",
+        "W2(y)": "no operation matches 'W2(y)' (line 4)",
+        "R1(y)": "no operation matches 'R1(y)' (line 4)",
+        "R1(x)": "'R1(x)' is ambiguous: use a positional reference like T1#1 (line 4)",
+        "Q1": "unrecognized operation reference 'Q1' (line 4)",
+        "R(x)": "unrecognized operation reference 'R(x)' (line 4)",
+    }
+    for token, message in expected.items():
+        with pytest.raises(ParseError) as info:
+            parse_schedule(head + f"order: {token}\n", validate=False)
+        assert str(info.value) == message
+    s = parse_schedule(head + "order: W1(x) C1 W2(x) C2\n", validate=False)
+    assert s.order[1:] == (opid("T1", 3), opid("T1", 4), opid("T2", 1), opid("T2", 2))
+    # transactions without exactly one commit never parse, but the resolver still says why
+    commitless = {"T1": Transaction("T1", (Operation(opid("T1", 1), Action.WRITE, "x"),))}
+    with pytest.raises(ParseError, match=r"^'C1' is ambiguous: transaction has 0 commits \(line 3\)$"):
+        _OpResolver(commitless).resolve("C1", 3)
 
 
 def test_comments_do_not_break_positional_tokens():
