@@ -108,13 +108,15 @@ class Report:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path!r}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _env_default(name: str, cast, fallback):

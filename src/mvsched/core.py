@@ -150,11 +150,11 @@ def make_transaction(tid: str, actions: str) -> Transaction:
         m = _OP_TOKEN.match(token)
         if m is None:
             raise ValueError(f"bad operation token {token!r} in transaction {tid}")
-        if m.group(3):
-            ops.append(Operation(OperationId(tid, k), Action.COMMIT))
+        action, obj, commit = m.groups()
+        if commit:
+            ops.append(Operation(OperationId(tid, k), _COMMIT))
         else:
-            action = Action.READ if m.group(1) == "R" else Action.WRITE
-            ops.append(Operation(OperationId(tid, k), action, m.group(2)))
+            ops.append(Operation(OperationId(tid, k), _READ if action == "R" else _WRITE, obj))
     return Transaction(tid, tuple(ops))
 
 
@@ -409,94 +409,114 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     in transaction order), the operation order must embed every
     transaction's internal order, and the version function must map every
     read to INIT or to an earlier write on the same object.
-    """
-    out: list[ScheduleViolation] = []
-    for t in s.txns:
-        out.extend(validate_transaction(t))
 
-    all_ops = s.op_by_id.keys()
+    One walk over the transactions, on the cached positions, clears each rule
+    by counts and set comparisons; a rule's per-offender loop runs only if
+    the walk could not clear it.
+    """
+    V, K = ScheduleViolation, ViolationKind
+    order, pos, vorder, vpos, vf = s.order, s.pos, s.vorder, s.vpos, s.vf
+    out: list[ScheduleViolation] = []
+    sound = len({t.id for t in s.txns}) == len(s.txns)  # so well-formed transactions have distinct ids
+    in_order = intra = covered = mapped = True
+    nops = nwrites = nreads = 0
+    for t in s.txns:
+        tid, ops, ok, prev, last = t.id, t.ops, bool(t.ops), 0, {}
+        nops += len(ops)
+        for k, op in enumerate(ops, 1):
+            opid, action = op.id, op.action
+            if opid != (tid, k) or (action is _COMMIT) != (k == len(ops)):
+                ok = False
+            p = pos.get(opid, -1)
+            in_order, prev = in_order and p > prev, p
+            if action is _WRITE:
+                nwrites += 1
+                r = vpos[op.obj].get(opid, -1) if op.obj in vpos else -1
+                covered, intra, last[op.obj] = covered and r > 0, intra and r > last.get(op.obj, 0), r
+            elif action is _READ:
+                nreads += 1
+                observed = vf.get(opid)  # INIT or a write in the version order of the object, placed earlier
+                mapped = mapped and observed in vpos.get(op.obj, ()) and pos.get(observed, p) < p
+        if not ok:
+            sound = False
+            out.extend(validate_transaction(t))
 
     # total order over all operations plus INIT
-    seen: set[OperationId] = set()
-    for opid in s.order:
-        if opid in seen:
-            out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
-        seen.add(opid)
-        if opid not in all_ops and not opid.is_init:
-            out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
-    missing = (all_ops | {INIT}) - seen
-    for opid in sorted(missing):
-        out.append(ScheduleViolation(ViolationKind.ORDER_NOT_TOTAL, (opid,)))
-    if s.order and (INIT not in seen or s.order[0] != INIT):
-        out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
-    elif not s.order:
-        out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
-
-    pos = s.pos
+    ordered = sound and in_order and len(order) == nops + 1 and order[0] == INIT
+    if not ordered:
+        all_ops = s.op_by_id.keys()
+        seen: set[OperationId] = set()
+        for opid in order:
+            if opid in seen:
+                out.append(V(K.DUPLICATE_POSITION, (opid,)))
+            seen.add(opid)
+            if opid not in all_ops and not opid.is_init:
+                out.append(V(K.UNKNOWN_OPERATION, (opid,)))
+        out += [V(K.ORDER_NOT_TOTAL, (opid,)) for opid in sorted((all_ops | {INIT}) - seen)]
+        if not order or order[0] != INIT:
+            out.append(V(K.INIT_NOT_FIRST, (INIT,)))
 
     # version order: per object a total order over INIT and that object's writes
-    for obj in sorted(set(s.vorder) | set(s.writes_by_obj)):
-        chain = s.vorder.get(obj)
-        writes = {op.id for op in s.writes_by_obj.get(obj, ())}
-        if chain is None:
-            out.append(ScheduleViolation(ViolationKind.VORDER_NOT_TOTAL, tuple(sorted(writes))))
-            continue
-        chain_seen: set[OperationId] = set()
-        for opid in chain:
-            if opid in chain_seen:
-                out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
-            chain_seen.add(opid)
-            if opid not in writes and not opid.is_init:
-                out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
-        for opid in sorted(writes - chain_seen):
-            out.append(ScheduleViolation(ViolationKind.VORDER_NOT_TOTAL, (opid,)))
-        if not chain or chain[0] != INIT or INIT not in chain_seen:
-            out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
+    chained = covered and sound and all(c and c[0] == INIT for c in vorder.values())
+    chained = chained and sum(map(len, vorder.values())) == nwrites + len(vorder)
+    if not chained:
+        for obj in sorted(set(vorder) | set(s.writes_by_obj)):
+            chain = vorder.get(obj)
+            writes = {op.id for op in s.writes_by_obj.get(obj, ())}
+            if chain is None:
+                out.append(V(K.VORDER_NOT_TOTAL, tuple(sorted(writes))))
+                continue
+            chain_seen: set[OperationId] = set()
+            for opid in chain:
+                if opid in chain_seen:
+                    out.append(V(K.DUPLICATE_POSITION, (opid,)))
+                chain_seen.add(opid)
+                if opid not in writes and not opid.is_init:
+                    out.append(V(K.UNKNOWN_OPERATION, (opid,)))
+            out += [V(K.VORDER_NOT_TOTAL, (opid,)) for opid in sorted(writes - chain_seen)]
+            if not chain or chain[0] != INIT:
+                out.append(V(K.INIT_NOT_FIRST, (INIT,)))
 
     # same-object writes within one transaction install in transaction order
-    for t in s.txns:
-        writes_per_obj: dict[str, list[OperationId]] = {}
-        for op in t.ops:
-            if op.action is _WRITE:
-                writes_per_obj.setdefault(op.obj, []).append(op.id)
-        for obj, ws in writes_per_obj.items():
-            vpos = s.vpos.get(obj)
-            if vpos is None:
-                continue
-            for a, b in zip(ws, ws[1:]):
-                if a in vpos and b in vpos and vpos[a] >= vpos[b]:
-                    out.append(ScheduleViolation(ViolationKind.INTRA_TXN_VORDER, (a, b)))
+    if not intra:
+        for t in s.txns:
+            own = [op for op in t.ops if op.action is _WRITE]
+            for obj in dict.fromkeys(op.obj for op in own):
+                ws, ranks = [op.id for op in own if op.obj == obj], vpos.get(obj, {})
+                pairs = [(a, b) for a, b in zip(ws, ws[1:]) if a in ranks and b in ranks and ranks[a] >= ranks[b]]
+                out += [V(K.INTRA_TXN_VORDER, pair) for pair in pairs]
 
     # transaction-internal order is preserved by the operation order
-    for t in s.txns:
-        for a, b in zip(t.ops, t.ops[1:]):
-            if a.id in pos and b.id in pos and pos[a.id] >= pos[b.id]:
-                out.append(ScheduleViolation(ViolationKind.TXN_ORDER_NOT_PRESERVED, (a.id, b.id)))
+    if not in_order:
+        out += [
+            V(K.TXN_ORDER_NOT_PRESERVED, (a.id, b.id))
+            for t in s.txns
+            for a, b in zip(t.ops, t.ops[1:])
+            if a.id in pos and b.id in pos and pos[a.id] >= pos[b.id]
+        ]
 
     # version function: total on reads, targets are earlier same-object writes
-    op_by_id = s.op_by_id
-    reads = {op.id for op in s.reads}
-    for rid in sorted(reads - set(s.vf)):
-        out.append(ScheduleViolation(ViolationKind.UNMAPPED_READ, (rid,)))
-    for rid in sorted(s.vf):
-        target = s.vf[rid]
-        if rid not in reads:
-            out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (rid,)))
-            continue
-        read_op = op_by_id[rid]
-        if not target.is_init:
-            target_op = op_by_id.get(target)
-            if target_op is None:
-                out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (rid, target)))
+    if not (mapped and ordered and chained and len(vf) == nreads):
+        op_by_id = s.op_by_id
+        read_ids = {op.id for op in s.reads}
+        out += [V(K.UNMAPPED_READ, (rid,)) for rid in sorted(read_ids - set(vf))]
+        for rid in sorted(vf):
+            target = vf[rid]
+            if rid not in read_ids:
+                out.append(V(K.UNKNOWN_OPERATION, (rid,)))
                 continue
-            if not target_op.is_write:
-                out.append(ScheduleViolation(ViolationKind.VF_TARGET_NOT_WRITE, (rid, target)))
-                continue
-            if target_op.obj != read_op.obj:
-                out.append(ScheduleViolation(ViolationKind.VERSION_OBJECT_MISMATCH, (rid, target)))
-        if rid in pos and target in pos and pos[target] >= pos[rid]:
-            out.append(ScheduleViolation(ViolationKind.VERSION_READS_FUTURE, (rid, target)))
-
+            if not target.is_init:
+                target_op = op_by_id.get(target)
+                if target_op is None:
+                    out.append(V(K.UNKNOWN_OPERATION, (rid, target)))
+                    continue
+                if target_op.action is not _WRITE:
+                    out.append(V(K.VF_TARGET_NOT_WRITE, (rid, target)))
+                    continue
+                if target_op.obj != op_by_id[rid].obj:
+                    out.append(V(K.VERSION_OBJECT_MISMATCH, (rid, target)))
+            if rid in pos and target in pos and pos[target] >= pos[rid]:
+                out.append(V(K.VERSION_READS_FUTURE, (rid, target)))
     return out
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,7 +28,7 @@ from .core import (
     Transaction,
     validate_schedule,
 )
-from .errors import ReductionInadmissible
+from .errors import ReductionInadmissible, ScheduleError
 from .isolation import Clause, IsolationLevel, LevelAllocation, allowed_under_rc, allowed_under_si, complete_under_allocation
 from .serializability import has_cycle, is_view_serializable
 
@@ -37,6 +36,8 @@ from .serializability import has_cycle, is_view_serializable
 #: robustness defaults (a polygraph with 5 nodes and 3 choices yields 11
 #: transactions).
 REDUCTION_LIMITS = SearchLimits(max_txns=12, max_ops=128, max_orders=10_000_000, budget_seconds=300.0)
+
+_READ, _WRITE, _COMMIT = Action
 
 
 @dataclass(frozen=True)
@@ -107,20 +108,27 @@ def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) ->
     Resolutions are tried in canonical order: choices sorted, and for each
     choice the forward edge (u, v) before the closing edge (v, w).  Each
     resolution tried counts as one candidate against ``limits.max_orders``
-    and the time budget.
+    and the time budget.  The arcs' successor bitmasks are built once; each
+    resolution ORs its choice edges into a copy, and only the winner's edges
+    become a witness.
     """
-    choices = sorted(p.choices)
     budget = Budget(limits)
     index = {node: i for i, node in enumerate(p.nodes)}
-    for bits in itertools.product((0, 1), repeat=len(choices)):
+    arcs = [0] * len(index)
+    for a, b in p.arcs:
+        arcs[index[a]] |= 1 << index[b]
+    # per choice its two options, each an edge, its source and its target's bit
+    options = [
+        (((u, v), index[u], 1 << index[v]), ((v, w), index[v], 1 << index[w])) for u, v, w in sorted(p.choices)
+    ]
+    for picked in itertools.product(*options):
         budget.tick()
-        extra = tuple((u, v) if bit == 0 else (v, w) for bit, (u, v, w) in zip(bits, choices))
-        full = p.arcs | frozenset(extra)
-        succ = [0] * len(index)
-        for a, b in full:
-            succ[index[a]] |= 1 << index[b]
+        succ = arcs.copy()
+        for _, a, bit in picked:
+            succ[a] |= bit
         if not has_cycle(succ):
-            return True, CompatibilityWitness(extra, full)
+            extra = tuple(edge for edge, _, _ in picked)
+            return True, CompatibilityWitness(extra, p.arcs | frozenset(extra))
     return False, None
 
 
@@ -129,21 +137,8 @@ def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) ->
 # ---------------------------------------------------------------------------
 
 
-def arc_object(arc: tuple[str, str]) -> str:
-    return f"arc:{arc[0]}->{arc[1]}"
-
-
-def choice_object(choice: tuple[str, str, str]) -> str:
-    return f"choice:{choice[0]},{choice[1]},{choice[2]}"
-
-
-def _node_txn_id(node: str) -> str:
-    return f"T:{node}"
-
-
-def _choice_txn_ids(choice: tuple[str, str, str]) -> tuple[str, str]:
-    tag = ",".join(choice)
-    return f"T0:{tag}", f"Tinf:{tag}"
+def _writer(tid: str, obj: str) -> Transaction:
+    return Transaction(tid, (Operation(OperationId(tid, 1), _WRITE, obj), Operation(OperationId(tid, 2), _COMMIT)))
 
 
 def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:
@@ -157,72 +152,52 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     concurrently (first operations, then bodies, then commits, each section
     in node order), then the closing writers serially; versions install in
     commit order and every read observes the newest version committed
-    before it.
+    before it.  The names are ``T:x`` per node, ``T0:u,v,w`` and
+    ``Tinf:u,v,w`` per choice, and objects ``arc:x->y`` and
+    ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(`` or ``)``
+    raises :class:`ScheduleError` before anything is built.
     """
-    arcs = sorted(p.arcs)
-    choices = sorted(p.choices)
-    nodes = sorted(p.nodes)
-
+    named = sorted(p.nodes.union(*p.arcs, *p.choices))
+    for x in named:
+        for bad in ("->", ",", "(", ")"):
+            if bad in x:
+                raise ScheduleError(f"node {x!r} contains {bad!r}, which the reduction cannot encode in its names")
     # per node, its operations in the five groups above, each in arc or choice order
-    groups: dict[str, tuple[list, ...]] = defaultdict(lambda: ([], [], [], [], []))
-    for a in arcs:
-        groups[a[0]][0].append((Action.READ, arc_object(a)))
-        groups[a[1]][2].append((Action.WRITE, arc_object(a)))
-    for c in choices:
-        groups[c[0]][1].append((Action.READ, choice_object(c)))
-        groups[c[1]][3].append((Action.WRITE, choice_object(c)))
-        groups[c[2]][4].append((Action.READ, choice_object(c)))
-    node_txns: list[Transaction] = []
-    for x in nodes:
-        tid = _node_txn_id(x)
-        specs = itertools.chain.from_iterable(groups[x])
-        ops = [Operation(OperationId(tid, k), action, obj) for k, (action, obj) in enumerate(specs, start=1)]
-        ops.append(Operation(OperationId(tid, len(ops) + 1), Action.COMMIT))
-        node_txns.append(Transaction(tid, tuple(ops)))
+    groups = {x: ([], [], [], [], []) for x in named}
+    for u, v in sorted(p.arcs):
+        obj = f"arc:{u}->{v}"
+        groups[u][0].append((_READ, obj))
+        groups[v][2].append((_WRITE, obj))
+    opening, closing = [], []  # per choice, the writers of its first and its last version
+    for u, v, w in sorted(p.choices):
+        tag = f"{u},{v},{w}"
+        obj = "choice:" + tag
+        groups[u][1].append((_READ, obj))
+        groups[v][3].append((_WRITE, obj))
+        groups[w][4].append((_READ, obj))
+        opening.append(_writer("T0:" + tag, obj))
+        closing.append(_writer("Tinf:" + tag, obj))
+    nodes: list[Transaction] = []
+    for x in sorted(p.nodes):
+        tid = "T:" + x
+        ops = [Operation(OperationId(tid, k), a, obj) for k, (a, obj) in enumerate(itertools.chain(*groups[x]), 1)]
+        ops.append(Operation(OperationId(tid, len(ops) + 1), _COMMIT))
+        nodes.append(Transaction(tid, tuple(ops)))
+    txns = opening + nodes + closing
 
-    opening: list[Transaction] = []
-    closing: list[Transaction] = []
-    for c in choices:
-        t0_id, tinf_id = _choice_txn_ids(c)
-        obj = choice_object(c)
-        opening.append(
-            Transaction(
-                t0_id,
-                (
-                    Operation(OperationId(t0_id, 1), Action.WRITE, obj),
-                    Operation(OperationId(t0_id, 2), Action.COMMIT),
-                ),
-            )
-        )
-        closing.append(
-            Transaction(
-                tinf_id,
-                (
-                    Operation(OperationId(tinf_id, 1), Action.WRITE, obj),
-                    Operation(OperationId(tinf_id, 2), Action.COMMIT),
-                ),
-            )
-        )
-    txns = opening + node_txns + closing
-
-    order: list[OperationId] = []
-    for t in opening:
-        order.extend(t.op_ids)
-    concurrent = [t for t in node_txns if len(t.ops) > 1]
-    commit_only = [t for t in node_txns if len(t.ops) == 1]
-    order.extend(t.ops[0].id for t in concurrent)
-    for t in concurrent:
-        order.extend(op.id for op in t.ops[1:-1])
-    order.extend(t.ops[-1].id for t in concurrent)
-    order.extend(t.ops[-1].id for t in commit_only)
-    for t in closing:
-        order.extend(t.op_ids)
+    concurrent = [t.ops for t in nodes if len(t.ops) > 1]
+    order = [op.id for t in opening for op in t.ops]
+    order += [ops[0].id for ops in concurrent]
+    order += [op.id for ops in concurrent for op in ops[1:-1]]
+    order += [ops[-1].id for ops in concurrent]
+    order += [t.ops[0].id for t in nodes if len(t.ops) == 1]
+    order += [op.id for t in closing for op in t.ops]
 
     alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
     schedule = complete_under_allocation(txns, order, alloc)
     if schedule is None:
         raise ReductionInadmissible("reduction output is not admissible under RC")
-    return tuple(sorted(txns, key=lambda t: t.id)), schedule
+    return schedule.txns, schedule
 
 
 @dataclass(frozen=True)

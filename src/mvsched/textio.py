@@ -49,10 +49,12 @@ _SHORT_RW = re.compile(r"^([RW])(\d+)\((\S+)\)$")
 _SHORT_COMMIT = re.compile(r"^C(\d+)$")
 _NUMBERED_TXN = re.compile(r"^T(\d+)$")
 _COMMENT = re.compile(r"(?<!\S)#")  # a '#' at line start or after whitespace
+_HEAD_END = re.compile(r":(?=\s|\Z)")  # a colon before whitespace or the end
+_READ, _WRITE, _COMMIT = Action
 
 
 def _strip_comment(line: str) -> str:
-    m = _COMMENT.search(line)
+    m = _COMMENT.search(line) if "#" in line else None
     return (line if m is None else line[: m.start()]).strip()
 
 
@@ -71,10 +73,10 @@ def _split_keyword_head(line: str, keyword: str, lineno: int) -> tuple[str, str]
     The separator is the first colon followed by whitespace or end of line.
     """
     body = line[len(keyword) :].strip()
-    for i, ch in enumerate(body):
-        if ch == ":" and (i + 1 == len(body) or body[i + 1].isspace()):
-            return body[:i].strip(), body[i + 1 :].strip()
-    raise ParseError(f"expected '{keyword} <name>: ...'", lineno)
+    m = _HEAD_END.search(body)
+    if m is None:
+        raise ParseError(f"expected '{keyword} <name>: ...'", lineno)
+    return body[: m.start()].strip(), body[m.end() :].strip()
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +190,25 @@ def _render_alloc(alloc: Allocation) -> str:
 
 
 class _OpResolver:
+    """Operation references of one document: a canonical spelling (``T1#2``, and
+    ``R1(x)``, ``W1(x)``, ``C1`` where unambiguous) is one table lookup; any
+    other token goes through the grammar, which also words the errors."""
+
     def __init__(self, txns: dict[str, Transaction]):
         self.txns = txns
-        self.numbers: set[str] = set()
-        # (number, action, object) -> the numbered transaction's matching operations
-        self.short: dict[tuple[str, Action, str | None], list[OperationId]] = {}
+        ids = self.ids = {"init": INIT}
         for tid, t in txns.items():
             m = _NUMBERED_TXN.match(tid)
-            if m:
-                self.numbers.add(m.group(1))
-                for op in t.ops:
-                    self.short.setdefault((m.group(1), op.action, op.obj), []).append(op.id)
+            for k, op in enumerate(t.ops, start=1):
+                ids[f"{tid}#{k}"] = op.id
+                if m:
+                    short = f"C{m[1]}" if op.obj is None else f"{'R' if op.action is _READ else 'W'}{m[1]}({op.obj})"
+                    ids[short] = None if short in ids else op.id  # None: ambiguous
 
     def resolve(self, token: str, lineno: int) -> OperationId:
-        if token == "init":
-            return INIT
+        opid = self.ids.get(token)
+        if opid is not None:
+            return opid
         m = _POSITIONAL.match(token)
         if m:
             tid, index = m.group(1), int(m.group(2))
@@ -214,18 +220,20 @@ class _OpResolver:
             return t.ops[index - 1].id
         m = _SHORT_COMMIT.match(token)
         if m:
-            if m.group(1) not in self.numbers:
+            t = self.txns.get("T" + m.group(1))
+            if t is None:
                 raise ParseError(f"unknown transaction T{m.group(1)} in {token!r}", lineno)
-            commits = self.short.get((m.group(1), Action.COMMIT, None), ())
+            commits = [op.id for op in t.ops if op.action is _COMMIT]
             if len(commits) != 1:
                 raise ParseError(f"{token!r} is ambiguous: transaction has {len(commits)} commits", lineno)
             return commits[0]
         m = _SHORT_RW.match(token)
         if m:
-            action = Action.READ if m.group(1) == "R" else Action.WRITE
-            if m.group(2) not in self.numbers:
+            action = _READ if m.group(1) == "R" else _WRITE
+            t = self.txns.get("T" + m.group(2))
+            if t is None:
                 raise ParseError(f"unknown transaction T{m.group(2)} in {token!r}", lineno)
-            hits = self.short.get((m.group(2), action, m.group(3)), ())
+            hits = [op.id for op in t.ops if op.action is action and op.obj == m.group(3)]
             if not hits:
                 raise ParseError(f"no operation matches {token!r}", lineno)
             if len(hits) > 1:

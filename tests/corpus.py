@@ -340,3 +340,129 @@ def valid_schedules(draw, max_n=4):
     s = make_schedule(txns, [op.id for op in ops], vorder, vf)
     assert validate_schedule(s) == []
     return s
+
+
+def _pick(draw, items):
+    return draw(st.sampled_from(list(items)))
+
+
+def _mutate_order(draw, txns, order, vorder, vf):
+    kind = draw(st.sampled_from(["duplicate", "unknown", "missing", "init", "inversion"]))
+    if kind == "duplicate" and order:
+        order.insert(draw(st.integers(0, len(order))), _pick(draw, order))
+    elif kind == "unknown":
+        order.insert(draw(st.integers(0, len(order))), _pick(draw, [OperationId("T9", 1), OperationId("T1", 9)]))
+    elif kind == "missing" and order:
+        order.pop(draw(st.integers(0, len(order) - 1)))
+    elif kind == "init" and INIT in order:
+        order.remove(INIT)
+        if draw(st.booleans()):
+            order.insert(draw(st.integers(0, len(order))), INIT)
+    elif kind == "inversion":
+        ids = [op.id for op in _pick(draw, txns).ops if op.id in order]
+        if len(ids) > 1:
+            a, b = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            i, j = order.index(a), order.index(b)
+            order[i], order[j] = order[j], order[i]
+
+
+def _mutate_vorder(draw, txns, order, vorder, vf):
+    if not vorder:
+        return
+    obj = _pick(draw, sorted(vorder))
+    chain = vorder[obj]
+    kind = draw(st.sampled_from(["duplicate", "unknown", "missing", "init", "inversion", "drop", "extra"]))
+    if kind == "duplicate" and chain:
+        chain.insert(draw(st.integers(0, len(chain))), _pick(draw, chain))
+    elif kind == "unknown":
+        others = [op.id for t in txns for op in t.ops if not (op.is_write and op.obj == obj)]
+        chain.insert(draw(st.integers(0, len(chain))), _pick(draw, others + [OperationId("T9", 1)]))
+    elif kind == "missing" and len(chain) > 1:
+        chain.pop(draw(st.integers(1, len(chain) - 1)))
+    elif kind == "init" and INIT in chain:
+        chain.remove(INIT)
+        if draw(st.booleans()):
+            chain.insert(draw(st.integers(0, len(chain))), INIT)
+    elif kind == "inversion" and len(chain) > 2:
+        i, j = draw(st.lists(st.integers(1, len(chain) - 1), min_size=2, max_size=2, unique=True))
+        chain[i], chain[j] = chain[j], chain[i]
+    elif kind == "drop":
+        del vorder[obj]
+    elif kind == "extra":
+        vorder["z"] = [INIT] + draw(st.lists(st.sampled_from(chain + [INIT]), max_size=2))
+
+
+def _mutate_vf(draw, txns, order, vorder, vf):
+    ops = [op for t in txns for op in t.ops]
+    reads = [op for op in ops if op.is_read]
+    kind = draw(st.sampled_from(["unmapped", "non-write", "other-object", "later", "unknown", "extra"]))
+    if kind == "extra" or not reads:
+        vf[_pick(draw, [op.id for op in ops if not op.is_read] + [OperationId("T9", 1)])] = INIT
+        return
+    r = _pick(draw, reads)
+    if kind == "unmapped":
+        vf.pop(r.id, None)
+    elif kind == "non-write":
+        vf[r.id] = _pick(draw, [op.id for op in ops if not op.is_write])
+    elif kind == "other-object":
+        vf[r.id] = _pick(draw, [op.id for op in ops if op.is_write and op.obj != r.obj] or [INIT])
+    elif kind == "later":
+        at = {opid: i for i, opid in enumerate(order)}
+        later = [op for op in ops if at.get(op.id, -1) > at.get(r.id, len(order))]
+        same = [op.id for op in later if op.is_write and op.obj == r.obj]  # a future version: nothing else is wrong
+        vf[r.id] = _pick(draw, same or [op.id for op in later] or [r.id])
+    else:
+        vf[r.id] = _pick(draw, [OperationId("T9", 1), OperationId(r.id.txn, 9)])
+
+
+def _mutate_txns(draw, txns, order, vorder, vf):
+    i = draw(st.integers(0, len(txns) - 1))
+    t = txns[i]
+    kind = draw(st.sampled_from(["duplicate", "reversed", "renamed", "commit-first", "emptied"]))
+    if kind == "duplicate":
+        txns.append(t)  # a second transaction with the same id
+    elif kind == "reversed" and len(t.ops) > 1:
+        txns[i] = Transaction(t.id, t.ops[::-1])  # commit first, ids out of place
+    elif kind == "renamed":
+        txns[i] = Transaction(t.id + "x", t.ops)  # every id names another transaction
+    elif kind == "commit-first" and len(t.ops) > 1:
+        rotated = t.ops[-1:] + t.ops[:-1]  # same ids, the commit moved to the front
+        txns[i] = Transaction(t.id, tuple(Operation(a.id, b.action, b.obj) for a, b in zip(t.ops, rotated)))
+    elif kind == "emptied":
+        txns[i] = Transaction(t.id, ())
+
+
+@st.composite
+def mutated_schedules(draw):
+    """A valid schedule after one to three structural edits: ids duplicated,
+    unknown or missing in the order or a version order, INIT moved or
+    dropped, reads unmapped or mapped to non-writes, other objects, later or
+    unknown operations, intra-transaction inversions of either order, and
+    defective or duplicated transactions.  Built without normalization, so
+    every edit stays visible to :func:`validate_schedule`."""
+    s = draw(valid_schedules())
+    txns, order = list(s.txns), list(s.order)
+    vorder = {obj: list(chain) for obj, chain in s.vorder.items()}
+    vf = dict(s.vf)
+    edits = (_mutate_order, _mutate_vorder, _mutate_vf, _mutate_txns)
+    for edit in draw(st.lists(st.sampled_from(edits), min_size=1, max_size=3)):
+        edit(draw, txns, order, vorder, vf)
+    return Schedule(tuple(txns), tuple(order), {obj: tuple(c) for obj, c in vorder.items()}, vf)
+
+
+# node names the reduction can encode, some with characters next to the ones it refuses
+_NODE_NAMES = ("a", "b", "c", "d", "e", "n1", "x-y", ">z", "w<", "q#2", "é")
+
+
+@st.composite
+def polygraphs(draw, max_nodes: int = 5, max_choices: int = 4):
+    """Valid polygraphs of up to ``max_nodes`` nodes: any arcs between
+    distinct nodes, and choices anchored on arcs."""
+    from mvsched import Polygraph
+
+    nodes = draw(st.lists(st.sampled_from(_NODE_NAMES), min_size=1, max_size=max_nodes, unique=True))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    anchored = sorted(c for c in itertools.permutations(nodes, 3) if (c[2], c[0]) in arcs)
+    choices = draw(st.lists(st.sampled_from(anchored), max_size=max_choices, unique=True)) if anchored else []
+    return Polygraph.of(nodes, arcs, choices)

@@ -14,19 +14,27 @@ the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
 operation id, where the library reads the schedule's int index, and the
 reduction-check oracle evaluates
 each clause per operation where the library reads the per-transaction
-reports.
+reports.  The validation oracle runs every per-offender loop, where the
+library decides each rule by counts and set comparisons first.  The
+reduction oracle groups operations through a ``defaultdict`` and takes the
+order from cached ids.  The acyclicity oracle builds every resolution's
+edge set.  The resolver oracle matches every token against the grammar,
+where the library looks canonical spellings up in one table.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import time
+from collections import defaultdict
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from mvsched import (
     INIT,
     REDUCTION_LIMITS,
+    Action,
     AdmissibilityReport,
     AdmissibilityViolation,
     Clause,
@@ -37,13 +45,18 @@ from mvsched import (
     LimitExceeded,
     Operation,
     OperationId,
+    ParseError,
     Polygraph,
+    ReductionInadmissible,
     RobustnessMode,
     Schedule,
+    ScheduleViolation,
     SearchLimits,
     Transaction,
     UnknownOperation,
+    ViolationKind,
     Workload,
+    complete_under_allocation,
     find_dangerous_structures,
     is_acyclic_polygraph,
     is_generalized_split_schedule,
@@ -51,11 +64,12 @@ from mvsched import (
     reduce_to_schedule,
     serialization_graph,
     validate_schedule,
+    validate_transaction,
 )
 from mvsched.core import DEFAULT_LIMITS, Budget, txn_id
-from mvsched.polygraph import ReductionCheck
+from mvsched.polygraph import CompatibilityWitness, ReductionCheck
 from mvsched.robustness import _iter_interleavings
-from mvsched.serializability import ViewWitness, _shortest_cycle, serial_signature_pool, view_signature
+from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle, serial_signature_pool, view_signature
 
 
 def view_serializable_oracle(s: Schedule):
@@ -590,3 +604,255 @@ def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = REDUCTION_LIMIT
         )
     )
     return tuple(checks)
+
+
+def validate_schedule_oracle(s: Schedule) -> list[ScheduleViolation]:
+    """The old :func:`validate_schedule`: every rule by its per-offender loop."""
+    out: list[ScheduleViolation] = []
+    for t in s.txns:
+        out.extend(validate_transaction(t))
+
+    all_ops = s.op_by_id.keys()
+
+    # total order over all operations plus INIT
+    seen: set[OperationId] = set()
+    for opid in s.order:
+        if opid in seen:
+            out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
+        seen.add(opid)
+        if opid not in all_ops and not opid.is_init:
+            out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
+    missing = (all_ops | {INIT}) - seen
+    for opid in sorted(missing):
+        out.append(ScheduleViolation(ViolationKind.ORDER_NOT_TOTAL, (opid,)))
+    if s.order and (INIT not in seen or s.order[0] != INIT):
+        out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
+    elif not s.order:
+        out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
+
+    pos = s.pos
+
+    # version order: per object a total order over INIT and that object's writes
+    for obj in sorted(set(s.vorder) | set(s.writes_by_obj)):
+        chain = s.vorder.get(obj)
+        writes = {op.id for op in s.writes_by_obj.get(obj, ())}
+        if chain is None:
+            out.append(ScheduleViolation(ViolationKind.VORDER_NOT_TOTAL, tuple(sorted(writes))))
+            continue
+        chain_seen: set[OperationId] = set()
+        for opid in chain:
+            if opid in chain_seen:
+                out.append(ScheduleViolation(ViolationKind.DUPLICATE_POSITION, (opid,)))
+            chain_seen.add(opid)
+            if opid not in writes and not opid.is_init:
+                out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (opid,)))
+        for opid in sorted(writes - chain_seen):
+            out.append(ScheduleViolation(ViolationKind.VORDER_NOT_TOTAL, (opid,)))
+        if not chain or chain[0] != INIT or INIT not in chain_seen:
+            out.append(ScheduleViolation(ViolationKind.INIT_NOT_FIRST, (INIT,)))
+
+    # same-object writes within one transaction install in transaction order
+    for t in s.txns:
+        writes_per_obj: dict[str, list[OperationId]] = {}
+        for op in t.ops:
+            if op.is_write:
+                writes_per_obj.setdefault(op.obj, []).append(op.id)
+        for obj, ws in writes_per_obj.items():
+            vpos = s.vpos.get(obj)
+            if vpos is None:
+                continue
+            for a, b in zip(ws, ws[1:]):
+                if a in vpos and b in vpos and vpos[a] >= vpos[b]:
+                    out.append(ScheduleViolation(ViolationKind.INTRA_TXN_VORDER, (a, b)))
+
+    # transaction-internal order is preserved by the operation order
+    for t in s.txns:
+        for a, b in zip(t.ops, t.ops[1:]):
+            if a.id in pos and b.id in pos and pos[a.id] >= pos[b.id]:
+                out.append(ScheduleViolation(ViolationKind.TXN_ORDER_NOT_PRESERVED, (a.id, b.id)))
+
+    # version function: total on reads, targets are earlier same-object writes
+    op_by_id = s.op_by_id
+    reads = {op.id for op in s.reads}
+    for rid in sorted(reads - set(s.vf)):
+        out.append(ScheduleViolation(ViolationKind.UNMAPPED_READ, (rid,)))
+    for rid in sorted(s.vf):
+        target = s.vf[rid]
+        if rid not in reads:
+            out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (rid,)))
+            continue
+        read_op = op_by_id[rid]
+        if not target.is_init:
+            target_op = op_by_id.get(target)
+            if target_op is None:
+                out.append(ScheduleViolation(ViolationKind.UNKNOWN_OPERATION, (rid, target)))
+                continue
+            if not target_op.is_write:
+                out.append(ScheduleViolation(ViolationKind.VF_TARGET_NOT_WRITE, (rid, target)))
+                continue
+            if target_op.obj != read_op.obj:
+                out.append(ScheduleViolation(ViolationKind.VERSION_OBJECT_MISMATCH, (rid, target)))
+        if rid in pos and target in pos and pos[target] >= pos[rid]:
+            out.append(ScheduleViolation(ViolationKind.VERSION_READS_FUTURE, (rid, target)))
+
+    return out
+
+
+def is_acyclic_polygraph_oracle(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[bool, CompatibilityWitness | None]:
+    """The old :func:`is_acyclic_polygraph`: every resolution's full edge set."""
+    choices = sorted(p.choices)
+    budget = Budget(limits)
+    index = {node: i for i, node in enumerate(p.nodes)}
+    for bits in itertools.product((0, 1), repeat=len(choices)):
+        budget.tick()
+        extra = tuple((u, v) if bit == 0 else (v, w) for bit, (u, v, w) in zip(bits, choices))
+        full = p.arcs | frozenset(extra)
+        succ = [0] * len(index)
+        for a, b in full:
+            succ[index[a]] |= 1 << index[b]
+        if not has_cycle(succ):
+            return True, CompatibilityWitness(extra, full)
+    return False, None
+
+
+def _arc_object(arc: tuple[str, str]) -> str:
+    return f"arc:{arc[0]}->{arc[1]}"
+
+
+def _choice_object(choice: tuple[str, str, str]) -> str:
+    return f"choice:{choice[0]},{choice[1]},{choice[2]}"
+
+
+def _node_txn_id(node: str) -> str:
+    return f"T:{node}"
+
+
+def _choice_txn_ids(choice: tuple[str, str, str]) -> tuple[str, str]:
+    tag = ",".join(choice)
+    return f"T0:{tag}", f"Tinf:{tag}"
+
+
+def reduce_to_schedule_oracle(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:
+    """The old :func:`reduce_to_schedule`: five groups per node in a
+    ``defaultdict``, object names built per operation, order from cached ids."""
+    arcs = sorted(p.arcs)
+    choices = sorted(p.choices)
+    nodes = sorted(p.nodes)
+
+    # per node, its operations in the five groups above, each in arc or choice order
+    groups: dict[str, tuple[list, ...]] = defaultdict(lambda: ([], [], [], [], []))
+    for a in arcs:
+        groups[a[0]][0].append((Action.READ, _arc_object(a)))
+        groups[a[1]][2].append((Action.WRITE, _arc_object(a)))
+    for c in choices:
+        groups[c[0]][1].append((Action.READ, _choice_object(c)))
+        groups[c[1]][3].append((Action.WRITE, _choice_object(c)))
+        groups[c[2]][4].append((Action.READ, _choice_object(c)))
+    node_txns: list[Transaction] = []
+    for x in nodes:
+        tid = _node_txn_id(x)
+        specs = itertools.chain.from_iterable(groups[x])
+        ops = [Operation(OperationId(tid, k), action, obj) for k, (action, obj) in enumerate(specs, start=1)]
+        ops.append(Operation(OperationId(tid, len(ops) + 1), Action.COMMIT))
+        node_txns.append(Transaction(tid, tuple(ops)))
+
+    opening: list[Transaction] = []
+    closing: list[Transaction] = []
+    for c in choices:
+        t0_id, tinf_id = _choice_txn_ids(c)
+        obj = _choice_object(c)
+        opening.append(
+            Transaction(
+                t0_id,
+                (
+                    Operation(OperationId(t0_id, 1), Action.WRITE, obj),
+                    Operation(OperationId(t0_id, 2), Action.COMMIT),
+                ),
+            )
+        )
+        closing.append(
+            Transaction(
+                tinf_id,
+                (
+                    Operation(OperationId(tinf_id, 1), Action.WRITE, obj),
+                    Operation(OperationId(tinf_id, 2), Action.COMMIT),
+                ),
+            )
+        )
+    txns = opening + node_txns + closing
+
+    order: list[OperationId] = []
+    for t in opening:
+        order.extend(t.op_ids)
+    concurrent = [t for t in node_txns if len(t.ops) > 1]
+    commit_only = [t for t in node_txns if len(t.ops) == 1]
+    order.extend(t.ops[0].id for t in concurrent)
+    for t in concurrent:
+        order.extend(op.id for op in t.ops[1:-1])
+    order.extend(t.ops[-1].id for t in concurrent)
+    order.extend(t.ops[-1].id for t in commit_only)
+    for t in closing:
+        order.extend(t.op_ids)
+
+    alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
+    schedule = complete_under_allocation(txns, order, alloc)
+    if schedule is None:
+        raise ReductionInadmissible("reduction output is not admissible under RC")
+    return tuple(sorted(txns, key=lambda t: t.id)), schedule
+
+
+_POSITIONAL = re.compile(r"^(\S+)#(\d+)$")
+_SHORT_RW = re.compile(r"^([RW])(\d+)\((\S+)\)$")
+_SHORT_COMMIT = re.compile(r"^C(\d+)$")
+_NUMBERED_TXN = re.compile(r"^T(\d+)$")
+
+
+class OpResolverOracle:
+    """The old operation-reference resolver: every token through the grammar."""
+
+    def __init__(self, txns: dict[str, Transaction]):
+        self.txns = txns
+        self.numbers: set[str] = set()
+        # (number, action, object) -> the numbered transaction's matching operations
+        self.short: dict[tuple[str, Action, str | None], list[OperationId]] = {}
+        for tid, t in txns.items():
+            m = _NUMBERED_TXN.match(tid)
+            if m:
+                self.numbers.add(m.group(1))
+                for op in t.ops:
+                    self.short.setdefault((m.group(1), op.action, op.obj), []).append(op.id)
+
+    def resolve(self, token: str, lineno: int) -> OperationId:
+        if token == "init":
+            return INIT
+        m = _POSITIONAL.match(token)
+        if m:
+            tid, index = m.group(1), int(m.group(2))
+            t = self.txns.get(tid)
+            if t is None:
+                raise ParseError(f"unknown transaction {tid!r} in {token!r}", lineno)
+            if not 1 <= index <= len(t.ops):
+                raise ParseError(f"operation index out of range in {token!r}", lineno)
+            return t.ops[index - 1].id
+        m = _SHORT_COMMIT.match(token)
+        if m:
+            if m.group(1) not in self.numbers:
+                raise ParseError(f"unknown transaction T{m.group(1)} in {token!r}", lineno)
+            commits = self.short.get((m.group(1), Action.COMMIT, None), ())
+            if len(commits) != 1:
+                raise ParseError(f"{token!r} is ambiguous: transaction has {len(commits)} commits", lineno)
+            return commits[0]
+        m = _SHORT_RW.match(token)
+        if m:
+            action = Action.READ if m.group(1) == "R" else Action.WRITE
+            if m.group(2) not in self.numbers:
+                raise ParseError(f"unknown transaction T{m.group(2)} in {token!r}", lineno)
+            hits = self.short.get((m.group(2), action, m.group(3)), ())
+            if not hits:
+                raise ParseError(f"no operation matches {token!r}", lineno)
+            if len(hits) > 1:
+                raise ParseError(
+                    f"{token!r} is ambiguous: use a positional reference like {hits[0]!r}", lineno
+                )
+            return hits[0]
+        raise ParseError(f"unrecognized operation reference {token!r}", lineno)

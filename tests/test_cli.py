@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 
@@ -245,6 +246,66 @@ def test_input_error_exit_codes(docs, tmp_path):
     bad.write_text("txn T1: R(t)\nalloc T1=RC\n", encoding="utf-8")
     code, payload = invoke_json("robust", "--mode", "view", str(bad))
     assert code == 2 and payload["verdict"] is None and "error" in payload["details"]
+
+
+#: a workload line whose 13th byte is not UTF-8
+UNDECODABLE = b"txn T1: R(x)\xff C\nalloc T1=RC\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("robust", "--mode", "conflict", "{bad}"),
+        ("check-schedule", "{bad}"),
+        ("allowed", "{schedule}", "--workload", "{bad}"),
+        ("polygraph", "verify", "{bad}"),
+    ],
+    ids=["workload", "schedule", "--workload", "polygraph"],
+)
+def test_undecodable_input_is_an_input_error(docs, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(UNDECODABLE)
+    code, payload = invoke_json(*(a.format(bad=bad, schedule=docs["s2.sched"]) for a in argv))
+    error = payload["details"]["error"]
+    assert code == 2 and payload["verdict"] is None
+    assert error == f"cannot read {str(bad)!r}: not valid UTF-8 (invalid start byte at byte 12)"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(UNDECODABLE), encoding="utf-8"))
+    code, payload = invoke_json("robust", "--mode", "conflict", "-")
+    assert code == 2 and payload["details"]["error"].startswith("cannot read '-': not valid UTF-8")
+    assert "Traceback" not in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(UNDECODABLE[:12] + b" C\nalloc T1=RC\n")))
+    assert invoke_json("robust", "--mode", "conflict", "-")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("node a b->c a->b c\narc a b->c\narc a->b c\n", "node 'a->b' contains '->'"),
+        (
+            "node x,y z w\nnode x y,z\nchoice x,y z w\nchoice x y,z w\narc w x,y\narc w x\n",
+            "node 'x,y' contains ','",
+        ),
+        ("node a(1) b\narc a(1) b\n", "node 'a(1)' contains '('"),
+    ],
+    ids=["arcs-collide", "choice-writers-collide", "unparsable-object"],
+)
+def test_reduction_refuses_node_names_it_cannot_encode(tmp_path, capsys, text, message):
+    """Unchecked, the first made two arcs one object (verify: not admissible
+    under RC), the second two transactions one id (verify: an internal
+    error) and the third a document no command parses back."""
+    path = tmp_path / "names.poly"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "reduced.sched"
+    for argv in (("polygraph", "verify", str(path)), ("polygraph", "reduce", str(path), "-o", str(out))):
+        code, payload = invoke_json(*argv)
+        assert code == 2 and payload["details"]["error"].startswith(message + ", which the reduction cannot encode")
+    assert not out.exists()
+    assert invoke_json("polygraph", "acyclic", str(path))[0] in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_limit_exit_code_and_flags(docs, tmp_path):

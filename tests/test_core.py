@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import curated_txn_sets, enumerate_valid_schedules, mutated_schedules, random_polygraphs
 from fixtures import *
-from oracles import single_version_oracle
+from oracles import single_version_oracle, validate_schedule_oracle
 
 from mvsched import (
     EMPTY_SCHEDULE,
@@ -26,6 +28,7 @@ from mvsched import (
     is_single_version_serial,
     make_schedule,
     make_transaction,
+    reduce_to_schedule,
     serial_schedule,
     split,
     validate_schedule,
@@ -116,6 +119,40 @@ def test_multiple_reads_and_writes_per_object_permitted():
 def test_fixture_schedules_are_valid():
     for s in (S1, S2, S3, S4, SD, lost_update_schedule()):
         assert validate_schedule(s) == []
+
+
+def test_validate_schedule_matches_the_oracle_on_fixtures_and_corpus():
+    """The full violation list, in order, on valid schedules: the fixtures,
+    every 13th valid schedule of the curated transaction sets and the
+    reductions of seeded polygraphs."""
+    schedules = [S1, S2, S3, S4, SD, lost_update_schedule(), EMPTY_SCHEDULE]
+    for txns in curated_txn_sets():
+        schedules += itertools.islice(enumerate_valid_schedules(txns), 0, None, 13)
+    schedules += [reduce_to_schedule(p)[1] for p in random_polygraphs(100)]
+    assert len(schedules) > 1000
+    for s in schedules:
+        assert validate_schedule(s) == validate_schedule_oracle(s) == [], s
+
+
+def test_validate_schedule_matches_the_oracle_where_counts_alone_would_mislead():
+    """Defects that keep the counts of a valid schedule: a transaction listed
+    twice with the order padded by unknown ids, a read of a future version,
+    and a version order that repeats one write and drops another."""
+    t1 = make_transaction("T1", "W(x) W(x) C")
+    t2 = make_transaction("T2", "R(x) C")
+    padded = Schedule(
+        (t1, t1), (INIT, *t1.op_ids, opid("T9", 1), opid("T9", 2), opid("T9", 3)), {"x": (INIT, *t1.op_ids[:2])}, {}
+    )
+    future = make_schedule((t1, t2), (*t2.op_ids, *t1.op_ids), {"x": t1.op_ids[:2]}, {opid("T2", 1): opid("T1", 1)})
+    repeated = make_schedule((t1,), t1.op_ids, {"x": (opid("T1", 1), opid("T1", 1))}, {})
+    for s in (padded, future, repeated):
+        assert validate_schedule(s) == validate_schedule_oracle(s) != [], s
+
+
+@given(mutated_schedules())
+@settings(max_examples=500, deadline=None)
+def test_validate_schedule_matches_the_oracle_on_mutated_schedules(s):
+    assert validate_schedule(s) == validate_schedule_oracle(s)
 
 
 def test_validate_schedule_version_reads_future():

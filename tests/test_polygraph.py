@@ -3,26 +3,38 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
 
-from corpus import dense_polygraphs, random_polygraphs
-from oracles import reduction_checks_oracle, view_serializable_oracle
+import oracles
+from corpus import dense_polygraphs, polygraphs, random_polygraphs
+from oracles import (
+    is_acyclic_polygraph_oracle,
+    reduce_to_schedule_oracle,
+    reduction_checks_oracle,
+    view_serializable_oracle,
+)
 
 from mvsched import (
     LimitExceeded,
     Polygraph,
     PolygraphDefect,
+    ScheduleError,
     SearchLimits,
     allowed_under_rc,
     allowed_under_si,
     is_acyclic_polygraph,
     is_view_serializable,
     reduce_to_schedule,
+    render_schedule,
     validate_polygraph,
     validate_schedule,
     verify_reduction,
 )
+from mvsched import polygraph
+from mvsched.core import Budget
 
 CHOICE = Polygraph.of("uvw", [("w", "u")], [("u", "v", "w")])
 TWO_CYCLE = Polygraph.of("ab", [("a", "b"), ("b", "a")])
@@ -84,7 +96,89 @@ def test_acyclicity_choice_bound():
         is_acyclic_polygraph(p, SearchLimits(max_orders=100))
 
 
+def acyclicity_and_count(decide, module, p, limits=SearchLimits()):
+    """``decide(p, limits)`` and the count of the ``Budget`` it made, with
+    ``module.Budget`` replaced by a subclass that keeps its instances."""
+    made = []
+
+    class Counting(Budget):
+        def __init__(self, limits):
+            super().__init__(limits)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "Budget", Counting)
+        result = decide(p, limits)
+    assert len(made) == 1
+    return result, made[0].count
+
+
+def assert_acyclicity_matches_the_oracle(p):
+    new = acyclicity_and_count(is_acyclic_polygraph, polygraph, p)
+    old = acyclicity_and_count(is_acyclic_polygraph_oracle, oracles, p)
+    assert new == old, p
+
+
+def test_acyclicity_matches_the_oracle():
+    """Verdict, witness and candidates counted, on the seeded corpora."""
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        assert_acyclicity_matches_the_oracle(p)
+
+
+@given(polygraphs())
+@settings(max_examples=200, deadline=None)
+def test_acyclicity_matches_the_oracle_on_generated_polygraphs(p):
+    assert_acyclicity_matches_the_oracle(p)
+
+
 # --- reduction --------------------------------------------------------------------
+
+
+def assert_reduction_matches_the_oracle(p):
+    txns, s = reduce_to_schedule(p)
+    old_txns, old_s = reduce_to_schedule_oracle(p)
+    assert txns == old_txns and s == old_s, p
+    assert render_schedule(s) == render_schedule(old_s)
+
+
+def test_reduction_matches_the_oracle():
+    """Transactions, schedule and rendered document, on the seeded corpora."""
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        assert_reduction_matches_the_oracle(p)
+
+
+@given(polygraphs())
+@settings(max_examples=200, deadline=None)
+def test_reduction_matches_the_oracle_on_generated_polygraphs(p):
+    assert_reduction_matches_the_oracle(p)
+
+
+@pytest.mark.parametrize(
+    "p, node, bad",
+    [
+        (Polygraph.of(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")]), "a->b", "->"),
+        (
+            Polygraph.of(
+                ["x,y", "z", "w", "x", "y,z"],
+                [("w", "x,y"), ("w", "x")],
+                [("x,y", "z", "w"), ("x", "y,z", "w")],
+            ),
+            "x,y",
+            ",",
+        ),
+        (Polygraph.of(["a(1)", "b"], [("a(1)", "b")]), "a(1)", "("),
+        (Polygraph.of(["a", "b)"], [("a", "b)")]), "b)", ")"),
+    ],
+    ids=["arrow", "comma", "open-paren", "close-paren"],
+)
+def test_reduction_refuses_node_names_it_cannot_encode(p, node, bad):
+    """Such names would make two arcs one object, two choices' writers one
+    transaction, or a token no parser reads back; acyclicity still decides."""
+    assert validate_polygraph(p) == []
+    with pytest.raises(ScheduleError, match=re.escape(f"node {node!r} contains {bad!r}")):
+        reduce_to_schedule(p)
+    assert is_acyclic_polygraph(p)[0] == is_acyclic_polygraph_oracle(p)[0]
+
 
 
 def test_reduction_of_choice_polygraph():

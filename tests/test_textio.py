@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from corpus import curated_txn_sets, enumerate_valid_schedules, random_polygraphs
 from fixtures import *
+from oracles import OpResolverOracle
 
 from mvsched import (
     INIT,
@@ -23,7 +27,7 @@ from mvsched import (
     render_workload,
     validate_schedule,
 )
-from mvsched.textio import _OpResolver
+from mvsched.textio import _OpResolver, _parse_declarations
 
 S1_DOC = """
 # the four-transaction tangle on objects t and v
@@ -192,6 +196,64 @@ def test_operation_reference_error_messages():
     commitless = {"T1": Transaction("T1", (Operation(opid("T1", 1), Action.WRITE, "x"),))}
     with pytest.raises(ParseError, match=r"^'C1' is ambiguous: transaction has 0 commits \(line 3\)$"):
         _OpResolver(commitless).resolve("C1", 3)
+
+
+def _document_tokens(rest):
+    """Every operation token of a schedule document's order, reads and vorder lines."""
+    for _, line in rest:
+        word, _, body = line.partition(" ")
+        if word == "order:":
+            yield from body.split()
+        elif word == "reads:":
+            for entry in body.split():
+                yield from entry.split("<-", 1)
+        elif word == "vorder":
+            yield from (token.strip() for token in body.split(":", 1)[1].split("<"))
+
+
+def _odd_tokens(txns):
+    """Per transaction: positional tokens out of range, with leading zeros or
+    unknown, and compact tokens for every action and object the document
+    names, present or not."""
+    objects = sorted({op.obj for t in txns.values() for op in t.ops if op.obj} | {"nope"})
+    yield from ("init", "INIT", "Q1", "R(x)", "C", "C99", "R99(x)", "T99#1", "#1", "T1#", "T1#x")
+    for tid, t in txns.items():
+        n = len(t.ops)
+        yield from (f"{tid}#0", f"{tid}#{n + 1}", f"{tid}#01", f"{tid}#{n}", f"{tid}#00{n}", f"{tid}#1#1")
+        number = tid[1:]
+        yield from (f"C{number}", f"C0{number}", f"T{number}")
+        for action, obj in itertools.product("RW", objects):
+            yield from (f"{action}{number}({obj})", f"{action}0{number}({obj})")
+
+
+def _resolution(resolver, token):
+    try:
+        return resolver.resolve(token, 3)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_resolver_matches_the_oracle():
+    """The id or the error message, for every token of the corpus documents
+    and for non-canonical, unknown, out-of-range and ambiguous ones."""
+    schedules = [S1, S2, S3, S4, SD, lost_update_schedule()]
+    for txns in curated_txn_sets()[::4]:
+        schedules += itertools.islice(enumerate_valid_schedules(txns), 0, None, 11)
+    schedules += [reduce_to_schedule(p)[1] for p in random_polygraphs(40)]
+    docs = [S1_DOC] + [render_schedule(s) for s in schedules]
+    docs.append(
+        "txn T1: R(x) R(x) W(x) C\ntxn T2: W(x) C\ntxn A: R(x) C\ntxn T01: W(y) W(y) C\n"
+        "txn T#1: R(y) C\ntxn T: C\norder: T1#1 R1(x) W2(x) T01#2 T#1#1 W01(y)\n"
+    )
+    resolved = 0
+    for doc in docs:
+        txns, _, rest = _parse_declarations(doc)
+        new, old = _OpResolver(txns), OpResolverOracle(txns)
+        for token in itertools.chain(_document_tokens(rest), _odd_tokens(txns)):
+            expected = _resolution(old, token)
+            assert _resolution(new, token) == expected, (doc, token)
+            resolved += not isinstance(expected, str)
+    assert resolved > 10_000
 
 
 def test_comments_do_not_break_positional_tokens():
