@@ -67,7 +67,6 @@ from .polygraph import (
     PolygraphDefect,
     PolygraphViolation,
     ReductionReport,
-    REDUCTION_LIMITS,
     is_acyclic_polygraph,
     reduce_to_schedule,
     validate_polygraph,

@@ -24,7 +24,7 @@ from . import textio
 from .core import DEFAULT_LIMITS, Budget, SearchLimits, validate_schedule
 from .errors import LimitExceeded, ParseError, ScheduleError
 from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
-from .polygraph import REDUCTION_LIMITS, is_acyclic_polygraph, reduce_to_schedule, verify_reduction
+from .polygraph import is_acyclic_polygraph, reduce_to_schedule, verify_reduction
 from .robustness import (
     Workload,
     enumerate_allowed_schedules,
@@ -54,13 +54,6 @@ REPORT_SCHEMA = {
 }
 
 _ENV_PREFIX = "MVSCHED_"
-
-#: Search limits each command starts from, before flags and environment
-#: variables; commands not listed use ``DEFAULT_LIMITS``.
-_BASE_LIMITS = {
-    "serializable": SearchLimits(max_txns=8, max_ops=24),
-    "polygraph": REDUCTION_LIMITS,
-}
 
 
 @dataclass
@@ -129,11 +122,11 @@ def _env_default(name: str, cast, fallback):
         raise ParseError(f"bad value for {_ENV_PREFIX + name}: {raw!r}") from None
 
 
-def _limits_from(args: argparse.Namespace, base: SearchLimits) -> SearchLimits:
-    """Flags win over environment variables, which win over ``base``."""
+def _limits_from(args: argparse.Namespace) -> SearchLimits:
+    """Flags win over environment variables, which win over ``DEFAULT_LIMITS``."""
     values = {}
-    for f in fields(base):
-        flag, default = getattr(args, f.name), getattr(base, f.name)
+    for f in fields(DEFAULT_LIMITS):
+        flag, default = getattr(args, f.name), getattr(DEFAULT_LIMITS, f.name)
         values[f.name] = flag if flag is not None else _env_default(f.name.upper(), type(default), default)
     try:
         return SearchLimits(**values)
@@ -146,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON (schema report-v1)")
-    common.add_argument("--max-txns", type=int, default=None, help="transaction limit for searches")
-    common.add_argument("--max-ops", type=int, default=None, help="operation limit for searches")
-    common.add_argument("--max-orders", type=int, default=None, help="candidate-order limit for searches")
-    common.add_argument("--budget-seconds", type=float, default=None, help="wall-clock limit for searches")
+    common.add_argument("--max-txns", type=int, default=None, help="transaction limit for exhaustive enumerations")
+    common.add_argument("--max-ops", type=int, default=None, help="operation limit for exhaustive enumerations")
+    common.add_argument("--max-orders", type=int, default=None, help="candidate limit for every search")
+    common.add_argument("--budget-seconds", type=float, default=None, help="wall-clock limit for every search")
 
     parser = argparse.ArgumentParser(prog="mvsched", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -222,8 +215,7 @@ def _cmd_serializable(args: argparse.Namespace) -> Report:
         ok, cycle = is_conflict_serializable(schedule)
         details = {"mode": "conflict", "cycle": list(cycle) if cycle else []}
         return Report(command=_echo(args), verdict=ok, details=details)
-    limits = args.limits
-    witness = is_view_serializable(schedule, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
+    witness = is_view_serializable(schedule, budget=Budget(args.limits))
     details = {
         "mode": "view",
         "witness": list(witness.witness) if witness.witness else [],
@@ -236,7 +228,7 @@ def _cmd_allowed(args: argparse.Namespace) -> Report:
     schedule, alloc = _load_schedule(args)
     if alloc is None:
         raise ParseError("no allocation: pass --workload or embed an alloc line")
-    report = allowed_under_allocation(schedule, alloc)
+    report = allowed_under_allocation(schedule, alloc, args.limits)
     return Report(
         command=_echo(args),
         verdict=report.allowed,
@@ -335,7 +327,7 @@ def run(argv: Sequence[str]) -> int:
     started = time.monotonic()
     try:
         # every command resolves (and so checks) the limits, whether or not it searches
-        args.limits = _limits_from(args, _BASE_LIMITS.get(args.cmd, DEFAULT_LIMITS))
+        args.limits = _limits_from(args)
         report = handlers[args.cmd](args)
         code = 2 if report.verdict is None else 0 if report.verdict else 1
     except LimitExceeded as exc:
@@ -358,6 +350,10 @@ def run(argv: Sequence[str]) -> int:
 
 def _emit(report: Report, args: argparse.Namespace, started: float) -> None:
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
+    # a view report's ``exhausted`` may be n!, which passes the interpreter's
+    # default limit of 4,300 digits for int-to-str from 1,559 transactions on
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if getattr(args, "json", False):
         sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     else:

@@ -10,8 +10,8 @@ operation order and in every per-object version order.
 
 All schedule types here are immutable values and all functions on them are
 pure, so callers are free to share them across threads and to evaluate many
-schedules in parallel.  The search limits every exhaustive search obeys,
-and the per-call :class:`Budget` that enforces them, live here too.
+schedules in parallel.  The search limits every search obeys, and the
+per-call :class:`Budget` that enforces them, live here too.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class Transaction:
         return all(not op.is_write for op in self.ops)
 
 
-_OP_TOKEN = re.compile(r"^([RW])\(([^()\s]+)\)$|^(C)$")
+_OP_TOKEN = re.compile(r"^([RW])\(([^()\s<]+)\)$|^(C)$")
 
 
 def make_transaction(tid: str, actions: str) -> Transaction:
@@ -624,14 +624,17 @@ def serial_schedule(txns: Sequence[Transaction]) -> Schedule:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps for the exhaustive searches: the three counts at least 1, the
-    budget a non-negative number of seconds (0 stops at the first check).
+    """Caps for the searches: the three counts at least 1, the budget a
+    non-negative number of seconds (0 stops at the first check).
 
-    ``max_orders`` counts candidates: operation orders, those dropped with a
-    rejected prefix and those the robustness deciders skip as equivalent to
-    an order already checked included (and, for predicate allocations,
-    candidate version-data completions), the choice resolutions polygraph
-    acyclicity tries, and the prefixes the view search extends.
+    ``max_txns`` and ``max_ops`` cap the input of the exhaustive robustness
+    enumerations only.  ``max_orders`` and ``budget_seconds`` bound the work
+    of every search, through one :class:`Budget` per search.  ``max_orders``
+    counts candidates: operation orders, those dropped with a rejected
+    prefix and those the robustness deciders skip as equivalent to an order
+    already checked included (and, for predicate allocations, candidate
+    version-data completions), the choice resolutions polygraph acyclicity
+    tries, and the prefixes the view search extends.
     """
 
     max_txns: int = 4

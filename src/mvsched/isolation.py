@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Budget, OperationId, Schedule, ScheduleIndex, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, ScheduleIndex, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable
 
@@ -68,7 +68,7 @@ class LevelAllocation:
 VIEW_SERIALIZABLE_ONLY = "view-serializable-only"
 
 _PREDICATES = {
-    VIEW_SERIALIZABLE_ONLY: lambda s, **bounds: is_view_serializable(s, **bounds).verdict,
+    VIEW_SERIALIZABLE_ONLY: lambda s, budget: is_view_serializable(s, budget=budget).verdict,
 }
 
 
@@ -86,11 +86,10 @@ class PredicateAllocation:
         if self.name not in _PREDICATES:
             raise ValueError(f"unknown allocation predicate {self.name!r}")
 
-    def holds(self, s: Schedule, limits: SearchLimits | None = None, budget: Budget | None = None) -> bool:
-        """Whether the predicate admits ``s``, deciding it within ``limits``
-        (the predicate's own bounds when None) and charging ``budget``."""
-        bounds = {} if limits is None else {"max_txns": limits.max_txns, "max_ops": limits.max_ops}
-        return _PREDICATES[self.name](s, budget=budget, **bounds)
+    def holds(self, s: Schedule, budget: Budget | None = None) -> bool:
+        """Whether the predicate admits ``s``, charging its search to
+        ``budget`` (``Budget(DEFAULT_LIMITS)`` when None)."""
+        return _PREDICATES[self.name](s, budget)
 
     def restrict(self, txn_ids: Iterable[str]) -> "PredicateAllocation":
         return self
@@ -338,6 +337,7 @@ def find_dangerous_structures(
 def allowed_under_allocation(
     s: Schedule,
     alloc: Allocation,
+    limits: SearchLimits = DEFAULT_LIMITS,
     *,
     allow_degenerate_pivot: bool = False,
 ) -> AdmissibilityReport:
@@ -346,10 +346,11 @@ def allowed_under_allocation(
     For level allocations: RC transactions must pass the RC clauses, SI and
     SSI transactions the SI clauses, and no dangerous structure may exist
     among the SSI-mapped transactions.  For predicate allocations the named
-    predicate alone decides.
+    predicate alone decides, within ``limits`` (see
+    :meth:`PredicateAllocation.holds`).
     """
     if isinstance(alloc, PredicateAllocation):
-        if alloc.holds(s):
+        if alloc.holds(s, Budget(limits)):
             return AdmissibilityReport(())
         return AdmissibilityReport((AdmissibilityViolation(None, Clause.PREDICATE),))
 

@@ -32,11 +32,6 @@ from .errors import ReductionInadmissible, ScheduleError
 from .isolation import Clause, IsolationLevel, LevelAllocation, allowed_under_rc, allowed_under_si, complete_under_allocation
 from .serializability import has_cycle, is_view_serializable
 
-#: Bounds sized for reduction outputs, which are larger than the desk-scale
-#: robustness defaults (a polygraph with 5 nodes and 3 choices yields 11
-#: transactions).
-REDUCTION_LIMITS = SearchLimits(max_txns=12, max_ops=128, max_orders=10_000_000, budget_seconds=300.0)
-
 _READ, _WRITE, _COMMIT = Action
 
 
@@ -154,12 +149,13 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     commit order and every read observes the newest version committed
     before it.  The names are ``T:x`` per node, ``T0:u,v,w`` and
     ``Tinf:u,v,w`` per choice, and objects ``arc:x->y`` and
-    ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(`` or ``)``
-    raises :class:`ScheduleError` before anything is built.
+    ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(``, ``)`` or
+    ``<`` (which version chains and read entries split on) raises
+    :class:`ScheduleError` before anything is built.
     """
     named = sorted(p.nodes.union(*p.arcs, *p.choices))
     for x in named:
-        for bad in ("->", ",", "(", ")"):
+        for bad in ("->", ",", "(", ")", "<"):
             if bad in x:
                 raise ScheduleError(f"node {x!r} contains {bad!r}, which the reduction cannot encode in its names")
     # per node, its operations in the five groups above, each in arc or choice order
@@ -218,14 +214,16 @@ class ReductionReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_reduction(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> ReductionReport:
+def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> ReductionReport:
     """Cross-check the reduction on one polygraph.
 
     Asserts that the generated schedule is well-formed, free of concurrent
     writes, commit-order-respecting, fresh on every read relative to both
     reference points, admissible per transaction under RC and under SI,
     linear in size, and that its view-serializability verdict coincides
-    with the polygraph's acyclicity verdict.
+    with the polygraph's acyclicity verdict.  Each of the two searches gets
+    its own ``Budget(limits)``: only ``limits.max_orders`` and
+    ``limits.budget_seconds`` bound them, whatever the polygraph's size.
     """
     txns, s = reduce_to_schedule(p)
     checks: list[ReductionCheck] = []
@@ -260,7 +258,7 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> R
     )
 
     acyclic, _ = is_acyclic_polygraph(p, limits)
-    vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
+    vs = is_view_serializable(s, budget=Budget(limits))
     checks.append(
         ReductionCheck(
             "verdicts-match",

@@ -339,16 +339,14 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
         undo(order[d])
 
 
-def _enumerate_allowed(
-    w: Workload, limits: SearchLimits, budget: Budget, failing: str | None = None
-) -> Iterator[Schedule]:
+def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
     """Allowed schedules of a predicate-allocated workload over its full
     transaction set, in canonical order; with ``failing`` (``"conflict"``
     or ``"view"``) only those that are not serializable in that sense."""
     vorder_cands = _vorder_candidates(w.txns)
     for order in _iter_interleavings(w.txns, budget):
         for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
-            if not w.alloc.holds(s, limits, budget):
+            if not w.alloc.holds(s, budget):
                 continue
             if failing == "conflict" and is_conflict_serializable(s)[0]:
                 continue
@@ -372,7 +370,7 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     if isinstance(w.alloc, LevelAllocation):
         yield from _enumerate_level(LevelEngine(w.txns, w.alloc), list(range(len(w.txns))), Budget(limits), None)
     else:
-        yield from _enumerate_allowed(w, limits, Budget(limits))
+        yield from _enumerate_allowed(w, Budget(limits))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,7 @@ def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> R
         if eng is not None:
             bad = next(_enumerate_level(eng, list(subset), budget, failing), None)
         else:
-            bad = next(_enumerate_allowed(w.restrict(ids[i] for i in subset), limits, budget, failing), None)
+            bad = next(_enumerate_allowed(w.restrict(ids[i] for i in subset), budget, failing), None)
         if bad is not None:
             return RobustnessVerdict(False, mode, (tuple(ids[i] for i in subset), bad))
     return RobustnessVerdict(True, mode, None)
@@ -601,7 +599,7 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                             yield subset, s
                     else:
                         for s in _iter_free_completions(sub_txns, order, free_cands, budget):
-                            if sub_alloc.holds(s, limits, budget) and is_generalized_split_schedule(s)[0]:
+                            if sub_alloc.holds(s, budget) and is_generalized_split_schedule(s)[0]:
                                 yield subset, s
 
 

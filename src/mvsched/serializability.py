@@ -22,8 +22,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .core import INIT, Budget, Operation, OperationId, Schedule, Transaction
-from .errors import LimitExceeded, ObjectNeverWritten, TransactionSetMismatch
+from .core import DEFAULT_LIMITS, INIT, Budget, Operation, OperationId, Schedule, Transaction
+from .errors import ObjectNeverWritten, TransactionSetMismatch
 
 
 class ConflictKind(enum.Enum):
@@ -331,16 +331,19 @@ def _placement_constraints(s: Schedule):
     ``pred[k]`` holds the transactions that must precede transaction ``k``:
     the writer of each version it reads, the transactions that read INIT of
     an object it writes, and, for the final writer of an object, every other
-    writer of it.  ``forbid[k]`` lists ``(w, r)`` pairs: ``k`` writes an
-    object whose version by ``w`` transactions in ``r`` read, so ``k`` may not
-    be placed while ``w`` is placed and some transaction in ``r`` is not.
+    writer of it.  ``forbid[k]`` holds, per object ``k`` writes, its
+    ``(w, r)`` pairs: transactions in ``r`` read the version by ``w``, so
+    ``k`` may not be placed while ``w`` is placed and some transaction in
+    ``r`` other than ``k`` is not.  A pair is stored once per object and
+    shared by its writers, so ``forbid`` grows with the reads of ``s``, not
+    with its writers times its reads.
     """
     ix = s.index
     txn, kind, obj, vf = ix.txn, ix.kind, ix.obj, ix.vf
     last_write = {(txn[q], o): q for o, ws in ix.writes.items() for q in ws}
-    writers = {o: list(dict.fromkeys(txn[q] for q in ws)) for o, ws in ix.writes.items()}
     pred = [0] * len(s.txns)
-    readers: list[dict[int, int]] = [{} for _ in s.txns]
+    init_readers = dict.fromkeys(ix.writes, 0)
+    readers: dict[str, dict[int, int]] = {o: {} for o in ix.writes}
     for r, at in enumerate(ix.at):
         own: dict[str, int] = {}
         for p in at:
@@ -354,32 +357,40 @@ def _placement_constraints(s: Schedule):
                     return None  # a serial run reads its own latest write
                 continue
             if not seen:  # INIT
-                for k in writers[o]:
-                    if k != r:
-                        pred[k] |= 1 << r
+                init_readers[o] |= 1 << r
                 continue
             w = txn[seen]
             if last_write[w, o] != seen:
                 return None  # only a transaction's last write is ever seen from outside
             pred[r] |= 1 << w
-            for k in writers[o]:
-                if k != w and k != r:
-                    readers[k][w] = readers[k].get(w, 0) | 1 << r
+            readers[o][w] = readers[o].get(w, 0) | 1 << r
+    written: list[list[tuple]] = [[] for _ in s.txns]
     for o, ws in ix.writes.items():
-        if ws:
-            final = max(ws, key=ix.rank.__getitem__)
-            if last_write[txn[final], o] != final:
-                return None  # the final version of a serial run is its writer's last
-            for k in writers[o]:
-                if k != txn[final]:
-                    pred[txn[final]] |= 1 << k
-    forbid = [tuple((1 << w, rs) for w, rs in sorted(by_w.items())) for by_w in readers]
-    return pred, forbid
+        if not ws:
+            continue
+        final = max(ws, key=ix.rank.__getitem__)
+        if last_write[txn[final], o] != final:
+            return None  # the final version of a serial run is its writer's last
+        writers = dict.fromkeys(txn[q] for q in ws)
+        pairs = tuple((1 << w, rs) for w, rs in sorted(readers[o].items()))
+        for k in writers:
+            pred[k] |= init_readers[o] & ~(1 << k)
+            if k != txn[final]:
+                pred[txn[final]] |= 1 << k
+            if pairs:
+                written[k].append(pairs)
+    return pred, [tuple(by_obj) for by_obj in written]
 
 
-def is_view_serializable(
-    s: Schedule, *, max_txns: int = 8, max_ops: int = 24, budget: Budget | None = None
-) -> ViewWitness:
+def _factorial_base(digits: Sequence[int]) -> int:
+    """``sum(c * k! for k, c in enumerate(digits))``, by Horner's rule."""
+    total = 0
+    for k in range(len(digits) - 1, 0, -1):
+        total = (total + digits[k]) * k
+    return total + (digits[0] if digits else 0)
+
+
+def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWitness:
     """Search all serial orders for one view-equivalent to ``s``.
 
     One pass over the transactions turns view-equivalence into placement
@@ -397,40 +408,44 @@ def is_view_serializable(
     serial order extending it, and only prefixes with no completion are
     discarded, so the first completed order is the canonically first
     witness and ``exhausted`` is its rank plus one (n! on a negative
-    verdict).  ``budget`` is charged one candidate per prefix extended.
+    verdict).  The search's work, not the schedule's size, is bounded:
+    each prefix extended is one candidate charged to ``budget``
+    (``Budget(DEFAULT_LIMITS)`` when None), and the memo holds at most one
+    entry per candidate.
     """
+    if budget is None:
+        budget = Budget(DEFAULT_LIMITS)
     n = len(s.txns)
-    if n > max_txns:
-        raise LimitExceeded(f"{n} transactions exceed the view-serializability bound of {max_txns}")
-    total_ops = sum(len(t.ops) for t in s.txns)
-    if total_ops > max_ops:
-        raise LimitExceeded(f"{total_ops} operations exceed the view-serializability bound of {max_ops}")
     constraints = _placement_constraints(s)
     if constraints is None:
         return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
     pred, forbid = constraints
 
-    fact = [factorial(k) for k in range(n + 1)]
     failed: set[int] = set()
     path: list[int] = []
     # iterative, so the transaction count is not bounded by the recursion limit
     resume = [0]  # per depth, the next transaction index to try there
-    mask = exhausted = 0
+    # per k, the discarded prefixes that left k transactions to place: each
+    # stands for k! serial orders, summed only when the search ends
+    pruned = [0] * n
+    mask = 0
     while True:
         depth = len(path)
         if depth == n:
-            return ViewWitness(verdict=True, witness=tuple(s.txns[i].id for i in path), exhausted=exhausted + 1)
+            witness = tuple(s.txns[i].id for i in path)
+            return ViewWitness(verdict=True, witness=witness, exhausted=_factorial_base(pruned) + 1)
         i = resume[-1]
-        if i == 0 and budget is not None:
+        if i == 0:
             budget.tick()
         while i < n:
             if not mask >> i & 1:
+                bit = 1 << i
                 if (
                     pred[i] & ~mask
-                    or mask | 1 << i in failed
-                    or any(mask & w and mask & rs != rs for w, rs in forbid[i])
+                    or mask | bit in failed
+                    or any(mask & w and rs & ~(mask | bit) for pairs in forbid[i] for w, rs in pairs)
                 ):
-                    exhausted += fact[n - depth - 1]
+                    pruned[n - depth - 1] += 1
                 else:
                     break
             i += 1
@@ -442,6 +457,6 @@ def is_view_serializable(
             continue
         resume.pop()
         if not path:
-            return ViewWitness(verdict=False, witness=None, exhausted=exhausted)
+            return ViewWitness(verdict=False, witness=None, exhausted=_factorial_base(pruned))
         failed.add(mask)
         mask &= ~(1 << path.pop())

@@ -88,6 +88,8 @@ def _parse_txn_line(line: str, lineno: int) -> Transaction:
     tid, rest = _split_keyword_head(line, "txn", lineno)
     if not tid:
         raise ParseError("transaction declaration without an id", lineno)
+    if "<" in tid:
+        raise ParseError(f"transaction id {tid!r} contains '<', which version chains split on", lineno)
     try:
         t = make_transaction(tid, rest)
     except ValueError as exc:
@@ -244,25 +246,6 @@ class _OpResolver:
         raise ParseError(f"unrecognized operation reference {token!r}", lineno)
 
 
-def render_op(txns_or_schedule: Schedule | dict[str, Transaction], opid: OperationId) -> str:
-    """Canonical token for one operation id: compact when unambiguous."""
-    if opid.is_init:
-        return "init"
-    txns = txns_or_schedule.txn_by_id if isinstance(txns_or_schedule, Schedule) else txns_or_schedule
-    t = txns[opid.txn]
-    op = t.ops[opid.index - 1]
-    m = _NUMBERED_TXN.match(opid.txn)
-    if m:
-        if op.is_commit:
-            if sum(1 for o in t.ops if o.is_commit) == 1:
-                return f"C{m.group(1)}"
-        else:
-            hits = [o for o in t.ops if o.action is op.action and o.obj == op.obj]
-            if len(hits) == 1:
-                return f"{op.action.value}{m.group(1)}({op.obj})"
-    return f"{opid.txn}#{opid.index}"
-
-
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
@@ -358,15 +341,18 @@ def render_schedule(s: Schedule, alloc: Allocation | None = None) -> str:
     lines = [f"txn {t.id}: " + " ".join(_txn_op_token(op) for op in t.ops) for t in s.txns]
     if alloc is not None:
         lines.append("alloc " + _render_alloc(alloc))
-    lines.append("order: " + " ".join(render_op(s, opid) for opid in s.order if not opid.is_init))
+    # canonical token per operation: the resolver's table, where a compact
+    # spelling comes after the positional one and ambiguous ones map to None
+    token = {opid: tok for tok, opid in _OpResolver(s.txn_by_id).ids.items() if opid is not None}
+    lines.append("order: " + " ".join(token[opid] for opid in s.order if not opid.is_init))
     read_ids = sorted(op.id for t in s.txns for op in t.ops if op.is_read)
     if read_ids:
-        lines.append("reads: " + " ".join(f"{render_op(s, rid)}<-{render_op(s, s.vf[rid])}" for rid in read_ids))
+        lines.append("reads: " + " ".join(f"{token[rid]}<-{token[s.vf[rid]]}" for rid in read_ids))
     for obj in sorted(s.vorder):
         chain = s.vorder[obj]
         if len(chain) <= 1:
             continue
-        lines.append(f"vorder {obj}: " + "<".join(render_op(s, opid) for opid in chain))
+        lines.append(f"vorder {obj}: " + "<".join(token[opid] for opid in chain))
     return "\n".join(lines) + "\n"
 
 

@@ -450,17 +450,21 @@ def mutated_schedules(draw):
     return Schedule(tuple(txns), tuple(order), {obj: tuple(c) for obj, c in vorder.items()}, vf)
 
 
-# node names the reduction can encode, some with characters next to the ones it refuses
+# node names, some with characters next to the ones the reduction refuses
 _NODE_NAMES = ("a", "b", "c", "d", "e", "n1", "x-y", ">z", "w<", "q#2", "é")
+# the ones it can encode: version chains split on '<'
+_REDUCIBLE_NAMES = tuple(x for x in _NODE_NAMES if "<" not in x)
 
 
 @st.composite
-def polygraphs(draw, max_nodes: int = 5, max_choices: int = 4):
+def polygraphs(draw, max_nodes: int = 5, max_choices: int = 4, reducible: bool = False):
     """Valid polygraphs of up to ``max_nodes`` nodes: any arcs between
-    distinct nodes, and choices anchored on arcs."""
+    distinct nodes, and choices anchored on arcs; with ``reducible``, only
+    node names :func:`mvsched.reduce_to_schedule` can encode."""
     from mvsched import Polygraph
 
-    nodes = draw(st.lists(st.sampled_from(_NODE_NAMES), min_size=1, max_size=max_nodes, unique=True))
+    names = _REDUCIBLE_NAMES if reducible else _NODE_NAMES
+    nodes = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_nodes, unique=True))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     anchored = sorted(c for c in itertools.permutations(nodes, 3) if (c[2], c[0]) in arcs)

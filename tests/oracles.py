@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, Sequence
 
 from mvsched import (
     INIT,
-    REDUCTION_LIMITS,
     Action,
     AdmissibilityReport,
     AdmissibilityViolation,
@@ -555,7 +554,7 @@ def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> Admi
     return AdmissibilityReport(tuple(violations))
 
 
-def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = REDUCTION_LIMITS) -> tuple[ReductionCheck, ...]:
+def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[ReductionCheck, ...]:
     """The checks of :func:`verify_reduction`, each clause evaluated on its
     own for every operation and transaction."""
     txns, s = reduce_to_schedule(p)
@@ -595,7 +594,7 @@ def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = REDUCTION_LIMIT
     )
 
     acyclic, _ = is_acyclic_polygraph(p, limits)
-    vs = is_view_serializable(s, max_txns=limits.max_txns, max_ops=limits.max_ops, budget=Budget(limits))
+    vs = is_view_serializable(s, budget=Budget(limits))
     checks.append(
         ReductionCheck(
             "verdicts-match",

@@ -9,12 +9,14 @@ import os
 import sys
 import tempfile
 import time
+from math import factorial
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from corpus import dense_polygraphs
 from fixtures import *
 from oracles import view_search_oracle
 
@@ -22,10 +24,13 @@ from mvsched import (
     LevelAllocation,
     Polygraph,
     ReductionInadmissible,
+    is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
+    render_polygraph,
     render_schedule,
     render_workload,
+    serial_schedule,
 )
 from mvsched import cli, polygraph
 from mvsched.cli import REPORT_SCHEMA, main, run
@@ -234,7 +239,7 @@ def test_polygraph_verify_refutes_a_26_transaction_reduction(tmp_path):
     code, payload = invoke_json("polygraph", "reduce", str(path), "-o", str(tmp_path / "dense.sched"))
     assert code == 0 and (payload["details"]["transactions"], payload["details"]["operations"]) == (26, 126)
     started = time.process_time()
-    code, payload = invoke_json("polygraph", "verify", str(path), "--max-txns", "26")
+    code, payload = invoke_json("polygraph", "verify", str(path))
     assert code == 0
     assert payload["details"]["view-serializable"] is False and payload["details"]["polygraph-acyclic"] is False
     assert time.process_time() - started < 2.0
@@ -290,13 +295,14 @@ def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
             "node 'x,y' contains ','",
         ),
         ("node a(1) b\narc a(1) b\n", "node 'a(1)' contains '('"),
+        ("node a b<c\narc a b<c\n", "node 'b<c' contains '<'"),
     ],
-    ids=["arcs-collide", "choice-writers-collide", "unparsable-object"],
+    ids=["arcs-collide", "choice-writers-collide", "unparsable-object", "split-version-chain"],
 )
 def test_reduction_refuses_node_names_it_cannot_encode(tmp_path, capsys, text, message):
     """Unchecked, the first made two arcs one object (verify: not admissible
     under RC), the second two transactions one id (verify: an internal
-    error) and the third a document no command parses back."""
+    error) and the last two documents no command parses back."""
     path = tmp_path / "names.poly"
     path.write_text(text, encoding="utf-8")
     out = tmp_path / "reduced.sched"
@@ -305,6 +311,24 @@ def test_reduction_refuses_node_names_it_cannot_encode(tmp_path, capsys, text, m
         assert code == 2 and payload["details"]["error"].startswith(message + ", which the reduction cannot encode")
     assert not out.exists()
     assert invoke_json("polygraph", "acyclic", str(path))[0] in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("txn A<B: R(x) W(x) C\ntxn D: R(x) W(x) C\nalloc A<B=RC D=RC\n", "transaction id 'A<B' contains '<'"),
+        ("txn T1: R(a<-b) W(a<-b) C\ntxn T2: R(a<-b) C\nalloc T1=RC T2=RC\n", "bad operation token 'R(a<-b)'"),
+    ],
+    ids=["transaction-id", "object-name"],
+)
+def test_names_holding_a_version_chain_separator_are_input_errors(tmp_path, capsys, text, message):
+    """Unchecked, both gave a counterexample that check-schedule could not
+    parse back: version chains split on '<' and read entries on '<-'."""
+    path = tmp_path / "names.wl"
+    path.write_text(text, encoding="utf-8")
+    code, payload = invoke_json("robust", "--mode", "conflict", str(path))
+    assert code == 2 and payload["details"]["error"].startswith(message)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -399,6 +423,114 @@ def test_the_view_serializable_predicate_applies_the_command_limits(tmp_path):
     path.write_text("txn T1: " + "R(a) " * 24 + "C\nalloc predicate=view-serializable-only\n", encoding="utf-8")
     code, payload = invoke_json("enumerate", str(path), "--count-only", "--max-ops", "40")
     assert code == 0 and payload["details"]["count"] == 1
+
+
+#: The limits contract of the README's table: per command, an input that
+#: needs its search, the exit code without limits, and the limits it
+#: applies.  ``--max-txns``/``--max-ops`` cap the input of the exhaustive
+#: enumerations; ``--max-orders``/``--budget-seconds`` bound the work of
+#: every search; the split method runs no exhaustive search.
+ALL_LIMITS = ("--max-txns", "--max-ops", "--max-orders", "--budget-seconds")
+WORK_LIMITS = ("--max-orders", "--budget-seconds")
+LIMITS_CONTRACT = [
+    (("check-schedule", "{s2.sched}"), 0, ()),
+    (("serializable", "--mode", "conflict", "{s2.sched}"), 1, ()),
+    (("serializable", "--mode", "view", "{s2.sched}"), 0, WORK_LIMITS),
+    (("allowed", "{s2.sched}"), 0, ()),
+    (("allowed", "{s2-pred.sched}"), 0, WORK_LIMITS),
+    (("robust", "--mode", "conflict", "--method", "enumerate", "{s2-rc.wl}"), 1, ALL_LIMITS),
+    (("robust", "--mode", "view", "--method", "split", "{s2-rc.wl}"), 1, ("--budget-seconds",)),
+    (("robust", "--mode", "view", "--method", "both", "{s2-rc.wl}"), 1, ALL_LIMITS),
+    (("robust", "--mode", "conflict", "{s2-pred.wl}"), 1, ALL_LIMITS),
+    (("enumerate", "{wlu-si.wl}"), 0, ALL_LIMITS),
+    (("polygraph", "acyclic", "{second.poly}"), 0, WORK_LIMITS),
+    (("polygraph", "reduce", "{choice.poly}", "-o", "{out}"), 0, ()),
+    (("polygraph", "verify", "{choice.poly}"), 0, WORK_LIMITS),
+]
+#: The least value of each limit: 1, or 0 seconds.
+LEAST = {"--max-txns": "1", "--max-ops": "1", "--max-orders": "1", "--budget-seconds": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, unlimited, applied",
+    LIMITS_CONTRACT,
+    ids=[" ".join(a.strip("{}") for a in command) for command, _, _ in LIMITS_CONTRACT],
+)
+@pytest.mark.parametrize("flag", ALL_LIMITS)
+def test_every_command_applies_the_limits_of_the_contract(docs, tmp_path, command, unlimited, applied, flag):
+    paths = dict(docs, out=str(tmp_path / "out.sched"))
+    for name, text in (
+        ("s2-pred.sched", render_schedule(S2, s2_predicate_workload().alloc)),
+        ("s2-pred.wl", render_workload(s2_predicate_workload())),
+        ("second.poly", "node u v w\narc w u\narc v u\nchoice u v w\n"),
+    ):
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in command]
+    assert invoke_json(*argv)[0] == unlimited
+    code, payload = invoke_json(*argv, flag, LEAST[flag])
+    assert (code, payload["limit_exceeded"]) == ((3, True) if flag in applied else (unlimited, False))
+
+
+def ten_transactions(alloc=None) -> str:
+    """A serial schedule of ten transactions, each reading its predecessor's write."""
+    txns = tuple(make_transaction(f"T{i}", "R(x) W(x) C") for i in range(1, 11))
+    return render_schedule(serial_schedule(txns), alloc or all_level(RC, *txns))
+
+
+def test_the_view_search_is_not_bounded_by_the_schedule_size(tmp_path):
+    path = tmp_path / "ten.sched"
+    path.write_text(ten_transactions(), encoding="utf-8")
+    code, payload = invoke_json("serializable", "--mode", "view", str(path))
+    assert code == 0 and payload["details"]["witness"] == [f"T{i}" for i in range(1, 11)]
+    # the 14-transaction reductions of the test corpus, one of each verdict
+    verdicts = []
+    for k, p in enumerate(dense_polygraphs(2, acyclic=lambda p: is_acyclic_polygraph(p)[0])):
+        path = tmp_path / f"dense{k}.poly"
+        path.write_text(render_polygraph(p), encoding="utf-8")
+        code, payload = invoke_json("polygraph", "verify", str(path))
+        assert code == 0 and payload["details"]["checks"]["verdicts-match"] == "pass"
+        verdicts.append(payload["details"]["view-serializable"])
+    assert verdicts == [True, False]
+
+
+def test_a_view_report_on_thousands_of_transactions_renders(tmp_path, capsys):
+    """T2 reads the version T1 overwrites, so no serial order matches and
+    ``exhausted`` is 1600!, which has more digits (4,434) than the
+    interpreter converts to text by default."""
+    t1, t2 = make_transaction("T1", "W(x) W(x) C"), make_transaction("T2", "R(x) C")
+    rest = [make_transaction(f"T{i}", "R(y) C") for i in range(3, 1601)]
+    order = [opid("T1", 1), opid("T2", 1), opid("T1", 2), opid("T1", 3), opid("T2", 2)]
+    order += [op.id for t in rest for op in t.ops]
+    vf = {opid("T2", 1): opid("T1", 1), **{t.ops[0].id: INIT for t in rest}}
+    s = make_schedule((t1, t2, *rest), order, {"x": (opid("T1", 1), opid("T1", 2))}, vf)
+    path = tmp_path / "wide.sched"
+    path.write_text(render_schedule(s), encoding="utf-8")
+    code, out = invoke("serializable", "--mode", "view", str(path))
+    assert code == 1 and f"exhausted: {factorial(1600)}\n" in out
+    code, payload = invoke_json("serializable", "--mode", "view", str(path))
+    assert code == 1 and payload["details"]["exhausted"] == factorial(1600)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_zero_budget_stops_the_view_search_before_it_grows_with_the_input(tmp_path):
+    """Each of 3,000 transactions reads its predecessor's write of one object
+    and overwrites it: the placement constraints stay linear in the
+    schedule, and the search stops at its first candidate."""
+    txns = tuple(make_transaction(f"T{i}", "R(x) W(x) C") for i in range(1, 3001))
+    path = tmp_path / "chain.sched"
+    path.write_text(render_schedule(serial_schedule(txns)), encoding="utf-8")
+    code, payload = invoke_json("serializable", "--mode", "view", str(path), "--budget-seconds", "0")
+    assert code == 3 and payload["limit_exceeded"] is True
+    assert payload["elapsed_ms"] < 2000
+
+
+def test_allowed_applies_the_limits_to_a_predicate_allocation(tmp_path):
+    path = tmp_path / "ten.sched"
+    path.write_text(ten_transactions(PredicateAllocation("view-serializable-only")), encoding="utf-8")
+    assert invoke_json("allowed", str(path))[0] == 0
+    code, payload = invoke_json("allowed", str(path), "--max-orders", "1")
+    assert code == 3 and payload["limit_exceeded"] is True
 
 
 def test_zero_budget_is_a_limit_hit(docs):

@@ -187,13 +187,20 @@ def test_view_serializability_verdicts():
 
 
 def test_view_serializability_limits():
-    txns = tuple(make_transaction(f"T{i}", "R(x) C") for i in range(1, 10))
+    # the size of the schedule is no limit: 9 transactions, and 30 operations
+    reads = serial_schedule(tuple(make_transaction(f"T{i}", "R(x) C") for i in range(1, 10)))
+    big = serial_schedule(tuple(make_transaction(f"T{i}", "R(x) R(y) W(x) W(y) C") for i in range(1, 7)))
+    for s in (reads, big):
+        assert is_view_serializable(s).verdict
+        assert is_view_serializable(s, budget=Budget(SearchLimits(max_txns=1, max_ops=1))).verdict
+    # the work is: one prefix extended per candidate, and the budget
     with pytest.raises(LimitExceeded):
-        is_view_serializable(serial_schedule(txns))
-    big = tuple(make_transaction(f"T{i}", "R(x) R(y) W(x) W(y) C") for i in range(1, 7))
+        is_view_serializable(big, budget=Budget(SearchLimits(max_orders=1)))
     with pytest.raises(LimitExceeded):
-        is_view_serializable(serial_schedule(big))
-    assert is_view_serializable(serial_schedule(big), max_txns=8, max_ops=64).verdict
+        is_view_serializable(big, budget=Budget(SearchLimits(budget_seconds=0.0)))
+    budget = Budget(SearchLimits(max_orders=6))
+    assert is_view_serializable(big, budget=budget).verdict
+    assert budget.count == 6  # the empty prefix to T1..T5
 
 
 def test_witness_yields_view_equivalent_serial_schedule():
@@ -252,7 +259,7 @@ REDUCTION_BOUNDS = dict(max_txns=14, max_ops=128)
 
 
 def assert_same_as_oracle(s, **bounds):
-    got, want = is_view_serializable(s, **bounds), view_search_oracle(s, **bounds)
+    got, want = is_view_serializable(s), view_search_oracle(s, **bounds)
     assert (got.verdict, got.witness, got.exhausted) == (want.verdict, want.witness, want.exhausted), s
     return got
 
@@ -286,7 +293,7 @@ def test_view_search_charges_prefixes_not_pruned_orders():
         is_view_serializable(S2, budget=Budget(SearchLimits(budget_seconds=0.0)))
     cyclic = dense_polygraphs(2, acyclic=lambda p: is_acyclic_polygraph(p)[0])[1]
     budget = Budget(SearchLimits(max_orders=1000))
-    w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget, **REDUCTION_BOUNDS)
+    w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget)
     assert not w.verdict and w.exhausted == factorial(14) and budget.count < 1000
 
 
