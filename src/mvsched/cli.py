@@ -2,9 +2,11 @@
 
 Exit codes: 0 when the checked property holds (or the command simply
 succeeded), 1 when it is violated (the report carries the counterexample),
-2 on input errors (bad search limits included), internal disagreement or
-any other internal error (its traceback goes to stderr), 3 when a search
-hit its limits, 130 on Ctrl-C.
+2 on input errors (a command line argparse rejects and bad search limits
+included), internal disagreement or any other internal error (its traceback
+goes to stderr), 3 when a search hit its limits, 130 on Ctrl-C.  Every exit
+but ``--help`` (0, with the help on stdout) prints a report; on a rejected
+command line the usage also goes to stderr.
 ``--json`` switches the report to the stable ``report-v1`` schema.
 """
 
@@ -58,9 +60,9 @@ _ENV_PREFIX = "MVSCHED_"
 
 @dataclass
 class Report:
-    command: list[str]
     verdict: bool | None
     details: dict = field(default_factory=dict)
+    command: list[str] = field(default_factory=list)
     elapsed_ms: float = 0.0
     limit_exceeded: bool = False
 
@@ -134,52 +136,140 @@ def _limits_from(args: argparse.Namespace) -> SearchLimits:
         raise ParseError(f"bad search limit: {exc}") from None
 
 
+#: The command-line grammar, declared once: per command's words, its help
+#: line and its arguments as (spellings, ``add_argument`` keywords), where a
+#: positional has one spelling without a dash; a command that only groups
+#: sub-commands has None for arguments.  ``_build_parser`` builds the
+#: argparse parser from it and ``_read_argv`` reads well-formed command
+#: lines with it directly.
+_OPTIONS = (
+    (("--json",), {"action": "store_true", "help": "emit the report as JSON (schema report-v1)"}),
+    (("--max-txns",), {"type": int, "default": None, "help": "transaction limit for exhaustive enumerations"}),
+    (("--max-ops",), {"type": int, "default": None, "help": "operation limit for exhaustive enumerations"}),
+    (("--max-orders",), {"type": int, "default": None, "help": "candidate limit for every search"}),
+    (("--budget-seconds",), {"type": float, "default": None, "help": "wall-clock limit for every search"}),
+)
+_SCHEDULE_ARGS = ((("schedule",), {}), (("--workload",), {"default": None}))
+_GRAMMAR = {
+    ("check-schedule",): ("validate a schedule document", _SCHEDULE_ARGS),
+    ("serializable",): (
+        "decide conflict- or view-serializability",
+        ((("--mode",), {"choices": ["conflict", "view"], "required": True}), *_SCHEDULE_ARGS),
+    ),
+    ("allowed",): ("decide admissibility under the workload's allocation", _SCHEDULE_ARGS),
+    ("robust",): (
+        "decide workload robustness",
+        (
+            (("--mode",), {"choices": ["conflict", "view", "exact-conflict", "exact-view"], "required": True}),
+            (("workload",), {}),
+            (("--method",), {"choices": ["split", "enumerate", "both"], "default": "enumerate"}),
+        ),
+    ),
+    ("enumerate",): (
+        "list all allowed schedules of a workload",
+        ((("workload",), {}), (("--count-only",), {"action": "store_true"})),
+    ),
+    ("polygraph",): ("polygraph commands", None),
+    ("polygraph", "acyclic"): ("decide polygraph acyclicity", ((("polygraph",), {}),)),
+    ("polygraph", "reduce"): (
+        "emit the schedule a polygraph reduces to",
+        ((("polygraph",), {}), (("-o", "--output"), {"required": True})),
+    ),
+    ("polygraph", "verify"): ("cross-check acyclicity against view-serializability", ((("polygraph",), {}),)),
+}
+#: The namespace attribute naming a command's first and second word.
+_COMMAND_DESTS = ("cmd", "polycmd")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Print the usage, as argparse does, but leave the report and the
+        exit code to ``run``."""
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as JSON (schema report-v1)")
-    common.add_argument("--max-txns", type=int, default=None, help="transaction limit for exhaustive enumerations")
-    common.add_argument("--max-ops", type=int, default=None, help="operation limit for exhaustive enumerations")
-    common.add_argument("--max-orders", type=int, default=None, help="candidate limit for every search")
-    common.add_argument("--budget-seconds", type=float, default=None, help="wall-clock limit for every search")
-
-    parser = argparse.ArgumentParser(prog="mvsched", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("check-schedule", parents=[common], help="validate a schedule document")
-    p.add_argument("schedule")
-    p.add_argument("--workload", default=None)
-
-    p = sub.add_parser("serializable", parents=[common], help="decide conflict- or view-serializability")
-    p.add_argument("--mode", choices=["conflict", "view"], required=True)
-    p.add_argument("schedule")
-    p.add_argument("--workload", default=None)
-
-    p = sub.add_parser("allowed", parents=[common], help="decide admissibility under the workload's allocation")
-    p.add_argument("schedule")
-    p.add_argument("--workload", default=None)
-
-    p = sub.add_parser("robust", parents=[common], help="decide workload robustness")
-    p.add_argument("--mode", choices=["conflict", "view", "exact-conflict", "exact-view"], required=True)
-    p.add_argument("workload")
-    p.add_argument("--method", choices=["split", "enumerate", "both"], default="enumerate")
-
-    p = sub.add_parser("enumerate", parents=[common], help="list all allowed schedules of a workload")
-    p.add_argument("workload")
-    p.add_argument("--count-only", action="store_true")
-
-    poly = sub.add_parser("polygraph", help="polygraph commands")
-    polysub = poly.add_subparsers(dest="polycmd", required=True)
-    p = polysub.add_parser("acyclic", parents=[common], help="decide polygraph acyclicity")
-    p.add_argument("polygraph")
-    p = polysub.add_parser("reduce", parents=[common], help="emit the schedule a polygraph reduces to")
-    p.add_argument("polygraph")
-    p.add_argument("-o", "--output", required=True)
-    p = polysub.add_parser("verify", parents=[common], help="cross-check acyclicity against view-serializability")
-    p.add_argument("polygraph")
-
+    parser = _Parser(prog="mvsched", description=__doc__)
+    groups = {(): parser.add_subparsers(dest=_COMMAND_DESTS[0], required=True)}
+    for words, (help_line, args) in _GRAMMAR.items():
+        p = groups[words[:-1]].add_parser(words[-1], help=help_line)
+        if args is None:
+            groups[words] = p.add_subparsers(dest=_COMMAND_DESTS[len(words)], required=True)
+            continue
+        for spellings, keywords in _OPTIONS + args:
+            p.add_argument(*spellings, **keywords)
     return parser
+
+
+def _syntax(args: tuple) -> tuple:
+    """The reader's form of a command's arguments: (dest, conversion and
+    choices per option spelling, positional dests, defaults, required
+    dests).  A switch's conversion is None; an option's dest comes from its
+    first long spelling, as in argparse."""
+    options, positionals, defaults, required = {}, [], {}, []
+    for spellings, keywords in _OPTIONS + args:
+        if not spellings[0].startswith("-"):
+            positionals.append(spellings[0])
+            continue
+        dest = next(s for s in spellings if s.startswith("--"))[2:].replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        defaults[dest] = False if switch else keywords.get("default")
+        if keywords.get("required"):
+            required.append(dest)
+        for s in spellings:
+            options[s] = (dest, None if switch else keywords.get("type", str), keywords.get("choices"))
+    return options, tuple(positionals), defaults, tuple(required)
+
+
+_SYNTAX = {words: _syntax(args) for words, (_, args) in _GRAMMAR.items() if args is not None}
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read from
+    the grammar table without argparse; None for whatever the reader does
+    not accept exactly as argparse would: an unknown command or option
+    spelling (an abbreviation, ``--opt=value``, ``--`` and ``-h`` among
+    them), a value other than ``-`` that starts with ``-`` (so negative
+    numbers go to argparse), a missing value, a bad choice or number, the
+    wrong number of positionals or a missing required option.  A repeated
+    option keeps its last value."""
+    words = tuple(argv[:1])
+    if words not in _SYNTAX:
+        words = tuple(argv[:2])
+        if words not in _SYNTAX:
+            return None
+    options, positionals, defaults, required = _SYNTAX[words]
+    values = dict(zip(_COMMAND_DESTS, words), **defaults)
+    given = []
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, convert, choices = options[token]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and value != "-":
+            return None
+        try:
+            value = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    # a required option has no default, so it is None until given
+    if len(given) != len(positionals) or any(values[dest] is None for dest in required):
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
 
 
 def _load_schedule(args: argparse.Namespace, *, validate: bool = True):
@@ -203,7 +293,6 @@ def _cmd_check_schedule(args: argparse.Namespace) -> Report:
     schedule, _ = _load_schedule(args, validate=False)
     violations = validate_schedule(schedule)
     return Report(
-        command=_echo(args),
         verdict=not violations,
         details={"violations": [str(v) for v in violations]},
     )
@@ -214,14 +303,14 @@ def _cmd_serializable(args: argparse.Namespace) -> Report:
     if args.mode == "conflict":
         ok, cycle = is_conflict_serializable(schedule)
         details = {"mode": "conflict", "cycle": list(cycle) if cycle else []}
-        return Report(command=_echo(args), verdict=ok, details=details)
+        return Report(verdict=ok, details=details)
     witness = is_view_serializable(schedule, budget=Budget(args.limits))
     details = {
         "mode": "view",
         "witness": list(witness.witness) if witness.witness else [],
         "exhausted": witness.exhausted,
     }
-    return Report(command=_echo(args), verdict=witness.verdict, details=details)
+    return Report(verdict=witness.verdict, details=details)
 
 
 def _cmd_allowed(args: argparse.Namespace) -> Report:
@@ -230,7 +319,6 @@ def _cmd_allowed(args: argparse.Namespace) -> Report:
         raise ParseError("no allocation: pass --workload or embed an alloc line")
     report = allowed_under_allocation(schedule, alloc, args.limits)
     return Report(
-        command=_echo(args),
         verdict=report.allowed,
         details={"violations": [str(v) for v in report.violations]},
     )
@@ -255,12 +343,12 @@ def _cmd_robust(args: argparse.Namespace) -> Report:
             robust, ce = hit is None, hit
         elif robust != (hit is None):
             error = "internal disagreement between split search and enumeration"
-            return Report(_echo(args), None, {"error": error, "enumerate": robust, "split": hit is None})
+            return Report(None, {"error": error, "enumerate": robust, "split": hit is None})
         else:
             details["methods-agree"] = True
     if ce:
         details["counterexample"] = _counterexample_details(w, ce)
-    return Report(command=_echo(args), verdict=robust, details=details)
+    return Report(verdict=robust, details=details)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Report:
@@ -274,7 +362,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
     details: dict = {"count": count}
     if not args.count_only:
         details["schedules"] = docs
-    return Report(command=_echo(args), verdict=True, details=details)
+    return Report(verdict=True, details=details)
 
 
 def _cmd_polygraph(args: argparse.Namespace) -> Report:
@@ -282,7 +370,7 @@ def _cmd_polygraph(args: argparse.Namespace) -> Report:
     if args.polycmd == "acyclic":
         acyclic, witness = is_acyclic_polygraph(p, args.limits)
         details = {"resolved-edges": [f"{a}->{b}" for a, b in witness.extra_edges] if witness else []}
-        return Report(command=_echo(args), verdict=acyclic, details=details)
+        return Report(verdict=acyclic, details=details)
     if args.polycmd == "reduce":
         txns, schedule = reduce_to_schedule(p)
         alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
@@ -297,25 +385,23 @@ def _cmd_polygraph(args: argparse.Namespace) -> Report:
             "transactions": len(txns),
             "operations": sum(len(t.ops) for t in txns),
         }
-        return Report(command=_echo(args), verdict=True, details=details)
+        return Report(verdict=True, details=details)
     report = verify_reduction(p, args.limits)
     details = {
         "polygraph-acyclic": report.polygraph_acyclic,
         "view-serializable": report.schedule_view_serializable,
         "checks": {c.name: ("pass" if c.passed else f"FAIL {c.detail}") for c in report.checks},
     }
-    return Report(command=_echo(args), verdict=report.ok, details=details)
-
-
-def _echo(args: argparse.Namespace) -> list[str]:
-    return list(getattr(args, "_argv", []))
+    return Report(verdict=report.ok, details=details)
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one command; print the report; return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
-    args._argv = list(argv)
+    """Execute one command; print the report; return the exit code.
+
+    A rejected ``argv`` is an input error like any other: it prints its
+    report and returns 2 (argparse's usage goes to stderr).  ``--help``
+    prints the help and returns 0."""
+    argv = list(argv)
     handlers = {
         "check-schedule": _cmd_check_schedule,
         "serializable": _cmd_serializable,
@@ -325,36 +411,44 @@ def run(argv: Sequence[str]) -> int:
         "polygraph": _cmd_polygraph,
     }
     started = time.monotonic()
+    args = None
     try:
+        args = _read_argv(argv)
+        if args is None:
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit as exc:  # only the help exits: ``_Parser.error`` raises
+                return exc.code
         # every command resolves (and so checks) the limits, whether or not it searches
         args.limits = _limits_from(args)
         report = handlers[args.cmd](args)
         code = 2 if report.verdict is None else 0 if report.verdict else 1
     except LimitExceeded as exc:
-        report = Report(command=list(argv), verdict=None, details={"error": str(exc)}, limit_exceeded=True)
+        report = Report(verdict=None, details={"error": str(exc)}, limit_exceeded=True)
         code = 3
     except ScheduleError as exc:
-        report = Report(command=list(argv), verdict=None, details={"error": str(exc)})
+        report = Report(verdict=None, details={"error": str(exc)})
         code = 2
     except KeyboardInterrupt:
-        report = Report(command=list(argv), verdict=None, details={"error": "interrupted"})
+        report = Report(verdict=None, details={"error": "interrupted"})
         code = 130
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         error = f"internal error: {type(exc).__name__}: {exc}"
-        report = Report(command=list(argv), verdict=None, details={"error": error})
+        report = Report(verdict=None, details={"error": error})
         code = 2
-    _emit(report, args, started)
+    report.command = argv
+    _emit(report, args.json if args is not None else "--json" in argv, started)
     return code
 
 
-def _emit(report: Report, args: argparse.Namespace, started: float) -> None:
+def _emit(report: Report, as_json: bool, started: float) -> None:
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
     # a view report's ``exhausted`` may be n!, which passes the interpreter's
     # default limit of 4,300 digits for int-to-str from 1,559 transactions on
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if getattr(args, "json", False):
+    if as_json:
         sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(report.to_text())

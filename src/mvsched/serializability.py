@@ -410,8 +410,11 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     witness and ``exhausted`` is its rank plus one (n! on a negative
     verdict).  The search's work, not the schedule's size, is bounded:
     each prefix extended is one candidate charged to ``budget``
-    (``Budget(DEFAULT_LIMITS)`` when None), and the memo holds at most one
-    entry per candidate.
+    (``Budget(DEFAULT_LIMITS)`` when None).  The memo gains at most one
+    entry per candidate, and only the candidate count bounds it: an entry
+    of a 26-transaction schedule took 66 to 88 bytes (tracemalloc, 64-bit
+    CPython 3.11, sets of 10^4 to 10^6 such masks), about 0.9 GB at the
+    default 10^7 candidates.
     """
     if budget is None:
         budget = Budget(DEFAULT_LIMITS)

@@ -22,6 +22,7 @@ from oracles import view_search_oracle
 
 from mvsched import (
     LevelAllocation,
+    ParseError,
     Polygraph,
     ReductionInadmissible,
     is_acyclic_polygraph,
@@ -667,3 +668,142 @@ def test_every_command_keeps_the_exit_code_contract_on_fuzzed_input(text):
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err.getvalue(), argv
             assert not str(payload["details"].get("error", "")).startswith("internal error"), argv
+
+
+# --- the command line: the grammar table's reader against argparse -----------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("serializable", "--mode", "view", "{s2.sched}", "--max-orders", "abc"), "argument --max-orders: invalid int"),
+        (("serializable", "{s2.sched}"), "the following arguments are required: --mode"),
+        (("nope", "{s2.sched}"), "argument cmd: invalid choice: 'nope'"),
+        (("polygraph",), "the following arguments are required: polycmd"),
+    ],
+    ids=["bad int", "missing --mode", "unknown command", "bare polygraph"],
+)
+def test_a_rejected_command_line_exits_2_with_a_report(docs, capsys, argv, message):
+    argv = [docs[a[1:-1]] if a.startswith("{") else a for a in argv]
+    code, payload = invoke_json(*argv)
+    assert code == 2 and payload["verdict"] is None and payload["limit_exceeded"] is False
+    assert payload["details"]["error"].startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mvsched") and "Traceback" not in err
+    code, out = invoke(*argv)
+    assert code == 2 and "verdict: n/a" in out and f"error: {message}" in out
+
+
+def test_help_exits_0_with_the_help(capsys):
+    assert run(["--help"]) == 0
+    assert run(["polygraph", "verify", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("usage: mvsched") == 2 and "verdict:" not in out
+
+
+def _argparse_namespace(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None when argparse
+    rejects it or prints the help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except (ParseError, SystemExit):
+            return None
+
+
+_VALID_VALUES = {int: ["1", "7", "+3", "1_000"], float: ["0", "2.5", "inf", "1e3"], str: ["a.txt", "-", ""]}
+_HOSTILE_TOKENS = [
+    "--max-or", "--json=1", "--mode=view", "--", "-h", "--help", "-1", "-", "", "-o", "-ox", "--bogus", "-x y",
+    "abc", "1.5", "conflict", "verify", "polygraph", "nope",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line of any command, after up to two edits of
+    its options and positionals (one dropped, an option's value replaced by
+    any token, or an option given again with a valid value or any token), in
+    any order, then up to two edits of its tokens (a hostile token or one of
+    the command's own inserted, or a token dropped)."""
+    words, (_, args) = draw(st.sampled_from([c for c in cli._GRAMMAR.items() if c[1][1] is not None]))
+    options, units = [], []
+    for names, keywords in cli._OPTIONS + args:
+        if not names[0].startswith("-"):
+            units.append([draw(st.sampled_from(_VALID_VALUES[str]))])
+            continue
+        values = [] if keywords.get("action") else keywords.get("choices") or _VALID_VALUES[keywords.get("type", str)]
+        options.append((names, values))
+        if keywords.get("required") or draw(st.booleans()):
+            units.append([draw(st.sampled_from(names)), *([draw(st.sampled_from(values))] if values else [])])
+    pool = _HOSTILE_TOKENS + [n for names, _ in options for n in names] + [v for _, vs in options for v in vs]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edit = draw(st.sampled_from(["drop", "spoil", "repeat"]))
+        valued = [unit for unit in units if len(unit) == 2]
+        if edit == "drop" and units:
+            del units[draw(st.integers(min_value=0, max_value=len(units) - 1))]
+        elif edit == "spoil" and valued:
+            draw(st.sampled_from(valued))[1] = draw(st.sampled_from(pool))
+        else:
+            names, values = draw(st.sampled_from(options))
+            value = draw(st.sampled_from(values or [None]) | st.sampled_from(pool))
+            units.append([draw(st.sampled_from(names)), *([] if value is None else [value])])
+    tokens = [t for unit in draw(st.permutations(units)) for t in unit]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(tokens)))
+        if tokens and draw(st.booleans()):
+            del tokens[min(at, len(tokens) - 1)]
+        else:
+            tokens.insert(at, draw(st.sampled_from(pool)))
+    # now and then a command word missing, or an unknown command
+    return [*draw(st.sampled_from([words, words, words, words[:-1], ("nope",)])), *tokens]
+
+
+@given(command_lines())
+@settings(max_examples=600, deadline=None)
+def test_the_reader_agrees_with_argparse_or_hands_off(argv):
+    ours = cli._read_argv(argv)
+    if ours is not None:
+        assert vars(ours) == _argparse_namespace(argv), argv
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "x --max-or 5", "x --mode=view", "x --", "--", "x -h", "x --budget-seconds -1", "x --max-orders",
+        "x --mode bad", "x --max-orders abc", "x y", "", "x --method split",
+    ],
+)
+def test_the_reader_hands_off_what_it_does_not_read_exactly_as_argparse_does(args):
+    """Each after ``serializable --mode view``: an abbreviation, ``=``, ``--``
+    (with and without the positional after it), ``-h``, a negative number, a
+    missing value, a bad choice, a bad number, an extra or missing
+    positional and another command's option."""
+    assert cli._read_argv(["serializable", "--mode", "view", *args.split()]) is None
+
+
+def test_the_reader_reads_every_benchmark_command_line(tmp_path, monkeypatch):
+    """The fast path is taken: every command line the benchmark issues, and
+    the other shapes and commands the output comparison runs, JSON and text."""
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds the benchmark's directory
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "compare_outputs.py")
+    spec = importlib.util.spec_from_file_location("compare_outputs", tool)
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    runs = compare_outputs.commands(5, None, str(tmp_path))
+    assert len(runs) > 5000
+    for _, argv in runs:
+        ours = cli._read_argv(argv)
+        assert ours is not None and vars(ours) == _argparse_namespace(argv), argv
+
+
+@pytest.mark.parametrize(
+    "command", COMMANDS_WITH_LIMIT_FLAGS, ids=lambda c: " ".join(a for a in c if not a.startswith("{"))
+)
+def test_the_reader_reads_every_command_with_its_limit_flags(command):
+    argv = [a[1:-1] if a.startswith("{") else a for a in command]
+    limits = ["--max-txns", "0", "--max-ops", "3", "--max-orders", "10", "--budget-seconds", "0.5"]
+    for extra in ([], ["--json"], limits, [*limits, "--json"], ["--max-orders", "10", "--max-orders", "20"]):
+        ours = cli._read_argv([*argv, *extra])
+        assert ours is not None and vars(ours) == _argparse_namespace([*argv, *extra])

@@ -8,7 +8,11 @@ Usage, from the repository root::
 the inputs of the four benchmark workloads for ``--seed`` with the
 benchmark's own ``prepare``, into a temporary directory, and runs every
 command the workloads issue on them, measured and warm-up inputs alike,
-once with ``--json`` and once as text.  Each command runs
+once with ``--json`` and once as text.  It also runs each of them in two
+shapes the benchmark never issues, again with ``--json`` and as text: the
+path right after the command words, then the limit flags in reverse
+order, then the command's own options; and without the limit flags.  On
+the schedule-check inputs it runs ``check-schedule`` too.  Each command runs
 through ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in
 its own interpreter and with an empty serial-signature cache per call, as in
 the benchmark.  The reports' ``elapsed_ms`` / ``elapsed-ms`` lines are
@@ -31,10 +35,24 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BENCH = os.path.join(ROOT, "bench")
 ELAPSED = re.compile(r'^(\s*"elapsed_ms": .*|elapsed-ms: .*)$\n?', re.MULTILINE)
+LIMIT_FLAGS = ["--max-txns", "--max-ops", "--max-orders", "--budget-seconds"]
+
+
+def shapes(argv: list[str]) -> list[list[str]]:
+    """A benchmark command, ``[*words, *options, "--json", *limits, path]``,
+    as issued, reordered and without its limit flags."""
+    words = [a for a in argv[:2] if not a.startswith("-")]
+    json_at = argv.index("--json")
+    options, limits, path = argv[len(words):json_at], argv[json_at + 1:-1], argv[-1]
+    assert limits[::2] == LIMIT_FLAGS, argv
+    pairs = [limits[i:i + 2] for i in range(0, len(limits), 2)]
+    reordered = [*words, path, *(a for pair in reversed(pairs) for a in pair), *options, "--json"]
+    return [argv, reordered, [*words, *options, "--json", path]]
 
 
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
-    """(workload, argv) for every command of the four workloads, JSON and text."""
+    """(workload, argv) for every command of the four workloads in every
+    shape, and ``check-schedule`` on the schedule-check inputs, JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -42,7 +60,11 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
     for name, w in sorted(WORKLOADS.items()):
         _, _, _, argvs, warmup = prepare(w, seed, os.path.join(workdir, name))
         n = None if limit is None else limit * len(w.commands)
-        for argv in argvs[:n] + warmup[:n]:
+        runs = [shaped for argv in argvs[:n] + warmup[:n] for shaped in shapes(argv)]
+        if name == "schedule-check":
+            inputs = sorted({argv[-1] for argv in argvs[:n] + warmup[:n]})
+            runs += [["check-schedule", "--json", path] for path in inputs]
+        for argv in runs:
             out.append((name, argv))
             out.append((name, [a for a in argv if a != "--json"]))
     return out
