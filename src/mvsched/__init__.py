@@ -77,7 +77,6 @@ from .robustness import (
     RobustnessVerdict,
     SplitDefect,
     Workload,
-    check_condition_1,
     enumerate_allowed_schedules,
     extend_with_serial_tail,
     find_split_counterexample,

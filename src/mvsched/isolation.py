@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, ScheduleIndex, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
-from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable
+from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable, serialization_graph
 
 
 class IsolationLevel(enum.Enum):
@@ -267,24 +267,6 @@ def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _rw_edges(s: Schedule, scope: frozenset[str]) -> dict[tuple[str, str], DependencyEdge]:
-    """First witnessing rw-antidependency for each ordered transaction pair
-    in scope, read off the schedule's int index."""
-    ix, ids, order = s.index, s.txn_ids, s.order
-    txn, rank, inside = ix.txn, ix.rank, [tid in scope for tid in ids]
-    edges: dict[tuple[str, str], DependencyEdge] = {}
-    for p, k in enumerate(ix.kind):
-        if k != ix.READ or not inside[txn[p]]:
-            continue
-        for q in ix.writes[ix.obj[p]]:
-            if txn[q] != txn[p] and inside[txn[q]] and rank[ix.vf[p]] < rank[q]:
-                pair = (ids[txn[p]], ids[txn[q]])
-                edge = DependencyEdge(order[p], order[q], ConflictKind.RW)
-                if pair not in edges or (edge.src, edge.dst) < (edges[pair].src, edges[pair].dst):
-                    edges[pair] = edge
-    return edges
-
-
 def find_dangerous_structures(
     s: Schedule,
     scope: Iterable[str],
@@ -299,12 +281,21 @@ def find_dangerous_structures(
     With the ends equal (t1 == t3) the commit clause "t3 commits before t1"
     degenerates; read literally it is false, which rules such chains out.
     Pass ``allow_degenerate_pivot=True`` for the alternative reading that
-    drops the degenerate comparison.
+    drops the degenerate comparison.  A scope of fewer transactions than a
+    chain needs (three, or two with the ends equal) holds none.  Each hop's
+    witness is the pair's least rw-antidependency in
+    :func:`serialization_graph`.
     """
     scope_set = frozenset(scope)
     for tid in scope_set:
         s.transaction(tid)
-    rw = _rw_edges(s, scope_set)
+    if len(scope_set) < (2 if allow_degenerate_pivot else 3):
+        return []
+    rw: dict[tuple[str, str], DependencyEdge] = {}
+    for (u, v), deps in serialization_graph(s).edges.items():
+        first = next((d for d in deps if d.kind is ConflictKind.RW), None)
+        if first is not None and u in scope_set and v in scope_set:
+            rw[u, v] = first
     commit = s.commit_pos
     found: list[DangerousStructure] = []
     for t1 in sorted(scope_set):
@@ -365,8 +356,6 @@ def allowed_under_allocation(
             AdmissibilityViolation(structure.t2, Clause.DANGEROUS_STRUCTURE, (structure.t1, structure.t2, structure.t3))
         )
     return AdmissibilityReport(tuple(violations))
-
-
 
 
 # ---------------------------------------------------------------------------

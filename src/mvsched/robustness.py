@@ -644,10 +644,15 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     ways) or excluded (the pair has no completion).  A generalized split
     schedule is then T1 with a first T2, a chordless path through free
     transactions and a last Tm; a breadth-first shortest path is chordless.
-    Each candidate is completed over its subset on the compiled workload,
-    which rejects the one case left (the SSI dangerous structure Tm -> T1 ->
-    T2), and its dependencies must be exactly the ring's edges.  Only the
-    winner becomes a :class:`Schedule`, re-checked with
+    Such a candidate's dependencies are exactly the ring T1 -> T2 -> ... ->
+    Tm -> T1, with no check needed: between T1 and the others there are only
+    T1 -> T2 and Tm -> T1 (T2 is first, Tm last, the rest free); on a
+    chordless path only consecutive transactions conflict, and the serial
+    middle gives each such pair its one forward dependency.  A
+    two-transaction candidate's ring is its two ways.  Each candidate is
+    therefore only completed over its subset on the compiled workload,
+    which rejects the one case left (the SSI dangerous structure Tm -> T1
+    -> T2).  Only the winner becomes a :class:`Schedule`, re-checked with
     :func:`is_generalized_split_schedule`.
 
     The result is the candidate smallest in (size, sorted subset,
@@ -674,9 +679,7 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
         if best is not None and key >= best:
             return
         if eng.walk(split_order(perm, cut), list(subset)):
-            succ = eng.dependencies()
-            if all(succ[u] == bits[v] for u, v in zip(perm, perm[1:] + perm[:1])):
-                best = key
+            best = key
 
     for t1 in range(n):
         others = set(range(n)) - {t1} - set(neighbours[t1])
@@ -725,14 +728,6 @@ def find_split_counterexample(
     if isinstance(w.alloc, LevelAllocation):
         return _decide_split(w, limits)
     return next(iter_split_schedules(w, limits), None)
-
-
-def check_condition_1(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
-    """Either the workload is conflict-robust, or a split-form counterexample
-    witnesses that it is not."""
-    if is_conflict_robust(w, limits).robust:
-        return True
-    return find_split_counterexample(w, limits) is not None
 
 
 # ---------------------------------------------------------------------------

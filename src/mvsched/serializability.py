@@ -84,55 +84,43 @@ def conflicting(b: Operation, a: Operation) -> ConflictKind | None:
     return None
 
 
-def _dep_kind(s: Schedule, b: Operation, a: Operation) -> ConflictKind | None:
-    """Dependency clause shared by depends_on and the graph builder."""
-    kind = conflicting(b, a)
-    if kind is None:
-        return None
-    obj = a.obj
-    vpos = s.vpos[obj]
-    if kind is ConflictKind.WW:
-        return kind if vpos[b.id] < vpos[a.id] else None
-    if kind is ConflictKind.WR:
-        observed = s.vf[a.id]
-        if b.id == observed or vpos[b.id] < vpos[observed]:
-            return kind
-        return None
-    # rw: the version observed by b installs before the version written by a
-    return kind if vpos[s.vf[b.id]] < vpos[a.id] else None
+def _dependencies(s: Schedule) -> list[tuple[int, int, ConflictKind]]:
+    """Every dependency of a valid schedule as (source position, target
+    position, kind), read off its int index: ww between two writers of an
+    object in version order; for a read and another transaction's write on
+    its object, wr when the write installs no later than the version read,
+    else rw."""
+    ix = s.index
+    txn, rank, vf, obj, writes = ix.txn, ix.rank, ix.vf, ix.obj, ix.writes
+    deps = []
+    for ws in writes.values():
+        deps += [(p, q, ConflictKind.WW) for p in ws for q in ws if txn[p] != txn[q] and rank[p] < rank[q]]
+    for r, k in enumerate(ix.kind):
+        if k == ix.READ:
+            seen = rank[vf[r]]
+            for w in writes[obj[r]]:
+                if txn[w] != txn[r]:
+                    deps.append((w, r, ConflictKind.WR) if rank[w] <= seen else (r, w, ConflictKind.RW))
+    return deps
 
 
 def depends_on(s: Schedule, b: OperationId, a: OperationId) -> DependencyEdge | None:
     """The typed dependency of ``a`` on ``b`` in ``s``, or None when there is none."""
     if b.is_init or a.is_init:
         return None
-    b_op = s.operation(b)
-    a_op = s.operation(a)
-    kind = _dep_kind(s, b_op, a_op)
-    if kind is None:
-        return None
-    return DependencyEdge(b, a, kind)
+    pair = (s.pos[s.operation(b).id], s.pos[s.operation(a).id])
+    return next((DependencyEdge(b, a, kind) for p, q, kind in _dependencies(s) if (p, q) == pair), None)
 
 
 def serialization_graph(s: Schedule) -> SerializationGraph:
     """Build the full serialization graph of a valid schedule."""
+    order, txn, ids = s.order, s.index.txn, s.txn_ids
     edges: dict[tuple[str, str], list[DependencyEdge]] = {}
-    by_obj: dict[str, list[Operation]] = {}
-    for t in s.txns:
-        for op in t.ops:
-            if op.obj is not None:
-                by_obj.setdefault(op.obj, []).append(op)
-    for ops in by_obj.values():
-        for b in ops:
-            for a in ops:
-                if b.id.txn == a.id.txn:
-                    continue
-                kind = _dep_kind(s, b, a)
-                if kind is not None:
-                    edges.setdefault((b.id.txn, a.id.txn), []).append(DependencyEdge(b.id, a.id, kind))
+    for p, q, kind in _dependencies(s):
+        edges.setdefault((ids[txn[p]], ids[txn[q]]), []).append(DependencyEdge(order[p], order[q], kind))
     return SerializationGraph(
-        nodes=s.txn_ids,
-        edges={pair: tuple(sorted(deps, key=lambda d: (d.src, d.dst, d.kind.value))) for pair, deps in edges.items()},
+        nodes=ids,
+        edges={pair: tuple(sorted(deps, key=lambda d: (d.src, d.dst))) for pair, deps in edges.items()},
     )
 
 
@@ -240,21 +228,11 @@ def _require_same_txns(s: Schedule, s2: Schedule) -> None:
 
 
 def conflict_equivalent(s: Schedule, s2: Schedule) -> bool:
-    """Same transactions and the same dependency on every conflicting pair."""
+    """Same transactions and the same dependencies."""
     _require_same_txns(s, s2)
-    by_obj: dict[str, list[Operation]] = {}
-    for t in s.txns:
-        for op in t.ops:
-            if op.obj is not None:
-                by_obj.setdefault(op.obj, []).append(op)
-    for ops in by_obj.values():
-        for b in ops:
-            for a in ops:
-                if b.id.txn == a.id.txn or conflicting(b, a) is None:
-                    continue
-                if (_dep_kind(s, b, a) is None) != (_dep_kind(s2, b, a) is None):
-                    return False
-    return True
+    return {(s.order[p], s.order[q]) for p, q, _ in _dependencies(s)} == {
+        (s2.order[p], s2.order[q]) for p, q, _ in _dependencies(s2)
+    }
 
 
 def last_version(s: Schedule, obj: str) -> OperationId:

@@ -264,9 +264,11 @@ def parse_schedule_document(
     Transactions come from the embedded ``txn`` lines or from ``workload``;
     when both are present they must agree.  The allocation is the
     workload's when one is given, else the embedded ``alloc`` line's (None
-    when there is neither).  With ``validate`` (the default) the schedule
-    must pass :func:`validate_schedule`, otherwise a :class:`ParseError`
-    lists the defects.
+    when there is neither).  ``init`` tokens stay where they are written;
+    INIT leads the order and each version chain only if left out.  With
+    ``validate`` (the default) the schedule must pass
+    :func:`validate_schedule`, otherwise a :class:`ParseError` lists the
+    defects.
     """
     embedded, alloc, rest = _parse_declarations(text)
     if workload is not None:
@@ -290,12 +292,7 @@ def parse_schedule_document(
         if word == "order:":
             if order is not None:
                 raise ParseError("duplicate order line", lineno)
-            tokens = line[len("order:") :].split()
-            order = [INIT]
-            for token in tokens:
-                opid = resolver.resolve(token, lineno)
-                if not opid.is_init:
-                    order.append(opid)
+            order = [resolver.resolve(token, lineno) for token in line[len("order:") :].split()]
         elif word == "reads:":
             for entry in line[len("reads:") :].split():
                 if "<-" not in entry:
@@ -316,8 +313,6 @@ def parse_schedule_document(
                 if not token:
                     raise ParseError(f"empty element in vorder chain for {obj!r}", lineno)
                 chain.append(resolver.resolve(token, lineno))
-            if chain and chain[0].is_init:
-                chain = chain[1:]
             vorder[obj] = tuple(chain)
         else:
             raise ParseError(f"unexpected line in schedule document: {line!r}", lineno)

@@ -199,3 +199,11 @@ def s2_predicate_workload() -> Workload:
 
 def s1_workload(levels: dict[str, IsolationLevel]) -> Workload:
     return Workload((S1_T1, S1_T2, S1_T3, S1_T4), LevelAllocation(levels))
+
+
+#: ``init`` after the first operation of the order, and twice at the head of
+#: the version chain
+MISPLACED_INIT = (
+    "txn T1: W(x) C\ntxn T2: R(x) C\nalloc T1=RC T2=RC\n"
+    "order: W1(x) init C1 R2(x) C2\nreads: R2(x)<-W1(x)\nvorder x: init<init<W1(x)\n"
+)

@@ -5,21 +5,25 @@ first principles (simulation of serial runs, literal clause evaluation) so
 that agreement is meaningful.  The rest are the slow paths that fast ones
 replaced, kept as their references.  The completion oracle builds the one
 allowed completion of an order from dictionaries keyed by operation id,
-where the library walks a compiled engine.  The conflict oracle finds the
-shortest cycle of the full serialization graph.  The enumeration oracle
-completes one interleaving at a time.  The split decider oracle classifies
-and checks candidates on completed schedules.  The view search oracle
-tracks installed versions per serial prefix.  The clause oracles evaluate
-the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
-operation id, where the library reads the schedule's int index, and the
-reduction-check oracle evaluates
-each clause per operation where the library reads the per-transaction
-reports.  The validation oracle runs every per-offender loop, where the
-library decides each rule by counts and set comparisons first.  The
+where the library walks a compiled engine.  The dependency oracles decide
+each same-object pair of operations on the version positions of its object,
+where the library lists every dependency in one pass over the schedule's int
+index; the serialization graph, ``depends_on``, conflict equivalence and the
+conflict oracle, which finds the shortest cycle of the full graph, are built
+on them.  The enumeration oracle completes one interleaving at a time.  The
+split decider oracle classifies and checks candidates on completed
+schedules.  The view search oracle tracks installed versions per serial
+prefix.  The clause oracles evaluate the RC/SI clauses and the SSI
+rw-antidependencies on dictionaries keyed by operation id, where the library
+reads the schedule's int index; the dangerous-structure oracle chains those
+rw-antidependencies over every triple of its scope.  The reduction-check
+oracle evaluates each clause per operation where the library reads the
+per-transaction reports.  The validation oracle runs every per-offender loop,
+where the library decides each rule by counts and set comparisons first.  The
 reduction oracle groups operations through a ``defaultdict`` and takes the
-order from cached ids.  The acyclicity oracle builds every resolution's
-edge set.  The resolver oracle matches every token against the grammar,
-where the library looks canonical spellings up in one table.
+order from cached ids.  The acyclicity oracle builds every resolution's edge
+set.  The resolver oracle matches every token against the grammar, where the
+library looks canonical spellings up in one table.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from mvsched import (
     AdmissibilityViolation,
     Clause,
     ConflictKind,
+    DangerousStructure,
     DependencyEdge,
     IsolationLevel,
     LevelAllocation,
@@ -51,17 +56,22 @@ from mvsched import (
     Schedule,
     ScheduleViolation,
     SearchLimits,
+    SerializationGraph,
     Transaction,
+    TransactionSetMismatch,
     UnknownOperation,
     ViolationKind,
     Workload,
+    are_concurrent,
     complete_under_allocation,
+    conflicting,
     find_dangerous_structures,
+    find_split_counterexample,
     is_acyclic_polygraph,
+    is_conflict_robust,
     is_generalized_split_schedule,
     is_view_serializable,
     reduce_to_schedule,
-    serialization_graph,
     validate_schedule,
     validate_transaction,
 )
@@ -124,10 +134,77 @@ def single_version_oracle(s: Schedule) -> bool:
     return True
 
 
+def _dep_kind_oracle(s: Schedule, b: Operation, a: Operation) -> ConflictKind | None:
+    """The dependency of ``a`` on ``b``, from the version positions of the
+    pair's object."""
+    kind = conflicting(b, a)
+    if kind is None:
+        return None
+    vpos = s.vpos[a.obj]
+    if kind is ConflictKind.WW:
+        return kind if vpos[b.id] < vpos[a.id] else None
+    if kind is ConflictKind.WR:
+        observed = s.vf[a.id]
+        if b.id == observed or vpos[b.id] < vpos[observed]:
+            return kind
+        return None
+    # rw: the version observed by b installs before the version written by a
+    return kind if vpos[s.vf[b.id]] < vpos[a.id] else None
+
+
+def _ops_by_obj(s: Schedule) -> list[list[Operation]]:
+    by_obj: dict[str, list[Operation]] = {}
+    for t in s.txns:
+        for op in t.ops:
+            if op.obj is not None:
+                by_obj.setdefault(op.obj, []).append(op)
+    return list(by_obj.values())
+
+
+def depends_on_oracle(s: Schedule, b: OperationId, a: OperationId) -> DependencyEdge | None:
+    """The typed dependency of ``a`` on ``b`` in ``s``, or None when there is none."""
+    if b.is_init or a.is_init:
+        return None
+    kind = _dep_kind_oracle(s, s.operation(b), s.operation(a))
+    return None if kind is None else DependencyEdge(b, a, kind)
+
+
+def serialization_graph_oracle(s: Schedule) -> SerializationGraph:
+    """The full serialization graph, from every same-object pair of
+    operations of two transactions."""
+    edges: dict[tuple[str, str], list[DependencyEdge]] = {}
+    for ops in _ops_by_obj(s):
+        for b in ops:
+            for a in ops:
+                if b.id.txn == a.id.txn:
+                    continue
+                kind = _dep_kind_oracle(s, b, a)
+                if kind is not None:
+                    edges.setdefault((b.id.txn, a.id.txn), []).append(DependencyEdge(b.id, a.id, kind))
+    return SerializationGraph(
+        nodes=s.txn_ids,
+        edges={pair: tuple(sorted(deps, key=lambda d: (d.src, d.dst, d.kind.value))) for pair, deps in edges.items()},
+    )
+
+
+def conflict_equivalent_oracle(s: Schedule, s2: Schedule) -> bool:
+    """Same transactions and the same dependency on every conflicting pair."""
+    if dict(s.txn_by_id) != dict(s2.txn_by_id):
+        raise TransactionSetMismatch("schedules are not over the same set of transactions")
+    for ops in _ops_by_obj(s):
+        for b in ops:
+            for a in ops:
+                if b.id.txn == a.id.txn or conflicting(b, a) is None:
+                    continue
+                if (_dep_kind_oracle(s, b, a) is None) != (_dep_kind_oracle(s2, b, a) is None):
+                    return False
+    return True
+
+
 def conflict_serializable_oracle(s: Schedule) -> tuple[bool, tuple[str, ...] | None]:
     """Conflict-serializability from the full serialization graph: its
     shortest cycle, or None."""
-    graph = serialization_graph(s)
+    graph = serialization_graph_oracle(s)
     cycle = _shortest_cycle(graph.nodes, graph.edge_pairs)
     return (cycle is None, cycle)
 
@@ -325,7 +402,7 @@ def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                 s = complete_under_allocation_oracle((t1, tj), (INIT,) + head + tj.op_ids + tail, w.alloc)
                 if s is None:
                     continue
-                pairs = serialization_graph(s).edge_pairs
+                pairs = serialization_graph_oracle(s).edge_pairs
                 forward, backward = (t1.id, tid) in pairs, (tid, t1.id) in pairs
                 if forward and backward:
                     consider((t1.id, tid), cut)
@@ -534,6 +611,47 @@ def rw_edges_oracle(s: Schedule, scope: frozenset[str]) -> dict[tuple[str, str],
                     if pair not in edges or (edge.src, edge.dst) < (edges[pair].src, edges[pair].dst):
                         edges[pair] = edge
     return edges
+
+
+def dangerous_structures_oracle(
+    s: Schedule, scope: Iterable[str], *, allow_degenerate_pivot: bool = False
+) -> list[DangerousStructure]:
+    """The chains of :func:`find_dangerous_structures`, over every triple of
+    the scope and with the hops from :func:`rw_edges_oracle`."""
+    scope_set = frozenset(scope)
+    for tid in scope_set:
+        s.transaction(tid)
+    rw = rw_edges_oracle(s, scope_set)
+    commit = s.commit_pos
+    found: list[DangerousStructure] = []
+    for t1 in sorted(scope_set):
+        for t2 in sorted(scope_set):
+            if (t1, t2) not in rw:
+                continue
+            for t3 in sorted(scope_set):
+                if (t2, t3) not in rw:
+                    continue
+                if t1 == t3:
+                    if not allow_degenerate_pivot:
+                        continue
+                elif commit[t3] >= commit[t1]:
+                    continue
+                if commit[t3] >= commit[t2]:
+                    continue
+                if not are_concurrent(s, t1, t2) or not are_concurrent(s, t2, t3):
+                    continue
+                if s.transaction(t1).read_only and commit[t3] >= s.first_pos[t1]:
+                    continue
+                found.append(DangerousStructure(t1, t2, t3, (rw[(t1, t2)], rw[(t2, t3)])))
+    return found
+
+
+def check_condition_1(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
+    """Either the workload is conflict-robust, or a split-form counterexample
+    witnesses that it is not."""
+    if is_conflict_robust(w, limits).robust:
+        return True
+    return find_split_counterexample(w, limits) is not None
 
 
 def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:

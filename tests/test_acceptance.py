@@ -23,7 +23,7 @@ from corpus import (
     implication_corpus_workloads,
 )
 from fixtures import *
-from oracles import view_serializable_oracle
+from oracles import check_condition_1, view_serializable_oracle
 
 from mvsched import (
     LevelAllocation,
@@ -31,7 +31,6 @@ from mvsched import (
     Workload,
     allowed_under_allocation,
     are_concurrent,
-    check_condition_1,
     exhibits_concurrent_write,
     exhibits_dirty_write,
     extend_with_serial_tail,

@@ -87,6 +87,18 @@ def test_check_schedule(docs):
     assert any("unmapped-read" in v for v in payload["details"]["violations"])
 
 
+def test_misplaced_init_tokens_are_an_invalid_schedule(docs):
+    path = docs["dir"] + "/misplaced-init.sched"
+    with open(path, "w") as fh:
+        fh.write(MISPLACED_INIT)
+    code, payload = invoke_json("check-schedule", path)
+    assert code == 1 and payload["verdict"] is False
+    assert [v.split(":")[0] for v in payload["details"]["violations"]] == ["init-not-first", "duplicate-position"]
+    for argv in (("serializable", "--mode", "conflict"), ("serializable", "--mode", "view"), ("allowed",)):
+        code, payload = invoke_json(*argv, path)
+        assert code == 2 and payload["verdict"] is None and "init-not-first" in payload["details"]["error"]
+
+
 def test_serializable_verdicts_mirror_library(docs):
     for name, sched in (("s1.sched", S1), ("s2.sched", S2), ("s3.sched", S3), ("s4.sched", S4), ("sd.sched", SD), ("lu.sched", lost_update_schedule())):
         code, payload = invoke_json("serializable", "--mode", "conflict", docs[name])

@@ -22,6 +22,7 @@ from fixtures import *
 from oracles import (
     allowed_at_level_oracle,
     complete_under_allocation_oracle,
+    dangerous_structures_oracle,
     overwrite_witness_oracle,
     read_last_committed_oracle,
     respects_commit_order_oracle,
@@ -32,6 +33,7 @@ from mvsched import (
     INIT,
     AllocationIncomplete,
     Clause,
+    ConflictKind,
     LevelAllocation,
     PredicateAllocation,
     UnknownOperation,
@@ -49,10 +51,11 @@ from mvsched import (
     reduce_to_schedule,
     respects_commit_order,
     serial_schedule,
+    serialization_graph,
     validate_schedule,
 )
 from mvsched.core import Budget, SearchLimits
-from mvsched.isolation import _overwrite_witness, _rw_edges
+from mvsched.isolation import _overwrite_witness
 from mvsched.robustness import _iter_interleavings
 
 
@@ -418,10 +421,21 @@ def test_completion_rejects_an_order_that_is_not_an_interleaving():
 # --- the clauses on the schedule's int index against the dictionary-keyed oracles -----
 
 
+def rw_witnesses(s, scope):
+    """Per transaction pair in scope, its least rw-antidependency in the
+    serialization graph: the hops :func:`find_dangerous_structures` chains."""
+    return {
+        pair: next(d for d in deps if d.kind is ConflictKind.RW)
+        for pair, deps in serialization_graph(s).edges.items()
+        if set(pair) <= scope and any(d.kind is ConflictKind.RW for d in deps)
+    }
+
+
 def assert_clauses_match_the_oracles(s) -> bool:
-    """Every clause, both per-transaction reports and the rw-antidependencies
-    (over all transactions and over all but the first) agree with the
-    oracles, violations, witnesses and their order included; whether some
+    """Every clause, both per-transaction reports, the rw-antidependencies
+    and the dangerous structures under either reading of the pivot (over all
+    transactions and over all but the first) agree with the oracles,
+    violations, witnesses and their order included; whether some
     transaction fails its RC or SI report."""
     failed = False
     for t in s.txns:
@@ -437,7 +451,10 @@ def assert_clauses_match_the_oracles(s) -> bool:
             assert report == allowed_at_level_oracle(s, t, si), (s, t.id, si)
             failed |= not report.allowed
     for scope in (frozenset(s.txn_ids), frozenset(s.txn_ids[1:])):
-        assert _rw_edges(s, scope) == rw_edges_oracle(s, scope), (s, scope)
+        assert rw_witnesses(s, scope) == rw_edges_oracle(s, scope), (s, scope)
+        for degenerate in (False, True):
+            got = find_dangerous_structures(s, scope, allow_degenerate_pivot=degenerate)
+            assert got == dangerous_structures_oracle(s, scope, allow_degenerate_pivot=degenerate), (s, scope)
     return failed
 
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, four_txn_workloads, random_workloads
+from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, four_txn_workloads, random_workloads, shape_txn
 from fixtures import *
-from oracles import allowed_schedules_oracle, enumeration_oracle, split_decider_oracle
+from oracles import allowed_schedules_oracle, check_condition_1, enumeration_oracle, split_decider_oracle
 
 from mvsched import (
     INIT,
@@ -24,7 +25,6 @@ from mvsched import (
     TransactionSetMismatch,
     Workload,
     allowed_under_allocation,
-    check_condition_1,
     enumerate_allowed_schedules,
     extend_with_serial_tail,
     find_split_counterexample,
@@ -290,6 +290,34 @@ def test_split_decider_matches_the_schedule_based_decider_it_replaced():
 @settings(max_examples=60, deadline=None)
 def test_split_decider_matches_the_schedule_based_decider_on_generated_workloads(w):
     assert find_split_counterexample(w) == split_decider_oracle(w)
+
+
+def ssi_heavy_workloads(count: int, seed: int = 1212) -> list[Workload]:
+    """Seeded workloads of 4-6 transactions of 1-3 reads and writes over five
+    objects (none reading its own write), each transaction SSI with odds
+    one half: sparse enough for rings of three and four transactions, and
+    SSI enough for dangerous structures to reject candidates."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, txns = rng.randint(4, 6), []
+        while len(txns) < n:
+            body = [(rng.choice("RW"), rng.choice("vwxyz")) for _ in range(rng.randint(1, 3))]
+            if not any(a == "R" and ("W", o) in body[:k] for k, (a, o) in enumerate(body)):
+                txns.append(shape_txn(f"T{len(txns) + 1}", body))
+        out.append(Workload(tuple(txns), LevelAllocation({t.id: rng.choice((SSI, SSI, SI, RC)) for t in txns})))
+    return out
+
+
+def test_split_decider_matches_the_schedule_based_decider_on_ssi_heavy_workloads():
+    """The oracle re-checks every candidate with
+    :func:`is_generalized_split_schedule`; the decider only its winner."""
+    sizes = []
+    for w in ssi_heavy_workloads(600):
+        got = find_split_counterexample(w)
+        assert got == split_decider_oracle(w), w
+        sizes += [len(got[0])] if got else []
+    assert sizes.count(2) > 100 and sizes.count(3) > 30 and sizes.count(4) > 0
 
 
 def test_the_split_decider_rejects_a_candidate_holding_an_ssi_dangerous_structure():

@@ -19,7 +19,14 @@ from corpus import (
     valid_schedules,
 )
 from fixtures import *
-from oracles import conflict_serializable_oracle, view_search_oracle, view_serializable_oracle
+from oracles import (
+    conflict_equivalent_oracle,
+    conflict_serializable_oracle,
+    depends_on_oracle,
+    serialization_graph_oracle,
+    view_search_oracle,
+    view_serializable_oracle,
+)
 
 from mvsched import (
     INIT,
@@ -327,3 +334,49 @@ def test_view_search_matches_the_oracle_on_a_sample_of_the_criterion_3_corpus():
 @settings(max_examples=300, deadline=None)
 def test_conflict_serializability_matches_the_graph_oracle_on_generated_schedules(s):
     assert is_conflict_serializable(s) == conflict_serializable_oracle(s)
+
+
+# --- the one dependency pass against the per-pair rule it replaced ------------------
+
+
+def assert_dependencies_match_the_oracles(s, others=()) -> int:
+    """The graph (edges, every witness and their order), ``depends_on`` on
+    every pair of operations and INIT, and conflict equivalence with ``s``
+    itself and with each of ``others`` agree with the oracles; the number of
+    dependencies."""
+    graph = serialization_graph(s)
+    assert graph == serialization_graph_oracle(s), s
+    for b, a in itertools.product(s.order, repeat=2):
+        assert depends_on(s, b, a) == depends_on_oracle(s, b, a), (s, b, a)
+    for s2 in (s, *others):
+        assert conflict_equivalent(s, s2) == conflict_equivalent_oracle(s, s2), (s, s2)
+    return sum(map(len, graph.edges.values()))
+
+
+def test_dependencies_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():
+    """Every 13th schedule of a seeded sixth of the workloads, each against
+    the one before it over the same transactions."""
+    rng = random.Random(12)
+    checked = equivalent = 0
+    for txns in rng.sample(implication_corpus_workloads(), 21):
+        previous = ()
+        for s in itertools.islice(enumerate_valid_schedules(txns), 0, None, 13):
+            assert_dependencies_match_the_oracles(s, previous)
+            equivalent += bool(previous) and conflict_equivalent(s, previous[0])
+            previous = (s,)
+            checked += 1
+    assert checked > 2000 and equivalent > 0
+
+
+def test_dependencies_match_the_oracles_on_polygraph_reductions():
+    dependencies = 0
+    for p in random_polygraphs(300) + dense_polygraphs(40):
+        s = reduce_to_schedule(p)[1]
+        dependencies += assert_dependencies_match_the_oracles(s, (serial_schedule(s.txns),))
+    assert dependencies > 1000
+
+
+@given(valid_schedules())
+@settings(max_examples=300, deadline=None)
+def test_dependencies_match_the_oracles_on_generated_schedules(s):
+    assert_dependencies_match_the_oracles(s, [serial_schedule(perm) for perm in itertools.permutations(s.txns)])

@@ -27,6 +27,7 @@ from mvsched import (
     render_workload,
     validate_schedule,
 )
+from mvsched.core import ViolationKind
 from mvsched.textio import _OpResolver, _parse_declarations
 
 S1_DOC = """
@@ -154,6 +155,19 @@ def test_vorder_not_total_rejected():
     )
     with pytest.raises(ParseError, match="vorder-not-total"):
         parse_schedule(doc)
+
+
+def test_init_tokens_stay_where_they_are_written():
+    s = parse_schedule(MISPLACED_INIT, validate=False)
+    assert s.order == (opid("T1", 1), INIT, opid("T1", 2), opid("T2", 1), opid("T2", 2))
+    assert s.vorder["x"] == (INIT, INIT, opid("T1", 1))
+    kinds = [v.kind for v in validate_schedule(s)]
+    assert kinds == [ViolationKind.INIT_NOT_FIRST, ViolationKind.DUPLICATE_POSITION]
+    with pytest.raises(ParseError, match="init-not-first.*duplicate-position"):
+        parse_schedule(MISPLACED_INIT)
+    # a leading init is the one INIT would be put first anyway
+    left_out = parse_schedule("txn T1: W(x) C\norder: W1(x) C1\nvorder x: W1(x)\n")
+    assert parse_schedule("txn T1: W(x) C\norder: init W1(x) C1\nvorder x: init<W1(x)\n") == left_out
 
 
 def test_parse_schedule_without_validation():

@@ -12,7 +12,10 @@ once with ``--json`` and once as text.  It also runs each of them in two
 shapes the benchmark never issues, again with ``--json`` and as text: the
 path right after the command words, then the limit flags in reverse
 order, then the command's own options; and without the limit flags.  On
-the schedule-check inputs it runs ``check-schedule`` too.  Each command runs
+the schedule-check inputs it runs ``check-schedule`` too, and each
+robust-enum command also runs with ``--method both`` in place of
+``--method enumerate``, which reaches the split decider and the check that
+both methods agree.  Each command runs
 through ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in
 its own interpreter and with an empty serial-signature cache per call, as in
 the benchmark.  The reports' ``elapsed_ms`` / ``elapsed-ms`` lines are
@@ -52,7 +55,8 @@ def shapes(argv: list[str]) -> list[list[str]]:
 
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
-    shape, and ``check-schedule`` on the schedule-check inputs, JSON and text."""
+    shape, ``check-schedule`` on the schedule-check inputs and ``--method
+    both`` on the robust-enum ones, JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -64,6 +68,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
         if name == "schedule-check":
             inputs = sorted({argv[-1] for argv in argvs[:n] + warmup[:n]})
             runs += [["check-schedule", "--json", path] for path in inputs]
+        if name == "robust-enum":
+            runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs]
         for argv in runs:
             out.append((name, argv))
             out.append((name, [a for a in argv if a != "--json"]))
