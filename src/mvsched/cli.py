@@ -19,7 +19,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Sequence
 
 from . import textio
@@ -189,9 +188,8 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    """The argument parser, built for each command line the reader hands off."""
     parser = _Parser(prog="mvsched", description=__doc__)
     groups = {(): parser.add_subparsers(dest=_COMMAND_DESTS[0], required=True)}
     for words, (help_line, args) in _GRAMMAR.items():

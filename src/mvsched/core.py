@@ -634,7 +634,9 @@ class SearchLimits:
     prefix and those the robustness deciders skip as equivalent to an order
     already checked included (and, for predicate allocations, candidate
     version-data completions), the choice resolutions polygraph acyclicity
-    tries, and the prefixes the view search extends.
+    tries, and the prefixes the view search extends.  The clock is read at
+    every count and where nothing is counted: per serial order of the level
+    walk's signature pool and per (T1, cut) of the split decider.
     """
 
     max_txns: int = 4
@@ -656,21 +658,17 @@ DEFAULT_LIMITS = SearchLimits()
 class Budget:
     """Candidate counter plus wall-clock deadline for one search call."""
 
-    __slots__ = ("max_orders", "deadline", "count", "_clock_check")
+    __slots__ = ("max_orders", "deadline", "count")
 
     def __init__(self, limits: SearchLimits):
         self.max_orders = limits.max_orders
         self.deadline = time.monotonic() + limits.budget_seconds
         self.count = 0
-        self._clock_check = 0
 
     def tick(self, n: int = 1) -> None:
-        """Count ``n`` candidates: one examined, or a pruned block of them."""
+        """Count ``n`` candidates (a pruned block, or 0 to only check the clock) and read the clock."""
         self.count += n
         if self.count > self.max_orders:
             raise LimitExceeded(f"more than {self.max_orders} candidate orders examined")
-        self._clock_check += n
-        if self._clock_check >= 256 or self.count == n:
-            self._clock_check = 0
-            if time.monotonic() >= self.deadline:
-                raise LimitExceeded("search exceeded its wall-clock budget")
+        if time.monotonic() >= self.deadline:
+            raise LimitExceeded("search exceeded its wall-clock budget")

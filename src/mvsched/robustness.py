@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -52,9 +51,8 @@ from .isolation import (
 from .serializability import (
     has_cycle,
     is_conflict_serializable,
-    serial_signature_pool,
+    is_view_serializable,
     serialization_graph,
-    view_signature,
 )
 
 
@@ -226,8 +224,8 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     interleaving; SSI dangerous structures are checked at the leaf.  With
     ``failing`` (``"conflict"`` or ``"view"``) only the schedules that are
     not serializable in that sense come out (a bitmask cycle test, or the
-    view signature looked up among the serial orders'), and the walk keeps
-    a sleep set of transactions per depth.  Two operations of different
+    view signature looked up in :func:`serial_signature_pool`), and the
+    walk keeps a sleep set of transactions per depth.  Two operations of different
     transactions are dependent when both write one object; when one is T's
     commit and the other a write of an object T writes, an RC read of one,
     or the first operation of a non-RC transaction U where T writes an
@@ -246,7 +244,7 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     n, bits, ops_of, kind, owner, obj_of = eng.n, eng.bits, eng.ops_of, eng.kind, eng.owner, eng.obj_of
     rc, ssi, wmask, touch, chains, vf = eng.rc, eng.ssi, eng.wmask, eng.touch, eng.chains, eng.vf
     place, undo, dangerous = eng.place, eng.undo, eng.dangerous
-    READ, WRITE, COMMIT = eng.READ, eng.WRITE, eng.COMMIT
+    WRITE, COMMIT = eng.WRITE, eng.COMMIT
     check_ssi = sum(ssi[i] for i in active) >= 3
     lens = [len(ops_of[i]) if eng.mask & bits[i] else 0 for i in range(n)]  # the others count as done
     total = sum(lens)
@@ -281,18 +279,8 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
 
     def view_fails() -> bool:
         nonlocal pool
-        if pool is None:  # the view signatures of every serial order, in the leaf's encoding
-            pool = set()
-            for perm in itertools.permutations(active):
-                last = [0] * len(chains)
-                seen: dict[int, int] = {}
-                for i in perm:
-                    for g in ops_of[i]:
-                        if kind[g] == WRITE:
-                            last[obj_of[g]] = g
-                        elif kind[g] == READ:
-                            seen[g] = last[obj_of[g]]
-                pool.add((tuple([seen[g] for g in read_gids]), tuple([last[o] for o in written])))
+        if pool is None:
+            pool = serial_signature_pool(eng, budget)
         return (tuple([vf[g] for g in read_gids]), tuple([chains[o][-1] for o in written])) not in pool
 
     fails = (lambda: has_cycle(eng.dependencies())) if failing == "conflict" else view_fails
@@ -339,6 +327,29 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
         undo(order[d])
 
 
+def serial_signature_pool(eng: LevelEngine, budget: Budget) -> set:
+    """The view signatures of every serial order of the transactions of the
+    engine's walk, in the encoding of :func:`_enumerate_level`'s leaves:
+    per read of the walk the operation whose version it sees, then per
+    object written the final version's writer.  Each serial order checks
+    the clock of ``budget`` and counts no candidate."""
+    kind, ops_of, obj_of, WRITE, READ = eng.kind, eng.ops_of, eng.obj_of, eng.WRITE, eng.READ
+    read_gids, written = [g for g, _, _ in eng.active_reads], eng.written
+    pool = set()
+    for perm in itertools.permutations(eng.active):
+        budget.tick(0)
+        last = [0] * len(eng.chains)
+        seen: dict[int, int] = {}
+        for i in perm:
+            for g in ops_of[i]:
+                if kind[g] == WRITE:
+                    last[obj_of[g]] = g
+                elif kind[g] == READ:
+                    seen[g] = last[obj_of[g]]
+        pool.add((tuple([seen[g] for g in read_gids]), tuple([last[o] for o in written])))
+    return pool
+
+
 def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
     """Allowed schedules of a predicate-allocated workload over its full
     transaction set, in canonical order; with ``failing`` (``"conflict"``
@@ -350,7 +361,7 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
                 continue
             if failing == "conflict" and is_conflict_serializable(s)[0]:
                 continue
-            if failing == "view" and view_signature(s) in serial_signature_pool(s.txns):
+            if failing == "view" and is_view_serializable(s, budget=budget).verdict:
                 continue
             yield s
 
@@ -662,7 +673,7 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     transactions; above that there is one path per (T1, cut, T2, Tm), so
     the size is still minimal but a tie may resolve differently.
     """
-    deadline = time.monotonic() + limits.budget_seconds
+    budget = Budget(limits)
     eng = LevelEngine(w.txns, w.alloc)
     n, bits, ops_of, wmask, touch = eng.n, eng.bits, eng.ops_of, eng.wmask, eng.touch
     neighbours = [[j for j in range(n) if j != i and (wmask[i] & touch[j] or wmask[j] & touch[i])] for i in range(n)]
@@ -684,8 +695,7 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     for t1 in range(n):
         others = set(range(n)) - {t1} - set(neighbours[t1])
         for cut in range(1, len(ops_of[t1])):
-            if time.monotonic() >= deadline:
-                raise LimitExceeded("search exceeded its wall-clock budget")
+            budget.tick(0)
             first, last = [], set()  # those with only T1 -> Tj, only Tj -> T1
             for tj in neighbours[t1]:
                 if not eng.walk(split_order((t1, tj), cut), sorted((t1, tj))):

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Budget, Operation, OperationId, Schedule, Transaction
+from .core import DEFAULT_LIMITS, Budget, Operation, OperationId, Schedule
 from .errors import ObjectNeverWritten, TransactionSetMismatch
 
 
@@ -272,34 +271,6 @@ class ViewWitness:
     verdict: bool
     witness: tuple[str, ...] | None
     exhausted: int
-
-
-def view_signature(s: Schedule):
-    """Hashable digest of what view-equivalence compares: vf plus final versions."""
-    vf_items = tuple(sorted(s.vf.items()))
-    last_items = tuple(sorted((obj, chain[-1]) for obj, chain in s.vorder.items() if len(chain) > 1))
-    return (vf_items, last_items)
-
-
-def _serial_signature(txns: Sequence[Transaction]):
-    """View signature of the serial schedule for this transaction order."""
-    vf: dict[OperationId, OperationId] = {}
-    last: dict[str, OperationId] = {}
-    for t in txns:
-        for op in t.ops:
-            if op.is_write:
-                last[op.obj] = op.id
-            elif op.is_read:
-                vf[op.id] = last.get(op.obj, INIT)
-    return (tuple(sorted(vf.items())), tuple(sorted(last.items())))
-
-
-@lru_cache(maxsize=16384)
-def serial_signature_pool(txns: tuple[Transaction, ...]) -> frozenset:
-    """View signatures of all serial orders of ``txns`` (canonically sorted input)."""
-    from itertools import permutations
-
-    return frozenset(_serial_signature(perm) for perm in permutations(txns))
 
 
 def _placement_constraints(s: Schedule):

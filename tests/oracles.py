@@ -12,18 +12,20 @@ index; the serialization graph, ``depends_on``, conflict equivalence and the
 conflict oracle, which finds the shortest cycle of the full graph, are built
 on them.  The enumeration oracle completes one interleaving at a time.  The
 split decider oracle classifies and checks candidates on completed
-schedules.  The view search oracle tracks installed versions per serial
-prefix.  The clause oracles evaluate the RC/SI clauses and the SSI
-rw-antidependencies on dictionaries keyed by operation id, where the library
-reads the schedule's int index; the dangerous-structure oracle chains those
-rw-antidependencies over every triple of its scope.  The reduction-check
-oracle evaluates each clause per operation where the library reads the
-per-transaction reports.  The validation oracle runs every per-offender loop,
-where the library decides each rule by counts and set comparisons first.  The
-reduction oracle groups operations through a ``defaultdict`` and takes the
-order from cached ids.  The acyclicity oracle builds every resolution's edge
-set.  The resolver oracle matches every token against the grammar, where the
-library looks canonical spellings up in one table.
+schedules.  The serial-signature pool looks a schedule's reads-from and
+final versions up among those of every serial order.  The view search oracle
+tracks installed versions per serial prefix.  The clause oracles evaluate
+the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
+operation id, where the library reads the schedule's int index; the
+dangerous-structure oracle chains those rw-antidependencies over every
+triple of its scope.  The reduction-check oracle evaluates each clause per
+operation where the library reads the per-transaction reports.  The
+validation oracle runs every per-offender loop, where the library decides
+each rule by counts and set comparisons first.  The reduction oracle groups
+operations through a ``defaultdict`` and takes the order from cached ids.
+The acyclicity oracle builds every resolution's edge set.  The resolver
+oracle matches every token against the grammar, where the library looks
+canonical spellings up in one table.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import itertools
 import re
 import time
 from collections import defaultdict
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -71,6 +74,7 @@ from mvsched import (
     is_conflict_robust,
     is_generalized_split_schedule,
     is_view_serializable,
+    make_schedule,
     reduce_to_schedule,
     validate_schedule,
     validate_transaction,
@@ -78,7 +82,7 @@ from mvsched import (
 from mvsched.core import DEFAULT_LIMITS, Budget, txn_id
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
 from mvsched.robustness import _iter_interleavings
-from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle, serial_signature_pool, view_signature
+from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle
 
 
 def view_serializable_oracle(s: Schedule):
@@ -102,6 +106,35 @@ def view_serializable_oracle(s: Schedule):
         if vf == target_vf and last == target_last:
             return tuple(t.id for t in perm)
     return None
+
+
+def view_signature(s: Schedule):
+    """Hashable digest of what view-equivalence compares: vf plus final versions."""
+    vf_items = tuple(sorted(s.vf.items()))
+    last_items = tuple(sorted((obj, chain[-1]) for obj, chain in s.vorder.items() if len(chain) > 1))
+    return (vf_items, last_items)
+
+
+def _serial_signature(txns: Sequence[Transaction]):
+    """View signature of the serial schedule for this transaction order."""
+    vf: dict[OperationId, OperationId] = {}
+    last: dict[str, OperationId] = {}
+    for t in txns:
+        for op in t.ops:
+            if op.is_write:
+                last[op.obj] = op.id
+            elif op.is_read:
+                vf[op.id] = last.get(op.obj, INIT)
+    return (tuple(sorted(vf.items())), tuple(sorted(last.items())))
+
+
+@lru_cache(maxsize=16384)
+def serial_signature_pool(txns: tuple[Transaction, ...]) -> frozenset:
+    """View signatures of all serial orders of ``txns``: the definitional
+    view check of the enumeration oracle, where the library decides the
+    predicate path with its view search and the level walk on the leaves'
+    own int encoding."""
+    return frozenset(_serial_signature(perm) for perm in itertools.permutations(txns))
 
 
 def single_version_oracle(s: Schedule) -> bool:
@@ -289,15 +322,43 @@ def complete_under_allocation_oracle(
     return s
 
 
+def _valid_completions_oracle(txns: Sequence[Transaction], order: tuple[OperationId, ...]) -> Iterator[Schedule]:
+    """Every valid schedule with this operation order, in the library's
+    order: each object's version orders (objects sorted, writes permuted in
+    transaction order, keeping a transaction's own writes in order), then
+    per read, in transaction order, INIT and every earlier write of its
+    object."""
+    pos = {opid: i for i, opid in enumerate(order)}
+    writes = [op.id for t in txns for op in t.ops if op.is_write]
+    reads = [op for t in txns for op in t.ops if op.is_read]
+    obj = {op.id: op.obj for t in txns for op in t.ops}
+    objs = sorted({obj[w] for w in writes})
+    chains = [
+        [p for p in itertools.permutations(w for w in writes if obj[w] == o)
+         if all(a.txn != b.txn or a.index < b.index for a, b in itertools.combinations(p, 2))]
+        for o in objs
+    ]
+    options = [[INIT] + [w for w in writes if obj[w] == r.obj and pos[w] < pos[r.id]] for r in reads]
+    for vorder in itertools.product(*chains):
+        for vf in itertools.product(*options):
+            yield make_schedule(txns, order, dict(zip(objs, vorder)), {r.id: v for r, v in zip(reads, vf)})
+
+
 def allowed_schedules_oracle(w: Workload, budget: Budget):
-    """Every allowed schedule over the workload's full transaction set, with
-    one :func:`complete_under_allocation_oracle` call per interleaving: the
-    reference for the library's enumeration, which completes the schedule
-    while it walks the interleavings and drops rejected prefixes whole."""
+    """Every allowed schedule over the workload's full transaction set: the
+    reference for the library's enumeration.  Under a level allocation, one
+    :func:`complete_under_allocation_oracle` call per interleaving, where
+    the library completes the schedule while it walks the interleavings and
+    drops rejected prefixes whole; under the view-serializable-only
+    predicate, every valid schedule whose view signature is in
+    :func:`serial_signature_pool`, where the library runs its view search."""
     for order in _iter_interleavings(w.txns, budget):
-        s = complete_under_allocation_oracle(w.txns, order, w.alloc)
-        if s is not None:
-            yield s
+        if isinstance(w.alloc, LevelAllocation):
+            s = complete_under_allocation_oracle(w.txns, order, w.alloc)
+            if s is not None:
+                yield s
+        else:
+            yield from (s for s in _valid_completions_oracle(w.txns, order) if not _fails(s, True))
 
 
 def _fails(s: Schedule, view: bool) -> bool:
@@ -418,11 +479,12 @@ def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
 
 
 def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
-    """What the enumeration must give for a level allocation, from the
-    per-order oracle: the allowed schedules over the full set, and per
-    robustness mode the first allowed schedule failing its serializability
-    notion as (subset, schedule), or None.  Subset modes scan every subset,
-    smallest first, then lexicographic; the exact modes the full set."""
+    """What the enumeration must give for a level allocation or the
+    view-serializable-only predicate, from the per-order oracle: the
+    allowed schedules over the full set, and per robustness mode the first
+    allowed schedule failing its serializability notion as (subset,
+    schedule), or None.  Subset modes scan every subset, smallest first,
+    then lexicographic; the exact modes the full set."""
     ids = sorted(w.txn_ids)
     budget = Budget(limits)
     found = {}

@@ -538,6 +538,21 @@ def test_a_zero_budget_stops_the_view_search_before_it_grows_with_the_input(tmp_
     assert payload["elapsed_ms"] < 2000
 
 
+def test_the_level_walk_signature_pool_stops_at_the_budget(tmp_path):
+    """Ten transactions that each read their own object commute in every
+    interleaving, so the exact view sweep checks one leaf, and that leaf
+    builds the view signatures of all 10! serial orders."""
+    ids = [f"T{i:02d}" for i in range(1, 11)]
+    text = "".join(f"txn {t}: R(x{i}) C\n" for i, t in enumerate(ids, 1)) + f"alloc {' '.join(f'{t}=RC' for t in ids)}\n"
+    path = tmp_path / "reads.wl"
+    path.write_text(text, encoding="utf-8")
+    limits = ("--max-txns", "10", "--max-ops", "20", "--budget-seconds", "0.2")
+    started = time.process_time()
+    code, payload = invoke_json("robust", "--mode", "exact-view", str(path), *limits)
+    assert code == 3 and payload["limit_exceeded"] is True
+    assert time.process_time() - started < 2.0
+
+
 def test_allowed_applies_the_limits_to_a_predicate_allocation(tmp_path):
     path = tmp_path / "ten.sched"
     path.write_text(ten_transactions(PredicateAllocation("view-serializable-only")), encoding="utf-8")

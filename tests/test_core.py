@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,11 @@ from mvsched import (
     EMPTY_SCHEDULE,
     INIT,
     Action,
+    LimitExceeded,
     Operation,
     OperationId,
     Schedule,
+    SearchLimits,
     Transaction,
     UnknownOperation,
     ViolationKind,
@@ -34,6 +37,7 @@ from mvsched import (
     validate_schedule,
     validate_transaction,
 )
+from mvsched.core import Budget
 
 
 def kinds(violations):
@@ -404,3 +408,14 @@ def test_vorder_restricted_to_txn_matches_txn_order():
                 own = [op.id for op in t.ops if op.is_write and op.obj == obj]
                 chain = [opid for opid in s.vorder[obj] if opid in set(own)]
                 assert chain == own
+
+
+# --- search budget -----------------------------------------------------------
+
+
+def test_every_tick_reads_the_clock():
+    budget = Budget(SearchLimits(budget_seconds=0.05))
+    budget.tick()
+    time.sleep(0.06)
+    with pytest.raises(LimitExceeded, match="wall-clock"):
+        budget.tick()

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import criterion_5_workloads, curated_txn_sets, curated_workloads, four_txn_workloads, random_workloads, shape_txn
+from corpus import (
+    criterion_5_workloads,
+    curated_txn_sets,
+    curated_workloads,
+    four_txn_workloads,
+    random_txn,
+    random_workloads,
+    shape_txn,
+)
 from fixtures import *
 from oracles import allowed_schedules_oracle, check_condition_1, enumeration_oracle, split_decider_oracle
 
@@ -429,6 +437,22 @@ def test_enumeration_matches_the_per_order_oracle_on_the_criterion_5_corpus():
 def test_enumeration_matches_the_per_order_oracle_on_four_transactions():
     workloads = four_txn_workloads(30) + four_txn_workloads(8, seed=4045, read_write_first=True)
     assert sum(list(w.alloc.levels.values()).count(SSI) >= 3 for w in workloads) >= 3
+    for w in workloads:
+        assert_enumeration_matches_the_oracle(w)
+    assert sum(not is_conflict_robust(w).robust for w in workloads) >= 3
+
+
+def test_enumeration_matches_the_definitional_pool_under_the_view_predicate():
+    """Under the view-serializable-only predicate the library admits and
+    checks each schedule with its view search; the oracle looks the
+    schedule's view signature up among those of every serial order."""
+    rng = random.Random(2)
+    workloads = []
+    while len(workloads) < 40:
+        txns = tuple(random_txn(f"T{i + 1}", rng) for i in range(rng.randint(2, 3)))
+        if sum(len(t.ops) for t in txns) <= 8:
+            workloads.append(Workload(txns, PredicateAllocation("view-serializable-only")))
+    assert sum(len(w.txns) == 3 for w in workloads) >= 15
     for w in workloads:
         assert_enumeration_matches_the_oracle(w)
     assert sum(not is_conflict_robust(w).robust for w in workloads) >= 3

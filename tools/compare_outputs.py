@@ -15,11 +15,11 @@ order, then the command's own options; and without the limit flags.  On
 the schedule-check inputs it runs ``check-schedule`` too, and each
 robust-enum command also runs with ``--method both`` in place of
 ``--method enumerate``, which reaches the split decider and the check that
-both methods agree.  Each command runs
-through ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in
-its own interpreter and with an empty serial-signature cache per call, as in
-the benchmark.  The reports' ``elapsed_ms`` / ``elapsed-ms`` lines are
-dropped.  Every command whose exit code or report differs is listed, and the
+both methods agree, and with ``--mode exact-conflict`` or ``--mode
+exact-view`` in place of its mode, which sweeps the full transaction set
+alone.  Each command runs through ``mvsched.cli.run`` of this tree and of
+``BASE_SRC``, each side in its own interpreter, as in the benchmark.  The
+reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
 script exits 1 if there is one.  ``--limit N`` keeps the first N inputs of
 each workload's measured and warm-up sets.
 """
@@ -56,7 +56,7 @@ def shapes(argv: list[str]) -> list[list[str]]:
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs and ``--method
-    both`` on the robust-enum ones, JSON and text."""
+    both`` and the exact modes on the robust-enum ones, JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -69,7 +69,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
             inputs = sorted({argv[-1] for argv in argvs[:n] + warmup[:n]})
             runs += [["check-schedule", "--json", path] for path in inputs]
         if name == "robust-enum":
-            runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs]
+            exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
+            runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs] + exact
         for argv in runs:
             out.append((name, argv))
             out.append((name, [a for a in argv if a != "--json"]))
