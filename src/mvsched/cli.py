@@ -13,12 +13,13 @@ command line the usage also goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import textio
@@ -66,14 +67,7 @@ class Report:
     limit_exceeded: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "schema": "report-v1",
-            "command": self.command,
-            "verdict": self.verdict,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-            "limit_exceeded": self.limit_exceeded,
-        }
+        return {"schema": "report-v1", **vars(self)}  # the fields, under the schema's tag
 
     def to_text(self) -> str:
         lines = ["command: " + " ".join(self.command)]
@@ -102,11 +96,12 @@ class Report:
 
 
 def _read_input(path: str) -> str:
+    """The document at ``path`` (``-``: stdin): its bytes decoded as UTF-8, line endings as written."""
     try:
         if path == "-":
             return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -125,10 +120,11 @@ def _env_default(name: str, cast, fallback):
 
 def _limits_from(args: argparse.Namespace) -> SearchLimits:
     """Flags win over environment variables, which win over ``DEFAULT_LIMITS``."""
-    values = {}
-    for f in fields(DEFAULT_LIMITS):
-        flag, default = getattr(args, f.name), getattr(DEFAULT_LIMITS, f.name)
-        values[f.name] = flag if flag is not None else _env_default(f.name.upper(), type(default), default)
+    given = vars(args)
+    values = {
+        name: given[name] if given[name] is not None else _env_default(name.upper(), type(default), default)
+        for name, default in vars(DEFAULT_LIMITS).items()
+    }
     try:
         return SearchLimits(**values)
     except ValueError as exc:
@@ -267,7 +263,9 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     if len(given) != len(positionals) or any(values[dest] is None for dest in required):
         return None
     values.update(zip(positionals, given))
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)  # what ``Namespace(**values)`` does, without a setattr per name
+    return args
 
 
 def _load_schedule(args: argparse.Namespace, *, validate: bool = True):
@@ -446,10 +444,29 @@ def _emit(report: Report, as_json: bool, started: float) -> None:
     # default limit of 4,300 digits for int-to-str from 1,559 transactions on
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if as_json:
-        sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(_json(report.to_json()) + "\n" if as_json else report.to_text())
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed JSON values, without the pure-Python
+    encoder ``indent`` selects: ``json``'s C string encoder and reprs; ``indent`` ends the line before."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner, quote = indent + "  ", encode_basestring_ascii  # a string item inline, saving a call
+    if isinstance(value, dict):
+        items = [f"{inner}{quote(k)}: {quote(v) if type(v) is str else _json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + (quote(v) if type(v) is str else _json(v, inner)) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -21,6 +21,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LimitExceeded, UnknownOperation
@@ -36,6 +37,15 @@ class Action(enum.Enum):
 
 # looking a member up on an Enum class is slow; the per-operation tests use these
 _READ, _WRITE, _COMMIT = Action
+_setattr = object.__setattr__  # sets a field of a frozen instance, as a dataclass's ``__init__`` does
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first access:
+    every value cached here is a pure function of immutable ones, so racing threads store equal values."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
 
 
 class OperationId(NamedTuple):
@@ -61,25 +71,28 @@ class OperationId(NamedTuple):
 INIT = OperationId("", 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Operation:
     """A single read, write, or commit.
 
     Reads and writes carry exactly one object; commits carry none.  This is
-    enforced at construction time because no useful value violates it.
+    enforced in ``__init__``, at construction time, because no useful value
+    violates it.
     """
 
     id: OperationId
     action: Action
     obj: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.action is _COMMIT:
-            if self.obj is not None:
-                raise ValueError(f"commit {self.id!r} must not carry an object")
-        else:
-            if not self.obj:
-                raise ValueError(f"{self.action.value} operation {self.id!r} needs a nonempty object")
+    def __init__(self, id: OperationId, action: Action, obj: str | None = None) -> None:
+        if action is _COMMIT:
+            if obj is not None:
+                raise ValueError(f"commit {id!r} must not carry an object")
+        elif not obj:
+            raise ValueError(f"{action.value} operation {id!r} needs a nonempty object")
+        _setattr(self, "id", id)
+        _setattr(self, "action", action)
+        _setattr(self, "obj", obj)
 
     @property
     def is_read(self) -> bool:
@@ -112,24 +125,12 @@ class Transaction:
     id: str
     ops: tuple[Operation, ...]
 
-    @property
-    def first(self) -> Operation:
-        return self.ops[0]
-
-    @property
-    def commit(self) -> Operation:
-        return self.ops[-1]
-
-    @cached_property
+    @_cached
     def op_ids(self) -> tuple[OperationId, ...]:
         return tuple(op.id for op in self.ops)
 
-    @cached_property
-    def by_id(self) -> dict[OperationId, Operation]:
-        return {op.id: op for op in self.ops}
-
     def __contains__(self, opid: OperationId) -> bool:
-        return opid in self.by_id
+        return opid in self.op_ids
 
     @property
     def read_only(self) -> bool:
@@ -137,7 +138,7 @@ class Transaction:
         return all(not op.is_write for op in self.ops)
 
 
-_OP_TOKEN = re.compile(r"^([RW])\(([^()\s<]+)\)$|^(C)$")
+_RW_TOKEN = re.compile(r"([RW])\(([^()\s<]+)\)")
 
 
 def make_transaction(tid: str, actions: str) -> Transaction:
@@ -147,14 +148,13 @@ def make_transaction(tid: str, actions: str) -> Transaction:
     """
     ops: list[Operation] = []
     for k, token in enumerate(actions.split(), start=1):
-        m = _OP_TOKEN.match(token)
-        if m is None:
-            raise ValueError(f"bad operation token {token!r} in transaction {tid}")
-        action, obj, commit = m.groups()
-        if commit:
-            ops.append(Operation(OperationId(tid, k), _COMMIT))
+        opid = tuple.__new__(OperationId, (tid, k))
+        if token == "C":
+            ops.append(Operation(opid, _COMMIT))
+        elif m := _RW_TOKEN.fullmatch(token):
+            ops.append(Operation(opid, _READ if m[1] == "R" else _WRITE, m[2]))
         else:
-            ops.append(Operation(OperationId(tid, k), _READ if action == "R" else _WRITE, obj))
+            raise ValueError(f"bad operation token {token!r} in transaction {tid}")
     return Transaction(tid, tuple(ops))
 
 
@@ -178,7 +178,7 @@ class Schedule:
 
     # -- identity ---------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _key(self):
         return (
             self.txns,
@@ -197,36 +197,36 @@ class Schedule:
 
     # -- derived lookups (computed once per schedule) ---------------------
 
-    @cached_property
+    @_cached
     def txn_by_id(self) -> dict[str, Transaction]:
         return {t.id: t for t in self.txns}
 
-    @cached_property
+    @_cached
     def txn_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.txns)
 
-    @cached_property
+    @_cached
     def op_by_id(self) -> dict[OperationId, Operation]:
         return {op.id: op for t in self.txns for op in t.ops}
 
-    @cached_property
+    @_cached
     def pos(self) -> dict[OperationId, int]:
         return {opid: i for i, opid in enumerate(self.order)}
 
-    @cached_property
+    @_cached
     def vpos(self) -> dict[str, dict[OperationId, int]]:
         return {obj: {opid: i for i, opid in enumerate(chain)} for obj, chain in self.vorder.items()}
 
-    @cached_property
+    @_cached
     def commit_pos(self) -> dict[str, int]:
         """Position of each transaction's last operation in the order."""
         return {t.id: self.pos[t.ops[-1].id] for t in self.txns if t.ops}
 
-    @cached_property
+    @_cached
     def first_pos(self) -> dict[str, int]:
         return {t.id: self.pos[t.ops[0].id] for t in self.txns if t.ops}
 
-    @cached_property
+    @_cached
     def writes_by_obj(self) -> dict[str, tuple[Operation, ...]]:
         out: dict[str, list[Operation]] = {}
         for t in self.txns:
@@ -235,11 +235,11 @@ class Schedule:
                     out.setdefault(op.obj, []).append(op)
         return {obj: tuple(ws) for obj, ws in out.items()}
 
-    @cached_property
+    @_cached
     def reads(self) -> tuple[Operation, ...]:
         return tuple(op for t in self.txns for op in t.ops if op.is_read)
 
-    @cached_property
+    @_cached
     def index(self) -> "ScheduleIndex":
         return ScheduleIndex(self)
 
@@ -275,20 +275,23 @@ class ScheduleIndex:
         txn, kind, obj, rank, seen = self.txn, self.kind, self.obj, self.rank, self.vf = (
             [-1] * size, [-1] * size, [None] * size, [0] * size, [0] * size)
         number, at, writes = self.number, self.at, self.writes = {}, [], {}
+        READ, WRITE, COMMIT = self.READ, self.WRITE, self.COMMIT
         for i, t in enumerate(s.txns):
             number[t.id] = i
-            at.append([pos[op.id] for op in t.ops])
-            for p, op in zip(at[i], t.ops):
-                txn[p], obj[p] = i, op.obj
-                if op.obj is None:
-                    kind[p] = self.COMMIT
+            at.append(here := [pos[op.id] for op in t.ops])
+            for p, op in zip(here, t.ops):
+                txn[p] = i
+                o = obj[p] = op.obj
+                if o is None:
+                    kind[p] = COMMIT
                     continue
-                ws = writes.setdefault(op.obj, [])
+                if o not in writes:
+                    writes[o] = []
                 if op.action is _WRITE:
-                    kind[p] = self.WRITE
-                    ws.append(p)
+                    kind[p] = WRITE
+                    writes[o].append(p)
                 else:
-                    kind[p], seen[p] = self.READ, pos[vf[op.id]]
+                    kind[p], seen[p] = READ, pos[vf[op.id]]
         for chain in s.vorder.values():
             for r, w in enumerate(chain):
                 rank[pos[w]] = r
@@ -309,18 +312,17 @@ def make_schedule(
     ids are rejected here; every other defect is left to
     :func:`validate_schedule` to report.
     """
-    txns = tuple(sorted(txns, key=lambda t: t.id))
-    seen: set[str] = set()
-    for t in txns:
-        if t.id in seen:
-            raise ValueError(f"duplicate transaction id {t.id!r}")
-        seen.add(t.id)
+    txns = tuple(sorted(txns, key=attrgetter("id")))
+    for a, b in zip(txns, txns[1:]):  # sorted, so a duplicate follows its twin
+        if a.id == b.id:
+            raise ValueError(f"duplicate transaction id {a.id!r}")
 
     order_t = tuple(order)
     if INIT not in order_t:
         order_t = (INIT,) + order_t
 
-    mentioned = {op.obj for t in txns for op in t.ops if op.obj is not None}
+    mentioned = {op.obj for t in txns for op in t.ops}
+    mentioned.discard(None)  # a commit's
     chains: dict[str, tuple[OperationId, ...]] = {}
     for obj, chain in vorder.items():
         chain_t = tuple(chain)
@@ -421,22 +423,24 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     in_order = intra = covered = mapped = True
     nops = nwrites = nreads = 0
     for t in s.txns:
-        tid, ops, ok, prev, last = t.id, t.ops, bool(t.ops), 0, {}
-        nops += len(ops)
+        tid, ops, prev, last = t.id, t.ops, 0, {}
+        n = len(ops)
+        nops += n
+        ok = n > 0 and ops[-1].action is _COMMIT
         for k, op in enumerate(ops, 1):
-            opid, action = op.id, op.action
-            if opid != (tid, k) or (action is _COMMIT) != (k == len(ops)):
-                ok = False
+            opid, action, obj = op.id, op.action, op.obj
             p = pos.get(opid, -1)
-            in_order, prev = in_order and p > prev, p
+            ok, in_order, prev = ok and opid == (tid, k), in_order and p > prev, p
             if action is _WRITE:
                 nwrites += 1
-                r = vpos[op.obj].get(opid, -1) if op.obj in vpos else -1
-                covered, intra, last[op.obj] = covered and r > 0, intra and r > last.get(op.obj, 0), r
+                r = vpos[obj].get(opid, -1) if obj in vpos else -1
+                covered, intra, last[obj] = covered and r > 0, intra and r > last.get(obj, 0), r
             elif action is _READ:
                 nreads += 1
                 observed = vf.get(opid)  # INIT or a write in the version order of the object, placed earlier
-                mapped = mapped and observed in vpos.get(op.obj, ()) and pos.get(observed, p) < p
+                mapped = mapped and observed in vpos.get(obj, ()) and pos.get(observed, p) < p
+            elif k < n:
+                ok = False  # a commit before the last operation
         if not ok:
             sound = False
             out.extend(validate_transaction(t))

@@ -25,7 +25,6 @@ form that parses back to the identical value.
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
 from .core import (
     INIT,
@@ -48,22 +47,21 @@ _POSITIONAL = re.compile(r"^(\S+)#(\d+)$")
 _SHORT_RW = re.compile(r"^([RW])(\d+)\((\S+)\)$")
 _SHORT_COMMIT = re.compile(r"^C(\d+)$")
 _NUMBERED_TXN = re.compile(r"^T(\d+)$")
-_COMMENT = re.compile(r"(?<!\S)#")  # a '#' at line start or after whitespace
+# a '#' at line start or after whitespace; led by the '#' so the search skips to each one
+_COMMENT = re.compile(r"#(?<!\S#)")
 _HEAD_END = re.compile(r":(?=\s|\Z)")  # a colon before whitespace or the end
 _READ, _WRITE, _COMMIT = Action
-
-
-def _strip_comment(line: str) -> str:
-    m = _COMMENT.search(line) if "#" in line else None
-    return (line if m is None else line[: m.start()]).strip()
+_LEVELS = {level.value: level for level in IsolationLevel}
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line left nonempty without its comment and outer whitespace."""
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw)
-        if stripped:
-            lines.append((lineno, stripped))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line and (m := _COMMENT.search(line)):
+            line = line[: m.start()]
+        if line := line.strip():
+            lines.append((lineno, line))
     return lines
 
 
@@ -94,27 +92,12 @@ def _parse_txn_line(line: str, lineno: int) -> Transaction:
         t = make_transaction(tid, rest)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
-    bad = validate_transaction(t)
-    if bad:
-        raise ParseError(f"invalid transaction {tid!r}: " + "; ".join(map(str, bad)), lineno)
+    # ids are positional by construction; one 'C' that ends the line is one commit, placed last
+    if rest.count("C") != 1 or rest[-1] != "C":
+        bad = validate_transaction(t)
+        if bad:
+            raise ParseError(f"invalid transaction {tid!r}: " + "; ".join(map(str, bad)), lineno)
     return t
-
-
-def _parse_alloc_tokens(tokens: Sequence[str], lineno: int, entries: dict[str, IsolationLevel], predicate: list[str]) -> None:
-    for token in tokens:
-        if "=" not in token:
-            raise ParseError(f"bad allocation token {token!r}; expected <txn>=<level>", lineno)
-        key, value = token.rsplit("=", 1)
-        if key == "predicate":
-            predicate.append(value)
-            continue
-        try:
-            level = IsolationLevel(value)
-        except ValueError:
-            raise ParseError(f"unknown isolation level {value!r}", lineno) from None
-        if key in entries:
-            raise ParseError(f"duplicate allocation for transaction {key!r}", lineno)
-        entries[key] = level
 
 
 def _parse_declarations(text: str) -> tuple[dict[str, Transaction], Allocation | None, list[tuple[int, str]]]:
@@ -131,7 +114,19 @@ def _parse_declarations(text: str) -> tuple[dict[str, Transaction], Allocation |
                 raise ParseError(f"duplicate transaction id {t.id!r}", lineno)
             txns[t.id] = t
         elif word == "alloc":
-            _parse_alloc_tokens(line.split()[1:], lineno, entries, predicate)
+            for token in line.split()[1:]:
+                if "=" not in token:
+                    raise ParseError(f"bad allocation token {token!r}; expected <txn>=<level>", lineno)
+                key, value = token.rsplit("=", 1)
+                if key == "predicate":
+                    predicate.append(value)
+                    continue
+                level = _LEVELS.get(value)
+                if level is None:
+                    raise ParseError(f"unknown isolation level {value!r}", lineno)
+                if key in entries:
+                    raise ParseError(f"duplicate allocation for transaction {key!r}", lineno)
+                entries[key] = level
         else:
             rest.append((lineno, line))
     alloc: Allocation | None = None
@@ -193,22 +188,30 @@ def _render_alloc(alloc: Allocation) -> str:
 
 class _OpResolver:
     """Operation references of one document: a canonical spelling (``T1#2``, and
-    ``R1(x)``, ``W1(x)``, ``C1`` where unambiguous) is one table lookup; any
-    other token goes through the grammar, which also words the errors."""
+    ``R1(x)``, ``W1(x)``, ``C1`` where unambiguous) is one lookup in ``ids``, which
+    gains the compact ones at the first miss; any other token goes through the
+    grammar, which also words the errors."""
 
     def __init__(self, txns: dict[str, Transaction]):
-        self.txns = txns
+        self.txns, self.compact = txns, False
         ids = self.ids = {"init": INIT}
         for tid, t in txns.items():
-            m = _NUMBERED_TXN.match(tid)
             for k, op in enumerate(t.ops, start=1):
                 ids[f"{tid}#{k}"] = op.id
-                if m:
+
+    def table(self) -> dict[str, OperationId | None]:
+        """``ids`` with the compact spellings added (None: ambiguous)."""
+        if not self.compact:
+            self.compact, ids = True, self.ids
+            for tid, t in self.txns.items():
+                m = _NUMBERED_TXN.match(tid)
+                for op in t.ops if m else ():
                     short = f"C{m[1]}" if op.obj is None else f"{'R' if op.action is _READ else 'W'}{m[1]}({op.obj})"
-                    ids[short] = None if short in ids else op.id  # None: ambiguous
+                    ids[short] = None if short in ids else op.id
+        return self.ids
 
     def resolve(self, token: str, lineno: int) -> OperationId:
-        opid = self.ids.get(token)
+        opid = self.table().get(token)
         if opid is not None:
             return opid
         m = _POSITIONAL.match(token)
@@ -283,6 +286,7 @@ def parse_schedule_document(
         raise ParseError("schedule document has no transactions (embed txn lines or pass a workload)")
 
     resolver = _OpResolver(txns)
+    ids, resolve = resolver.ids, resolver.resolve  # ids gains the compact spellings on a miss
     order: list[OperationId] | None = None
     vf: dict[OperationId, OperationId] = {}
     vorder: dict[str, tuple[OperationId, ...]] = {}
@@ -292,14 +296,17 @@ def parse_schedule_document(
         if word == "order:":
             if order is not None:
                 raise ParseError("duplicate order line", lineno)
-            order = [resolver.resolve(token, lineno) for token in line[len("order:") :].split()]
+            tokens = line[len("order:") :].split()
+            order = list(map(ids.get, tokens))
+            if None in order:
+                order = [resolve(token, lineno) for token in tokens]
         elif word == "reads:":
             for entry in line[len("reads:") :].split():
-                if "<-" not in entry:
+                left, arrow, right = entry.partition("<-")
+                if not arrow:
                     raise ParseError(f"bad read entry {entry!r}; expected <read><-<write|init>", lineno)
-                left, right = entry.split("<-", 1)
-                rid = resolver.resolve(left, lineno)
-                target = resolver.resolve(right, lineno)
+                rid = ids.get(left) or resolve(left, lineno)
+                target = ids.get(right) or resolve(right, lineno)
                 if rid in vf:
                     raise ParseError(f"duplicate read mapping for {left!r}", lineno)
                 vf[rid] = target
@@ -307,12 +314,14 @@ def parse_schedule_document(
             obj, chain_text = _split_keyword_head(line, "vorder", lineno)
             if obj in vorder:
                 raise ParseError(f"duplicate vorder line for object {obj!r}", lineno)
-            chain: list[OperationId] = []
-            for token in chain_text.split("<"):
-                token = token.strip()
-                if not token:
-                    raise ParseError(f"empty element in vorder chain for {obj!r}", lineno)
-                chain.append(resolver.resolve(token, lineno))
+            tokens = chain_text.split("<")
+            chain = tuple(map(ids.get, tokens))
+            if None in chain:
+                chain = []
+                for token in map(str.strip, tokens):
+                    if not token:
+                        raise ParseError(f"empty element in vorder chain for {obj!r}", lineno)
+                    chain.append(resolve(token, lineno))
             vorder[obj] = tuple(chain)
         else:
             raise ParseError(f"unexpected line in schedule document: {line!r}", lineno)
@@ -338,7 +347,7 @@ def render_schedule(s: Schedule, alloc: Allocation | None = None) -> str:
         lines.append("alloc " + _render_alloc(alloc))
     # canonical token per operation: the resolver's table, where a compact
     # spelling comes after the positional one and ambiguous ones map to None
-    token = {opid: tok for tok, opid in _OpResolver(s.txn_by_id).ids.items() if opid is not None}
+    token = {opid: tok for tok, opid in _OpResolver(s.txn_by_id).table().items() if opid is not None}
     lines.append("order: " + " ".join(token[opid] for opid in s.order if not opid.is_init))
     read_ids = sorted(op.id for t in s.txns for op in t.ops if op.is_read)
     if read_ids:

@@ -25,7 +25,11 @@ each rule by counts and set comparisons first.  The reduction oracle groups
 operations through a ``defaultdict`` and takes the order from cached ids.
 The acyclicity oracle builds every resolution's edge set.  The resolver
 oracle matches every token against the grammar, where the library looks
-canonical spellings up in one table.
+canonical spellings up in one table.  The reader oracle parses a schedule
+document as the reader did before it was trimmed: a regex per operation
+token, ``validate_transaction`` on every transaction, the isolation level
+through the enum, every reference through the resolver oracle and the
+schedule through the normalizer's old body.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from mvsched import (
     IsolationLevel,
     LevelAllocation,
     LimitExceeded,
+    PredicateAllocation,
     Operation,
     OperationId,
     ParseError,
@@ -1035,3 +1040,200 @@ class OpResolverOracle:
                 )
             return hits[0]
         raise ParseError(f"unrecognized operation reference {token!r}", lineno)
+
+
+_OP_TOKEN = re.compile(r"^([RW])\(([^()\s<]+)\)$|^(C)$")
+_COMMENT = re.compile(r"(?<!\S)#")  # a '#' at line start or after whitespace
+_HEAD_END = re.compile(r":(?=\s|\Z)")  # a colon before whitespace or the end
+
+
+def make_transaction_oracle(tid: str, actions: str) -> Transaction:
+    """The old ``make_transaction``: one regex for every token, ``C`` included."""
+    ops: list[Operation] = []
+    for k, token in enumerate(actions.split(), start=1):
+        m = _OP_TOKEN.match(token)
+        if m is None:
+            raise ValueError(f"bad operation token {token!r} in transaction {tid}")
+        action, obj, commit = m.groups()
+        if commit:
+            ops.append(Operation(OperationId(tid, k), Action.COMMIT))
+        else:
+            ops.append(Operation(OperationId(tid, k), Action.READ if action == "R" else Action.WRITE, obj))
+    return Transaction(tid, tuple(ops))
+
+
+def make_schedule_oracle(txns, order, vorder, vf) -> Schedule:
+    """The old ``make_schedule``: the same normalization, one step at a time."""
+    txns = tuple(sorted(txns, key=lambda t: t.id))
+    seen: set[str] = set()
+    for t in txns:
+        if t.id in seen:
+            raise ValueError(f"duplicate transaction id {t.id!r}")
+        seen.add(t.id)
+    order_t = tuple(order)
+    if INIT not in order_t:
+        order_t = (INIT,) + order_t
+    mentioned = {op.obj for t in txns for op in t.ops if op.obj is not None}
+    chains: dict[str, tuple[OperationId, ...]] = {}
+    for obj, chain in vorder.items():
+        chain_t = tuple(chain)
+        if INIT not in chain_t:
+            chain_t = (INIT,) + chain_t
+        if len(chain_t) == 1 and obj not in mentioned:
+            continue
+        chains[obj] = chain_t
+    for obj in mentioned:
+        chains.setdefault(obj, (INIT,))
+    return Schedule(txns=txns, order=order_t, vorder=chains, vf=dict(vf))
+
+
+def _logical_lines_oracle(text: str) -> list[tuple[int, str]]:
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _COMMENT.search(raw) if "#" in raw else None
+        stripped = (raw if m is None else raw[: m.start()]).strip()
+        if stripped:
+            lines.append((lineno, stripped))
+    return lines
+
+
+def _split_keyword_head_oracle(line: str, keyword: str, lineno: int) -> tuple[str, str]:
+    body = line[len(keyword) :].strip()
+    m = _HEAD_END.search(body)
+    if m is None:
+        raise ParseError(f"expected '{keyword} <name>: ...'", lineno)
+    return body[: m.start()].strip(), body[m.end() :].strip()
+
+
+def _parse_txn_line_oracle(line: str, lineno: int) -> Transaction:
+    tid, rest = _split_keyword_head_oracle(line, "txn", lineno)
+    if not tid:
+        raise ParseError("transaction declaration without an id", lineno)
+    if "<" in tid:
+        raise ParseError(f"transaction id {tid!r} contains '<', which version chains split on", lineno)
+    try:
+        t = make_transaction_oracle(tid, rest)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    bad = validate_transaction(t)
+    if bad:
+        raise ParseError(f"invalid transaction {tid!r}: " + "; ".join(map(str, bad)), lineno)
+    return t
+
+
+def _parse_declarations_oracle(text: str):
+    txns: dict[str, Transaction] = {}
+    entries: dict[str, IsolationLevel] = {}
+    predicate: list[str] = []
+    rest: list[tuple[int, str]] = []
+    for lineno, line in _logical_lines_oracle(text):
+        word = line.split(None, 1)[0]
+        if word == "txn":
+            t = _parse_txn_line_oracle(line, lineno)
+            if t.id in txns:
+                raise ParseError(f"duplicate transaction id {t.id!r}", lineno)
+            txns[t.id] = t
+        elif word == "alloc":
+            for token in line.split()[1:]:
+                if "=" not in token:
+                    raise ParseError(f"bad allocation token {token!r}; expected <txn>=<level>", lineno)
+                key, value = token.rsplit("=", 1)
+                if key == "predicate":
+                    predicate.append(value)
+                    continue
+                try:
+                    level = IsolationLevel(value)
+                except ValueError:
+                    raise ParseError(f"unknown isolation level {value!r}", lineno) from None
+                if key in entries:
+                    raise ParseError(f"duplicate allocation for transaction {key!r}", lineno)
+                entries[key] = level
+        else:
+            rest.append((lineno, line))
+    alloc = None
+    if predicate:
+        if len(predicate) > 1 or entries:
+            raise ParseError("a predicate allocation cannot be combined with level entries")
+        try:
+            alloc = PredicateAllocation(predicate[0])
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+    elif entries:
+        alloc = LevelAllocation(entries)
+    return txns, alloc, rest
+
+
+class _TableResolverOracle(OpResolverOracle):
+    """The old reader's resolver: every canonical spelling in one table built
+    up front, the grammar for the rest."""
+
+    def __init__(self, txns: dict[str, Transaction]):
+        super().__init__(txns)
+        ids = self.ids = {"init": INIT}
+        for tid, t in txns.items():
+            m = _NUMBERED_TXN.match(tid)
+            for k, op in enumerate(t.ops, start=1):
+                ids[f"{tid}#{k}"] = op.id
+                if m:
+                    short = f"C{m[1]}" if op.obj is None else f"{op.action.value}{m[1]}({op.obj})"
+                    ids[short] = None if short in ids else op.id  # None: ambiguous
+
+    def resolve(self, token: str, lineno: int) -> OperationId:
+        opid = self.ids.get(token)
+        return opid if opid is not None else super().resolve(token, lineno)
+
+
+def parse_schedule_document_oracle(text: str, workload: Workload | None = None, *, validate: bool = True):
+    """The old ``parse_schedule_document``: the schedule and its allocation."""
+    embedded, alloc, rest = _parse_declarations_oracle(text)
+    if workload is not None:
+        alloc = workload.alloc
+        declared = {t.id: t for t in workload.txns}
+        if embedded and embedded != declared:
+            raise ParseError("embedded transaction declarations disagree with the workload document")
+        txns = declared
+    else:
+        txns = embedded
+    if not txns:
+        raise ParseError("schedule document has no transactions (embed txn lines or pass a workload)")
+    resolver = _TableResolverOracle(txns)
+    order: list[OperationId] | None = None
+    vf: dict[OperationId, OperationId] = {}
+    vorder: dict[str, tuple[OperationId, ...]] = {}
+    for lineno, line in rest:
+        word = line.split(None, 1)[0]
+        if word == "order:":
+            if order is not None:
+                raise ParseError("duplicate order line", lineno)
+            order = [resolver.resolve(token, lineno) for token in line[len("order:") :].split()]
+        elif word == "reads:":
+            for entry in line[len("reads:") :].split():
+                if "<-" not in entry:
+                    raise ParseError(f"bad read entry {entry!r}; expected <read><-<write|init>", lineno)
+                left, right = entry.split("<-", 1)
+                rid = resolver.resolve(left, lineno)
+                target = resolver.resolve(right, lineno)
+                if rid in vf:
+                    raise ParseError(f"duplicate read mapping for {left!r}", lineno)
+                vf[rid] = target
+        elif word == "vorder":
+            obj, chain_text = _split_keyword_head_oracle(line, "vorder", lineno)
+            if obj in vorder:
+                raise ParseError(f"duplicate vorder line for object {obj!r}", lineno)
+            chain: list[OperationId] = []
+            for token in chain_text.split("<"):
+                token = token.strip()
+                if not token:
+                    raise ParseError(f"empty element in vorder chain for {obj!r}", lineno)
+                chain.append(resolver.resolve(token, lineno))
+            vorder[obj] = tuple(chain)
+        else:
+            raise ParseError(f"unexpected line in schedule document: {line!r}", lineno)
+    if order is None:
+        raise ParseError("schedule document has no order line")
+    s = make_schedule_oracle(txns.values(), order, vorder, vf)
+    if validate:
+        bad = validate_schedule(s)
+        if bad:
+            raise ParseError("invalid schedule: " + "; ".join(str(v) for v in bad[:8]))
+    return s, alloc

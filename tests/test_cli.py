@@ -299,6 +299,80 @@ def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
     assert invoke_json("robust", "--mode", "conflict", "-")[0] == 0
 
 
+def _from_stdin(monkeypatch, data: bytes, *argv):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    return invoke(*argv)
+
+
+def test_a_bad_byte_past_the_first_8_kib_keeps_its_offset(tmp_path, monkeypatch):
+    """The offset counts from the start of the input, not from a read chunk."""
+    data = b"# " + b"a" * 9000 + b"\n\xff\n"
+    bad = tmp_path / "bad.sched"
+    bad.write_bytes(data)
+    for path, (code, out) in ((str(bad), invoke("check-schedule", str(bad))), ("-", _from_stdin(monkeypatch, data, "check-schedule", "-"))):
+        assert code == 2 and f"error: cannot read {path!r}: not valid UTF-8 (invalid start byte at byte 9003)\n" in out
+
+
+def _without_elapsed(report: str) -> str:
+    return "".join(line for line in report.splitlines(True) if "elapsed" not in line)
+
+
+def test_lf_crlf_and_cr_documents_give_identical_reports_from_a_file_and_from_stdin(tmp_path, monkeypatch):
+    doc = "# S1, compact references\n" + render_schedule(S1, LevelAllocation({"T1": RC, "T2": SI, "T3": SSI, "T4": RC}))
+    doc = doc.replace("\norder:", "  # after the allocation\norder:")
+    path = tmp_path / "s1.sched"
+    commands = [("check-schedule",), ("serializable", "--mode", "conflict"), ("serializable", "--mode", "view"), ("allowed",)]
+    reports = set()
+    for newline in ("\n", "\r\n", "\r"):
+        data = doc.replace("\n", newline).encode("utf-8")
+        path.write_bytes(data)
+        for words in commands:
+            for as_json in ((), ("--json",)):
+                from_file = _without_elapsed(invoke(*words, *as_json, str(path))[1])
+                from_stdin = _without_elapsed(_from_stdin(monkeypatch, data, *words, *as_json, "-")[1])
+                assert from_stdin == from_file.replace(str(path), "-")
+                reports.add((words, as_json, from_stdin))
+    assert len(reports) == len(commands) * 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "é\u2028\x00\x1f\x7f\ud800😀\"\\/",
+        10**5000, -(10**4301), factorial(1600),
+        0.1, 1e16, 5e-324, -0.0, 1e22, float("nan"), float("inf"), float("-inf"),
+        [True, 1, False, 0, None, 1.0], {"a": True, "b": 1},
+        None, {}, [], (), {"": {}, "b": [[]], "a": [{}], "c": {"x": [1, ("y", 2.5)]}},
+    ],
+    ids=lambda value: type(value).__name__,  # the default id would print a 5,000-digit int
+)
+def test_the_report_writer_matches_json_dumps_on_edge_values(value):
+    assert_written_as_json_dumps(value)
+
+
+def assert_written_as_json_dumps(value):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as the report writer's caller does
+    try:
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_the_report_writer_matches_json_dumps(value):
+    assert_written_as_json_dumps(value)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

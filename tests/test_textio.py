@@ -5,21 +5,27 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import curated_txn_sets, enumerate_valid_schedules, random_polygraphs
+from corpus import curated_txn_sets, enumerate_valid_schedules, random_polygraphs, valid_schedules
 from fixtures import *
-from oracles import OpResolverOracle
+from oracles import OpResolverOracle, make_transaction_oracle, parse_schedule_document_oracle
 
 from mvsched import (
     INIT,
     Action,
     Operation,
     Transaction,
+    IsolationLevel,
     LevelAllocation,
     ParseError,
     Polygraph,
+    Workload,
+    make_transaction,
     parse_polygraph,
     parse_schedule,
+    parse_schedule_document,
     parse_workload,
     reduce_to_schedule,
     render_polygraph,
@@ -319,3 +325,150 @@ def test_polygraph_parse_errors():
         parse_polygraph("node a b c\narc c a\nchoice a a c\n")
     with pytest.raises(ParseError, match="unexpected line"):
         parse_polygraph("vertex a\n")
+
+
+# --- the reader against the old reader ------------------------------------------
+
+#: Every malformed document of the tests above, read as a schedule document.
+MALFORMED = [
+    "txn T1: R(t)\nalloc T1=RC",
+    "txn T1: C\ntxn T1: C\nalloc T1=RC",
+    "txn T1: C\nalloc T1=XX",
+    "txn T1: C",
+    "txn T1: C\ntxn T2: C\nalloc T1=RC",
+    "txn T1: C\nalloc T1=RC T9=RC",
+    "alloc T1=RC",
+    "txn T1: X(t) C\nalloc T1=RC",
+    "txn T9: R(t) R(t) C\norder: R9(t) T9#2 C9\nreads: R9(t)<-init T9#2<-init\n",
+    "txn T1: R(t) C\norder: R1(t) C1\n",
+    "txn T1: R(t) R(t) C\norder: T1#1 T1#2 C1\nreads: T1#1<-init T1#2<-T1#1\n",
+    "txn T1: W(t) C\ntxn T2: W(t) C\norder: W1(t) C1 W2(t) C2\nvorder t: init<W1(t)\n",
+    MISPLACED_INIT,
+    "txn T1: C\norder: C1 C7\n",
+    "txn T1: C\norder: T1#2\n",
+    "txn T1: C\norder: ???\n",
+    "#T1#1 leading comment\ntxn T1: R(t) C\t# after a tab\norder: T1#1 T1#2#kept? # trailing\nreads: T1#1<-init\n",
+    "node a b\narc a\n",
+    "vertex a\n",
+    "txn T1: W(x) C\norder: W1(x) C1\nvorder x: init<T9#1<<W1(x)\n",
+    "txn T1: W(x) C\norder: W1(x) C1\nvorder x: init<<T9#1\n",
+    "txn T1: R(x) C\norder: R1(x) C1\nreads: R1(x)<-T9#1 R1(x)init\n",
+] + [
+    "txn T1: R(x) R(x) W(x) C\ntxn T2: W(x) C\ntxn A: R(x) C\n" + f"order: {token}\n"
+    for token in ("T3#1", "T1#9", "T1#0", "A#3", "C7", "R7(x)", "W2(y)", "R1(y)", "R1(x)", "Q1", "R(x)")
+]
+
+
+def _reading(parse, text, workload=None):
+    """What a reader makes of a schedule document: the schedule and its
+    allocation, or the error's text and line."""
+    try:
+        return parse(text, workload)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def assert_read_as_the_oracle_reads(text, workload=None):
+    expected = _reading(parse_schedule_document_oracle, text, workload)
+    assert _reading(parse_schedule_document, text, workload) == expected, text
+    return expected
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_the_reader_matches_the_oracle_on_every_malformed_document(text):
+    assert isinstance(assert_read_as_the_oracle_reads(text)[0], str)
+    assert_read_as_the_oracle_reads(text, s2_workload(RC))
+
+
+def test_the_reader_matches_the_oracle_on_the_rendered_corpus():
+    schedules = [S1, S2, S3, S4, SD, lost_update_schedule()]
+    for txns in curated_txn_sets()[::4]:
+        schedules += itertools.islice(enumerate_valid_schedules(txns), 0, None, 11)
+    schedules += [reduce_to_schedule(p)[1] for p in random_polygraphs(40)]
+    for s in schedules:
+        assert assert_read_as_the_oracle_reads(render_schedule(s)) == (s, None)
+    assert_read_as_the_oracle_reads(S1_DOC)
+
+
+_GARBLE = ("#", " #", "<", "<<", "<-", ":", " ", "(", ")", "x", "1", "init", "T9#1", "\t")
+
+
+@st.composite
+def respelled_documents(draw):
+    """A rendered schedule document respelled: each reference positional or
+    compact (a compact one may be ambiguous), ``init`` written or left out,
+    comments after lines and on lines of their own, LF, CRLF or CR line
+    endings; sometimes with one edit that may break it (a line dropped or
+    doubled, a character inserted) and sometimes read against a workload,
+    its ``txn`` lines kept or dropped.  Returns (document, workload)."""
+    s = draw(valid_schedules())
+    levels = draw(st.lists(st.sampled_from(list(IsolationLevel)), min_size=len(s.txns), max_size=len(s.txns)))
+    alloc = draw(st.sampled_from([None, LevelAllocation(dict(zip(s.txn_ids, levels)))]))
+    resolver = OpResolverOracle(s.txn_by_id)
+
+    def spell(token):
+        opid = resolver.resolve(token, 0)
+        if opid == INIT:
+            return "init"
+        op = s.operation(opid)
+        number = opid.txn[1:]
+        compact = f"C{number}" if op.is_commit else f"{op.action.value}{number}({op.obj})"
+        return draw(st.sampled_from([f"{opid.txn}#{opid.index}", compact]))
+
+    lines = []
+    for line in render_schedule(s, alloc).splitlines():
+        word, _, body = line.partition(" ")
+        if word == "order:":
+            tokens = [spell(token) for token in body.split()]
+            line = "order: " + " ".join(["init"] * draw(st.booleans()) + tokens)
+        elif word == "reads:":
+            line = "reads: " + " ".join("<-".join(map(spell, entry.split("<-"))) for entry in body.split())
+        elif word == "vorder":
+            obj, chain = body.split(": ")
+            tokens = [spell(token) for token in chain.split("<")]
+            line = f"vorder {obj}: " + "<".join(tokens[draw(st.integers(0, 1)):])
+        lines.append(line + draw(st.sampled_from(["", " # T1#1 note", "\t#", " #x<-y", "  "])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["# comment", "   ", "#T1#1", "\t# C1"])))
+    edit = draw(st.integers(0, 5))
+    at = draw(st.integers(0, len(lines) - 1))
+    if edit == 1:
+        del lines[at]
+    elif edit == 2:
+        lines.insert(at, lines[at])
+    elif edit == 3:
+        where = draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:where] + draw(st.sampled_from(_GARBLE)) + lines[at][where:]
+    workload = None
+    if alloc is not None and draw(st.booleans()):
+        workload = Workload(s.txns, alloc)
+        if draw(st.booleans()):
+            lines = [line for line in lines if not line.startswith("txn ")]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n", workload
+
+
+@settings(max_examples=300, deadline=None)
+@given(respelled_documents())
+def test_the_reader_matches_the_oracle_on_respelled_documents(document):
+    assert_read_as_the_oracle_reads(*document)
+
+
+def _building(make, actions):
+    try:
+        return make("T1", actions)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "actions",
+    ["R()", "W(a b)", "C(x)", "R(x<y)", "c", "W(x))", "R(x) C", "", "C C", "RW(x) C", "R((x)) C", "W(é) C", "R(#1) C"],
+)
+def test_make_transaction_matches_the_oracle_on_malformed_tokens(actions):
+    assert _building(make_transaction, actions) == _building(make_transaction_oracle, actions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="RWCc()<x# \t", max_size=14))
+def test_make_transaction_matches_the_oracle(actions):
+    assert _building(make_transaction, actions) == _building(make_transaction_oracle, actions)

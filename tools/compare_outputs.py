@@ -17,8 +17,14 @@ robust-enum command also runs with ``--method both`` in place of
 ``--method enumerate``, which reaches the split decider and the check that
 both methods agree, and with ``--mode exact-conflict`` or ``--mode
 exact-view`` in place of its mode, which sweeps the full transaction set
-alone.  Each command runs through ``mvsched.cli.run`` of this tree and of
-``BASE_SRC``, each side in its own interpreter, as in the benchmark.  The
+alone.  Last come the hand-written schedule documents of ``DOCUMENTS``,
+which reach the reader's branches the generated inputs never do (compact
+and ambiguous references, comments, CRLF and CR line endings, a separate
+workload document, non-ASCII names, and one document per error message):
+each runs through ``check-schedule``, ``serializable --mode conflict``,
+``serializable --mode view`` and ``allowed``.  Each command runs through
+``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in its own
+interpreter, as in the benchmark.  The
 reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
 script exits 1 if there is one.  ``--limit N`` keeps the first N inputs of
 each workload's measured and warm-up sets.
@@ -40,6 +46,70 @@ BENCH = os.path.join(ROOT, "bench")
 ELAPSED = re.compile(r'^(\s*"elapsed_ms": .*|elapsed-ms: .*)$\n?', re.MULTILINE)
 LIMIT_FLAGS = ["--max-txns", "--max-ops", "--max-orders", "--budget-seconds"]
 
+#: A valid schedule document, in compact references, that the error documents edit.
+BASE = (
+    "txn T1: R(x) W(x) C\ntxn T2: W(x) R(y) C\nalloc T1=SI T2=SI\n"
+    "order: R1(x) W2(x) R2(y) C2 W1(x) C1\nreads: R1(x)<-init R2(y)<-init\nvorder x: init<W2(x)<W1(x)\n"
+)
+BARE = BASE.split("order:")[0]  # the declarations alone
+REFS = "txn T1: R(x) R(x) W(x) C\ntxn T2: W(x) C\ntxn A: R(x) C\n"
+#: name -> (schedule document, workload document or None); bytes are written as
+#: they are, text as UTF-8, and a None schedule is a file that does not exist.
+DOCUMENTS = {
+    "compact": (BASE, None),
+    "positional": (BASE.replace("R1(x)", "T1#1").replace("W2(x)", "T2#1").replace("C1", "T1#3"), None),
+    "ambiguous-compact": ("txn T9: R(t) R(t) C\norder: R9(t) T9#2 C9\nreads: R9(t)<-init T9#2<-init\n", None),
+    "ambiguous-positional": ("txn T9: R(t) R(t) C\nalloc T9=RC\norder: T9#1 T9#2 C9\nreads: T9#1<-init T9#2<-init\n", None),
+    "comments": (
+        "#T1#1 a comment\n" + BASE.replace("\n", "  # T1#2 <- and : inside\n").replace("C1 ", "C1\t#")
+        + "\t# indented\norder# not a comment\n", None),
+    "comments-valid": ("# header\n" + BASE.replace("\n", " # T1#1 tail\n").replace("order:", "\n#\norder:"), None),
+    "crlf": (BASE.replace("\n", "\r\n"), None),
+    "cr": (BASE.replace("\n", "\r"), None),
+    "init-written": (BASE.replace("order: ", "order: init ").replace("vorder x: init<", "vorder x: ") + "vorder y: init\n", None),
+    "workload": (BASE.split("alloc T1=SI T2=SI\n")[1], BARE),
+    "workload-embedded": (BASE, BARE.replace("SI T2=SI", "RC T2=SSI")),
+    "workload-disagrees": (BASE, "txn T1: R(x) C\ntxn T2: W(x) R(y) C\nalloc T1=SI T2=SI\n"),
+    "non-ascii": ("txn Tä: R(é) W(é) C\ntxn Ω: W(é) C\nalloc Tä=SI Ω=RC\norder: Tä#1 Ω#1 Ω#2 Tä#2 Tä#3\n"
+                  "reads: Tä#1<-init\nvorder é: init<Ω#1<Tä#2\n", None),
+    "no-alloc": (BASE.replace("alloc T1=SI T2=SI\n", ""), None),
+    "txn-without-colon": (BASE.replace("txn T2:", "txn T2"), None),
+    "txn-without-id": (BASE.replace("txn T2:", "txn :"), None),
+    "txn-id-with-chain-separator": (BASE.replace("T2", "T<2"), None),
+    "bad-operation-token": (BASE.replace("R(y)", "R(y"), None),
+    "invalid-transaction": (BASE.replace("R(y) C", "R(y)"), None),
+    "bad-allocation-token": (BASE.replace("T2=SI", "T2"), None),
+    "unknown-level": (BASE.replace("T2=SI", "T2=XX"), None),
+    "duplicate-allocation": (BASE.replace("T2=SI", "T1=RC"), None),
+    "duplicate-transaction": (BASE.replace("txn T2", "txn T1"), None),
+    "predicate-with-levels": (BASE.replace("alloc ", "alloc predicate=view-serializable-only "), None),
+    "unknown-predicate": (BASE.replace("alloc T1=SI T2=SI", "alloc predicate=nope"), None),
+    "no-transactions": ("alloc T1=SI\norder: init\n", None),
+    "duplicate-order": (BASE + "order: init\n", None),
+    "bad-read-entry": (BASE.replace("R2(y)<-init", "R2(y)"), None),
+    "duplicate-read": (BASE.replace("R2(y)<-init", "R1(x)<-W2(x)"), None),
+    "vorder-without-colon": (BASE.replace("vorder x:", "vorder x"), None),
+    "duplicate-vorder": (BASE + "vorder x: init\n", None),
+    "empty-chain-element": (BASE.replace("init<W2(x)", "init<<W2(x)"), None),
+    "unexpected-line": (BASE + "orders: init\n", None),
+    "no-order": (BARE, None),
+    "invalid-schedule": (BASE.replace("R2(y)<-init", "R2(y)<-W1(x)"), None),
+    "unknown-positional": (REFS + "order: T3#1\n", None),
+    "index-out-of-range": (REFS + "order: T1#9\n", None),
+    "unknown-commit": (REFS + "order: C7\n", None),
+    "unknown-compact": (REFS + "order: R7(x)\n", None),
+    "no-match": (REFS + "order: W2(y)\n", None),
+    "ambiguous-read": (REFS + "order: R1(x)\n", None),
+    "unrecognized": (REFS + "order: Q1\n", None),
+    "workload-unexpected-line": (BASE, BARE + "order: init\n"),
+    "workload-without-transactions": (BASE, "alloc T1=SI\n"),
+    "workload-without-allocation": (BASE, "txn T1: C\n"),
+    "workload-allocation-misses": (BASE, BARE.replace(" T2=SI", "")),
+    "workload-allocation-extra": (BASE, BARE.replace("T2=SI", "T2=SI T3=RC")),
+    "missing-file": (None, None),
+    "undecodable": (b"# " + b"x" * 9000 + b"\n\xff\n" + BASE.encode(), None),
+}
+
 
 def shapes(argv: list[str]) -> list[list[str]]:
     """A benchmark command, ``[*words, *options, "--json", *limits, path]``,
@@ -53,10 +123,28 @@ def shapes(argv: list[str]) -> list[list[str]]:
     return [argv, reordered, [*words, *options, "--json", path]]
 
 
+def document_commands(workdir: str) -> list[list[str]]:
+    """Write ``DOCUMENTS`` into ``workdir``; the four schedule commands on each."""
+    os.makedirs(workdir)
+    out = []
+    for name, (schedule, workload) in DOCUMENTS.items():
+        paths = []
+        for text, suffix in ((schedule, "sched"), (workload, "wl")):
+            paths.append(os.path.join(workdir, f"{name}.{suffix}"))
+            if text is not None:
+                with open(paths[-1], "wb") as fh:
+                    fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
+        extra = ["--workload", paths[1]] if workload is not None else []
+        for words in (["check-schedule"], ["serializable", "--mode", "conflict"], ["serializable", "--mode", "view"], ["allowed"]):
+            out.append([*words, "--json", paths[0], *extra])
+    return out
+
+
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs and ``--method
-    both`` and the exact modes on the robust-enum ones, JSON and text."""
+    both`` and the exact modes on the robust-enum ones, then the commands on
+    ``DOCUMENTS`` (under the name ``documents``), JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -71,10 +159,9 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
         if name == "robust-enum":
             exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
             runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs] + exact
-        for argv in runs:
-            out.append((name, argv))
-            out.append((name, [a for a in argv if a != "--json"]))
-    return out
+        out += [(name, argv) for argv in runs]
+    out += [("documents", argv) for argv in document_commands(os.path.join(workdir, "documents"))]
+    return [run for name, argv in out for run in ((name, argv), (name, [a for a in argv if a != "--json"]))]
 
 
 def child(src: str, argvs_path: str, results_path: str) -> None:
