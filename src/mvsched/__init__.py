@@ -88,6 +88,7 @@ from .robustness import (
     is_view_robust,
     iter_split_schedules,
     minimize_counterexample,
+    own_write_counterexample,
     restrict_to_cycle,
 )
 from .serializability import (

@@ -35,6 +35,7 @@ from .robustness import (
     is_exact_conflict_robust,
     is_exact_view_robust,
     is_view_robust,
+    own_write_counterexample,
 )
 from .serializability import is_conflict_serializable, is_view_serializable
 
@@ -334,7 +335,8 @@ def _cmd_robust(args: argparse.Namespace) -> Report:
         verdict = decide(w, args.limits)
         robust, ce = verdict.robust, verdict.counterexample
     if method != "enumerate":
-        hit = find_split_counterexample(w, args.limits)
+        # a read missing its own earlier write fails the view sense alone, in no split schedule
+        hit = (own_write_counterexample(w) if mode == "view" else None) or find_split_counterexample(w, args.limits)
         if method == "split":
             robust, ce = hit is None, hit
         elif robust != (hit is None):
@@ -441,10 +443,17 @@ def run(argv: Sequence[str]) -> int:
 def _emit(report: Report, as_json: bool, started: float) -> None:
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
     # a view report's ``exhausted`` may be n!, which passes the interpreter's
-    # default limit of 4,300 digits for int-to-str from 1,559 transactions on
-    if hasattr(sys, "set_int_max_str_digits"):
+    # default limit of 4,300 digits for int-to-str from 1,559 transactions on;
+    # the limit is lifted for this report alone, and the caller's kept
+    caller_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if caller_limit is not None:
         sys.set_int_max_str_digits(0)
-    sys.stdout.write(_json(report.to_json()) + "\n" if as_json else report.to_text())
+    try:
+        text = _json(report.to_json()) + "\n" if as_json else report.to_text()
+    finally:
+        if caller_limit is not None:
+            sys.set_int_max_str_digits(caller_limit)
+    sys.stdout.write(text)
 
 
 def _json(value, indent: str = "\n") -> str:

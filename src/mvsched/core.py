@@ -640,7 +640,8 @@ class SearchLimits:
     version-data completions), the choice resolutions polygraph acyclicity
     tries, and the prefixes the view search extends.  The clock is read at
     every count and where nothing is counted: per serial order of the level
-    walk's signature pool and per (T1, cut) of the split decider.
+    walk's signature pool and per (T1, cut) of the split decider (once, when
+    no subset can fail).
     """
 
     max_txns: int = 4

@@ -23,8 +23,10 @@ subtree, and the robustness deciders check one interleaving per commuting
 class (sleep sets, after Godefroid's partial-order methods).  The
 counterexamples are those of the full walk, and ``max_orders`` counts
 every interleaving, dropped and skipped ones included, so limits are hit
-where completing each interleaving would hit them.  Predicate allocations
-still complete every interleaving, in every way.
+where completing each interleaving would hit them.  A subset whose static
+conflict multigraph is a forest cannot fail (:func:`_has_conflict_cycle`)
+and is charged without a walk.  Predicate allocations still complete every
+interleaving, in every way.
 
 Also here: recognizers for the two split-schedule shapes and the three
 constructive schedule transforms (serial-tail extension, restriction to a
@@ -223,8 +225,9 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     whole subtree below it, charged to the budget interleaving by
     interleaving; SSI dangerous structures are checked at the leaf.  With
     ``failing`` (``"conflict"`` or ``"view"``) only the schedules that are
-    not serializable in that sense come out (a bitmask cycle test, or the
-    view signature looked up in :func:`serial_signature_pool`), and the
+    not serializable in that sense come out (a bitmask cycle test, or,
+    when that finds a cycle or a transaction reads its own earlier write,
+    the view signature looked up in :func:`serial_signature_pool`), and the
     walk keeps a sleep set of transactions per depth.  Two operations of different
     transactions are dependent when both write one object; when one is T's
     commit and the other a write of an object T writes, an RC read of one,
@@ -276,9 +279,13 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     read_gids = [g for g, _, _ in eng.active_reads]
     written = eng.written
     pool: set | None = None
+    own_write = failing == "view" and bool(_own_write_readers(eng) & eng.mask)
 
     def view_fails() -> bool:
         nonlocal pool
+        # conflict-serializable is view-serializable unless a read misses its own write
+        if not own_write and not has_cycle(eng.dependencies()):
+            return False
         if pool is None:
             pool = serial_signature_pool(eng, budget)
         return (tuple([vf[g] for g in read_gids]), tuple([chains[o][-1] for o in written])) not in pool
@@ -350,6 +357,84 @@ def serial_signature_pool(eng: LevelEngine, budget: Budget) -> set:
     return pool
 
 
+def _conflict_pairs(eng: LevelEngine) -> list[tuple[int, int, int]]:
+    """Per pair of transactions with conflicting operations (one object, at
+    least one of the two a write; commits have none): the two, and how many
+    such operation pairs they have, 2 standing for two or more.  Every
+    dependency between two transactions, in any schedule, comes from one
+    such pair, and each pair gives it exactly one direction."""
+    n, wmask, touch = eng.n, eng.wmask, eng.touch
+    reads = [[0] * len(eng.names) for _ in range(n)]
+    writes = [[0] * len(eng.names) for _ in range(n)]
+    for _, i, o in eng.reads:
+        reads[i][o] += 1
+    for i, ws in enumerate(eng.writes_of):
+        for o, _ in ws:
+            writes[i][o] += 1
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        shared = wmask[i] & touch[j] | wmask[j] & touch[i]  # the objects they conflict on
+        if shared & (shared - 1):
+            out.append((i, j, 2))
+        elif shared:
+            o = shared.bit_length() - 1
+            wi, wj = writes[i][o], writes[j][o]
+            out.append((i, j, min(2, wi * (wj + reads[j][o]) + reads[i][o] * wj)))
+    return out
+
+
+def _has_conflict_cycle(pairs: list[tuple[int, int, int]], mask: int) -> bool:
+    """Whether the conflict multigraph of the transactions in ``mask`` (see
+    :func:`_conflict_pairs`) has a cycle: two conflicting operation pairs
+    between two transactions, or a ring through more.  Without one, no
+    schedule over them has a dependency cycle (the static dependency graph
+    of Fekete et al.), so every such schedule is conflict-serializable."""
+    root: dict[int, int] = {}
+    for i, j, count in pairs:
+        if not (mask >> i & 1 and mask >> j & 1):
+            continue
+        if count > 1:
+            return True
+        while i in root:
+            i = root[i]
+        while j in root:
+            j = root[j]
+        if i == j:
+            return True
+        root[i] = j
+    return False
+
+
+def _own_write_readers(eng: LevelEngine) -> int:
+    """The transactions, as a bitmask, that read an object they wrote
+    earlier.  Under RC, SI and SSI such a read sees a committed version,
+    never the transaction's own write, which every serial order shows it:
+    a schedule of such a transaction is conflict- but not
+    view-serializable."""
+    out = 0
+    for g, i, o in eng.reads:
+        if any(wo == o and wg < g for wo, wg in eng.writes_of[i]):
+            out |= eng.bits[i]
+    return out
+
+
+def own_write_counterexample(w: Workload) -> tuple[tuple[str, ...], Schedule] | None:
+    """The first counterexample to view robustness of a level-allocated
+    workload when one of its transactions reads an object it wrote earlier:
+    the first such transaction, by id, alone and run serially.  The sweep of
+    :func:`is_view_robust` finds none before it (an empty subset, or a single
+    transaction without such a read, always passes), and the split search
+    never finds it: a split schedule has two transactions or more."""
+    eng = LevelEngine(w.txns, w.alloc)
+    readers = _own_write_readers(eng)
+    if not readers:
+        return None
+    i = (readers & -readers).bit_length() - 1
+    order = eng.ops_of[i]
+    eng.walk(order, [i])
+    return (w.txn_ids[i],), eng.schedule(order)
+
+
 def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
     """Allowed schedules of a predicate-allocated workload over its full
     transaction set, in canonical order; with ``failing`` (``"conflict"``
@@ -394,7 +479,12 @@ def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> R
     subset, smallest first and under one shared budget (the exact modes
     sweep just the full set), until one is not serializable in the mode's
     sense; that one is the counterexample.  A level workload is compiled
-    once, and each subset is a list of its transaction numbers."""
+    once, and each subset is a list of its transaction numbers.  A level
+    subset whose conflict multigraph is a forest (see
+    :func:`_has_conflict_cycle`), in the view sense also without a
+    transaction reading its own earlier write, has no failing schedule: it
+    is not walked, and the budget is charged its interleavings at once, as
+    the walk would charge them."""
     _check_limits(w, limits)
     budget = Budget(limits)
     failing = mode.value.removeprefix("exact-")
@@ -402,8 +492,15 @@ def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> R
     everything = tuple(range(len(ids)))
     subsets = [everything] if mode.value.startswith("exact-") else _subsets(everything)
     eng = LevelEngine(w.txns, w.alloc) if isinstance(w.alloc, LevelAllocation) else None
+    if eng is not None:
+        pairs = _conflict_pairs(eng)
+        guarded = _own_write_readers(eng) if failing == "view" else 0
     for subset in subsets:
         if eng is not None:
+            mask = sum(eng.bits[i] for i in subset)
+            if not (mask & guarded or _has_conflict_cycle(pairs, mask)):
+                budget.tick(_multinomial(len(eng.ops_of[i]) for i in subset))
+                continue
             bad = next(_enumerate_level(eng, list(subset), budget, failing), None)
         else:
             bad = next(_enumerate_allowed(w.restrict(ids[i] for i in subset), budget, failing), None)
@@ -675,8 +772,15 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     """
     budget = Budget(limits)
     eng = LevelEngine(w.txns, w.alloc)
-    n, bits, ops_of, wmask, touch = eng.n, eng.bits, eng.ops_of, eng.wmask, eng.touch
-    neighbours = [[j for j in range(n) if j != i and (wmask[i] & touch[j] or wmask[j] & touch[i])] for i in range(n)]
+    n, bits, ops_of = eng.n, eng.bits, eng.ops_of
+    pairs = _conflict_pairs(eng)
+    if not _has_conflict_cycle(pairs, (1 << n) - 1):
+        budget.tick(0)  # no candidate can close a ring; the clock is read once, as by the search
+        return None
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in pairs:  # in ascending order per transaction
+        neighbours[i].append(j)
+        neighbours[j].append(i)
     best: tuple | None = None
 
     def split_order(perm: tuple[int, ...], cut: int) -> list[int]:

@@ -160,6 +160,27 @@ def test_robust_modes_and_methods(docs):
     assert invoke_json("robust", "--mode", "exact-view", "--method", "split", docs["s2-rc.wl"])[0] == 2
 
 
+def test_every_method_finds_a_read_that_misses_its_own_write(tmp_path):
+    """Under RC, SI and SSI a read sees a committed version, never the
+    write its own transaction made before it, which every serial order
+    shows it: T2 alone is conflict- but not view-serializable.  The split
+    method, whose schedules need two transactions, answers in the view sense
+    with the enumeration's counterexample, T2 run alone."""
+    for level in ("RC", "SI", "SSI"):
+        path = tmp_path / f"own-write-{level}.wl"
+        path.write_text(f"txn T1: R(x) C\ntxn T2: W(y) R(y) C\nalloc T1={level} T2={level}\n", encoding="utf-8")
+        found = []
+        for method in ("enumerate", "split", "both"):
+            code, payload = invoke_json("robust", "--mode", "view", "--method", method, str(path))
+            assert code == 1, (level, method, payload)
+            found.append(payload["details"]["counterexample"])
+            assert invoke_json("robust", "--mode", "conflict", "--method", method, str(path))[0] == 0
+        assert found[0]["subset"] == ["T2"]
+        assert "order: W2(y) R2(y) C2\nreads: R2(y)<-init\n" in found[0]["schedule"]
+        assert found[1] == found[2] == found[0]
+        assert invoke_json("robust", "--mode", "exact-view", str(path))[0] == 1
+
+
 def test_method_both_reports_a_disagreement(docs, monkeypatch):
     monkeypatch.setattr(cli, "find_split_counterexample", lambda w, limits: None)
     code, payload = invoke_json("robust", "--mode", "conflict", "--method", "both", docs["s2-rc.wl"])
@@ -593,10 +614,21 @@ def test_a_view_report_on_thousands_of_transactions_renders(tmp_path, capsys):
     s = make_schedule((t1, t2, *rest), order, {"x": (opid("T1", 1), opid("T1", 2))}, vf)
     path = tmp_path / "wide.sched"
     path.write_text(render_schedule(s), encoding="utf-8")
-    code, out = invoke("serializable", "--mode", "view", str(path))
-    assert code == 1 and f"exhausted: {factorial(1600)}\n" in out
-    code, payload = invoke_json("serializable", "--mode", "view", str(path))
-    assert code == 1 and payload["details"]["exhausted"] == factorial(1600)
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    digits = str(factorial(1600))
+    # the report lifts the limit for its own text alone: the caller's stays
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = invoke("serializable", "--mode", "view", str(path))
+        assert code == 1 and f"exhausted: {digits}\n" in out
+        code, out = invoke("serializable", "--mode", "view", str(path), "--json")
+        assert code == 1 and f'"exhausted": {digits},\n' in out
+        assert sys.get_int_max_str_digits() == 4300
+        invoke("check-schedule", str(tmp_path / "missing.sched"))
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -614,16 +646,17 @@ def test_a_zero_budget_stops_the_view_search_before_it_grows_with_the_input(tmp_
 
 def test_the_level_walk_signature_pool_stops_at_the_budget(tmp_path):
     """Ten transactions that each read their own object commute in every
-    interleaving, so the exact view sweep checks one leaf, and that leaf
-    builds the view signatures of all 10! serial orders."""
+    interleaving, so the exact view sweep checks one leaf.  The first writes
+    its object before it reads it, which no conflict test clears, so that
+    leaf builds the view signatures of all 10! serial orders."""
     ids = [f"T{i:02d}" for i in range(1, 11)]
     text = "".join(f"txn {t}: R(x{i}) C\n" for i, t in enumerate(ids, 1)) + f"alloc {' '.join(f'{t}=RC' for t in ids)}\n"
     path = tmp_path / "reads.wl"
-    path.write_text(text, encoding="utf-8")
-    limits = ("--max-txns", "10", "--max-ops", "20", "--budget-seconds", "0.2")
+    path.write_text(text.replace("R(x1) C", "W(x1) R(x1) C"), encoding="utf-8")
+    limits = ("--max-txns", "10", "--max-ops", "21", "--budget-seconds", "0.2")
     started = time.process_time()
     code, payload = invoke_json("robust", "--mode", "exact-view", str(path), *limits)
-    assert code == 3 and payload["limit_exceeded"] is True
+    assert code == 3 and payload["details"]["error"] == "search exceeded its wall-clock budget"
     assert time.process_time() - started < 2.0
 
 

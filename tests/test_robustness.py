@@ -20,7 +20,15 @@ from corpus import (
     shape_txn,
 )
 from fixtures import *
-from oracles import allowed_schedules_oracle, check_condition_1, enumeration_oracle, split_decider_oracle
+from oracles import (
+    allowed_schedules_oracle,
+    check_condition_1,
+    conflict_serializable_oracle,
+    enumeration_oracle,
+    split_decider_oracle,
+    view_signature,
+)
+from oracles import serial_signature_pool as oracle_signature_pool
 
 from mvsched import (
     INIT,
@@ -53,6 +61,8 @@ from mvsched import (
     serialization_graph,
 )
 from mvsched.core import Budget
+from mvsched.isolation import LevelEngine
+from mvsched.robustness import _conflict_pairs, _has_conflict_cycle, _own_write_readers
 
 
 # --- recognizers ------------------------------------------------------------
@@ -482,18 +492,114 @@ def _oracle_charge(w, mode):
 
 
 def test_every_decider_is_charged_for_every_interleaving_up_to_its_verdict():
-    for w in LIMIT_CASES:
+    """Subsets the static conflict test clears are charged in one tick: the
+    criterion-5 sample holds them to the walk's count at both ends."""
+    sample = [*LIMIT_CASES, *itertools.islice(criterion_5_workloads(), 0, None, 20)]
+    assert len(sample) >= 45
+    for w in sample:
         for mode, decide in DECIDERS.items():
             charge, robust = _oracle_charge(w, mode)
             assert decide(w, SearchLimits(max_orders=charge)).robust == robust, (w, mode)
-            with pytest.raises(LimitExceeded):
-                decide(w, SearchLimits(max_orders=charge - 1))
+            if charge > 1:  # no limit lies below one order
+                with pytest.raises(LimitExceeded):
+                    decide(w, SearchLimits(max_orders=charge - 1))
 
 
 @given(level_workloads(max_n=3))
 @settings(max_examples=40, deadline=None)
 def test_enumeration_matches_the_per_order_oracle_on_generated_workloads(w):
     assert_enumeration_matches_the_oracle(w)
+
+
+# --- the static conflict test ------------------------------------------------------------
+
+
+def _conflicting_operation_pairs(t, u):
+    return sum(a.obj == b.obj and (a.is_write or b.is_write) for a in t.ops if a.obj for b in u.ops if b.obj)
+
+
+def _reads_its_own_write(t):
+    return any(op.is_read and any(w.is_write and w.obj == op.obj for w in t.ops[:k]) for k, op in enumerate(t.ops))
+
+
+def _cleared_subsets(w, view):
+    """The subsets the static test clears, from its tables, after checking
+    the tables against the transactions."""
+    eng = LevelEngine(w.txns, w.alloc)
+    pairs = _conflict_pairs(eng)
+    expected = [(i, j, min(2, count)) for i, j in itertools.combinations(range(len(w.txns)), 2)
+                if (count := _conflicting_operation_pairs(w.txns[i], w.txns[j]))]
+    assert pairs == expected
+    guarded = _own_write_readers(eng)
+    assert guarded == sum(1 << i for i, t in enumerate(w.txns) if _reads_its_own_write(t))
+    for size in range(len(w.txns) + 1):
+        for subset in itertools.combinations(range(len(w.txns)), size):
+            mask = sum(1 << i for i in subset)
+            if not (view and mask & guarded or _has_conflict_cycle(pairs, mask)):
+                yield tuple(w.txns[i].id for i in subset)
+
+
+def assert_cleared_subsets_never_fail(w):
+    """No allowed schedule of a cleared subset fails, by the per-order oracle;
+    and in the view sense, a transaction reading its own earlier write fails
+    alone, so the guard is needed.  Returns how many cleared subsets have two
+    transactions or more."""
+    cleared = 0
+    for view in (False, True):
+        for subset in _cleared_subsets(w, view):
+            cleared += len(subset) >= 2
+            for s in allowed_schedules_oracle(w.restrict(subset), Budget(SearchLimits())):
+                if view:
+                    assert view_signature(s) in oracle_signature_pool(s.txns), (w, subset)
+                else:
+                    assert conflict_serializable_oracle(s)[0], (w, subset)
+    for t in w.txns:
+        if _reads_its_own_write(t):
+            s = next(allowed_schedules_oracle(w.restrict([t.id]), Budget(SearchLimits())))
+            assert conflict_serializable_oracle(s)[0] and view_signature(s) not in oracle_signature_pool(s.txns)
+    return cleared
+
+
+def test_no_subset_the_static_test_clears_fails_on_the_criterion_5_corpus():
+    cleared = sum(assert_cleared_subsets_never_fail(w) for w in criterion_5_workloads())
+    assert cleared >= 500
+
+
+@given(level_workloads(max_n=3))
+@settings(max_examples=60, deadline=None)
+def test_no_subset_the_static_test_clears_fails_on_generated_workloads(w):
+    assert_cleared_subsets_never_fail(w)
+
+
+def test_enumeration_matches_the_oracle_on_reads_of_own_writes():
+    """A transaction reading its own earlier write fails the view sense
+    alone, though its conflict multigraph is a forest: the static test
+    must not clear it there."""
+    bodies = [("W(x) R(x)",), ("R(y)", "W(x) R(x)"), ("W(x) R(y)", "W(y) W(x) R(x)"), ("R(x) W(y)", "W(z) R(z) R(y)")]
+    for body in bodies:
+        txns = tuple(make_transaction(f"T{i}", f"{b} C") for i, b in enumerate(body, 1))
+        for levels in itertools.product((RC, SI, SSI), repeat=len(txns)):
+            w = Workload(txns, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)}))
+            assert_enumeration_matches_the_oracle(w)
+            assert not is_view_robust(w).robust and not is_exact_view_robust(w).robust
+
+
+def test_the_static_test_sees_parallel_conflicts_and_rings():
+    """Two conflicting operation pairs between two transactions, or a ring
+    of single ones through three, can close a dependency cycle; a path
+    cannot.  A read after the transaction's own write is no conflict."""
+    t1, t2, t3 = make_transaction("T1", "R(x) W(y) C"), make_transaction("T2", "W(x) C"), make_transaction("T3", "W(y) R(z) C")
+    ring = make_transaction("T4", "W(z) W(x) C")
+    cases = [
+        ((t1, t2), False),
+        ((t1, make_transaction("T2", "W(x) R(y) C")), True),
+        ((t1, t2, t3), False),
+        ((t1, t3, ring), True),
+        ((make_transaction("T1", "W(x) R(x) C"),), False),
+    ]
+    for txns, cyclic in cases:
+        eng = LevelEngine(txns, LevelAllocation.uniform(RC, (t.id for t in txns)))
+        assert _has_conflict_cycle(_conflict_pairs(eng), (1 << len(txns)) - 1) == cyclic, txns
 
 
 # --- transforms -----------------------------------------------------------------------

@@ -17,10 +17,12 @@ robust-enum command also runs with ``--method both`` in place of
 ``--method enumerate``, which reaches the split decider and the check that
 both methods agree, and with ``--mode exact-conflict`` or ``--mode
 exact-view`` in place of its mode, which sweeps the full transaction set
-alone.  Last come the hand-written schedule documents of ``DOCUMENTS``,
-which reach the reader's branches the generated inputs never do (compact
-and ambiguous references, comments, CRLF and CR line endings, a separate
-workload document, non-ASCII names, and one document per error message):
+alone; and, as issued, at each ``--max-orders`` of ``TRIP_ORDERS``, where
+some stop at the limit and some decide first.  Last come the hand-written
+schedule documents of ``DOCUMENTS``, which reach the reader's branches the
+generated inputs never do (compact and ambiguous references, comments,
+CRLF and CR line endings, a separate workload document, non-ASCII names,
+and one document per error message):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Each command runs through
 ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in its own
@@ -45,6 +47,9 @@ ROOT = os.path.dirname(HERE)
 BENCH = os.path.join(ROOT, "bench")
 ELAPSED = re.compile(r'^(\s*"elapsed_ms": .*|elapsed-ms: .*)$\n?', re.MULTILINE)
 LIMIT_FLAGS = ["--max-txns", "--max-ops", "--max-orders", "--budget-seconds"]
+#: ``--max-orders`` values at which some robust-enum commands stop at the
+#: limit and others decide first, so where each stops is compared too.
+TRIP_ORDERS = ("20", "200")
 
 #: A valid schedule document, in compact references, that the error documents edit.
 BASE = (
@@ -143,8 +148,9 @@ def document_commands(workdir: str) -> list[list[str]]:
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs and ``--method
-    both`` and the exact modes on the robust-enum ones, then the commands on
-    ``DOCUMENTS`` (under the name ``documents``), JSON and text."""
+    both``, the exact modes and ``TRIP_ORDERS`` on the robust-enum ones,
+    then the commands on ``DOCUMENTS`` (under the name ``documents``), JSON
+    and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -159,6 +165,10 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
         if name == "robust-enum":
             exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
             runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs] + exact
+            for orders in TRIP_ORDERS:
+                for argv in argvs[:n] + warmup[:n]:
+                    at = argv.index("--max-orders") + 1
+                    runs.append([*argv[:at], orders, *argv[at + 1:]])
         out += [(name, argv) for argv in runs]
     out += [("documents", argv) for argv in document_commands(os.path.join(workdir, "documents"))]
     return [run for name, argv in out for run in ((name, argv), (name, [a for a in argv if a != "--json"]))]
