@@ -36,7 +36,6 @@ from .errors import (
     NotACycle,
     ObjectNeverWritten,
     ParseError,
-    ReductionInadmissible,
     ScheduleError,
     TransactionSetMismatch,
     UnknownOperation,
@@ -51,6 +50,7 @@ from .isolation import (
     LevelAllocation,
     PredicateAllocation,
     VIEW_SERIALIZABLE_ONLY,
+    allowed_at_levels,
     allowed_under_allocation,
     allowed_under_rc,
     allowed_under_si,
@@ -96,9 +96,7 @@ from .serializability import (
     DependencyEdge,
     SerializationGraph,
     ViewWitness,
-    conflict_equivalent,
     conflicting,
-    depends_on,
     is_conflict_serializable,
     is_view_serializable,
     last_version,

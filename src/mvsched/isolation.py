@@ -134,6 +134,9 @@ class AdmissibilityReport:
         return frozenset(v.clause for v in self.violations)
 
 
+_ALLOWED = AdmissibilityReport(())
+
+
 @dataclass(frozen=True)
 class DangerousStructure:
     """Two chained rw-antidependencies t1 -> t2 -> t3 between concurrent
@@ -161,16 +164,17 @@ def _commit_ordered(ix: ScheduleIndex, p: int) -> bool:
     return True
 
 
-def _fresh(ix: ScheduleIndex, p: int, rel: int) -> bool:
-    """Whether the read at position ``p`` observes the newest version
-    committed before position ``rel`` (INIT commits at -1)."""
+def _fresh_window(ix: ScheduleIndex, p: int) -> tuple[int, int]:
+    """The read at position ``p`` observes the newest version committed
+    before a position ``rel`` exactly when ``lo < rel <= hi``: ``lo`` is
+    where the observed version commits (INIT at -1), ``hi`` where the first
+    newer version does (the schedule's length when none does)."""
     txn, rank, commit, v = ix.txn, ix.rank, ix.commit, ix.vf[p]
-    if commit[txn[v]] >= rel:
-        return False
+    seen, hi = rank[v], len(txn)
     for q in ix.writes[ix.obj[p]]:
-        if commit[txn[q]] < rel and rank[q] > rank[v]:
-            return False
-    return True
+        if rank[q] > seen and commit[txn[q]] < hi:
+            hi = commit[txn[q]]
+    return commit[txn[v]], hi
 
 
 def respects_commit_order(s: Schedule, w: OperationId) -> bool:
@@ -193,25 +197,29 @@ def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
         raise UnknownOperation(f"{r!r} is not a read operation")
     if s.operation(rel).id.txn != r.txn:
         raise ValueError("the reference operation must belong to the reading transaction")
-    return _fresh(s.index, s.pos[r], s.pos[rel])
+    lo, hi = _fresh_window(s.index, s.pos[r])
+    return lo < s.pos[rel] <= hi
 
 
-def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
-    """A pair (other write, own write) with the own write landing after the
-    other and before the other transaction commits (a dirty write), or, with
-    ``concurrent``, with the other committing after this transaction's start
-    (a concurrent write); None when there is none.  Reads the schedule's int
-    index."""
-    ix = s.index
-    i = ix.number[s.transaction(tid).id]
-    txn, commit, start = ix.txn, ix.commit, ix.first[i]
+def _overwrite(ix: ScheduleIndex, order: Sequence[OperationId], i: int, concurrent: bool) -> tuple[OperationId, OperationId] | None:
+    """A pair (other write, own write) with transaction ``i``'s write
+    landing after the other and before the other transaction commits (a
+    dirty write), or, with ``concurrent``, with the other committing after
+    ``i``'s start (a concurrent write); None when there is none."""
+    txn, commit, kind, WRITE = ix.txn, ix.commit, ix.kind, ix.WRITE
+    start = ix.first[i]
     for p in ix.at[i]:
-        if ix.kind[p] == ix.WRITE:
+        if kind[p] == WRITE:
             bound = start if concurrent else p
             for q in ix.writes[ix.obj[p]]:
                 if txn[q] != i and q < p and bound < commit[txn[q]]:
-                    return s.order[q], s.order[p]
+                    return order[q], order[p]
     return None
+
+
+def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
+    """:func:`_overwrite` on the transaction ``tid``."""
+    return _overwrite(s.index, s.order, s.index.number[s.transaction(tid).id], concurrent)
 
 
 def exhibits_dirty_write(s: Schedule, t: Transaction | str) -> bool:
@@ -229,37 +237,46 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _allowed_at_level(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
-    """The RC clauses, or with ``si`` the SI ones: they differ in the read's
-    reference operation and in dirty against concurrent writes.  Reads the
-    schedule's int index."""
+def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[IsolationLevel]) -> list[AdmissibilityReport]:
+    """Per level, the transaction's report: the RC clauses for RC, the SI
+    ones for SI and SSI.  The commit-order clause and each read's freshness
+    window are evaluated once for all levels, which differ in the read's
+    reference operation (the read itself, or the transaction's first
+    operation) and in dirty against concurrent writes.  Reads the int index."""
     tid = txn_id(t)
-    overwrite = _overwrite_witness(s, tid, si)
     ix, order = s.index, s.order
-    at, kind = ix.at[ix.number[tid]], ix.kind
-    violations = [
-        AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],))
-        for p in at
-        if kind[p] == ix.WRITE and not _commit_ordered(ix, p)
-    ]
-    violations += [
-        AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (order[p],))
-        for p in at
-        if kind[p] == ix.READ and not _fresh(ix, p, at[0] if si else p)
-    ]
-    if overwrite is not None:
-        violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
-    return AdmissibilityReport(tuple(violations))
+    i = ix.number[s.transaction(tid).id]
+    at, kind, READ, WRITE = ix.at[i], ix.kind, ix.READ, ix.WRITE
+    ordered, windows = [], []  # the commit-order violations; per read, its position and window
+    for p in at:
+        k = kind[p]
+        if k == READ:
+            windows.append((p, *_fresh_window(ix, p)))
+        elif k == WRITE and not _commit_ordered(ix, p):
+            ordered.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],)))
+    rel, reports = ix.first[i], []
+    for level in levels:
+        si = level is not _RC
+        violations = ordered + [
+            AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (order[p],))
+            for p, lo, hi in windows
+            if not lo < (rel if si else p) <= hi
+        ]
+        overwrite = _overwrite(ix, order, i, si)
+        if overwrite is not None:
+            violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
+        reports.append(AdmissibilityReport(tuple(violations)) if violations else _ALLOWED)
+    return reports
 
 
 def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
-    return _allowed_at_level(s, t, False)
+    return allowed_at_levels(s, t, (_RC,))[0]
 
 
 def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
-    return _allowed_at_level(s, t, True)
+    return allowed_at_levels(s, t, (_SI,))[0]
 
 
 # ---------------------------------------------------------------------------

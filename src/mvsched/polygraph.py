@@ -4,9 +4,10 @@ A polygraph is a directed graph with mandatory arcs plus three-node
 choices; it is acyclic when some resolution of every choice (one of its two
 optional edges) yields a DAG.  Deciding that is the hard core of
 view-serializability, and :func:`reduce_to_schedule` realizes the
-connection constructively: it emits a schedule whose transactions are
-individually admissible under both RC and SI and which is view-serializable
-exactly when the polygraph is acyclic.  :func:`verify_reduction` runs both
+connection constructively: it builds a schedule that is view-serializable
+exactly when the polygraph is acyclic, fixing its version orders and version
+function by construction.  :func:`verify_reduction` checks on its own that
+every transaction of it is admissible under both RC and SI, and runs both
 deciders and cross-checks them.
 """
 
@@ -15,10 +16,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .core import (
     DEFAULT_LIMITS,
+    INIT,
     Action,
     Budget,
     Operation,
@@ -28,8 +31,8 @@ from .core import (
     Transaction,
     validate_schedule,
 )
-from .errors import ReductionInadmissible, ScheduleError
-from .isolation import Clause, IsolationLevel, LevelAllocation, allowed_under_rc, allowed_under_si, complete_under_allocation
+from .errors import ScheduleError
+from .isolation import Clause, IsolationLevel, allowed_at_levels
 from .serializability import has_cycle, is_view_serializable
 
 _READ, _WRITE, _COMMIT = Action
@@ -145,12 +148,14 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     it appears first or third, and writes it where it appears second.  The
     schedule runs the opening writers serially, then all node transactions
     concurrently (first operations, then bodies, then commits, each section
-    in node order), then the closing writers serially; versions install in
-    commit order and every read observes the newest version committed
-    before it.  The names are ``T:x`` per node, ``T0:u,v,w`` and
-    ``Tinf:u,v,w`` per choice, and objects ``arc:x->y`` and
-    ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(``, ``)`` or
-    ``<`` (which version chains and read entries split on) raises
+    in node order), then the closing writers serially.  Versions install in
+    commit order, and every read comes before the first node commit, so it
+    observes its choice's opening writer, or INIT on an arc object; the
+    schedule is built from those facts, which :func:`verify_reduction`
+    checks rather than assumes.  The names are ``T:x`` per node,
+    ``T0:u,v,w`` and ``Tinf:u,v,w`` per choice, and objects ``arc:x->y``
+    and ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(``,
+    ``)`` or ``<`` (which version chains and read entries split on) raises
     :class:`ScheduleError` before anything is built.
     """
     named = sorted(p.nodes.union(*p.arcs, *p.choices))
@@ -179,21 +184,25 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
         ops = [Operation(OperationId(tid, k), a, obj) for k, (a, obj) in enumerate(itertools.chain(*groups[x]), 1)]
         ops.append(Operation(OperationId(tid, len(ops) + 1), _COMMIT))
         nodes.append(Transaction(tid, tuple(ops)))
-    txns = opening + nodes + closing
-
     concurrent = [t.ops for t in nodes if len(t.ops) > 1]
-    order = [op.id for t in opening for op in t.ops]
+    order = [INIT, *[op.id for t in opening for op in t.ops]]
     order += [ops[0].id for ops in concurrent]
     order += [op.id for ops in concurrent for op in ops[1:-1]]
     order += [ops[-1].id for ops in concurrent]
     order += [t.ops[0].id for t in nodes if len(t.ops) == 1]
     order += [op.id for t in closing for op in t.ops]
-
-    alloc = LevelAllocation.uniform(IsolationLevel.RC, (t.id for t in txns))
-    schedule = complete_under_allocation(txns, order, alloc)
-    if schedule is None:
-        raise ReductionInadmissible("reduction output is not admissible under RC")
-    return schedule.txns, schedule
+    # an object's writers commit in the order of their ids: T0:, T:, Tinf:
+    txns = tuple(sorted(opening + nodes + closing, key=attrgetter("id")))
+    ops = [op for t in txns for op in t.ops]
+    chains: dict[str, list[OperationId]] = {}
+    for op in ops:
+        if op.action is _WRITE:
+            chains.setdefault(op.obj, [INIT]).append(op.id)
+    reads = [op for op in ops if op.action is _READ]
+    vorder = {obj: tuple(c) for obj, c in chains.items()} | {op.obj: (INIT,) for op in reads if op.obj not in chains}
+    opened = {t.ops[0].obj: t.ops[0].id for t in opening}
+    vf = {op.id: opened.get(op.obj, INIT) for op in reads}
+    return txns, Schedule(txns=txns, order=tuple(order), vorder=vorder, vf=vf)
 
 
 @dataclass(frozen=True)
@@ -221,9 +230,12 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
     writes, commit-order-respecting, fresh on every read relative to both
     reference points, admissible per transaction under RC and under SI,
     linear in size, and that its view-serializability verdict coincides
-    with the polygraph's acyclicity verdict.  Each of the two searches gets
-    its own ``Budget(limits)``: only ``limits.max_orders`` and
-    ``limits.budget_seconds`` bound them, whatever the polygraph's size.
+    with the polygraph's acyclicity verdict.  The reduction is built
+    without the clauses, so these checks are independent of it; one clause
+    pass per transaction (:func:`allowed_at_levels`) gives both reports.
+    Each of the two searches gets its own ``Budget(limits)``: only
+    ``limits.max_orders`` and ``limits.budget_seconds`` bound them,
+    whatever the polygraph's size.
     """
     txns, s = reduce_to_schedule(p)
     checks: list[ReductionCheck] = []
@@ -232,8 +244,8 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
     checks.append(ReductionCheck("schedule-valid", not violations, "; ".join(map(str, violations))))
 
     # each transaction's RC and SI reports hold the four clause checks below
-    rc = [allowed_under_rc(s, t) for t in s.txns]
-    si = [allowed_under_si(s, t) for t in s.txns]
+    reports = [allowed_at_levels(s, t, (IsolationLevel.RC, IsolationLevel.SI)) for t in s.txns]
+    rc, si = [r for r, _ in reports], [r for _, r in reports]
 
     def failing(reports, clause):
         return [v for r in reports for v in r.violations if v.clause is clause]

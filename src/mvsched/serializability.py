@@ -83,13 +83,14 @@ def conflicting(b: Operation, a: Operation) -> ConflictKind | None:
     return None
 
 
-def _dependencies(s: Schedule) -> list[tuple[int, int, ConflictKind]]:
-    """Every dependency of a valid schedule as (source position, target
-    position, kind), read off its int index: ww between two writers of an
-    object in version order; for a read and another transaction's write on
-    its object, wr when the write installs no later than the version read,
-    else rw."""
-    ix = s.index
+def serialization_graph(s: Schedule) -> SerializationGraph:
+    """Build the full serialization graph of a valid schedule.
+
+    Every dependency is read off the schedule's int index in one pass: ww
+    between two writers of an object in version order; for a read and
+    another transaction's write on its object, wr when the write installs no
+    later than the version read, else rw."""
+    ix, order, ids = s.index, s.order, s.txn_ids
     txn, rank, vf, obj, writes = ix.txn, ix.rank, ix.vf, ix.obj, ix.writes
     deps = []
     for ws in writes.values():
@@ -100,22 +101,8 @@ def _dependencies(s: Schedule) -> list[tuple[int, int, ConflictKind]]:
             for w in writes[obj[r]]:
                 if txn[w] != txn[r]:
                     deps.append((w, r, ConflictKind.WR) if rank[w] <= seen else (r, w, ConflictKind.RW))
-    return deps
-
-
-def depends_on(s: Schedule, b: OperationId, a: OperationId) -> DependencyEdge | None:
-    """The typed dependency of ``a`` on ``b`` in ``s``, or None when there is none."""
-    if b.is_init or a.is_init:
-        return None
-    pair = (s.pos[s.operation(b).id], s.pos[s.operation(a).id])
-    return next((DependencyEdge(b, a, kind) for p, q, kind in _dependencies(s) if (p, q) == pair), None)
-
-
-def serialization_graph(s: Schedule) -> SerializationGraph:
-    """Build the full serialization graph of a valid schedule."""
-    order, txn, ids = s.order, s.index.txn, s.txn_ids
     edges: dict[tuple[str, str], list[DependencyEdge]] = {}
-    for p, q, kind in _dependencies(s):
+    for p, q, kind in deps:
         edges.setdefault((ids[txn[p]], ids[txn[q]]), []).append(DependencyEdge(order[p], order[q], kind))
     return SerializationGraph(
         nodes=ids,
@@ -221,19 +208,6 @@ def is_conflict_serializable(s: Schedule) -> tuple[bool, tuple[str, ...] | None]
     return (False, _shortest_cycle(ids, pairs))
 
 
-def _require_same_txns(s: Schedule, s2: Schedule) -> None:
-    if dict(s.txn_by_id) != dict(s2.txn_by_id):
-        raise TransactionSetMismatch("schedules are not over the same set of transactions")
-
-
-def conflict_equivalent(s: Schedule, s2: Schedule) -> bool:
-    """Same transactions and the same dependencies."""
-    _require_same_txns(s, s2)
-    return {(s.order[p], s.order[q]) for p, q, _ in _dependencies(s)} == {
-        (s2.order[p], s2.order[q]) for p, q, _ in _dependencies(s2)
-    }
-
-
 def last_version(s: Schedule, obj: str) -> OperationId:
     """The write installing the final version of ``obj``."""
     chain = s.vorder.get(obj)
@@ -244,7 +218,8 @@ def last_version(s: Schedule, obj: str) -> OperationId:
 
 def view_equivalent(s: Schedule, s2: Schedule) -> bool:
     """Same transactions, same observed version per read, same final versions."""
-    _require_same_txns(s, s2)
+    if dict(s.txn_by_id) != dict(s2.txn_by_id):
+        raise TransactionSetMismatch("schedules are not over the same set of transactions")
     if dict(s.vf) != dict(s2.vf):
         return False
     for obj, chain in s.vorder.items():

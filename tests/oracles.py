@@ -8,9 +8,10 @@ allowed completion of an order from dictionaries keyed by operation id,
 where the library walks a compiled engine.  The dependency oracles decide
 each same-object pair of operations on the version positions of its object,
 where the library lists every dependency in one pass over the schedule's int
-index; the serialization graph, ``depends_on``, conflict equivalence and the
-conflict oracle, which finds the shortest cycle of the full graph, are built
-on them.  The enumeration oracle completes one interleaving at a time.  The
+index; the serialization graph, the conflict oracle, which finds the
+shortest cycle of the full graph, and ``depends_on`` and conflict
+equivalence, which only the tests use, are built on them.  The enumeration
+oracle completes one interleaving at a time.  The
 split decider oracle classifies and checks candidates on completed
 schedules.  The serial-signature pool looks a schedule's reads-from and
 final versions up among those of every serial order.  The view search oracle
@@ -22,7 +23,9 @@ triple of its scope.  The reduction-check oracle evaluates each clause per
 operation where the library reads the per-transaction reports.  The
 validation oracle runs every per-offender loop, where the library decides
 each rule by counts and set comparisons first.  The reduction oracle groups
-operations through a ``defaultdict`` and takes the order from cached ids.
+operations through a ``defaultdict``, takes the order from cached ids and
+completes it through ``complete_under_allocation``, where the library builds
+the version orders and the version function directly.
 The acyclicity oracle builds every resolution's edge set.  The resolver
 oracle matches every token against the grammar, where the library looks
 canonical spellings up in one table.  The reader oracle parses a schedule
@@ -59,9 +62,9 @@ from mvsched import (
     OperationId,
     ParseError,
     Polygraph,
-    ReductionInadmissible,
     RobustnessMode,
     Schedule,
+    ScheduleError,
     ScheduleViolation,
     SearchLimits,
     SerializationGraph,
@@ -914,6 +917,11 @@ def _node_txn_id(node: str) -> str:
 def _choice_txn_ids(choice: tuple[str, str, str]) -> tuple[str, str]:
     tag = ",".join(choice)
     return f"T0:{tag}", f"Tinf:{tag}"
+
+
+class ReductionInadmissible(ScheduleError):
+    """The reduction oracle built an operation order with no completion
+    admissible under RC, which its construction rules out."""
 
 
 def reduce_to_schedule_oracle(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:

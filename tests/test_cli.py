@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import io
 import json
 import os
@@ -24,7 +26,6 @@ from mvsched import (
     LevelAllocation,
     ParseError,
     Polygraph,
-    ReductionInadmissible,
     is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
@@ -701,14 +702,24 @@ def test_interrupt_exits_130(docs, monkeypatch):
     assert code == 130 and payload["details"]["error"] == "interrupted"
 
 
-def test_inadmissible_reduction_is_an_error_not_an_assert(docs, monkeypatch, tmp_path):
-    monkeypatch.setattr(polygraph, "complete_under_allocation", lambda *args, **kwargs: None)
-    with pytest.raises(ReductionInadmissible):
-        polygraph.reduce_to_schedule(Polygraph.of(("u",)))
-    reduce = ("polygraph", "reduce", docs["choice.poly"], "-o", str(tmp_path / "o"))
-    for argv in (("polygraph", "verify", docs["choice.poly"]), reduce):
-        code, payload = invoke_json(*argv)
-        assert code == 2 and "not admissible" in payload["details"]["error"]
+def test_a_stale_read_in_the_reduction_fails_verify(docs, monkeypatch):
+    """The reduction builds its version function by construction, and verify
+    checks RC and SI admissibility on its own: a read pointed at a version
+    older than the newest one committed before it fails both, with exit 1."""
+    reduce_to_schedule = polygraph.reduce_to_schedule
+
+    def stale(p):
+        txns, s = reduce_to_schedule(p)
+        read = next(r for r, v in s.vf.items() if not v.is_init)
+        return txns, dataclasses.replace(s, vf={**s.vf, read: INIT})
+
+    monkeypatch.setattr(polygraph, "reduce_to_schedule", stale)
+    code, payload = invoke_json("polygraph", "verify", docs["choice.poly"])
+    checks = payload["details"]["checks"]
+    assert code == 1 and payload["verdict"] is False
+    for name in ("rc-admissible", "reads-fresh-at-read", "si-admissible", "reads-fresh-at-start"):
+        assert checks[name].startswith("FAIL"), name
+    assert checks["schedule-valid"] == checks["writes-respect-commit-order"] == "pass"
 
 
 def _write_si_workload(path, bodies):
@@ -835,12 +846,19 @@ def test_help_exits_0_with_the_help(capsys):
     assert out.count("usage: mvsched") == 2 and "verdict:" not in out
 
 
+@functools.cache
+def _parser():
+    """The CLI's argparse parser, built once for the module: ``parse_args``
+    keeps no state between calls."""
+    return cli._build_parser()
+
+
 def _argparse_namespace(argv):
     """``vars`` of argparse's namespace for ``argv``, or None when argparse
     rejects it or prints the help."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._build_parser().parse_args(argv))
+            return vars(_parser().parse_args(argv))
         except (ParseError, SystemExit):
             return None
 

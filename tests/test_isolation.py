@@ -38,6 +38,7 @@ from mvsched import (
     PredicateAllocation,
     UnknownOperation,
     Workload,
+    allowed_at_levels,
     allowed_under_allocation,
     allowed_under_rc,
     allowed_under_si,
@@ -432,7 +433,8 @@ def rw_witnesses(s, scope):
 
 
 def assert_clauses_match_the_oracles(s) -> bool:
-    """Every clause, both per-transaction reports, the rw-antidependencies
+    """Every clause, both per-transaction reports (one level at a time and
+    both from one clause pass), the rw-antidependencies
     and the dangerous structures under either reading of the pivot (over all
     transactions and over all but the first) agree with the oracles,
     violations, witnesses and their order included; whether some
@@ -450,6 +452,8 @@ def assert_clauses_match_the_oracles(s) -> bool:
             report = allowed(s, t)
             assert report == allowed_at_level_oracle(s, t, si), (s, t.id, si)
             failed |= not report.allowed
+        expected = [allowed_at_level_oracle(s, t, si) for si in (False, True, True)]
+        assert allowed_at_levels(s, t, (RC, SI, SSI)) == expected, (s, t.id)
     for scope in (frozenset(s.txn_ids), frozenset(s.txn_ids[1:])):
         assert rw_witnesses(s, scope) == rw_edges_oracle(s, scope), (s, scope)
         for degenerate in (False, True):

@@ -76,6 +76,13 @@ def tracer_boundaries() -> list[tuple[str, str]]:
     raise AssertionError("bench/tracing.py defines no BOUNDARIES")
 
 
+#: Boundaries the tracer still lists although the library no longer calls
+#: through them on purpose: the polygraph reduction builds its schedule
+#: without completing an order, so its completions are 0, not lost.  The
+#: next change to the benchmark drops them from the tracer.
+RETIRED_BOUNDARIES = ["mvsched.polygraph.complete_under_allocation"]
+
+
 def test_every_traced_boundary_resolves_to_a_callable():
     """A refactor that renames or stops importing a wrapped name would leave a
     per-layer metric silently reading 0."""
@@ -86,4 +93,4 @@ def test_every_traced_boundary_resolves_to_a_callable():
         for module, attr in boundaries
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
-    assert missing == []
+    assert missing == RETIRED_BOUNDARIES

@@ -160,9 +160,9 @@ def test_s2_workload_rc_exact_verdicts():
     subset, ce = verdict.counterexample
     assert subset == ("T1", "T2", "T3")
     assert ce == S2  # conflict-equivalent to the split interleaving, here equal
-    from mvsched import conflict_equivalent
+    from oracles import conflict_equivalent_oracle
 
-    assert conflict_equivalent(ce, S2)
+    assert conflict_equivalent_oracle(ce, S2)
 
 
 def test_singleton_workload_robust_everywhere():

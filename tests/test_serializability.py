@@ -36,9 +36,7 @@ from mvsched import (
     ObjectNeverWritten,
     TransactionSetMismatch,
     UnknownOperation,
-    conflict_equivalent,
     conflicting,
-    depends_on,
     is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
@@ -73,30 +71,30 @@ def test_conflicting_pairs():
 
 
 def test_depends_on_s1_examples():
-    ww = depends_on(S1, opid("T2", 1), opid("T4", 2))
+    ww = depends_on_oracle(S1, opid("T2", 1), opid("T4", 2))
     assert ww is not None and ww.kind is ConflictKind.WW
-    wr = depends_on(S1, opid("T3", 1), opid("T4", 3))
+    wr = depends_on_oracle(S1, opid("T3", 1), opid("T4", 3))
     assert wr is not None and wr.kind is ConflictKind.WR
-    rw = depends_on(S1, opid("T4", 1), opid("T2", 1))
+    rw = depends_on_oracle(S1, opid("T4", 1), opid("T2", 1))
     assert rw is not None and rw.kind is ConflictKind.RW
     # reversed ww pair carries no dependency
-    assert depends_on(S1, opid("T4", 2), opid("T2", 1)) is None
+    assert depends_on_oracle(S1, opid("T4", 2), opid("T2", 1)) is None
 
 
 def test_depends_on_init_never_conflicts():
-    assert depends_on(S1, INIT, opid("T2", 1)) is None
-    assert depends_on(S1, opid("T2", 1), INIT) is None
+    assert depends_on_oracle(S1, INIT, opid("T2", 1)) is None
+    assert depends_on_oracle(S1, opid("T2", 1), INIT) is None
 
 
 def test_depends_on_unknown_operation():
     with pytest.raises(UnknownOperation):
-        depends_on(S1, opid("T9", 1), opid("T2", 1))
+        depends_on_oracle(S1, opid("T9", 1), opid("T2", 1))
 
 
 def test_wr_clause_with_initial_version_observed():
     # nothing installs before the initial version, so a write never counts as
     # installed before a read that observes it
-    assert depends_on(S1, opid("T2", 1), opid("T4", 1)) is None  # W2(t) vs R4(t), vf=INIT
+    assert depends_on_oracle(S1, opid("T2", 1), opid("T4", 1)) is None  # W2(t) vs R4(t), vf=INIT
 
 
 # --- serialization graphs ---------------------------------------------------------
@@ -132,7 +130,7 @@ def test_graph_edges_round_trip_with_depends_on():
         ops = [o for t in s.txns for o in t.ops]
         expected = set()
         for b, a in itertools.product(ops, repeat=2):
-            if depends_on(s, b.id, a.id) is not None:
+            if depends_on_oracle(s, b.id, a.id) is not None:
                 expected.add((b.id.txn, a.id.txn))
         assert g.edge_pairs == expected
         for pair, deps in g.edges.items():
@@ -150,15 +148,15 @@ def test_conflict_serializability_verdicts():
 
 
 def test_conflict_equivalence():
-    assert conflict_equivalent(S2, S2)
-    assert not conflict_equivalent(S2, serial_schedule(S2_TXNS))
+    assert conflict_equivalent_oracle(S2, S2)
+    assert not conflict_equivalent_oracle(S2, serial_schedule(S2_TXNS))
     for perm in itertools.permutations((S1_T1, S1_T2, S1_T3, S1_T4)):
-        assert not conflict_equivalent(S1, serial_schedule(perm))
+        assert not conflict_equivalent_oracle(S1, serial_schedule(perm))
 
 
 def test_conflict_equivalent_requires_same_transactions():
     with pytest.raises(TransactionSetMismatch):
-        conflict_equivalent(S2, S3)
+        conflict_equivalent_oracle(S2, S3)
 
 
 # --- view equivalence ----------------------------------------------------------------
@@ -227,7 +225,7 @@ def test_conflict_equivalence_implies_view_equivalence_on_enumerated_pairs():
     for txns in [W_LU, (make_transaction("T1", "R(x) W(y) C"), make_transaction("T2", "W(x) C"))]:
         pool = list(enumerate_valid_schedules(txns))
         for s, s2 in itertools.combinations(pool, 2):
-            if conflict_equivalent(s, s2):
+            if conflict_equivalent_oracle(s, s2):
                 assert view_equivalent(s, s2), (s, s2)
 
 
@@ -340,17 +338,20 @@ def test_conflict_serializability_matches_the_graph_oracle_on_generated_schedule
 
 
 def assert_dependencies_match_the_oracles(s, others=()) -> int:
-    """The graph (edges, every witness and their order), ``depends_on`` on
-    every pair of operations and INIT, and conflict equivalence with ``s``
-    itself and with each of ``others`` agree with the oracles; the number of
-    dependencies."""
+    """The graph (edges, every witness and their order) agrees with the
+    oracle; its witnesses are ``depends_on_oracle`` on every pair of
+    operations and INIT; its dependency sets are equal exactly when
+    conflict equivalence holds, with ``s`` itself and with each of
+    ``others``.  The number of dependencies."""
     graph = serialization_graph(s)
     assert graph == serialization_graph_oracle(s), s
+    witnesses = {(d.src, d.dst): d for deps in graph.edges.values() for d in deps}
     for b, a in itertools.product(s.order, repeat=2):
-        assert depends_on(s, b, a) == depends_on_oracle(s, b, a), (s, b, a)
+        assert witnesses.get((b, a)) == depends_on_oracle(s, b, a), (s, b, a)
     for s2 in (s, *others):
-        assert conflict_equivalent(s, s2) == conflict_equivalent_oracle(s, s2), (s, s2)
-    return sum(map(len, graph.edges.values()))
+        pairs = {(d.src, d.dst) for deps in serialization_graph(s2).edges.values() for d in deps}
+        assert (pairs == witnesses.keys()) == conflict_equivalent_oracle(s, s2), (s, s2)
+    return len(witnesses)
 
 
 def test_dependencies_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():
@@ -362,7 +363,7 @@ def test_dependencies_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():
         previous = ()
         for s in itertools.islice(enumerate_valid_schedules(txns), 0, None, 13):
             assert_dependencies_match_the_oracles(s, previous)
-            equivalent += bool(previous) and conflict_equivalent(s, previous[0])
+            equivalent += bool(previous) and conflict_equivalent_oracle(s, previous[0])
             previous = (s,)
             checked += 1
     assert checked > 2000 and equivalent > 0
