@@ -22,7 +22,6 @@ from .core import (
     ViolationKind,
     are_concurrent,
     is_single_version,
-    is_single_version_serial,
     make_schedule,
     make_transaction,
     serial_schedule,
@@ -77,6 +76,7 @@ from .robustness import (
     RobustnessVerdict,
     SplitDefect,
     Workload,
+    decide_view_split,
     enumerate_allowed_schedules,
     extend_with_serial_tail,
     find_split_counterexample,
@@ -84,11 +84,9 @@ from .robustness import (
     is_exact_conflict_robust,
     is_exact_view_robust,
     is_generalized_split_schedule,
-    is_multiversion_split_schedule,
     is_view_robust,
     iter_split_schedules,
     minimize_counterexample,
-    own_write_counterexample,
     restrict_to_cycle,
 )
 from .serializability import (

@@ -29,13 +29,13 @@ from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
 from .polygraph import is_acyclic_polygraph, reduce_to_schedule, verify_reduction
 from .robustness import (
     Workload,
+    decide_view_split,
     enumerate_allowed_schedules,
     find_split_counterexample,
     is_conflict_robust,
     is_exact_conflict_robust,
     is_exact_view_robust,
     is_view_robust,
-    own_write_counterexample,
 )
 from .serializability import is_conflict_serializable, is_view_serializable
 
@@ -329,20 +329,22 @@ def _cmd_robust(args: argparse.Namespace) -> Report:
     if method != "enumerate" and not isinstance(w.alloc, LevelAllocation):
         raise ParseError("the split method decides level allocations only")
     details: dict = {"mode": mode, "method": method}
-    if method != "split":
+    if mode == "view" and method != "enumerate":
+        # the own-write check, the split search and the enumeration on one compiled workload
+        verdict, hit = decide_view_split(w, method, args.limits)
+    else:
         decide = {"conflict": is_conflict_robust, "view": is_view_robust,
                   "exact-conflict": is_exact_conflict_robust, "exact-view": is_exact_view_robust}[mode]
-        verdict = decide(w, args.limits)
+        verdict = None if method == "split" else decide(w, args.limits)
+        hit = None if method == "enumerate" else find_split_counterexample(w, args.limits)
+    if method == "split":
+        robust, ce = hit is None, hit
+    else:
         robust, ce = verdict.robust, verdict.counterexample
-    if method != "enumerate":
-        # a read missing its own earlier write fails the view sense alone, in no split schedule
-        hit = (own_write_counterexample(w) if mode == "view" else None) or find_split_counterexample(w, args.limits)
-        if method == "split":
-            robust, ce = hit is None, hit
-        elif robust != (hit is None):
-            error = "internal disagreement between split search and enumeration"
-            return Report(None, {"error": error, "enumerate": robust, "split": hit is None})
-        else:
+        if method == "both":
+            if robust != (hit is None):
+                error = "internal disagreement between split search and enumeration"
+                return Report(None, {"error": error, "enumerate": robust, "split": hit is None})
             details["methods-agree"] = True
     if ce:
         details["counterexample"] = _counterexample_details(w, ce)

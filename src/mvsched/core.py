@@ -553,25 +553,6 @@ def is_single_version(s: Schedule) -> bool:
     return True
 
 
-def is_single_version_serial(s: Schedule) -> bool:
-    """True for single-version schedules whose transactions do not interleave."""
-    if not is_single_version(s):
-        return False
-    spans: dict[str, tuple[int, int]] = {}
-    for t in s.txns:
-        if not t.ops:
-            continue
-        positions = [s.pos[op.id] for op in t.ops]
-        spans[t.id] = (min(positions), max(positions))
-        if max(positions) - min(positions) + 1 != len(positions):
-            return False
-    ordered = sorted(spans.values())
-    for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
-        if lo <= hi:
-            return False
-    return True
-
-
 def txn_id(t: Transaction | str) -> str:
     """The id of a transaction given as itself or by its id."""
     return t.id if isinstance(t, Transaction) else t

@@ -201,25 +201,30 @@ def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
     return lo < s.pos[rel] <= hi
 
 
-def _overwrite(ix: ScheduleIndex, order: Sequence[OperationId], i: int, concurrent: bool) -> tuple[OperationId, OperationId] | None:
-    """A pair (other write, own write) with transaction ``i``'s write
-    landing after the other and before the other transaction commits (a
-    dirty write), or, with ``concurrent``, with the other committing after
-    ``i``'s start (a concurrent write); None when there is none."""
+def _overwrites(ix: ScheduleIndex, order: Sequence[OperationId], i: int) -> tuple[tuple | None, tuple | None]:
+    """The first pairs (other write, own write), in one walk over
+    transaction ``i``'s writes, with ``i``'s write landing after the other
+    and before the other transaction commits (a dirty write) and with the
+    other committing after ``i``'s start (a concurrent write), None where
+    there is none.  A dirty write is a concurrent one, so the walk stops at
+    the first dirty pair."""
     txn, commit, kind, WRITE = ix.txn, ix.commit, ix.kind, ix.WRITE
-    start = ix.first[i]
+    start, concurrent = ix.first[i], None
     for p in ix.at[i]:
         if kind[p] == WRITE:
-            bound = start if concurrent else p
             for q in ix.writes[ix.obj[p]]:
-                if txn[q] != i and q < p and bound < commit[txn[q]]:
-                    return order[q], order[p]
-    return None
+                if txn[q] != i and q < p and start < commit[txn[q]]:
+                    concurrent = concurrent or (order[q], order[p])
+                    if p < commit[txn[q]]:
+                        return (order[q], order[p]), concurrent
+    return None, concurrent
 
 
 def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
-    """:func:`_overwrite` on the transaction ``tid``."""
-    return _overwrite(s.index, s.order, s.index.number[s.transaction(tid).id], concurrent)
+    """:func:`_overwrites` on the transaction ``tid``: with ``concurrent``
+    its first concurrent write, else its first dirty one."""
+    dirty, concurrent_write = _overwrites(s.index, s.order, s.index.number[s.transaction(tid).id])
+    return concurrent_write if concurrent else dirty
 
 
 def exhibits_dirty_write(s: Schedule, t: Transaction | str) -> bool:
@@ -239,10 +244,11 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 
 def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[IsolationLevel]) -> list[AdmissibilityReport]:
     """Per level, the transaction's report: the RC clauses for RC, the SI
-    ones for SI and SSI.  The commit-order clause and each read's freshness
-    window are evaluated once for all levels, which differ in the read's
-    reference operation (the read itself, or the transaction's first
-    operation) and in dirty against concurrent writes.  Reads the int index."""
+    ones for SI and SSI.  The commit-order clause, each read's freshness
+    window and the overwrite walk are evaluated once for all levels, which
+    differ in the read's reference operation (the read itself, or the
+    transaction's first operation) and in dirty against concurrent writes.
+    Reads the int index."""
     tid = txn_id(t)
     ix, order = s.index, s.order
     i = ix.number[s.transaction(tid).id]
@@ -255,6 +261,7 @@ def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[Isolat
         elif k == WRITE and not _commit_ordered(ix, p):
             ordered.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],)))
     rel, reports = ix.first[i], []
+    dirty, concurrent = _overwrites(ix, order, i)
     for level in levels:
         si = level is not _RC
         violations = ordered + [
@@ -262,7 +269,7 @@ def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[Isolat
             for p, lo, hi in windows
             if not lo < (rel if si else p) <= hi
         ]
-        overwrite = _overwrite(ix, order, i, si)
+        overwrite = concurrent if si else dirty
         if overwrite is not None:
             violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
         reports.append(AdmissibilityReport(tuple(violations)) if violations else _ALLOWED)

@@ -26,9 +26,11 @@ every interleaving, dropped and skipped ones included, so limits are hit
 where completing each interleaving would hit them.  A subset whose static
 conflict multigraph is a forest cannot fail (:func:`_has_conflict_cycle`)
 and is charged without a walk.  Predicate allocations still complete every
-interleaving, in every way.
+interleaving, in every way, and search each view signature once per
+subset (:func:`_enumerate_allowed`).  :func:`decide_view_split` runs the
+view mode's split and both methods on one compiled workload.
 
-Also here: recognizers for the two split-schedule shapes and the three
+Also here: the recognizer of the split-schedule shape and the three
 constructive schedule transforms (serial-tail extension, restriction to a
 cycle, counterexample minimization).
 """
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, SearchLimits, Transaction, make_schedule
+from .core import DEFAULT_LIMITS, INIT, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, make_schedule
 from .errors import LimitExceeded, NotACycle, TransactionSetMismatch
 from .isolation import (
     Allocation,
@@ -51,9 +53,9 @@ from .isolation import (
     respects_commit_order,
 )
 from .serializability import (
+    dependency_masks,
     has_cycle,
     is_conflict_serializable,
-    is_view_serializable,
     serialization_graph,
 )
 
@@ -188,32 +190,33 @@ def _vorder_candidates(txns: Sequence[Transaction]) -> dict[str, list[tuple[Oper
     return out
 
 
-def _iter_free_completions(
-    txns: Sequence[Transaction],
-    order: tuple[OperationId, ...],
-    vorder_cands: dict[str, list[tuple[OperationId, ...]]],
-    budget: Budget,
-) -> Iterator[Schedule]:
-    """Every valid schedule with this operation order: all version orders
-    crossed with all version functions (each read may observe INIT or any
-    earlier same-object write)."""
+def _read_sources(txns: Sequence[Transaction]) -> list[tuple[Operation, list[OperationId]]]:
+    """Per read of ``txns``, in transaction order: the read, and the writes
+    of its object in transaction order."""
+    writes = [op for t in txns for op in t.ops if op.is_write]
+    return [(r, [w.id for w in writes if w.obj == r.obj]) for t in txns for r in t.ops if r.is_read]
+
+
+def _read_options(sources: list[tuple[Operation, list[OperationId]]], order: tuple[OperationId, ...]) -> tuple:
+    """Per read of ``sources``, the versions it may see in this operation
+    order: INIT and every earlier write of its object."""
     pos = {opid: i for i, opid in enumerate(order)}
-    read_ops = [op for t in txns for op in t.ops if op.is_read]
-    read_options: list[list[OperationId]] = []
-    for op in read_ops:
-        options = [INIT]
-        for t in txns:
-            for w in t.ops:
-                if w.is_write and w.obj == op.obj and pos[w.id] < pos[op.id]:
-                    options.append(w.id)
-        read_options.append(options)
+    return tuple(tuple([INIT] + [w for w in ws if pos[w] < pos[r.id]]) for r, ws in sources)
+
+
+def _free_completions(
+    options: tuple, vorder_cands: dict[str, list[tuple[OperationId, ...]]], budget: Budget
+) -> Iterator[tuple[dict[str, tuple[OperationId, ...]], tuple[OperationId, ...]]]:
+    """Every valid completion of an operation order whose reads have these
+    ``options`` (see :func:`_read_options`), each counted as a candidate:
+    all version orders crossed with all version functions, as (version
+    order, per read the write it sees)."""
     objs = sorted(vorder_cands)
     for chains in itertools.product(*(vorder_cands[obj] for obj in objs)):
         vorder = dict(zip(objs, chains))
-        for choice in itertools.product(*read_options):
+        for choice in itertools.product(*options):
             budget.tick()
-            vf = {op.id: target for op, target in zip(read_ops, choice)}
-            yield make_schedule(txns, order, vorder, vf)
+            yield vorder, choice
 
 
 def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failing: str | None) -> Iterator[Schedule]:
@@ -418,14 +421,14 @@ def _own_write_readers(eng: LevelEngine) -> int:
     return out
 
 
-def own_write_counterexample(w: Workload) -> tuple[tuple[str, ...], Schedule] | None:
+def _own_write_counterexample(w: Workload, eng: LevelEngine) -> tuple[tuple[str, ...], Schedule] | None:
     """The first counterexample to view robustness of a level-allocated
-    workload when one of its transactions reads an object it wrote earlier:
-    the first such transaction, by id, alone and run serially.  The sweep of
-    :func:`is_view_robust` finds none before it (an empty subset, or a single
-    transaction without such a read, always passes), and the split search
-    never finds it: a split schedule has two transactions or more."""
-    eng = LevelEngine(w.txns, w.alloc)
+    workload, compiled as ``eng``, when one of its transactions reads an
+    object it wrote earlier: the first such transaction, by id, alone and
+    run serially.  The sweep of :func:`is_view_robust` finds none before it
+    (an empty subset, or a single transaction without such a read, always
+    passes), and the split search never finds it: a split schedule has two
+    transactions or more."""
     readers = _own_write_readers(eng)
     if not readers:
         return None
@@ -438,17 +441,68 @@ def own_write_counterexample(w: Workload) -> tuple[tuple[str, ...], Schedule] | 
 def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
     """Allowed schedules of a predicate-allocated workload over its full
     transaction set, in canonical order; with ``failing`` (``"conflict"``
-    or ``"view"``) only those that are not serializable in that sense."""
-    vorder_cands = _vorder_candidates(w.txns)
-    for order in _iter_interleavings(w.txns, budget):
-        for s in _iter_free_completions(w.txns, order, vorder_cands, budget):
-            if not w.alloc.holds(s, budget):
+    or ``"view"``) only those that are not serializable in that sense.
+
+    Every interleaving is completed in every way (see
+    :func:`_free_completions`).  The predicate, a view search, reads only a
+    completion's view signature: the version each read sees and each
+    object's final version, never the operation order.  So each signature
+    is searched once per call, on a :class:`Schedule` built for it, and a
+    later completion with the same signature is charged, in one tick, the
+    candidates that search charged.  In view mode every admitted completion
+    is view-serializable, and it is charged that count once more, for the
+    check that the search would repeat.  The conflict check reads the
+    version order and version function alone, as dependency bitmasks.  A
+    completion that comes out is built as a :class:`Schedule`.
+
+    An interleaving's completions, and so what they charge and which come
+    out, depend only on the versions each read may see in it.  A later
+    interleaving with the same read options as one that let nothing out is
+    charged that one's candidates in one tick: nothing comes out between
+    the candidates, so a limit trips there exactly when it would trip
+    among them."""
+    txns = w.txns
+    number = {t.id: k for k, t in enumerate(txns)}
+    sources = _read_sources(txns)
+    read_ids = [r.id for r, _ in sources]
+    vorder_cands = _vorder_candidates(txns)
+    searched: dict[tuple, tuple[bool, int]] = {}  # view signature -> (admitted, candidates charged)
+    swept: dict[tuple, int] = {}  # read options -> candidates charged by an interleaving with them
+    for order in _iter_interleavings(txns, budget):
+        options = _read_options(sources, order)
+        if options in swept:
+            budget.tick(swept[options])
+            continue
+        start, out = budget.count, False
+        for vorder, seen in _free_completions(options, vorder_cands, budget):
+            signature = (seen, tuple([chain[-1] for chain in vorder.values()]))
+            s = None
+            if signature in searched:
+                admitted, charged = searched[signature]
+                if charged:
+                    budget.tick(charged)
+            else:
+                s = make_schedule(txns, order, vorder, dict(zip(read_ids, seen)))
+                before = budget.count
+                admitted = w.alloc.holds(s, budget)
+                searched[signature] = admitted, charged = admitted, budget.count - before
+            if not admitted:
                 continue
-            if failing == "conflict" and is_conflict_serializable(s)[0]:
+            if failing == "view":
+                budget.tick(charged)
                 continue
-            if failing == "view" and is_view_serializable(s, budget=budget).verdict:
-                continue
-            yield s
+            if failing == "conflict":
+                writers = {o: [number[q.txn] for q in chain] for o, chain in vorder.items()}
+                reads = [
+                    (number[r.id.txn], r.obj, 0 if v.is_init else vorder[r.obj].index(v) + 1)
+                    for (r, _), v in zip(sources, seen)
+                ]
+                if not has_cycle(dependency_masks(len(txns), writers, reads)):
+                    continue
+            out = True
+            yield s or make_schedule(txns, order, vorder, dict(zip(read_ids, seen)))
+        if not out:
+            swept[options] = budget.count - start
 
 
 def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Iterator[Schedule]:
@@ -474,24 +528,27 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
 # ---------------------------------------------------------------------------
 
 
-def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> RobustnessVerdict:
+def _first_failure(
+    w: Workload, limits: SearchLimits, mode: RobustnessMode, eng: LevelEngine | None = None
+) -> RobustnessVerdict:
     """The one sweep behind the four deciders: the allowed schedules of each
     subset, smallest first and under one shared budget (the exact modes
     sweep just the full set), until one is not serializable in the mode's
     sense; that one is the counterexample.  A level workload is compiled
-    once, and each subset is a list of its transaction numbers.  A level
-    subset whose conflict multigraph is a forest (see
-    :func:`_has_conflict_cycle`), in the view sense also without a
-    transaction reading its own earlier write, has no failing schedule: it
-    is not walked, and the budget is charged its interleavings at once, as
-    the walk would charge them."""
+    once (or comes compiled as ``eng``), and each subset is a list of its
+    transaction numbers.  A level subset whose conflict multigraph is a
+    forest (see :func:`_has_conflict_cycle`), in the view sense also
+    without a transaction reading its own earlier write, has no failing
+    schedule: it is not walked, and the budget is charged its
+    interleavings at once, as the walk would charge them."""
     _check_limits(w, limits)
     budget = Budget(limits)
     failing = mode.value.removeprefix("exact-")
     ids = w.txn_ids
     everything = tuple(range(len(ids)))
     subsets = [everything] if mode.value.startswith("exact-") else _subsets(everything)
-    eng = LevelEngine(w.txns, w.alloc) if isinstance(w.alloc, LevelAllocation) else None
+    if eng is None and isinstance(w.alloc, LevelAllocation):
+        eng = LevelEngine(w.txns, w.alloc)
     if eng is not None:
         pairs = _conflict_pairs(eng)
         guarded = _own_write_readers(eng) if failing == "view" else 0
@@ -532,7 +589,7 @@ def is_view_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Robust
 
 
 # ---------------------------------------------------------------------------
-# Split-schedule recognizers
+# Split-schedule recognizer
 # ---------------------------------------------------------------------------
 
 
@@ -565,19 +622,6 @@ def _whole_txn_groups(s: Schedule, ops: Sequence[OperationId], exclude: set[str]
     return seq
 
 
-def _split_prefix(s: Schedule) -> tuple[str, int, OperationId] | None:
-    """The forced pieces of any split labeling: first transaction, length of
-    its initial run, and the pivot operation ending the run."""
-    ops = [opid for opid in s.order if not opid.is_init]
-    if not ops:
-        return None
-    t1 = ops[0].txn
-    run = 0
-    while run < len(ops) and ops[run].txn == t1:
-        run += 1
-    return t1, run, ops[run - 1]
-
-
 def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None]:
     """Recognize the split counterexample shape.
 
@@ -588,13 +632,12 @@ def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None
     dependencies, no dependency may skip ahead in that cycle, and every
     write must install in commit order.  Returns the first failing clause.
     """
-    if len(s.txns) < 2:
-        return False, SplitDefect.FORM
-    pieces = _split_prefix(s)
-    if pieces is None:
-        return False, SplitDefect.FORM
-    t1, run, _b1 = pieces
     ops = [opid for opid in s.order if not opid.is_init]
+    if len(s.txns) < 2 or not ops:
+        return False, SplitDefect.FORM
+    t1, run = ops[0].txn, 1  # the split transaction and its first run's length
+    while run < len(ops) and ops[run].txn == t1:
+        run += 1
     t1_ops = s.txn_by_id[t1].op_ids
     rest = t1_ops[run:]
     if rest:
@@ -624,55 +667,6 @@ def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None
     return True, None
 
 
-def is_multiversion_split_schedule(s: Schedule) -> tuple[bool, int | None]:
-    """Recognize the looser split shape with a serial tail.
-
-    The order must read as: prefix of the split transaction, some whole
-    transactions, the rest of the split transaction, then more whole
-    transactions back to back; the split transaction and the middle block
-    (m transactions in total, m >= 2) must carry a cycle of dependencies.
-    Returns the split index m of the first labeling that works.
-    """
-    if len(s.txns) < 2:
-        return False, None
-    pieces = _split_prefix(s)
-    if pieces is None:
-        return False, None
-    t1, run, _b1 = pieces
-    ops = [opid for opid in s.order if not opid.is_init]
-    t1_ops = s.txn_by_id[t1].op_ids
-    rest = t1_ops[run:]
-    pairs = serialization_graph(s).edge_pairs
-
-    def chain_holds(seq: list[str]) -> bool:
-        m = len(seq)
-        return all((seq[i], seq[(i + 1) % m]) in pairs for i in range(m))
-
-    if rest:
-        j = next((k for k in range(run, len(ops)) if ops[k].txn == t1), None)
-        if j is None or tuple(ops[j : j + len(rest)]) != rest:
-            return False, None
-        seq_mid = _whole_txn_groups(s, ops[run:j], exclude={t1})
-        seq_tail = _whole_txn_groups(s, ops[j + len(rest) :], exclude={t1})
-        if seq_mid is None or seq_tail is None or not seq_mid:
-            return False, None
-        if set(seq_mid) & set(seq_tail) or 1 + len(seq_mid) + len(seq_tail) != len(s.txns):
-            return False, None
-        seq = [t1] + seq_mid
-        return (True, len(seq)) if chain_holds(seq) else (False, None)
-
-    # Empty postfix: the boundary between middle block and serial tail is
-    # not visible in the order, so try every split index.
-    seq_all = _whole_txn_groups(s, ops[run:], exclude={t1})
-    if seq_all is None or 1 + len(seq_all) != len(s.txns):
-        return False, None
-    full = [t1] + seq_all
-    for m in range(2, len(full) + 1):
-        if chain_holds(full[:m]):
-            return True, m
-    return False, None
-
-
 # ---------------------------------------------------------------------------
 # Split-schedule search
 # ---------------------------------------------------------------------------
@@ -694,7 +688,8 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
         for subset in itertools.combinations(sorted(by_id), size):
             sub_alloc = w.alloc.restrict(subset)
             sub_txns = tuple(by_id[tid] for tid in subset)
-            free_cands = None if isinstance(sub_alloc, LevelAllocation) else _vorder_candidates(sub_txns)
+            if not isinstance(sub_alloc, LevelAllocation):
+                free_cands, sources = _vorder_candidates(sub_txns), _read_sources(sub_txns)
             for perm in itertools.permutations(subset):
                 t1 = by_id[perm[0]]
                 middle_ops = [op for tid in perm[1:] for op in by_id[tid].op_ids]
@@ -706,7 +701,8 @@ def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                         if s is not None and is_generalized_split_schedule(s)[0]:
                             yield subset, s
                     else:
-                        for s in _iter_free_completions(sub_txns, order, free_cands, budget):
+                        for vorder, seen in _free_completions(_read_options(sources, order), free_cands, budget):
+                            s = make_schedule(sub_txns, order, vorder, {r.id: v for (r, _), v in zip(sources, seen)})
                             if sub_alloc.holds(s, budget) and is_generalized_split_schedule(s)[0]:
                                 yield subset, s
 
@@ -739,8 +735,8 @@ def _shortest_paths(
         frontier = nxt
 
 
-def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], Schedule] | None:
-    """Polynomial split-schedule search for a level allocation.
+def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[tuple[str, ...], Schedule] | None:
+    """Polynomial split-schedule search for a level allocation, compiled as ``eng``.
 
     In an order ``T1[:cut] . T2 ... Tm . T1[cut:]`` the middle runs
     serially, so every conflicting pair of middle transactions carries a
@@ -771,7 +767,6 @@ def _decide_split(w: Workload, limits: SearchLimits) -> tuple[tuple[str, ...], S
     the size is still minimal but a tie may resolve differently.
     """
     budget = Budget(limits)
-    eng = LevelEngine(w.txns, w.alloc)
     n, bits, ops_of = eng.n, eng.bits, eng.ops_of
     pairs = _conflict_pairs(eng)
     if not _has_conflict_cycle(pairs, (1 << n) - 1):
@@ -840,8 +835,22 @@ def find_split_counterexample(
     :func:`iter_split_schedules`.
     """
     if isinstance(w.alloc, LevelAllocation):
-        return _decide_split(w, limits)
+        return _decide_split(w, limits, LevelEngine(w.txns, w.alloc))
     return next(iter_split_schedules(w, limits), None)
+
+
+def decide_view_split(
+    w: Workload, method: str, limits: SearchLimits = DEFAULT_LIMITS
+) -> tuple[RobustnessVerdict | None, tuple[tuple[str, ...], Schedule] | None]:
+    """``robust --mode view --method split`` or ``both`` on a
+    level-allocated workload compiled once: the enumeration's verdict under
+    ``"both"`` (None under ``"split"``), and the split method's
+    counterexample or None.  That is first a transaction reading its own
+    earlier write (see :func:`_own_write_counterexample`), which no split
+    schedule shows, then the split search's."""
+    eng = LevelEngine(w.txns, w.alloc)
+    verdict = _first_failure(w, limits, RobustnessMode.VIEW, eng) if method == "both" else None
+    return verdict, _own_write_counterexample(w, eng) or _decide_split(w, limits, eng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ where the library lists every dependency in one pass over the schedule's int
 index; the serialization graph, the conflict oracle, which finds the
 shortest cycle of the full graph, and ``depends_on`` and conflict
 equivalence, which only the tests use, are built on them.  The enumeration
-oracle completes one interleaving at a time.  The
+oracle completes one interleaving at a time.  The predicate sweep oracle
+runs the view search on every completion, where the library searches each
+view signature once.  The recognizers of single-version serial schedules
+and of the looser split shape with a serial tail serve the tests alone.  The
 split decider oracle classifies and checks candidates on completed
 schedules.  The serial-signature pool looks a schedule's reads-from and
 final versions up among those of every serial order.  The view search oracle
@@ -63,6 +66,7 @@ from mvsched import (
     ParseError,
     Polygraph,
     RobustnessMode,
+    RobustnessVerdict,
     Schedule,
     ScheduleError,
     ScheduleViolation,
@@ -80,16 +84,19 @@ from mvsched import (
     find_split_counterexample,
     is_acyclic_polygraph,
     is_conflict_robust,
+    is_conflict_serializable,
     is_generalized_split_schedule,
+    is_single_version,
     is_view_serializable,
     make_schedule,
     reduce_to_schedule,
+    serialization_graph,
     validate_schedule,
     validate_transaction,
 )
 from mvsched.core import DEFAULT_LIMITS, Budget, txn_id
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
-from mvsched.robustness import _iter_interleavings
+from mvsched.robustness import _iter_interleavings, _whole_txn_groups
 from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle
 
 
@@ -172,6 +179,25 @@ def single_version_oracle(s: Schedule) -> bool:
         for w in writes_by_obj.get(read.obj, ()):
             if lo < pos[w.id] < hi:
                 return False
+    return True
+
+
+def is_single_version_serial(s: Schedule) -> bool:
+    """True for single-version schedules whose transactions do not interleave."""
+    if not is_single_version(s):
+        return False
+    spans: dict[str, tuple[int, int]] = {}
+    for t in s.txns:
+        if not t.ops:
+            continue
+        positions = [s.pos[op.id] for op in t.ops]
+        spans[t.id] = (min(positions), max(positions))
+        if max(positions) - min(positions) + 1 != len(positions):
+            return False
+    ordered = sorted(spans.values())
+    for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
+        if lo <= hi:
+            return False
     return True
 
 
@@ -369,6 +395,51 @@ def allowed_schedules_oracle(w: Workload, budget: Budget):
             yield from (s for s in _valid_completions_oracle(w.txns, order) if not _fails(s, True))
 
 
+def enumerate_allowed_oracle(w: Workload, budget: Budget, failing: str | None = None) -> Iterator[Schedule]:
+    """The predicate sweep with one search per completion: allowed schedules
+    of a predicate-allocated workload over its full transaction set, in
+    canonical order, every completion of every interleaving counted as a
+    candidate and put through the predicate's view search; with ``failing``
+    (``"conflict"`` or ``"view"``) only those that are not serializable in
+    that sense, checked by :func:`is_conflict_serializable` or by a second
+    view search.  The library searches each view signature once per call
+    and charges it at every completion."""
+    for order in _iter_interleavings(w.txns, budget):
+        for s in _valid_completions_oracle(w.txns, order):
+            budget.tick()
+            if not w.alloc.holds(s, budget):
+                continue
+            if failing == "conflict" and is_conflict_serializable(s)[0]:
+                continue
+            if failing == "view" and is_view_serializable(s, budget=budget).verdict:
+                continue
+            yield s
+
+
+def predicate_verdicts_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
+    """Per robustness mode, the verdict of its decider on a predicate-allocated
+    workload and the candidates the decider charges until it, from
+    :func:`enumerate_allowed_oracle`.  Each subset (smallest first, then
+    lexicographic) is swept once per sense under a budget of its own; a
+    subset mode charges the sweeps of the subsets before its counterexample's
+    and that one's up to it, an exact mode the full set's alone."""
+    ids = w.txn_ids
+    out = {}
+    for failing, mode, exact in (("conflict", RobustnessMode.CONFLICT, RobustnessMode.EXACT_CONFLICT),
+                                 ("view", RobustnessMode.VIEW, RobustnessMode.EXACT_VIEW)):
+        charged = 0
+        for subset in (sub for k in range(len(ids) + 1) for sub in itertools.combinations(ids, k)):
+            budget = Budget(limits)
+            bad = next(enumerate_allowed_oracle(w.restrict(subset), budget, failing), None)
+            charged += budget.count
+            ce = None if bad is None else (subset, bad)
+            if ce is not None and mode not in out:
+                out[mode] = RobustnessVerdict(False, mode, ce), charged
+        out.setdefault(mode, (RobustnessVerdict(True, mode, None), charged))
+        out[exact] = RobustnessVerdict(ce is None, exact, ce), budget.count
+    return out
+
+
 def _fails(s: Schedule, view: bool) -> bool:
     if view:
         return view_signature(s) not in serial_signature_pool(s.txns)
@@ -414,6 +485,54 @@ def _shortest_paths(
                     path.append(parent[path[-1]])
                 yield tuple(reversed(path))
         frontier = nxt
+
+
+def is_multiversion_split_schedule(s: Schedule) -> tuple[bool, int | None]:
+    """Recognize the looser split shape with a serial tail, which no decider uses.
+
+    The order must read as: prefix of the split transaction, some whole
+    transactions, the rest of the split transaction, then more whole
+    transactions back to back; the split transaction and the middle block
+    (m transactions in total, m >= 2) must carry a cycle of dependencies.
+    Returns the split index m of the first labeling that works.
+    """
+    ops = [opid for opid in s.order if not opid.is_init]
+    if len(s.txns) < 2 or not ops:
+        return False, None
+    t1, run = ops[0].txn, 1
+    while run < len(ops) and ops[run].txn == t1:
+        run += 1
+    t1_ops = s.txn_by_id[t1].op_ids
+    rest = t1_ops[run:]
+    pairs = serialization_graph(s).edge_pairs
+
+    def chain_holds(seq: list[str]) -> bool:
+        m = len(seq)
+        return all((seq[i], seq[(i + 1) % m]) in pairs for i in range(m))
+
+    if rest:
+        j = next((k for k in range(run, len(ops)) if ops[k].txn == t1), None)
+        if j is None or tuple(ops[j : j + len(rest)]) != rest:
+            return False, None
+        seq_mid = _whole_txn_groups(s, ops[run:j], exclude={t1})
+        seq_tail = _whole_txn_groups(s, ops[j + len(rest) :], exclude={t1})
+        if seq_mid is None or seq_tail is None or not seq_mid:
+            return False, None
+        if set(seq_mid) & set(seq_tail) or 1 + len(seq_mid) + len(seq_tail) != len(s.txns):
+            return False, None
+        seq = [t1] + seq_mid
+        return (True, len(seq)) if chain_holds(seq) else (False, None)
+
+    # Empty postfix: the boundary between middle block and serial tail is
+    # not visible in the order, so try every split index.
+    seq_all = _whole_txn_groups(s, ops[run:], exclude={t1})
+    if seq_all is None or 1 + len(seq_all) != len(s.txns):
+        return False, None
+    full = [t1] + seq_all
+    for m in range(2, len(full) + 1):
+        if chain_holds(full[:m]):
+            return True, m
+    return False, None
 
 
 def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[tuple[str, ...], Schedule] | None:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from corpus import curated_txn_sets, enumerate_valid_schedules, mutated_schedules, random_polygraphs
 from fixtures import *
-from oracles import single_version_oracle, validate_schedule_oracle
+from oracles import is_single_version_serial, single_version_oracle, validate_schedule_oracle
 
 from mvsched import (
     EMPTY_SCHEDULE,
@@ -28,7 +28,6 @@ from mvsched import (
     ViolationKind,
     are_concurrent,
     is_single_version,
-    is_single_version_serial,
     make_schedule,
     make_transaction,
     reduce_to_schedule,

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -24,7 +24,10 @@ from oracles import (
     allowed_schedules_oracle,
     check_condition_1,
     conflict_serializable_oracle,
+    enumerate_allowed_oracle,
     enumeration_oracle,
+    is_multiversion_split_schedule,
+    predicate_verdicts_oracle,
     split_decider_oracle,
     view_signature,
 )
@@ -49,7 +52,6 @@ from mvsched import (
     is_exact_conflict_robust,
     is_exact_view_robust,
     is_generalized_split_schedule,
-    is_multiversion_split_schedule,
     is_view_robust,
     is_view_serializable,
     iter_split_schedules,
@@ -452,20 +454,66 @@ def test_enumeration_matches_the_per_order_oracle_on_four_transactions():
     assert sum(not is_conflict_robust(w).robust for w in workloads) >= 3
 
 
-def test_enumeration_matches_the_definitional_pool_under_the_view_predicate():
-    """Under the view-serializable-only predicate the library admits and
-    checks each schedule with its view search; the oracle looks the
-    schedule's view signature up among those of every serial order."""
+def view_predicate_workloads():
+    """40 seeded workloads of two or three transactions and at most eight
+    operations under the view-serializable-only predicate."""
     rng = random.Random(2)
     workloads = []
     while len(workloads) < 40:
         txns = tuple(random_txn(f"T{i + 1}", rng) for i in range(rng.randint(2, 3)))
         if sum(len(t.ops) for t in txns) <= 8:
             workloads.append(Workload(txns, PredicateAllocation("view-serializable-only")))
+    return workloads
+
+
+def test_enumeration_matches_the_definitional_pool_under_the_view_predicate():
+    """Under the view-serializable-only predicate the library admits each
+    schedule with its view search; the oracle looks the schedule's view
+    signature up among those of every serial order."""
+    workloads = view_predicate_workloads()
     assert sum(len(w.txns) == 3 for w in workloads) >= 15
     for w in workloads:
         assert_enumeration_matches_the_oracle(w)
     assert sum(not is_conflict_robust(w).robust for w in workloads) >= 3
+
+
+def assert_predicate_sweep_matches_the_oracle(w):
+    """The sweep that searches each view signature once lists, decides and
+    charges as the one that searches every completion: the same listing,
+    and per decider the same verdict and counterexample under a limit of
+    exactly the oracle's charge, and a trip one candidate below it."""
+    assert list(enumerate_allowed_schedules(w)) == list(enumerate_allowed_oracle(w, Budget(SearchLimits())))
+    for mode, (expected, charge) in predicate_verdicts_oracle(w).items():
+        decide = DECIDERS[mode]
+        assert decide(w, SearchLimits(max_orders=charge)) == expected, (w, mode)
+        if charge > 1:
+            with pytest.raises(LimitExceeded):
+                decide(w, SearchLimits(max_orders=charge - 1))
+
+
+def test_the_predicate_sweep_matches_the_search_of_every_completion():
+    workloads = [s2_predicate_workload(), *view_predicate_workloads()]
+    for w in workloads:
+        assert_predicate_sweep_matches_the_oracle(w)
+    assert sum(not is_conflict_robust(w).robust for w in workloads) >= 4
+
+
+@st.composite
+def predicate_workloads(draw):
+    """Two or three transactions over x and y, reads of their own writes
+    included (no serial order matches those, so their search charges
+    nothing), with at most four body operations in all."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    bodies = [draw(st.lists(st.sampled_from(["R(x)", "W(x)", "R(y)", "W(y)"]), min_size=1, max_size=2)) for _ in range(n)]
+    assume(sum(map(len, bodies)) <= 4)
+    txns = tuple(make_transaction(f"T{i}", " ".join(body + ["C"])) for i, body in enumerate(bodies, 1))
+    return Workload(txns, PredicateAllocation("view-serializable-only"))
+
+
+@given(predicate_workloads())
+@settings(max_examples=25, deadline=None)
+def test_the_predicate_sweep_matches_the_search_of_every_completion_on_generated_workloads(w):
+    assert_predicate_sweep_matches_the_oracle(w)
 
 
 def _oracle_charge(w, mode):

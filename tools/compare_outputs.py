@@ -18,7 +18,9 @@ robust-enum command also runs with ``--method both`` in place of
 both methods agree, and with ``--mode exact-conflict`` or ``--mode
 exact-view`` in place of its mode, which sweeps the full transaction set
 alone; and, as issued, at each ``--max-orders`` of ``TRIP_ORDERS``, where
-some stop at the limit and some decide first.  Last come the hand-written
+some stop at the limit and some decide first.  Each robust-enum input also
+runs through ``enumerate --count-only``, under the limits as issued and at
+each ``TRIP_ORDERS``.  Last come the hand-written
 schedule documents of ``DOCUMENTS``, which reach the reader's branches the
 generated inputs never do (compact and ambiguous references, comments,
 CRLF and CR line endings, a separate workload document, non-ASCII names,
@@ -148,7 +150,8 @@ def document_commands(workdir: str) -> list[list[str]]:
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs and ``--method
-    both``, the exact modes and ``TRIP_ORDERS`` on the robust-enum ones,
+    both``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only``
+    on the robust-enum ones,
     then the commands on ``DOCUMENTS`` (under the name ``documents``), JSON
     and text."""
     sys.path.insert(0, BENCH)
@@ -169,6 +172,11 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
                 for argv in argvs[:n] + warmup[:n]:
                     at = argv.index("--max-orders") + 1
                     runs.append([*argv[:at], orders, *argv[at + 1:]])
+            for path, argv in {argv[-1]: argv for argv in argvs[:n] + warmup[:n]}.items():
+                limits = argv[argv.index("--json") + 1:-1]
+                at = limits.index("--max-orders") + 1
+                for orders in (limits[at], *TRIP_ORDERS):
+                    runs.append(["enumerate", "--count-only", "--json", *limits[:at], orders, *limits[at + 1:], path])
         out += [(name, argv) for argv in runs]
     out += [("documents", argv) for argv in document_commands(os.path.join(workdir, "documents"))]
     return [run for name, argv in out for run in ((name, argv), (name, [a for a in argv if a != "--json"]))]
