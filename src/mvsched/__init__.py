@@ -10,7 +10,6 @@ reduction connecting view-serializability to polygraph acyclicity.
 
 from .core import (
     DEFAULT_LIMITS,
-    EMPTY_SCHEDULE,
     INIT,
     Action,
     Operation,
@@ -21,11 +20,9 @@ from .core import (
     Transaction,
     ViolationKind,
     are_concurrent,
-    is_single_version,
     make_schedule,
     make_transaction,
     serial_schedule,
-    split,
     validate_schedule,
     validate_transaction,
 )
@@ -51,8 +48,6 @@ from .isolation import (
     VIEW_SERIALIZABLE_ONLY,
     allowed_at_levels,
     allowed_under_allocation,
-    allowed_under_rc,
-    allowed_under_si,
     complete_under_allocation,
     exhibits_concurrent_write,
     exhibits_dirty_write,
@@ -94,7 +89,6 @@ from .serializability import (
     DependencyEdge,
     SerializationGraph,
     ViewWitness,
-    conflicting,
     is_conflict_serializable,
     is_view_serializable,
     last_version,
@@ -106,7 +100,6 @@ from .textio import (
     parse_schedule,
     parse_schedule_document,
     parse_workload,
-    render_polygraph,
     render_schedule,
     render_workload,
 )

@@ -129,9 +129,6 @@ class Transaction:
     def op_ids(self) -> tuple[OperationId, ...]:
         return tuple(op.id for op in self.ops)
 
-    def __contains__(self, opid: OperationId) -> bool:
-        return opid in self.op_ids
-
     @property
     def read_only(self) -> bool:
         """True when every non-commit operation is a read (or there are none)."""
@@ -337,9 +334,6 @@ def make_schedule(
     return Schedule(txns=txns, order=order_t, vorder=chains, vf=dict(vf))
 
 
-EMPTY_SCHEDULE = make_schedule((), (INIT,), {}, {})
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 # ---------------------------------------------------------------------------
@@ -529,30 +523,6 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
 # ---------------------------------------------------------------------------
 
 
-def is_single_version(s: Schedule) -> bool:
-    """Decide clause by clause whether a schedule behaves single-version.
-
-    Two clauses, both evaluated literally: the version order must agree with
-    the operation order on every pair of same-object writes, and for every
-    read no same-object write may sit strictly between the observed version
-    and the read in the operation order.
-    """
-    pos = s.pos
-    for obj, writes in s.writes_by_obj.items():
-        vpos = s.vpos[obj]
-        for i, a in enumerate(writes):
-            for b in writes[i + 1 :]:
-                if (vpos[a.id] < vpos[b.id]) != (pos[a.id] < pos[b.id]):
-                    return False
-    for read in s.reads:
-        lo = pos[s.vf[read.id]]
-        hi = pos[read.id]
-        for w in s.writes_by_obj.get(read.obj, ()):
-            if lo < pos[w.id] < hi:
-                return False
-    return True
-
-
 def txn_id(t: Transaction | str) -> str:
     """The id of a transaction given as itself or by its id."""
     return t.id if isinstance(t, Transaction) else t
@@ -567,14 +537,6 @@ def are_concurrent(s: Schedule, ti: Transaction | str, tj: Transaction | str) ->
         if tid not in s.txn_by_id:
             raise UnknownOperation(f"transaction {tid!r} is not part of this schedule")
     return s.first_pos[a] < s.commit_pos[b] and s.first_pos[b] < s.commit_pos[a]
-
-
-def split(t: Transaction, b: OperationId) -> tuple[tuple[Operation, ...], tuple[Operation, ...]]:
-    """Split a transaction at an operation: (ops up to and including b, ops after b)."""
-    if b not in t:
-        raise UnknownOperation(f"{b!r} does not occur in transaction {t.id}")
-    cut = next(i for i, op in enumerate(t.ops) if op.id == b) + 1
-    return t.ops[:cut], t.ops[cut:]
 
 
 def serial_schedule(txns: Sequence[Transaction]) -> Schedule:

@@ -67,10 +67,6 @@ class LevelAllocation:
 #: view-serializable schedules over any transaction subset.
 VIEW_SERIALIZABLE_ONLY = "view-serializable-only"
 
-_PREDICATES = {
-    VIEW_SERIALIZABLE_ONLY: lambda s, budget: is_view_serializable(s, budget=budget).verdict,
-}
-
 
 @dataclass(frozen=True)
 class PredicateAllocation:
@@ -83,13 +79,13 @@ class PredicateAllocation:
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in _PREDICATES:
+        if self.name != VIEW_SERIALIZABLE_ONLY:
             raise ValueError(f"unknown allocation predicate {self.name!r}")
 
     def holds(self, s: Schedule, budget: Budget | None = None) -> bool:
         """Whether the predicate admits ``s``, charging its search to
         ``budget`` (``Budget(DEFAULT_LIMITS)`` when None)."""
-        return _PREDICATES[self.name](s, budget)
+        return is_view_serializable(s, budget=budget).verdict
 
     def restrict(self, txn_ids: Iterable[str]) -> "PredicateAllocation":
         return self
@@ -140,7 +136,7 @@ _ALLOWED = AdmissibilityReport(())
 @dataclass(frozen=True)
 class DangerousStructure:
     """Two chained rw-antidependencies t1 -> t2 -> t3 between concurrent
-    transactions, with t3 committing first (t1 and t3 may coincide)."""
+    transactions, with t3 committing first (so t1 and t3 differ)."""
 
     t1: str
     t2: str
@@ -276,44 +272,26 @@ def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[Isolat
     return reports
 
 
-def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
-    """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
-    return allowed_at_levels(s, t, (_RC,))[0]
-
-
-def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
-    """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
-    return allowed_at_levels(s, t, (_SI,))[0]
-
-
 # ---------------------------------------------------------------------------
 # Dangerous structures (SSI)
 # ---------------------------------------------------------------------------
 
 
-def find_dangerous_structures(
-    s: Schedule,
-    scope: Iterable[str],
-    *,
-    allow_degenerate_pivot: bool = False,
-) -> list[DangerousStructure]:
+def find_dangerous_structures(s: Schedule, scope: Iterable[str]) -> list[DangerousStructure]:
     """All chains t1 -> t2 -> t3 of rw-antidependencies within ``scope`` where
-    both hops are between concurrent transactions, t3 commits before t2 (and
-    before t1 when the ends differ), and a read-only t1 starts only after t3
-    commits.
+    both hops are between concurrent transactions, t3 commits before t2 and
+    before t1, and a read-only t1 starts only after t3 commits.
 
     With the ends equal (t1 == t3) the commit clause "t3 commits before t1"
-    degenerates; read literally it is false, which rules such chains out.
-    Pass ``allow_degenerate_pivot=True`` for the alternative reading that
-    drops the degenerate comparison.  A scope of fewer transactions than a
-    chain needs (three, or two with the ends equal) holds none.  Each hop's
+    degenerates; read literally it is false, which rules such chains out, so
+    a scope of fewer than three transactions holds none.  Each hop's
     witness is the pair's least rw-antidependency in
     :func:`serialization_graph`.
     """
     scope_set = frozenset(scope)
     for tid in scope_set:
         s.transaction(tid)
-    if len(scope_set) < (2 if allow_degenerate_pivot else 3):
+    if len(scope_set) < 3:
         return []
     rw: dict[tuple[str, str], DependencyEdge] = {}
     for (u, v), deps in serialization_graph(s).edges.items():
@@ -329,12 +307,7 @@ def find_dangerous_structures(
             for t3 in sorted(scope_set):
                 if (t2, t3) not in rw:
                     continue
-                if t1 == t3:
-                    if not allow_degenerate_pivot:
-                        continue
-                elif commit[t3] >= commit[t1]:
-                    continue
-                if commit[t3] >= commit[t2]:
+                if commit[t3] >= commit[t1] or commit[t3] >= commit[t2]:
                     continue
                 if not are_concurrent(s, t1, t2) or not are_concurrent(s, t2, t3):
                     continue
@@ -353,8 +326,6 @@ def allowed_under_allocation(
     s: Schedule,
     alloc: Allocation,
     limits: SearchLimits = DEFAULT_LIMITS,
-    *,
-    allow_degenerate_pivot: bool = False,
 ) -> AdmissibilityReport:
     """Admissibility of a schedule under an allocation.
 
@@ -371,11 +342,9 @@ def allowed_under_allocation(
 
     violations: list[AdmissibilityViolation] = []
     for t in s.txns:
-        level = alloc.level_of(t.id)
-        report = allowed_under_rc(s, t) if level is IsolationLevel.RC else allowed_under_si(s, t)
-        violations.extend(report.violations)
+        violations.extend(allowed_at_levels(s, t, (alloc.level_of(t.id),))[0].violations)
     ssi_scope = [tid for tid in alloc.ssi_ids() if tid in s.txn_by_id]
-    for structure in find_dangerous_structures(s, ssi_scope, allow_degenerate_pivot=allow_degenerate_pivot):
+    for structure in find_dangerous_structures(s, ssi_scope):
         violations.append(
             AdmissibilityViolation(structure.t2, Clause.DANGEROUS_STRUCTURE, (structure.t1, structure.t2, structure.t3))
         )
@@ -540,16 +509,16 @@ class LevelEngine:
             raise ValueError("the order misses operations of the transactions")
         return out
 
-    def walk(self, order: list[int], active: list[int], degenerate: bool = False) -> bool:
+    def walk(self, order: list[int], active: list[int]) -> bool:
         """Place ``order``, every operation of ``active`` in an order that
         keeps each transaction's own, from scratch; whether it completes into
-        an allowed schedule (see :meth:`dangerous` for ``degenerate``)."""
+        an allowed schedule."""
         self.start(active)
         place = self.place
         for d, g in enumerate(order):
             if not place(g, d):
                 return False
-        return not self.dangerous(degenerate)
+        return not self.dangerous()
 
     def dependencies(self) -> list[int]:
         """Per transaction, the bitmask of the transactions that depend on it
@@ -558,12 +527,11 @@ class LevelEngine:
         writers = {o: [owner[g] for g in chains[o]] for o in self.written}
         return dependency_masks(self.n, writers, [(t, o, rank[vf[g]]) for g, t, o in self.active_reads])
 
-    def dangerous(self, degenerate: bool = False) -> bool:
+    def dangerous(self) -> bool:
         """Whether the completed walk holds a dangerous structure among its
-        SSI transactions, as :func:`find_dangerous_structures` defines it
-        (``degenerate`` is its ``allow_degenerate_pivot``)."""
+        SSI transactions, as :func:`find_dangerous_structures` defines it."""
         mask, bits, first, commit, ssi = self.mask, self.bits, self.first, self.commit, self.ssi
-        if bin(mask & self.ssi_mask).count("1") < (2 if degenerate else 3):
+        if bin(mask & self.ssi_mask).count("1") < 3:
             return False
         rw: dict[int, int] = {}
         for g, t, o in self.active_reads:
@@ -578,9 +546,7 @@ class LevelEngine:
                     continue
                 for t3 in self.active:  # concurrent with t2 and committing before it
                     if r2 & bits[t3] and first[t2] < commit[t3] < commit[t2]:
-                        if (commit[t3] < commit[t1] if t3 != t1 else degenerate) and (
-                            self.wmask[t1] or commit[t3] < first[t1]
-                        ):
+                        if commit[t3] < commit[t1] and (self.wmask[t1] or commit[t3] < first[t1]):
                             return True
         return False
 
@@ -601,8 +567,6 @@ def complete_under_allocation(
     txns: Iterable[Transaction],
     order: Sequence[OperationId],
     alloc: LevelAllocation,
-    *,
-    allow_degenerate_pivot: bool = False,
 ) -> Schedule | None:
     """Complete a total operation order into the unique allowed schedule, if any.
 
@@ -619,6 +583,6 @@ def complete_under_allocation(
     """
     engine = LevelEngine(txns, alloc)
     gs = engine.order_of(order)
-    if not engine.walk(gs, list(range(engine.n)), allow_degenerate_pivot):
+    if not engine.walk(gs, list(range(engine.n))):
         return None
     return engine.schedule(gs)

@@ -917,12 +917,7 @@ def restrict_to_cycle(s: Schedule, cycle: Iterable[str]) -> Schedule:
 
     txns = tuple(t for t in s.txns if t.id in keep)
     order = [opid for opid in s.order if opid.is_init or opid.txn in keep]
-    vorder: dict[str, list[OperationId]] = {}
-    kept_rank: dict[str, dict[OperationId, int]] = {}
-    for obj, chain in s.vorder.items():
-        kept = [opid for opid in chain if opid.is_init or opid.txn in keep]
-        vorder[obj] = [opid for opid in kept if not opid.is_init]
-        kept_rank[obj] = {opid: i for i, opid in enumerate(kept)}
+    vorder = {obj: [opid for opid in chain if not opid.is_init and opid.txn in keep] for obj, chain in s.vorder.items()}
     vf: dict[OperationId, OperationId] = {}
     for t in txns:
         for op in t.ops:

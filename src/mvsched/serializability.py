@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .core import DEFAULT_LIMITS, Budget, Operation, OperationId, Schedule
+from .core import DEFAULT_LIMITS, Budget, OperationId, Schedule
 from .errors import ObjectNeverWritten, TransactionSetMismatch
 
 
@@ -62,25 +62,6 @@ class SerializationGraph:
     @property
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
-
-
-def conflicting(b: Operation, a: Operation) -> ConflictKind | None:
-    """Classify two operations as ww/wr/rw-conflicting, or not at all.
-
-    Commits never conflict, and neither does anything involving a single
-    transaction or two different objects.
-    """
-    if b.is_commit or a.is_commit:
-        return None
-    if b.id.txn == a.id.txn or b.obj != a.obj:
-        return None
-    if b.is_write and a.is_write:
-        return ConflictKind.WW
-    if b.is_write and a.is_read:
-        return ConflictKind.WR
-    if b.is_read and a.is_write:
-        return ConflictKind.RW
-    return None
 
 
 def serialization_graph(s: Schedule) -> SerializationGraph:

@@ -393,9 +393,3 @@ def parse_polygraph(text: str) -> Polygraph:
         raise ParseError("invalid polygraph: " + "; ".join(map(str, bad)))
     return p
 
-
-def render_polygraph(p: Polygraph) -> str:
-    lines = [f"node {n}" for n in sorted(p.nodes)]
-    lines += [f"arc {a} {b}" for a, b in sorted(p.arcs)]
-    lines += [f"choice {u} {v} {w}" for u, v, w in sorted(p.choices)]
-    return "\n".join(lines) + "\n"

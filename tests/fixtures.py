@@ -10,6 +10,7 @@ SD: three transactions forming the two-hop rw-antidependency pattern that
     SSI forbids.
 W_LU: the lost-update pair (both read then write the same object).
 W_WS: the write-skew pair (read both objects, each writes a different one).
+EMPTY_SCHEDULE: no transactions, only INIT.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from mvsched import (
 RC = IsolationLevel.RC
 SI = IsolationLevel.SI
 SSI = IsolationLevel.SSI
+
+EMPTY_SCHEDULE = make_schedule((), (INIT,), {}, {})
 
 
 def opid(tid: str, index: int) -> OperationId:

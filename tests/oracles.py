@@ -14,16 +14,21 @@ equivalence, which only the tests use, are built on them.  The enumeration
 oracle completes one interleaving at a time.  The predicate sweep oracle
 runs the view search on every completion, where the library searches each
 view signature once.  The recognizers of single-version serial schedules
-and of the looser split shape with a serial tail serve the tests alone.  The
-split decider oracle classifies and checks candidates on completed
-schedules.  The serial-signature pool looks a schedule's reads-from and
-final versions up among those of every serial order.  The view search oracle
+and of the looser split shape with a serial tail serve the tests alone, as
+do the helpers that left the library for want of another caller:
+``is_single_version``, ``split``, the conflict rule ``conflicting`` that the
+dependency oracles start from, ``allowed_under_rc`` and ``allowed_under_si``
+and ``render_polygraph``.  The split decider oracle classifies and checks
+candidates on completed schedules.  The serial-signature pool looks a
+schedule's reads-from and final versions up among those of every serial
+order.  The view search oracle
 tracks installed versions per serial prefix.  The clause oracles evaluate
 the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
 operation id, where the library reads the schedule's int index; the
 dangerous-structure oracle chains those rw-antidependencies over every
-triple of its scope.  The reduction-check oracle evaluates each clause per
-operation where the library reads the per-transaction reports.  The
+triple of its scope, and it alone also takes the reading in which a chain
+closes on its own start.  The reduction-check oracle evaluates each clause
+per operation where the library reads the per-transaction reports.  The
 validation oracle runs every per-offender loop, where the library decides
 each rule by counts and set comparisons first.  The reduction oracle groups
 operations through a ``defaultdict``, takes the order from cached ids and
@@ -77,16 +82,14 @@ from mvsched import (
     UnknownOperation,
     ViolationKind,
     Workload,
+    allowed_at_levels,
     are_concurrent,
     complete_under_allocation,
-    conflicting,
-    find_dangerous_structures,
     find_split_counterexample,
     is_acyclic_polygraph,
     is_conflict_robust,
     is_conflict_serializable,
     is_generalized_split_schedule,
-    is_single_version,
     is_view_serializable,
     make_schedule,
     reduce_to_schedule,
@@ -182,6 +185,30 @@ def single_version_oracle(s: Schedule) -> bool:
     return True
 
 
+def is_single_version(s: Schedule) -> bool:
+    """Decide clause by clause whether a schedule behaves single-version.
+
+    Two clauses, both evaluated literally: the version order must agree with
+    the operation order on every pair of same-object writes, and for every
+    read no same-object write may sit strictly between the observed version
+    and the read in the operation order.
+    """
+    pos = s.pos
+    for obj, writes in s.writes_by_obj.items():
+        vpos = s.vpos[obj]
+        for i, a in enumerate(writes):
+            for b in writes[i + 1 :]:
+                if (vpos[a.id] < vpos[b.id]) != (pos[a.id] < pos[b.id]):
+                    return False
+    for read in s.reads:
+        lo = pos[s.vf[read.id]]
+        hi = pos[read.id]
+        for w in s.writes_by_obj.get(read.obj, ()):
+            if lo < pos[w.id] < hi:
+                return False
+    return True
+
+
 def is_single_version_serial(s: Schedule) -> bool:
     """True for single-version schedules whose transactions do not interleave."""
     if not is_single_version(s):
@@ -199,6 +226,33 @@ def is_single_version_serial(s: Schedule) -> bool:
         if lo <= hi:
             return False
     return True
+
+
+def split(t: Transaction, b: OperationId) -> tuple[tuple[Operation, ...], tuple[Operation, ...]]:
+    """Split a transaction at an operation: (ops up to and including b, ops after b)."""
+    if b not in t.op_ids:
+        raise UnknownOperation(f"{b!r} does not occur in transaction {t.id}")
+    cut = next(i for i, op in enumerate(t.ops) if op.id == b) + 1
+    return t.ops[:cut], t.ops[cut:]
+
+
+def conflicting(b: Operation, a: Operation) -> ConflictKind | None:
+    """Classify two operations as ww/wr/rw-conflicting, or not at all.
+
+    Commits never conflict, and neither does anything involving a single
+    transaction or two different objects.
+    """
+    if b.is_commit or a.is_commit:
+        return None
+    if b.id.txn == a.id.txn or b.obj != a.obj:
+        return None
+    if b.is_write and a.is_write:
+        return ConflictKind.WW
+    if b.is_write and a.is_read:
+        return ConflictKind.WR
+    if b.is_read and a.is_write:
+        return ConflictKind.RW
+    return None
 
 
 def _dep_kind_oracle(s: Schedule, b: Operation, a: Operation) -> ConflictKind | None:
@@ -351,7 +405,7 @@ def complete_under_allocation_oracle(
 
     ssi_scope = [tid for tid, lvl in levels.items() if lvl is IsolationLevel.SSI]
     if len(ssi_scope) >= (2 if allow_degenerate_pivot else 3):
-        if find_dangerous_structures(s, ssi_scope, allow_degenerate_pivot=allow_degenerate_pivot):
+        if dangerous_structures_oracle(s, ssi_scope, allow_degenerate_pivot=allow_degenerate_pivot):
             return None
     return s
 
@@ -806,7 +860,10 @@ def dangerous_structures_oracle(
     s: Schedule, scope: Iterable[str], *, allow_degenerate_pivot: bool = False
 ) -> list[DangerousStructure]:
     """The chains of :func:`find_dangerous_structures`, over every triple of
-    the scope and with the hops from :func:`rw_edges_oracle`."""
+    the scope and with the hops from :func:`rw_edges_oracle`.  With
+    ``allow_degenerate_pivot`` also the chains whose ends coincide (t1 ==
+    t3): the reading that drops the degenerate "t3 commits before t1",
+    which no decider of the library takes."""
     scope_set = frozenset(scope)
     for tid in scope_set:
         s.transaction(tid)
@@ -859,6 +916,16 @@ def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> Admi
     if overwrite is not None:
         violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
     return AdmissibilityReport(tuple(violations))
+
+
+def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
+    """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
+    return allowed_at_levels(s, t, (IsolationLevel.RC,))[0]
+
+
+def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
+    """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
+    return allowed_at_levels(s, t, (IsolationLevel.SI,))[0]
 
 
 def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[ReductionCheck, ...]:
@@ -1041,6 +1108,13 @@ def _choice_txn_ids(choice: tuple[str, str, str]) -> tuple[str, str]:
 class ReductionInadmissible(ScheduleError):
     """The reduction oracle built an operation order with no completion
     admissible under RC, which its construction rules out."""
+
+
+def render_polygraph(p: Polygraph) -> str:
+    lines = [f"node {n}" for n in sorted(p.nodes)]
+    lines += [f"arc {a} {b}" for a, b in sorted(p.arcs)]
+    lines += [f"choice {u} {v} {w}" for u, v, w in sorted(p.choices)]
+    return "\n".join(lines) + "\n"
 
 
 def reduce_to_schedule_oracle(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:

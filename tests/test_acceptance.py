@@ -10,20 +10,16 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from math import factorial
-
-import pytest
 
 from corpus import (
     curated_txn_sets,
     curated_workloads,
-    enumerate_valid_schedules,
     random_polygraphs,
     random_workloads,
     implication_corpus_workloads,
 )
 from fixtures import *
-from oracles import check_condition_1, view_serializable_oracle
+from oracles import check_condition_1
 
 from mvsched import (
     LevelAllocation,
@@ -71,35 +67,6 @@ def criterion(n: int, title: str):
         return wrapper
 
     return deco
-
-
-@pytest.fixture(scope="module")
-def corpus_scan():
-    """One pass over every valid schedule of the corpus family, recording the
-    serializability verdicts and the independent view-serializability oracle."""
-    stats = {
-        "schedules": 0,
-        "conflict_serializable": 0,
-        "implication_failures": 0,
-        "oracle_mismatches": 0,
-    }
-    for txns in implication_corpus_workloads():
-        for s in enumerate_valid_schedules(txns):
-            stats["schedules"] += 1
-            cs, _ = is_conflict_serializable(s)
-            witness = is_view_serializable(s)
-            oracle = view_serializable_oracle(s)
-            if cs:
-                stats["conflict_serializable"] += 1
-                if not witness.verdict:
-                    stats["implication_failures"] += 1
-            if witness.verdict != (oracle is not None):
-                stats["oracle_mismatches"] += 1
-            elif witness.verdict and witness.witness != oracle:
-                stats["oracle_mismatches"] += 1
-            elif not witness.verdict and witness.exhausted != factorial(len(s.txns)):
-                stats["oracle_mismatches"] += 1
-    return stats
 
 
 @criterion(1, "named fixture schedules")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from corpus import dense_polygraphs
 from fixtures import *
-from oracles import view_search_oracle
+from oracles import render_polygraph, view_search_oracle
 
 from mvsched import (
     LevelAllocation,
@@ -29,7 +29,6 @@ from mvsched import (
     is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
-    render_polygraph,
     render_schedule,
     render_workload,
     serial_schedule,

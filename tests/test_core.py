@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from corpus import curated_txn_sets, enumerate_valid_schedules, mutated_schedules, random_polygraphs
 from fixtures import *
-from oracles import is_single_version_serial, single_version_oracle, validate_schedule_oracle
+from oracles import is_single_version, is_single_version_serial, single_version_oracle, split, validate_schedule_oracle
 
 from mvsched import (
-    EMPTY_SCHEDULE,
     INIT,
     Action,
     LimitExceeded,
@@ -27,12 +26,10 @@ from mvsched import (
     UnknownOperation,
     ViolationKind,
     are_concurrent,
-    is_single_version,
     make_schedule,
     make_transaction,
     reduce_to_schedule,
     serial_schedule,
-    split,
     validate_schedule,
     validate_transaction,
 )

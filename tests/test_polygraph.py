@@ -11,6 +11,8 @@ from hypothesis import given, settings
 import oracles
 from corpus import dense_polygraphs, polygraphs, random_polygraphs
 from oracles import (
+    allowed_under_rc,
+    allowed_under_si,
     is_acyclic_polygraph_oracle,
     reduce_to_schedule_oracle,
     reduction_checks_oracle,
@@ -23,8 +25,6 @@ from mvsched import (
     PolygraphDefect,
     ScheduleError,
     SearchLimits,
-    allowed_under_rc,
-    allowed_under_si,
     is_acyclic_polygraph,
     is_view_serializable,
     reduce_to_schedule,

@@ -55,12 +55,14 @@ from mvsched import (
     is_view_robust,
     is_view_serializable,
     iter_split_schedules,
+    make_schedule,
     make_transaction,
     minimize_counterexample,
     render_schedule,
     restrict_to_cycle,
     serial_schedule,
     serialization_graph,
+    validate_schedule,
 )
 from mvsched.core import Budget
 from mvsched.isolation import LevelEngine
@@ -709,6 +711,21 @@ def test_restrict_to_cycle_remaps_dangling_read():
     assert s.vorder["v"] == (INIT,)
 
 
+def test_restrict_to_cycle_remaps_a_dangling_read_to_an_earlier_retained_write():
+    t1 = make_transaction("T1", "W(x) W(y) C")
+    t2 = make_transaction("T2", "W(x) C")
+    t3 = make_transaction("T3", "R(x) R(y) C")
+    steps = (("T1", 1), ("T2", 1), ("T2", 2), ("T3", 1), ("T3", 2), ("T1", 2), ("T1", 3), ("T3", 3))
+    order = (INIT, *(opid(tid, k) for tid, k in steps))
+    vorder = {"x": (opid("T1", 1), opid("T2", 1)), "y": (opid("T1", 2),)}
+    s = make_schedule((t1, t2, t3), order, vorder, {opid("T3", 1): opid("T2", 1), opid("T3", 2): INIT})
+    assert validate_schedule(s) == []
+    r = restrict_to_cycle(s, ("T1", "T3"))
+    assert r.vf[opid("T3", 1)] == opid("T1", 1)  # its writer T2 was dropped; T1#1 installs before it
+    assert r.vf[opid("T3", 2)] == INIT
+    assert r.vorder["x"] == (INIT, opid("T1", 1))
+
+
 def test_restrict_to_cycle_full_set_is_identity():
     assert restrict_to_cycle(S3, ("T1", "T2")) == S3
 
@@ -829,7 +846,7 @@ def test_every_all_ssi_schedule_is_conflict_serializable_with_degenerate_pivot()
     # start, schedules admissible under an all-SSI allocation never carry a
     # dependency cycle
     from corpus import three_small_txn_workloads, two_txn_shape_workloads, sampled_three_txn_workloads
-    from mvsched import complete_under_allocation
+    from oracles import complete_under_allocation_oracle
     from mvsched.core import Budget
     from mvsched.robustness import _iter_interleavings
 
@@ -839,7 +856,7 @@ def test_every_all_ssi_schedule_is_conflict_serializable_with_degenerate_pivot()
         alloc = LevelAllocation.uniform(SSI, (t.id for t in txns))
         budget = Budget(SearchLimits())
         for order in _iter_interleavings(tuple(sorted(txns, key=lambda t: t.id)), budget):
-            s = complete_under_allocation(txns, order, alloc, allow_degenerate_pivot=True)
+            s = complete_under_allocation_oracle(txns, order, alloc, allow_degenerate_pivot=True)
             if s is None:
                 continue
             ok, cycle = is_conflict_serializable(s)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from corpus import curated_txn_sets, enumerate_valid_schedules, random_polygraphs, valid_schedules
 from fixtures import *
-from oracles import OpResolverOracle, make_transaction_oracle, parse_schedule_document_oracle
+from oracles import OpResolverOracle, make_transaction_oracle, parse_schedule_document_oracle, render_polygraph
 
 from mvsched import (
     INIT,
@@ -28,7 +28,6 @@ from mvsched import (
     parse_schedule_document,
     parse_workload,
     reduce_to_schedule,
-    render_polygraph,
     render_schedule,
     render_workload,
     validate_schedule,
