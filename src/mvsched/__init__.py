@@ -71,7 +71,7 @@ from .robustness import (
     RobustnessVerdict,
     SplitDefect,
     Workload,
-    decide_view_split,
+    decide_with_split,
     enumerate_allowed_schedules,
     extend_with_serial_tail,
     find_split_counterexample,

@@ -29,7 +29,7 @@ from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
 from .polygraph import is_acyclic_polygraph, reduce_to_schedule, verify_reduction
 from .robustness import (
     Workload,
-    decide_view_split,
+    decide_with_split,
     enumerate_allowed_schedules,
     find_split_counterexample,
     is_conflict_robust,
@@ -329,14 +329,15 @@ def _cmd_robust(args: argparse.Namespace) -> Report:
     if method != "enumerate" and not isinstance(w.alloc, LevelAllocation):
         raise ParseError("the split method decides level allocations only")
     details: dict = {"mode": mode, "method": method}
-    if mode == "view" and method != "enumerate":
-        # the own-write check, the split search and the enumeration on one compiled workload
-        verdict, hit = decide_view_split(w, method, args.limits)
-    else:
+    if method == "enumerate":
         decide = {"conflict": is_conflict_robust, "view": is_view_robust,
                   "exact-conflict": is_exact_conflict_robust, "exact-view": is_exact_view_robust}[mode]
-        verdict = None if method == "split" else decide(w, args.limits)
-        hit = None if method == "enumerate" else find_split_counterexample(w, args.limits)
+        verdict, hit = decide(w, args.limits), None
+    elif mode == "conflict" and method == "split":
+        verdict, hit = None, find_split_counterexample(w, args.limits)
+    else:
+        # the enumeration, the own-write check (view) and the split search on one compiled workload
+        verdict, hit = decide_with_split(w, mode, method, args.limits)
     if method == "split":
         robust, ce = hit is None, hit
     else:

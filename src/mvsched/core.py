@@ -165,7 +165,9 @@ class Schedule:
 
     Build instances through :func:`make_schedule`, which normalizes the
     representation (sorted transactions, trivial version orders filled in)
-    so that structural equality compares canonical forms.
+    so that structural equality compares canonical forms.  Derived lookups
+    are cached on first use; :func:`validate_schedule` on a valid schedule
+    leaves its :attr:`index` cached for the deciders.
     """
 
     txns: tuple[Transaction, ...]
@@ -211,19 +213,6 @@ class Schedule:
         return {opid: i for i, opid in enumerate(self.order)}
 
     @_cached
-    def vpos(self) -> dict[str, dict[OperationId, int]]:
-        return {obj: {opid: i for i, opid in enumerate(chain)} for obj, chain in self.vorder.items()}
-
-    @_cached
-    def commit_pos(self) -> dict[str, int]:
-        """Position of each transaction's last operation in the order."""
-        return {t.id: self.pos[t.ops[-1].id] for t in self.txns if t.ops}
-
-    @_cached
-    def first_pos(self) -> dict[str, int]:
-        return {t.id: self.pos[t.ops[0].id] for t in self.txns if t.ops}
-
-    @_cached
     def writes_by_obj(self) -> dict[str, tuple[Operation, ...]]:
         out: dict[str, list[Operation]] = {}
         for t in self.txns:
@@ -256,43 +245,83 @@ class Schedule:
 
 
 class ScheduleIndex:
-    """A schedule indexed by small ints, built in one pass over its operations and one
-    over its version orders: transactions numbered (``number``) in ``txns``
-    order, operations by position in ``order`` (INIT at 0).  Per position:
-    ``txn`` and ``kind`` (-1 for INIT), ``obj`` (None for commits and INIT),
-    a write's ``rank`` in its version order (INIT's 0) and the position
-    ``vf`` of the version a read observes.  Per transaction: its positions
-    ``at``, ``first`` and ``commit``, ending in INIT's -1.  Per object it
-    touches: its ``writes``' positions in transaction order."""
+    """A schedule indexed by small ints: transactions numbered (``number``) in
+    ``txns`` order, operations by position in ``order`` (INIT at 0).  Per
+    position: ``txn`` and ``kind`` (-1 for INIT), ``obj`` (None for commits
+    and INIT), a write's ``rank`` in its version order (INIT's 0) and the
+    position ``vf`` of the version a read observes.  Per transaction: its
+    positions ``at``, ``first`` and ``commit``, ending in INIT's -1.  Per
+    object it touches: its ``writes``' positions in transaction order.
+
+    One pass over the version orders and one over the operations build it
+    and, on the way, clear every rule of :func:`validate_schedule` by counts
+    and position comparisons: ``clean`` is True when they all hold, and then
+    the schedule is valid.  On an invalid schedule the arrays hold whatever
+    the walk wrote, and only ``clean`` is meaningful."""
 
     READ, WRITE, COMMIT = 0, 1, 2
+    __slots__ = ("txn", "kind", "obj", "rank", "vf", "number", "at", "writes", "first", "commit", "clean")
 
     def __init__(self, s: Schedule) -> None:
         pos, vf, size = s.pos, s.vf, len(s.order)
+        get = pos.get
+        # one spare slot at the end takes what an id missing from the order (-1) writes
         txn, kind, obj, rank, seen = self.txn, self.kind, self.obj, self.rank, self.vf = (
-            [-1] * size, [-1] * size, [None] * size, [0] * size, [0] * size)
+            [-1] * (size + 1), [-1] * (size + 1), [None] * (size + 1), [0] * (size + 1), [0] * (size + 1))
         number, at, writes = self.number, self.at, self.writes = {}, [], {}
+        first, commit = self.first, self.commit = [], []
         READ, WRITE, COMMIT = self.READ, self.WRITE, self.COMMIT
+        # each chain entry's rank, and its chain's object in obj until the walk below reaches it
+        clean, entries = get(INIT) == 0, 0
+        for o, chain in s.vorder.items():
+            clean = clean and len(chain) > 0 and chain[0] == INIT
+            entries += len(chain)
+            for r, w in enumerate(chain):
+                q = get(w, -1)
+                rank[q], obj[q] = r, o
+        obj[0] = None  # INIT's, which every chain's first entry set
+        nops = nreads = 0
         for i, t in enumerate(s.txns):
-            number[t.id] = i
-            at.append(here := [pos[op.id] for op in t.ops])
-            for p, op in zip(here, t.ops):
+            tid, ops, n = t.id, t.ops, len(t.ops)
+            number[tid], here, prev, k = i, [], 0, 0
+            at.append(here)
+            nops += n
+            clean = clean and n > 0 and ops[-1].action is _COMMIT
+            for op in ops:
+                k += 1
+                opid, o = op.id, op.obj
+                p = get(opid, -1)
+                here.append(p)
+                if p <= prev or opid != (tid, k):  # out of the order, before its predecessor, or misnumbered
+                    clean = False
+                prev = p
                 txn[p] = i
-                o = obj[p] = op.obj
                 if o is None:
                     kind[p] = COMMIT
+                    clean = clean and k == n
                     continue
                 if o not in writes:
                     writes[o] = []
                 if op.action is _WRITE:
-                    kind[p] = WRITE
-                    writes[o].append(p)
+                    kind[p], ws = WRITE, writes[o]
+                    # in its object's chain, above this transaction's last write of it
+                    clean = clean and obj[p] == o and not (ws and txn[ws[-1]] == i and rank[ws[-1]] >= rank[p])
+                    ws.append(p)
                 else:
-                    kind[p], seen[p] = READ, pos[vf[op.id]]
-        for chain in s.vorder.values():
-            for r, w in enumerate(chain):
-                rank[pos[w]] = r
-        self.first, self.commit = [a[0] if a else -1 for a in at] + [-1], [a[-1] if a else -1 for a in at] + [-1]
+                    nreads += 1
+                    kind[p] = READ
+                    # INIT, or a write of the object placed earlier: one in its chain if not walked yet
+                    q = seen[p] = get(vf.get(opid), -1)
+                    clean = clean and (q == 0 or 0 < q < p and obj[q] == o and kind[q] != READ)
+                obj[p] = o
+            first.append(here[0] if n else -1)
+            commit.append(prev if n else -1)
+        first.append(-1)
+        commit.append(-1)
+        # with every write in its own chain, the counts leave no room for another entry
+        self.clean = (clean and len(number) == len(s.txns) and size == nops + 1 and len(vf) == nreads
+                      and entries == sum(map(len, writes.values())) + len(s.vorder))
+        del txn[-1], kind[-1], obj[-1], rank[-1], seen[-1]
 
 
 def make_schedule(
@@ -406,115 +435,84 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     transaction's internal order, and the version function must map every
     read to INIT or to an earlier write on the same object.
 
-    One walk over the transactions, on the cached positions, clears each rule
-    by counts and set comparisons; a rule's per-offender loop runs only if
-    the walk could not clear it.
+    The walk that builds :attr:`Schedule.index` clears every rule on the
+    way, so a valid schedule leaves its index built for the deciders; the
+    per-offender loops below run only when it could not.
     """
+    if s.index.clean:
+        return []
     V, K = ScheduleViolation, ViolationKind
-    order, pos, vorder, vpos, vf = s.order, s.pos, s.vorder, s.vpos, s.vf
-    out: list[ScheduleViolation] = []
-    sound = len({t.id for t in s.txns}) == len(s.txns)  # so well-formed transactions have distinct ids
-    in_order = intra = covered = mapped = True
-    nops = nwrites = nreads = 0
-    for t in s.txns:
-        tid, ops, prev, last = t.id, t.ops, 0, {}
-        n = len(ops)
-        nops += n
-        ok = n > 0 and ops[-1].action is _COMMIT
-        for k, op in enumerate(ops, 1):
-            opid, action, obj = op.id, op.action, op.obj
-            p = pos.get(opid, -1)
-            ok, in_order, prev = ok and opid == (tid, k), in_order and p > prev, p
-            if action is _WRITE:
-                nwrites += 1
-                r = vpos[obj].get(opid, -1) if obj in vpos else -1
-                covered, intra, last[obj] = covered and r > 0, intra and r > last.get(obj, 0), r
-            elif action is _READ:
-                nreads += 1
-                observed = vf.get(opid)  # INIT or a write in the version order of the object, placed earlier
-                mapped = mapped and observed in vpos.get(obj, ()) and pos.get(observed, p) < p
-            elif k < n:
-                ok = False  # a commit before the last operation
-        if not ok:
-            sound = False
-            out.extend(validate_transaction(t))
+    order, pos, vorder, vf = s.order, s.pos, s.vorder, s.vf
+    out = [v for t in s.txns for v in validate_transaction(t)]
 
     # total order over all operations plus INIT
-    ordered = sound and in_order and len(order) == nops + 1 and order[0] == INIT
-    if not ordered:
-        all_ops = s.op_by_id.keys()
-        seen: set[OperationId] = set()
-        for opid in order:
-            if opid in seen:
-                out.append(V(K.DUPLICATE_POSITION, (opid,)))
-            seen.add(opid)
-            if opid not in all_ops and not opid.is_init:
-                out.append(V(K.UNKNOWN_OPERATION, (opid,)))
-        out += [V(K.ORDER_NOT_TOTAL, (opid,)) for opid in sorted((all_ops | {INIT}) - seen)]
-        if not order or order[0] != INIT:
-            out.append(V(K.INIT_NOT_FIRST, (INIT,)))
+    all_ops = s.op_by_id.keys()
+    seen: set[OperationId] = set()
+    for opid in order:
+        if opid in seen:
+            out.append(V(K.DUPLICATE_POSITION, (opid,)))
+        seen.add(opid)
+        if opid not in all_ops and not opid.is_init:
+            out.append(V(K.UNKNOWN_OPERATION, (opid,)))
+    out += [V(K.ORDER_NOT_TOTAL, (opid,)) for opid in sorted((all_ops | {INIT}) - seen)]
+    if not order or order[0] != INIT:
+        out.append(V(K.INIT_NOT_FIRST, (INIT,)))
 
     # version order: per object a total order over INIT and that object's writes
-    chained = covered and sound and all(c and c[0] == INIT for c in vorder.values())
-    chained = chained and sum(map(len, vorder.values())) == nwrites + len(vorder)
-    if not chained:
-        for obj in sorted(set(vorder) | set(s.writes_by_obj)):
-            chain = vorder.get(obj)
-            writes = {op.id for op in s.writes_by_obj.get(obj, ())}
-            if chain is None:
-                out.append(V(K.VORDER_NOT_TOTAL, tuple(sorted(writes))))
-                continue
-            chain_seen: set[OperationId] = set()
-            for opid in chain:
-                if opid in chain_seen:
-                    out.append(V(K.DUPLICATE_POSITION, (opid,)))
-                chain_seen.add(opid)
-                if opid not in writes and not opid.is_init:
-                    out.append(V(K.UNKNOWN_OPERATION, (opid,)))
-            out += [V(K.VORDER_NOT_TOTAL, (opid,)) for opid in sorted(writes - chain_seen)]
-            if not chain or chain[0] != INIT:
-                out.append(V(K.INIT_NOT_FIRST, (INIT,)))
+    for obj in sorted(set(vorder) | set(s.writes_by_obj)):
+        chain = vorder.get(obj)
+        writes = {op.id for op in s.writes_by_obj.get(obj, ())}
+        if chain is None:
+            out.append(V(K.VORDER_NOT_TOTAL, tuple(sorted(writes))))
+            continue
+        chain_seen: set[OperationId] = set()
+        for opid in chain:
+            if opid in chain_seen:
+                out.append(V(K.DUPLICATE_POSITION, (opid,)))
+            chain_seen.add(opid)
+            if opid not in writes and not opid.is_init:
+                out.append(V(K.UNKNOWN_OPERATION, (opid,)))
+        out += [V(K.VORDER_NOT_TOTAL, (opid,)) for opid in sorted(writes - chain_seen)]
+        if not chain or chain[0] != INIT:
+            out.append(V(K.INIT_NOT_FIRST, (INIT,)))
 
     # same-object writes within one transaction install in transaction order
-    if not intra:
-        for t in s.txns:
-            own = [op for op in t.ops if op.action is _WRITE]
-            for obj in dict.fromkeys(op.obj for op in own):
-                ws, ranks = [op.id for op in own if op.obj == obj], vpos.get(obj, {})
-                pairs = [(a, b) for a, b in zip(ws, ws[1:]) if a in ranks and b in ranks and ranks[a] >= ranks[b]]
-                out += [V(K.INTRA_TXN_VORDER, pair) for pair in pairs]
+    for t in s.txns:
+        own = [op for op in t.ops if op.action is _WRITE]
+        for obj in dict.fromkeys(op.obj for op in own):
+            ws, ranks = [op.id for op in own if op.obj == obj], {w: r for r, w in enumerate(vorder.get(obj, ()))}
+            pairs = [(a, b) for a, b in zip(ws, ws[1:]) if a in ranks and b in ranks and ranks[a] >= ranks[b]]
+            out += [V(K.INTRA_TXN_VORDER, pair) for pair in pairs]
 
     # transaction-internal order is preserved by the operation order
-    if not in_order:
-        out += [
-            V(K.TXN_ORDER_NOT_PRESERVED, (a.id, b.id))
-            for t in s.txns
-            for a, b in zip(t.ops, t.ops[1:])
-            if a.id in pos and b.id in pos and pos[a.id] >= pos[b.id]
-        ]
+    out += [
+        V(K.TXN_ORDER_NOT_PRESERVED, (a.id, b.id))
+        for t in s.txns
+        for a, b in zip(t.ops, t.ops[1:])
+        if a.id in pos and b.id in pos and pos[a.id] >= pos[b.id]
+    ]
 
     # version function: total on reads, targets are earlier same-object writes
-    if not (mapped and ordered and chained and len(vf) == nreads):
-        op_by_id = s.op_by_id
-        read_ids = {op.id for op in s.reads}
-        out += [V(K.UNMAPPED_READ, (rid,)) for rid in sorted(read_ids - set(vf))]
-        for rid in sorted(vf):
-            target = vf[rid]
-            if rid not in read_ids:
-                out.append(V(K.UNKNOWN_OPERATION, (rid,)))
+    op_by_id = s.op_by_id
+    read_ids = {op.id for op in s.reads}
+    out += [V(K.UNMAPPED_READ, (rid,)) for rid in sorted(read_ids - set(vf))]
+    for rid in sorted(vf):
+        target = vf[rid]
+        if rid not in read_ids:
+            out.append(V(K.UNKNOWN_OPERATION, (rid,)))
+            continue
+        if not target.is_init:
+            target_op = op_by_id.get(target)
+            if target_op is None:
+                out.append(V(K.UNKNOWN_OPERATION, (rid, target)))
                 continue
-            if not target.is_init:
-                target_op = op_by_id.get(target)
-                if target_op is None:
-                    out.append(V(K.UNKNOWN_OPERATION, (rid, target)))
-                    continue
-                if target_op.action is not _WRITE:
-                    out.append(V(K.VF_TARGET_NOT_WRITE, (rid, target)))
-                    continue
-                if target_op.obj != op_by_id[rid].obj:
-                    out.append(V(K.VERSION_OBJECT_MISMATCH, (rid, target)))
-            if rid in pos and target in pos and pos[target] >= pos[rid]:
-                out.append(V(K.VERSION_READS_FUTURE, (rid, target)))
+            if target_op.action is not _WRITE:
+                out.append(V(K.VF_TARGET_NOT_WRITE, (rid, target)))
+                continue
+            if target_op.obj != op_by_id[rid].obj:
+                out.append(V(K.VERSION_OBJECT_MISMATCH, (rid, target)))
+        if rid in pos and target in pos and pos[target] >= pos[rid]:
+            out.append(V(K.VERSION_READS_FUTURE, (rid, target)))
     return out
 
 
@@ -533,10 +531,9 @@ def are_concurrent(s: Schedule, ti: Transaction | str, tj: Transaction | str) ->
     a, b = txn_id(ti), txn_id(tj)
     if a == b:
         raise ValueError("concurrency is defined for two distinct transactions")
-    for tid in (a, b):
-        if tid not in s.txn_by_id:
-            raise UnknownOperation(f"transaction {tid!r} is not part of this schedule")
-    return s.first_pos[a] < s.commit_pos[b] and s.first_pos[b] < s.commit_pos[a]
+    ix = s.index
+    i, j = (ix.number[s.transaction(tid).id] for tid in (a, b))  # UnknownOperation for a stranger
+    return ix.first[i] < ix.commit[j] and ix.first[j] < ix.commit[i]
 
 
 def serial_schedule(txns: Sequence[Transaction]) -> Schedule:

@@ -298,7 +298,8 @@ def find_dangerous_structures(s: Schedule, scope: Iterable[str]) -> list[Dangero
         first = next((d for d in deps if d.kind is ConflictKind.RW), None)
         if first is not None and u in scope_set and v in scope_set:
             rw[u, v] = first
-    commit = s.commit_pos
+    ix = s.index
+    start, commit = ({t: ends[ix.number[t]] for t in scope_set} for ends in (ix.first, ix.commit))
     found: list[DangerousStructure] = []
     for t1 in sorted(scope_set):
         for t2 in sorted(scope_set):
@@ -311,7 +312,7 @@ def find_dangerous_structures(s: Schedule, scope: Iterable[str]) -> list[Dangero
                     continue
                 if not are_concurrent(s, t1, t2) or not are_concurrent(s, t2, t3):
                     continue
-                if s.transaction(t1).read_only and commit[t3] >= s.first_pos[t1]:
+                if s.transaction(t1).read_only and commit[t3] >= start[t1]:
                     continue
                 found.append(DangerousStructure(t1, t2, t3, (rw[(t1, t2)], rw[(t2, t3)])))
     return found

@@ -136,7 +136,8 @@ def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) ->
 
 
 def _writer(tid: str, obj: str) -> Transaction:
-    return Transaction(tid, (Operation(OperationId(tid, 1), _WRITE, obj), Operation(OperationId(tid, 2), _COMMIT)))
+    first, commit = tuple.__new__(OperationId, (tid, 1)), tuple.__new__(OperationId, (tid, 2))
+    return Transaction(tid, (Operation(first, _WRITE, obj), Operation(commit, _COMMIT)))
 
 
 def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:
@@ -181,8 +182,10 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     nodes: list[Transaction] = []
     for x in sorted(p.nodes):
         tid = "T:" + x
-        ops = [Operation(OperationId(tid, k), a, obj) for k, (a, obj) in enumerate(itertools.chain(*groups[x]), 1)]
-        ops.append(Operation(OperationId(tid, len(ops) + 1), _COMMIT))
+        # ids built as make_transaction builds them, past the named tuple's Python-level __new__
+        ops = [Operation(tuple.__new__(OperationId, (tid, k)), a, obj)
+               for k, (a, obj) in enumerate(itertools.chain(*groups[x]), 1)]
+        ops.append(Operation(tuple.__new__(OperationId, (tid, len(ops) + 1)), _COMMIT))
         nodes.append(Transaction(tid, tuple(ops)))
     concurrent = [t.ops for t in nodes if len(t.ops) > 1]
     order = [INIT, *[op.id for t in opening for op in t.ops]]

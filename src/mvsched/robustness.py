@@ -27,8 +27,8 @@ where completing each interleaving would hit them.  A subset whose static
 conflict multigraph is a forest cannot fail (:func:`_has_conflict_cycle`)
 and is charged without a walk.  Predicate allocations still complete every
 interleaving, in every way, and search each view signature once per
-subset (:func:`_enumerate_allowed`).  :func:`decide_view_split` runs the
-view mode's split and both methods on one compiled workload.
+subset (:func:`_enumerate_allowed`).  :func:`decide_with_split` runs the
+split method, and both methods together, on one compiled workload.
 
 Also here: the recognizer of the split-schedule shape and the three
 constructive schedule transforms (serial-tail extension, restriction to a
@@ -258,6 +258,9 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     order = [0] * total  # per depth: the operation placed there
     on = [0] * total  # per depth: its transaction
     nxt = [0] * (total + 1)  # per depth: the next transaction to try there
+    # per depth: the interleavings of the operations left there; placing one of
+    # transaction i's r_i of the R left leaves r_i / R of them (M(r - e_i) = M(r) r_i / R)
+    ways = [_multinomial(lens)] + [0] * total
 
     def dependent(g: int, h: int) -> bool:
         """Whether two operations of different transactions fail to commute."""
@@ -272,12 +275,6 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
         if (kind[h] == WRITE or rc[u]) and wmask[t] >> obj_of[h] & 1:
             return True
         return h == ops_of[u][0] and not rc[u] and bool(wmask[t] & touch[u] or both_ssi)
-
-    def skip(i: int) -> None:
-        """Charge the budget for every interleaving below placing ``i`` next."""
-        rest = [lens[j] - idx[j] for j in range(n)]
-        rest[i] -= 1
-        budget.tick(_multinomial(rest))
 
     read_gids = [g for g, _, _ in eng.active_reads]
     written = eng.written
@@ -309,12 +306,13 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
                 i += 1
             if i < n:
                 nxt[d] = i + 1
+                below = ways[d] * (lens[i] - idx[i]) // (total - d)  # the interleavings below placing i next
                 if sleep[d] & bits[i]:
-                    skip(i)
+                    budget.tick(below)
                     continue
                 g = ops_of[i][idx[i]]
                 if not place(g, d):
-                    skip(i)
+                    budget.tick(below)
                     sleep[d] |= bits[i]
                     continue
                 z = 0
@@ -327,8 +325,7 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
                 order[d] = g
                 on[d] = i
                 d += 1
-                nxt[d] = 0
-                sleep[d] = z
+                nxt[d], sleep[d], ways[d] = 0, z, below
                 continue
         if d == 0:
             return
@@ -839,18 +836,19 @@ def find_split_counterexample(
     return next(iter_split_schedules(w, limits), None)
 
 
-def decide_view_split(
-    w: Workload, method: str, limits: SearchLimits = DEFAULT_LIMITS
+def decide_with_split(
+    w: Workload, mode: str, method: str, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[RobustnessVerdict | None, tuple[tuple[str, ...], Schedule] | None]:
-    """``robust --mode view --method split`` or ``both`` on a
+    """``robust --mode conflict|view --method split|both`` on a
     level-allocated workload compiled once: the enumeration's verdict under
     ``"both"`` (None under ``"split"``), and the split method's
-    counterexample or None.  That is first a transaction reading its own
-    earlier write (see :func:`_own_write_counterexample`), which no split
-    schedule shows, then the split search's."""
+    counterexample or None.  In the view sense that is first a transaction
+    reading its own earlier write (see :func:`_own_write_counterexample`),
+    which no split schedule shows, then the split search's."""
     eng = LevelEngine(w.txns, w.alloc)
-    verdict = _first_failure(w, limits, RobustnessMode.VIEW, eng) if method == "both" else None
-    return verdict, _own_write_counterexample(w, eng) or _decide_split(w, limits, eng)
+    verdict = _first_failure(w, limits, RobustnessMode(mode), eng) if method == "both" else None
+    own = _own_write_counterexample(w, eng) if mode == "view" else None
+    return verdict, own or _decide_split(w, limits, eng)
 
 
 # ---------------------------------------------------------------------------
@@ -929,13 +927,10 @@ def restrict_to_cycle(s: Schedule, cycle: Iterable[str]) -> Schedule:
             else:
                 # latest retained version installed strictly before the
                 # dropped one
-                chain = s.vorder[op.obj]
-                rank = s.vpos[op.obj]
                 best = INIT
-                for opid in chain:
+                for opid in itertools.takewhile(target.__ne__, s.vorder[op.obj]):
                     if opid.is_init or opid.txn in keep:
-                        if rank[opid] < rank[target]:
-                            best = opid
+                        best = opid
                 vf[op.id] = best
     return make_schedule(txns, order, vorder, vf)
 

@@ -16,10 +16,11 @@ runs the view search on every completion, where the library searches each
 view signature once.  The recognizers of single-version serial schedules
 and of the looser split shape with a serial tail serve the tests alone, as
 do the helpers that left the library for want of another caller:
-``is_single_version``, ``split``, the conflict rule ``conflicting`` that the
-dependency oracles start from, ``allowed_under_rc`` and ``allowed_under_si``
-and ``render_polygraph``.  The split decider oracle classifies and checks
-candidates on completed schedules.  The serial-signature pool looks a
+``split``, the conflict rule ``conflicting`` that the dependency oracles
+start from, ``allowed_under_rc`` and ``allowed_under_si``,
+``render_polygraph``, and the per-schedule position tables ``_vpos``,
+``_commit_pos`` and ``_first_pos``.  The split decider oracle classifies
+and checks candidates on completed schedules.  The serial-signature pool looks a
 schedule's reads-from and final versions up among those of every serial
 order.  The view search oracle
 tracks installed versions per serial prefix.  The clause oracles evaluate
@@ -29,11 +30,13 @@ dangerous-structure oracle chains those rw-antidependencies over every
 triple of its scope, and it alone also takes the reading in which a chain
 closes on its own start.  The reduction-check oracle evaluates each clause
 per operation where the library reads the per-transaction reports.  The
-validation oracle runs every per-offender loop, where the library decides
-each rule by counts and set comparisons first.  The reduction oracle groups
-operations through a ``defaultdict``, takes the order from cached ids and
-completes it through ``complete_under_allocation``, where the library builds
-the version orders and the version function directly.
+validation oracle runs every per-offender loop, where the library clears
+every rule on the walk that builds the schedule's int index; the index
+oracle is the old builder, which indexes a valid schedule and checks
+nothing.  The reduction oracle groups operations through a
+``defaultdict``, takes the order from cached ids and completes it through
+``complete_under_allocation``, where the library builds the version orders
+and the version function directly.
 The acyclicity oracle builds every resolution's edge set.  The resolver
 oracle matches every token against the grammar, where the library looks
 canonical spellings up in one table.  The reader oracle parses a schedule
@@ -51,6 +54,7 @@ import time
 from collections import defaultdict
 from functools import lru_cache
 from math import factorial
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from mvsched import (
@@ -97,10 +101,39 @@ from mvsched import (
     validate_schedule,
     validate_transaction,
 )
-from mvsched.core import DEFAULT_LIMITS, Budget, txn_id
+from mvsched.core import DEFAULT_LIMITS, Budget, ScheduleIndex, txn_id
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
 from mvsched.robustness import _iter_interleavings, _whole_txn_groups
 from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle
+
+
+def _per_schedule(build):
+    """``build(s)`` computed once per schedule and kept in its ``__dict__``,
+    as the library keeps its own derived tables."""
+    name = "_oracle_" + build.__name__
+
+    def get(s: Schedule):
+        d = s.__dict__
+        return d[name] if name in d else d.setdefault(name, build(s))
+
+    return get
+
+
+@_per_schedule
+def _vpos(s: Schedule) -> dict[str, dict[OperationId, int]]:
+    """Per object, each version's rank in its version order."""
+    return {obj: {opid: i for i, opid in enumerate(chain)} for obj, chain in s.vorder.items()}
+
+
+@_per_schedule
+def _commit_pos(s: Schedule) -> dict[str, int]:
+    """Position of each transaction's last operation in the order."""
+    return {t.id: s.pos[t.ops[-1].id] for t in s.txns if t.ops}
+
+
+@_per_schedule
+def _first_pos(s: Schedule) -> dict[str, int]:
+    return {t.id: s.pos[t.ops[0].id] for t in s.txns if t.ops}
 
 
 def view_serializable_oracle(s: Schedule):
@@ -185,33 +218,9 @@ def single_version_oracle(s: Schedule) -> bool:
     return True
 
 
-def is_single_version(s: Schedule) -> bool:
-    """Decide clause by clause whether a schedule behaves single-version.
-
-    Two clauses, both evaluated literally: the version order must agree with
-    the operation order on every pair of same-object writes, and for every
-    read no same-object write may sit strictly between the observed version
-    and the read in the operation order.
-    """
-    pos = s.pos
-    for obj, writes in s.writes_by_obj.items():
-        vpos = s.vpos[obj]
-        for i, a in enumerate(writes):
-            for b in writes[i + 1 :]:
-                if (vpos[a.id] < vpos[b.id]) != (pos[a.id] < pos[b.id]):
-                    return False
-    for read in s.reads:
-        lo = pos[s.vf[read.id]]
-        hi = pos[read.id]
-        for w in s.writes_by_obj.get(read.obj, ()):
-            if lo < pos[w.id] < hi:
-                return False
-    return True
-
-
 def is_single_version_serial(s: Schedule) -> bool:
     """True for single-version schedules whose transactions do not interleave."""
-    if not is_single_version(s):
+    if not single_version_oracle(s):
         return False
     spans: dict[str, tuple[int, int]] = {}
     for t in s.txns:
@@ -261,7 +270,7 @@ def _dep_kind_oracle(s: Schedule, b: Operation, a: Operation) -> ConflictKind | 
     kind = conflicting(b, a)
     if kind is None:
         return None
-    vpos = s.vpos[a.obj]
+    vpos = _vpos(s)[a.obj]
     if kind is ConflictKind.WW:
         return kind if vpos[b.id] < vpos[a.id] else None
     if kind is ConflictKind.WR:
@@ -785,12 +794,12 @@ def respects_commit_order_oracle(s: Schedule, w: OperationId) -> bool:
     op = s.operation(w)
     if not op.is_write:
         raise UnknownOperation(f"{w!r} is not a write operation")
-    my_commit = s.commit_pos[w.txn]
-    vpos = s.vpos[op.obj]
+    my_commit = _commit_pos(s)[w.txn]
+    vpos = _vpos(s)[op.obj]
     for other in s.writes_by_obj[op.obj]:
         if other.id.txn == w.txn:
             continue
-        if (vpos[w] < vpos[other.id]) != (my_commit < s.commit_pos[other.id.txn]):
+        if (vpos[w] < vpos[other.id]) != (my_commit < _commit_pos(s)[other.id.txn]):
             return False
     return True
 
@@ -809,12 +818,12 @@ def read_last_committed_oracle(s: Schedule, r: OperationId, rel: OperationId) ->
         raise ValueError("the reference operation must belong to the reading transaction")
     rel_pos = s.pos[rel]
     observed = s.vf[r]
-    if not observed.is_init and s.commit_pos[observed.txn] >= rel_pos:
+    if not observed.is_init and _commit_pos(s)[observed.txn] >= rel_pos:
         return False
-    vpos = s.vpos[read_op.obj]
+    vpos = _vpos(s)[read_op.obj]
     observed_rank = vpos[observed]
     for w in s.writes_by_obj.get(read_op.obj, ()):
-        if s.commit_pos[w.id.txn] < rel_pos and vpos[w.id] > observed_rank:
+        if _commit_pos(s)[w.id.txn] < rel_pos and vpos[w.id] > observed_rank:
             return False
     return True
 
@@ -824,14 +833,14 @@ def overwrite_witness_oracle(s: Schedule, tid: str, concurrent: bool) -> tuple[O
     other and before the other transaction commits (a dirty write), or, with
     ``concurrent``, with the other committing after this transaction's start
     (a concurrent write); None when there is none."""
-    pos, start = s.pos, s.first_pos.get(tid)  # None only for a transaction without operations
+    pos, start = s.pos, _first_pos(s).get(tid)  # None only for a transaction without operations
     for own in s.transaction(tid).ops:
         if not own.is_write:
             continue
         own_pos = pos[own.id]
         bound = start if concurrent else own_pos
         for other in s.writes_by_obj.get(own.obj, ()):
-            if other.id.txn != tid and pos[other.id] < own_pos and bound < s.commit_pos[other.id.txn]:
+            if other.id.txn != tid and pos[other.id] < own_pos and bound < _commit_pos(s)[other.id.txn]:
                 return (other.id, own.id)
     return None
 
@@ -840,7 +849,7 @@ def rw_edges_oracle(s: Schedule, scope: frozenset[str]) -> dict[tuple[str, str],
     """First witnessing rw-antidependency for each ordered transaction pair in scope."""
     edges: dict[tuple[str, str], DependencyEdge] = {}
     for obj, writes in s.writes_by_obj.items():
-        vpos = s.vpos[obj]
+        vpos = _vpos(s)[obj]
         for read in s.reads:
             if read.obj != obj or read.id.txn not in scope:
                 continue
@@ -868,7 +877,7 @@ def dangerous_structures_oracle(
     for tid in scope_set:
         s.transaction(tid)
     rw = rw_edges_oracle(s, scope_set)
-    commit = s.commit_pos
+    commit = _commit_pos(s)
     found: list[DangerousStructure] = []
     for t1 in sorted(scope_set):
         for t2 in sorted(scope_set):
@@ -886,7 +895,7 @@ def dangerous_structures_oracle(
                     continue
                 if not are_concurrent(s, t1, t2) or not are_concurrent(s, t2, t3):
                     continue
-                if s.transaction(t1).read_only and commit[t3] >= s.first_pos[t1]:
+                if s.transaction(t1).read_only and commit[t3] >= _first_pos(s)[t1]:
                     continue
                 found.append(DangerousStructure(t1, t2, t3, (rw[(t1, t2)], rw[(t2, t3)])))
     return found
@@ -1031,7 +1040,7 @@ def validate_schedule_oracle(s: Schedule) -> list[ScheduleViolation]:
             if op.is_write:
                 writes_per_obj.setdefault(op.obj, []).append(op.id)
         for obj, ws in writes_per_obj.items():
-            vpos = s.vpos.get(obj)
+            vpos = _vpos(s).get(obj)
             if vpos is None:
                 continue
             for a, b in zip(ws, ws[1:]):
@@ -1069,6 +1078,38 @@ def validate_schedule_oracle(s: Schedule) -> list[ScheduleViolation]:
             out.append(ScheduleViolation(ViolationKind.VERSION_READS_FUTURE, (rid, target)))
 
     return out
+
+
+def schedule_index_oracle(s: Schedule) -> SimpleNamespace:
+    """The old :class:`mvsched.core.ScheduleIndex` body, which only indexes a
+    valid schedule: one pass over its operations and one over its version
+    orders, on the cached positions."""
+    pos, vf, size = s.pos, s.vf, len(s.order)
+    txn, kind, obj, rank, seen = [-1] * size, [-1] * size, [None] * size, [0] * size, [0] * size
+    number, at, writes = {}, [], {}
+    for i, t in enumerate(s.txns):
+        number[t.id] = i
+        at.append(here := [pos[op.id] for op in t.ops])
+        for p, op in zip(here, t.ops):
+            txn[p] = i
+            o = obj[p] = op.obj
+            if o is None:
+                kind[p] = ScheduleIndex.COMMIT
+                continue
+            if o not in writes:
+                writes[o] = []
+            if op.is_write:
+                kind[p] = ScheduleIndex.WRITE
+                writes[o].append(p)
+            else:
+                kind[p], seen[p] = ScheduleIndex.READ, pos[vf[op.id]]
+    for chain in s.vorder.values():
+        for r, w in enumerate(chain):
+            rank[pos[w]] = r
+    first, commit = [a[0] if a else -1 for a in at] + [-1], [a[-1] if a else -1 for a in at] + [-1]
+    return SimpleNamespace(
+        txn=txn, kind=kind, obj=obj, rank=rank, vf=seen, number=number, at=at, writes=writes, first=first, commit=commit
+    )
 
 
 def is_acyclic_polygraph_oracle(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[bool, CompatibilityWitness | None]:

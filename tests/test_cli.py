@@ -33,7 +33,7 @@ from mvsched import (
     render_workload,
     serial_schedule,
 )
-from mvsched import cli, polygraph
+from mvsched import cli, polygraph, robustness
 from mvsched.cli import REPORT_SCHEMA, main, run
 
 
@@ -182,7 +182,7 @@ def test_every_method_finds_a_read_that_misses_its_own_write(tmp_path):
 
 
 def test_method_both_reports_a_disagreement(docs, monkeypatch):
-    monkeypatch.setattr(cli, "find_split_counterexample", lambda w, limits: None)
+    monkeypatch.setattr(robustness, "_decide_split", lambda w, limits, eng: None)
     code, payload = invoke_json("robust", "--mode", "conflict", "--method", "both", docs["s2-rc.wl"])
     assert code == 2 and payload["verdict"] is None
     assert payload["details"] == {

@@ -24,7 +24,8 @@ each ``TRIP_ORDERS``.  Last come the hand-written
 schedule documents of ``DOCUMENTS``, which reach the reader's branches the
 generated inputs never do (compact and ambiguous references, comments,
 CRLF and CR line endings, a separate workload document, non-ASCII names,
-and one document per error message):
+one document per error message and one per schedule defect that
+validation reports):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Each command runs through
 ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in its own
@@ -101,6 +102,19 @@ DOCUMENTS = {
     "unexpected-line": (BASE + "orders: init\n", None),
     "no-order": (BARE, None),
     "invalid-schedule": (BASE.replace("R2(y)<-init", "R2(y)<-W1(x)"), None),
+    # one document per schedule-level defect the validation fallback words
+    "order-duplicate": (BASE.replace("C2 W1(x)", "C2 R2(y) W1(x)"), None),
+    "order-incomplete": (BASE.replace(" C1\n", "\n"), None),
+    "chain-incomplete": (BASE.replace("init<W2(x)<W1(x)", "init<W2(x)"), None),
+    "read-unmapped": (BASE.replace(" R2(y)<-init", ""), None),
+    "read-of-a-read": (BASE.replace("R2(y)<-init", "R2(y)<-R1(x)"), None),
+    "read-of-a-commit": (BASE.replace("R2(y)<-init", "R2(y)<-C2"), None),
+    "init-not-first": (BASE.replace("order: R1(x) W2(x)", "order: R1(x) init W2(x)"), None),
+    "chain-against-transaction-order": (
+        "txn T1: W(x) W(x) C\norder: T1#1 T1#2 C1\nvorder x: init<T1#2<T1#1\n", None),
+    "order-against-transaction-order": (BASE.replace("order: R1(x) W2(x) R2(y) C2 W1(x)", "order: W1(x) W2(x) R2(y) C2 R1(x)"), None),
+    "read-of-another-object": (BASE.replace("R2(y)<-init", "R2(y)<-W2(x)"), None),
+    "read-in-a-chain": (BASE + "vorder y: init<R2(y)\n", None),
     "unknown-positional": (REFS + "order: T3#1\n", None),
     "index-out-of-range": (REFS + "order: T1#9\n", None),
     "unknown-commit": (REFS + "order: C7\n", None),
