@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import LimitExceeded, UnknownOperation
+from .errors import LimitExceeded, ScheduleError, UnknownOperation
 
 
 class Action(enum.Enum):
@@ -226,8 +226,15 @@ class Schedule:
         return tuple(op for t in self.txns for op in t.ops if op.is_read)
 
     @_cached
-    def index(self) -> "ScheduleIndex":
+    def _walk(self) -> "ScheduleIndex":
         return ScheduleIndex(self)
+
+    @_cached
+    def index(self) -> "ScheduleIndex":
+        """The int index the deciders read; :class:`ScheduleError` on an invalid schedule."""
+        if not self._walk.clean:
+            raise ScheduleError("the schedule is not valid: validate_schedule lists its defects")
+        return self._walk
 
     # -- small accessors ---------------------------------------------------
 
@@ -257,7 +264,7 @@ class ScheduleIndex:
     and, on the way, clear every rule of :func:`validate_schedule` by counts
     and position comparisons: ``clean`` is True when they all hold, and then
     the schedule is valid.  On an invalid schedule the arrays hold whatever
-    the walk wrote, and only ``clean`` is meaningful."""
+    the walk wrote, and :attr:`Schedule.index` raises rather than return it."""
 
     READ, WRITE, COMMIT = 0, 1, 2
     __slots__ = ("txn", "kind", "obj", "rank", "vf", "number", "at", "writes", "first", "commit", "clean")
@@ -435,11 +442,11 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     transaction's internal order, and the version function must map every
     read to INIT or to an earlier write on the same object.
 
-    The walk that builds :attr:`Schedule.index` clears every rule on the
-    way, so a valid schedule leaves its index built for the deciders; the
+    The walk behind :attr:`Schedule.index` clears every rule on the way, so
+    a valid schedule leaves its index built for the deciders; the
     per-offender loops below run only when it could not.
     """
-    if s.index.clean:
+    if s._walk.clean:
         return []
     V, K = ScheduleViolation, ViolationKind
     order, pos, vorder, vf = s.order, s.pos, s.vorder, s.vf

@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import ScheduleError
 from .isolation import Clause, IsolationLevel, allowed_at_levels
-from .serializability import has_cycle, is_view_serializable
+from .serializability import is_view_serializable, resolve_choices
 
 _READ, _WRITE, _COMMIT = Action
 
@@ -101,33 +101,27 @@ class CompatibilityWitness:
 
 
 def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[bool, CompatibilityWitness | None]:
-    """Brute force over all choice resolutions; first DAG found is the witness.
+    """Whether some resolution of the choices leaves the graph acyclic; the
+    canonically first one is the witness: choices sorted, and for each the
+    forward edge (u, v) before the closing edge (v, w).
 
-    Resolutions are tried in canonical order: choices sorted, and for each
-    choice the forward edge (u, v) before the closing edge (v, w).  Each
-    resolution tried counts as one candidate against ``limits.max_orders``
-    and the time budget.  The arcs' successor bitmasks are built once; each
-    resolution ORs its choice edges into a copy, and only the winner's edges
-    become a witness.
+    :func:`resolve_choices` closes the arcs, which refutes cyclic arcs at
+    the root, and propagates the choices before it branches on one, so it
+    finds the resolution a brute force would; the worst case stays
+    exponential.  Charges against ``limits.max_orders``: one candidate for
+    the root step, and one per option tested, dead ones included.
     """
-    budget = Budget(limits)
     index = {node: i for i, node in enumerate(p.nodes)}
-    arcs = [0] * len(index)
+    pred = [0] * len(index)
     for a, b in p.arcs:
-        arcs[index[a]] |= 1 << index[b]
-    # per choice its two options, each an edge, its source and its target's bit
-    options = [
-        (((u, v), index[u], 1 << index[v]), ((v, w), index[v], 1 << index[w])) for u, v, w in sorted(p.choices)
-    ]
-    for picked in itertools.product(*options):
-        budget.tick()
-        succ = arcs.copy()
-        for _, a, bit in picked:
-            succ[a] |= bit
-        if not has_cycle(succ):
-            extra = tuple(edge for edge, _, _ in picked)
-            return True, CompatibilityWitness(extra, p.arcs | frozenset(extra))
-    return False, None
+        pred[index[b]] |= 1 << index[a]
+    choices = sorted(p.choices)
+    back = resolve_choices(pred, [(index[v], index[w], 1 << index[u]) for u, v, w in choices], Budget(limits))
+    if back is None:
+        return False, None
+    # a choice took its forward edge exactly when the final closure holds that edge
+    extra = tuple((u, v) if back[index[v]] >> index[u] & 1 else (v, w) for u, v, w in choices)
+    return True, CompatibilityWitness(extra, p.arcs | frozenset(extra))
 
 
 # ---------------------------------------------------------------------------

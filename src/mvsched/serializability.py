@@ -4,14 +4,18 @@ Conflict-serializability is decided through acyclicity of the serialization
 graph.  View-serializability is decided by a search over serial orders of
 the transactions (Papadimitriou's polygraph view): each read fixes the
 transaction whose version it sees as a required predecessor, each other
-writer of the object must not come between them, and each object's final
-writer must follow its other writers.  These placement constraints are
-computed before the search, so whether a serial prefix can be completed
-depends only on the set of transactions placed, and a bitmask of that set
-is the memo of failed prefixes.  The search walks prefixes in canonical
-(lexicographic) order and discards only prefixes with no completion, so the
-witness returned is the canonically first one; ``exhausted`` counts the
-serial orders accounted for, which is n! on a negative answer.
+writer of the object must come before that version's writer or after its
+readers, and each object's final writer must follow its other writers and
+their readers.  One engine (:func:`resolve_choices`) closes the required
+predecessors as reachability bitsets and propagates such writer choices; it
+also decides polygraph acyclicity.  A contradiction at its root refutes
+before any search.  Otherwise the search walks serial prefixes in canonical
+(lexicographic) order against the propagated closure, so whether a prefix
+can be completed depends only on the set of transactions placed, and a
+bitmask of that set is the memo of failed prefixes.  It discards only
+prefixes with no completion, so the witness returned is the canonically
+first one; ``exhausted`` counts the serial orders accounted for, which is
+n! on a negative answer.
 """
 
 from __future__ import annotations
@@ -210,6 +214,125 @@ def view_equivalent(s: Schedule, s2: Schedule) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Choice propagation over reachability
+# ---------------------------------------------------------------------------
+# Nodes are 0..n-1 and ``pred[v]`` is the bitmask of the fixed edges into
+# ``v``.  The known edges are kept closed: ``reach[u]`` holds ``u`` and the
+# nodes it reaches, ``back[u]`` the other nodes that reach ``u``.  A choice
+# ``(k, w, rs)`` is the edges ``r -> k``, ``r`` in the bitmask ``rs``
+# (option 0), or the edge ``k -> w`` (option 1); whether an option holds,
+# or is dead (an edge of it closes a cycle), is an O(1) test on the closure.
+
+
+def _bits(m: int):  # the set bits of m, lowest first
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _closure(pred: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """Kahn's pass with in-degree counts, O(n + e) bitset operations: the
+    closure ``(reach, back)`` of the fixed edges, or None on a cycle."""
+    n, order = len(pred), []
+    succ: list[list[int]] = [[] for _ in pred]
+    for v, m in enumerate(pred):
+        if not m:
+            order.append(v)
+        while m:  # inline, as this is the hottest loop of a small search
+            low = m & -m
+            succ[low.bit_length() - 1].append(v)
+            m ^= low
+    indeg, back = list(map(int.bit_count, pred)), [0] * n
+    for u in order:  # grows as nodes lose their last predecessor
+        b = back[u] | 1 << u
+        for v in succ[u]:
+            back[v] |= b
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    if len(order) < n:
+        return None
+    reach = [0] * n
+    for u in reversed(order):
+        r = 1 << u
+        for v in succ[u]:
+            r |= reach[v]
+        reach[u] = r
+    return reach, back
+
+
+def _add(reach: list[int], back: list[int], rs: int, k: int) -> None:
+    """Close the edges ``r -> k``, ``r`` in ``rs``, none of them dead, into the closure."""
+    into, out = rs, reach[k]
+    for r in _bits(rs):
+        into |= back[r]
+    for y in _bits(out):
+        back[y] |= into
+    for x in _bits(into):
+        reach[x] |= out
+
+
+def _settle(reach: list[int], back: list[int], choices: Iterable[tuple[int, int, int]]):
+    """Propagate ``choices`` to a fixpoint: a choice whose option 0 holds is
+    taken, one with a dead option is forced to the other (added to the
+    closure), one with both dead fails.  Returns the open choices (None on a
+    failure) and the options tested: one for a choice taken by its option 0,
+    two for any other, on each pass."""
+    tested = 0
+    while True:
+        still, forced = [], False
+        for c in choices:
+            k, w, rs = c
+            if back[k] & rs == rs:
+                tested += 1
+                continue
+            tested, kbit = tested + 2, 1 << k
+            if reach[k] & rs:
+                if reach[w] & kbit:
+                    return None, tested
+                if not back[w] & kbit:
+                    _add(reach, back, kbit, w)
+                    forced = True
+            elif reach[w] & kbit:
+                _add(reach, back, rs, k)
+                forced = True
+            else:
+                still.append(c)
+        if not forced:
+            return still, tested
+        choices = still
+
+
+def resolve_choices(pred: Sequence[int], choices: Sequence[tuple[int, int, int]], budget: Budget) -> list[int] | None:
+    """The ``back`` closure of the first resolution of ``choices`` (in their
+    order, option 0 first) that leaves the graph acyclic, or None.
+
+    The root step closes the fixed edges and propagates every choice; the
+    search then branches on the first open choice, option 0 first, and
+    propagates below each branch.  Propagation drops only options with no
+    acyclic completion, so the first resolution found is the first in
+    canonical order; the worst case stays exponential.  The root step is one
+    candidate of ``budget`` and each option tested one more."""
+    budget.tick()
+    root = _closure(pred)
+    # per search node: its closure, the choices left, and the option its branch adds
+    stack = [(*root, choices, None)] if root else []
+    while stack:
+        reach, back, choices, option = stack.pop()
+        if option:
+            _add(reach, back, *option)
+        still, tested = _settle(reach, back, choices)
+        budget.tick(tested)
+        if still == []:
+            return back
+        if still:
+            (k, w, rs), rest = still[0], still[1:]
+            stack += [(reach.copy(), back.copy(), rest, (1 << k, w)), (reach, back, rest, (rs, k))]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # View-serializability decision
 # ---------------------------------------------------------------------------
 
@@ -236,55 +359,76 @@ def _placement_constraints(s: Schedule):
     ``pred[k]`` holds the transactions that must precede transaction ``k``:
     the writer of each version it reads, the transactions that read INIT of
     an object it writes, and, for the final writer of an object, every other
-    writer of it.  ``forbid[k]`` holds, per object ``k`` writes, its
-    ``(w, r)`` pairs: transactions in ``r`` read the version by ``w``, so
-    ``k`` may not be placed while ``w`` is placed and some transaction in
-    ``r`` other than ``k`` is not.  A pair is stored once per object and
-    shared by its writers, so ``forbid`` grows with the reads of ``s``, not
-    with its writers times its reads.
+    writer of it and every transaction that reads one of their versions.
+    ``shared`` holds, per object read from another transaction, the bitmask
+    of its other writers and its ``(w, r)`` pairs: the transactions in the
+    bitmask ``r`` read the version by ``w``, so no other writer ``k`` of the
+    object may come after ``w`` and before a transaction of ``r`` other than
+    ``k``.  A pair is stored once per object and shared by its writers, so
+    ``shared`` grows with the reads of ``s``, not with its writers times its
+    reads.
     """
     ix = s.index
-    txn, kind, obj, vf = ix.txn, ix.kind, ix.obj, ix.vf
-    last_write = {(txn[q], o): q for o, ws in ix.writes.items() for q in ws}
+    txn, kind, obj, vf, READ, WRITE = ix.txn, ix.kind, ix.obj, ix.vf, ix.READ, ix.WRITE
     pred = [0] * len(s.txns)
     init_readers = dict.fromkeys(ix.writes, 0)
     readers: dict[str, dict[int, int]] = {o: {} for o in ix.writes}
+    overwritten, seen_outside = set(), []  # writes their transaction writes again; versions others read
     for r, at in enumerate(ix.at):
         own: dict[str, int] = {}
         for p in at:
-            o, seen = obj[p], vf[p]
-            if kind[p] == ix.WRITE:
+            o, act = obj[p], kind[p]
+            if act == WRITE:
+                if o in own:
+                    overwritten.add(own[o])
                 own[o] = p
-            if kind[p] != ix.READ:
+            elif act != READ:
                 continue
-            if o in own:
-                if seen != own[o]:
+            elif o in own:
+                if vf[p] != own[o]:
                     return None  # a serial run reads its own latest write
-                continue
-            if not seen:  # INIT
+            elif not vf[p]:  # INIT
                 init_readers[o] |= 1 << r
-                continue
-            w = txn[seen]
-            if last_write[w, o] != seen:
-                return None  # only a transaction's last write is ever seen from outside
-            pred[r] |= 1 << w
-            readers[o][w] = readers[o].get(w, 0) | 1 << r
-    written: list[list[tuple]] = [[] for _ in s.txns]
+            else:
+                w = txn[vf[p]]
+                pred[r] |= 1 << w
+                readers[o][w] = readers[o].get(w, 0) | 1 << r
+                seen_outside.append(vf[p])
+    if not overwritten.isdisjoint(seen_outside):
+        return None  # only a transaction's last write is ever seen from outside
+    shared = []
     for o, ws in ix.writes.items():
         if not ws:
             continue
         final = max(ws, key=ix.rank.__getitem__)
-        if last_write[txn[final], o] != final:
+        if final in overwritten:
             return None  # the final version of a serial run is its writer's last
-        writers = dict.fromkeys(txn[q] for q in ws)
-        pairs = tuple((1 << w, rs) for w, rs in sorted(readers[o].items()))
-        for k in writers:
-            pred[k] |= init_readers[o] & ~(1 << k)
-            if k != txn[final]:
-                pred[txn[final]] |= 1 << k
-            if pairs:
-                written[k].append(pairs)
-    return pred, [tuple(by_obj) for by_obj in written]
+        last, others, init = txn[final], 0, init_readers[o]
+        for q in ws:
+            pred[txn[q]] |= init & ~(1 << txn[q])
+            others |= 1 << txn[q]
+        others &= ~(1 << last)
+        pred[last] |= others
+        for w, rs in readers[o].items():
+            if w != last:
+                pred[last] |= rs & ~(1 << last)
+        if others and readers[o]:
+            shared.append((others, tuple(readers[o].items())))
+    return pred, shared
+
+
+def _writer_choices(shared, reach: list[int], back: list[int]):
+    """The choices of ``shared`` that the closure leaves open: writer ``k``
+    goes after the other readers of ``w``'s version (option 0) or before
+    ``w`` (option 1).  Read as the closure grows, so the writers it settles
+    by then, after every reader or before ``w``, are skipped in bulk."""
+    for ks, pairs in shared:
+        for w, rs in pairs:
+            after = -1
+            for r in _bits(rs):
+                after &= reach[r]
+            for k in _bits(ks & ~(after | back[w] | 1 << w)):
+                yield k, w, rs & ~(1 << k)
 
 
 def _factorial_base(digits: Sequence[int]) -> int:
@@ -298,28 +442,25 @@ def _factorial_base(digits: Sequence[int]) -> int:
 def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWitness:
     """Search all serial orders for one view-equivalent to ``s``.
 
-    One pass over the transactions turns view-equivalence into placement
-    constraints (see :func:`_placement_constraints`): required predecessors
-    from reads and final versions, and the overwrite rule, under which a
-    writer may not come between the writer of a version and its readers.
-    A schedule no serial order can match (a read that sees a write other
-    than its writer's last, or skips its own transaction's earlier write; a
-    final version that is not its writer's last write) fails before the
-    search.  Serial orders are then explored prefix by prefix in
-    lexicographic transaction order; a transaction is placed only when its
-    constraints hold, so whether a prefix can be completed depends on the
-    set of placed transactions alone, and a bitmask of that set is the memo
-    of prefixes that failed.  Each discarded prefix accounts for every
-    serial order extending it, and only prefixes with no completion are
-    discarded, so the first completed order is the canonically first
-    witness and ``exhausted`` is its rank plus one (n! on a negative
-    verdict).  The search's work, not the schedule's size, is bounded:
-    each prefix extended is one candidate charged to ``budget``
-    (``Budget(DEFAULT_LIMITS)`` when None).  The memo gains at most one
-    entry per candidate, and only the candidate count bounds it: an entry
-    of a 26-transaction schedule took 66 to 88 bytes (tracemalloc, 64-bit
-    CPython 3.11, sets of 10^4 to 10^6 such masks), about 0.9 GB at the
-    default 10^7 candidates.
+    :func:`_placement_constraints` turns view-equivalence into required
+    predecessors and writer choices, or fails a schedule no serial order can
+    match (a read that sees a write other than its writer's last, or skips
+    its own transaction's earlier write; a final version that is not its
+    writer's last write).  After the empty prefix's candidate, the root step
+    closes the predecessors and propagates the choices (see
+    :func:`resolve_choices`); a contradiction there refutes with
+    ``exhausted`` n!.  Otherwise serial prefixes are extended in
+    lexicographic order, placing a transaction only when its closed
+    predecessors are placed and no open choice forbids it.  Each discarded
+    prefix accounts for every serial order extending it, and only prefixes
+    with no completion are discarded, so the first completed order is the
+    canonically first witness and ``exhausted`` is its rank plus one (n! on
+    a negative verdict).  Each prefix extended is one candidate charged to
+    ``budget`` (``Budget(DEFAULT_LIMITS)`` when None); the worst case stays
+    exponential.  The memo of failed prefixes gains at most one entry per
+    candidate: an entry of a 26-transaction schedule took 66 to 88 bytes
+    (tracemalloc, 64-bit CPython 3.11, sets of 10^4 to 10^6 such masks),
+    about 0.9 GB at the default 10^7 candidates.
     """
     if budget is None:
         budget = Budget(DEFAULT_LIMITS)
@@ -327,7 +468,15 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     constraints = _placement_constraints(s)
     if constraints is None:
         return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
-    pred, forbid = constraints
+    pred, shared = constraints
+    budget.tick()  # the empty prefix
+    root = _closure(pred)
+    left_open = root and _settle(*root, _writer_choices(shared, *root))[0]
+    if left_open is None:
+        return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
+    need, forbid = root[1], [[] for _ in range(n)]
+    for k, w, rs in left_open:
+        forbid[k].append((1 << w, rs))
 
     failed: set[int] = set()
     path: list[int] = []
@@ -336,32 +485,33 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     # per k, the discarded prefixes that left k transactions to place: each
     # stands for k! serial orders, summed only when the search ends
     pruned = [0] * n
-    mask = 0
+    mask, full = 0, (1 << n) - 1
     while True:
         depth = len(path)
         if depth == n:
             witness = tuple(s.txns[i].id for i in path)
             return ViewWitness(verdict=True, witness=witness, exhausted=_factorial_base(pruned) + 1)
-        i = resume[-1]
-        if i == 0:
-            budget.tick()
-        while i < n:
-            if not mask >> i & 1:
-                bit = 1 << i
-                if (
-                    pred[i] & ~mask
-                    or mask | bit in failed
-                    or any(mask & w and rs & ~(mask | bit) for pairs in forbid[i] for w, rs in pairs)
-                ):
-                    pruned[n - depth - 1] += 1
-                else:
-                    break
-            i += 1
-        if i < n:
+        left = ~mask
+        free = left & full >> resume[-1] << resume[-1]  # the candidates still to try here
+        while free:
+            bit = free & -free
+            i = bit.bit_length() - 1
+            if (
+                need[i] & left
+                or mask | bit in failed
+                or forbid[i] and any(mask & w and rs & left for w, rs in forbid[i])
+            ):
+                pruned[n - depth - 1] += 1
+                free ^= bit
+            else:
+                break
+        if free:
             resume[-1] = i + 1
             resume.append(0)
             path.append(i)
             mask |= 1 << i
+            if depth + 1 < n:
+                budget.tick()
             continue
         resume.pop()
         if not path:

@@ -1,9 +1,9 @@
-"""Polygraph model, brute-force acyclicity, and the schedule reduction."""
+"""Polygraph model, acyclicity by propagation and search, and the schedule reduction."""
 
 from __future__ import annotations
 
-import itertools
 import re
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,7 @@ from mvsched import (
     validate_schedule,
     verify_reduction,
 )
-from mvsched import polygraph
+from mvsched import polygraph, serializability
 from mvsched.core import Budget
 
 CHOICE = Polygraph.of("uvw", [("w", "u")], [("u", "v", "w")])
@@ -87,13 +87,28 @@ def test_acyclicity_requiring_the_closing_edge():
     assert ok and witness.extra_edges == (("v", "w"),)
 
 
+#: choice (u, v, w) with option 0 (u, v) dead at the root: the arc (v, u) closes it
+SECOND = Polygraph.of("uvw", [("w", "u"), ("v", "u")], [("u", "v", "w")])
+#: an open choice, then SECOND's, which propagation forces to option 1
+LATER = Polygraph.of("abcuvw", [("c", "a"), ("w", "u"), ("v", "u")], [("a", "b", "c"), ("u", "v", "w")])
+
+
+def independent_choices(k):
+    """``k`` choices on disjoint nodes, each open at the root and below every branch."""
+    return Polygraph.of([f"{x}{i}" for i in range(k) for x in "uvw"], [(f"w{i}", f"u{i}") for i in range(k)],
+                        [(f"u{i}", f"v{i}", f"w{i}") for i in range(k)])
+
+
 def test_acyclicity_choice_bound():
-    nodes = "abcd"
-    arcs = [(x, y) for x in nodes for y in nodes if x != y]
-    choices = [c for c in itertools.permutations(nodes, 3)][:21]
-    p = Polygraph.of(nodes, arcs, choices)
+    """Propagation settles none of twelve independent choices, so the search
+    branches on each and tests the ones left below each branch: the root
+    step and 2 * (12 + 11 + ... + 1) options, 157 candidates."""
+    p = independent_choices(12)
     with pytest.raises(LimitExceeded):
         is_acyclic_polygraph(p, SearchLimits(max_orders=100))
+    (ok, witness), count = acyclicity_and_count(is_acyclic_polygraph, polygraph, p)
+    assert ok and set(witness.extra_edges) == {(u, v) for u, v, _ in p.choices} and count == 157
+    assert is_acyclic_polygraph(p, SearchLimits(max_orders=157))[0]
 
 
 def acyclicity_and_count(decide, module, p, limits=SearchLimits()):
@@ -113,10 +128,49 @@ def acyclicity_and_count(decide, module, p, limits=SearchLimits()):
     return result, made[0].count
 
 
+def options_tested(p):
+    """The options that the propagation of ``is_acyclic_polygraph(p)`` reports tested, summed."""
+    tested, settle = [], serializability._settle
+
+    def counting(*args):
+        out = settle(*args)
+        tested.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serializability, "_settle", counting)
+        is_acyclic_polygraph(p)
+    return sum(tested)
+
+
+@pytest.mark.parametrize(
+    "p, verdict, extra, count",
+    [
+        (EMPTY, True, (), 1),
+        (TWO_CYCLE, False, None, 1),  # cyclic arcs refute at the root
+        (CHOICE, True, (("u", "v"),), 3),  # open at the root: 2 options tested, then a branch on option 0
+        (SECOND, True, (("v", "w"),), 3),  # option 0 dead, option 1 forced: 2 options tested
+        (LATER, True, (("a", "b"), ("v", "w")), 7),  # the forced choice makes a second pass over the open one
+    ],
+    ids=["empty", "cyclic-arcs", "choice", "second", "later"],
+)
+def test_acyclicity_charges_the_root_step_and_each_option_tested(p, verdict, extra, count):
+    (ok, witness), charged = acyclicity_and_count(is_acyclic_polygraph, polygraph, p)
+    assert (ok, witness and witness.extra_edges) == (verdict, extra)
+    assert charged == count == 1 + options_tested(p)
+    assert (ok, witness) == is_acyclic_polygraph_oracle(p)
+
+
 def assert_acyclicity_matches_the_oracle(p):
-    new = acyclicity_and_count(is_acyclic_polygraph, polygraph, p)
-    old = acyclicity_and_count(is_acyclic_polygraph_oracle, oracles, p)
+    """Verdict and witness equal the brute force's; the count is the root
+    step plus each option tested, and within a polynomial of the brute
+    force's: at most ``oracle`` leaves of at most c + 1 nodes each, which
+    test at most two options per choice on each of at most c + 1 passes."""
+    new, count = acyclicity_and_count(is_acyclic_polygraph, polygraph, p)
+    old, oracle = acyclicity_and_count(is_acyclic_polygraph_oracle, oracles, p)
+    c = len(p.choices)
     assert new == old, p
+    assert count == 1 + options_tested(p) <= 1 + 2 * c * (c + 1) ** 2 * oracle, p
 
 
 def test_acyclicity_matches_the_oracle():
@@ -220,6 +274,18 @@ def test_reduction_size_is_linear():
 
 
 # --- verification -------------------------------------------------------------------
+
+
+def test_a_refuted_reduction_charges_the_empty_prefix_only():
+    """Every cyclic polygraph of the seeded corpora is refuted at the root of
+    the view search on its reduction: one candidate, and all n! orders."""
+    cyclic = [p for p in [TWO_CYCLE, *random_polygraphs(300), *dense_polygraphs(40)] if not is_acyclic_polygraph(p)[0]]
+    assert len(cyclic) == 150
+    for p in cyclic:
+        s = reduce_to_schedule(p)[1]
+        budget = Budget(SearchLimits(max_orders=1))
+        w = is_view_serializable(s, budget=budget)
+        assert (w.verdict, w.witness, w.exhausted, budget.count) == (False, None, factorial(len(s.txns)), 1), p
 
 
 def test_verify_reduction_examples():

@@ -35,16 +35,19 @@ from mvsched import (
     LimitExceeded,
     SearchLimits,
     ObjectNeverWritten,
+    ScheduleError,
     TransactionSetMismatch,
     UnknownOperation,
     is_acyclic_polygraph,
     is_conflict_serializable,
     is_view_serializable,
     last_version,
+    make_schedule,
     make_transaction,
     reduce_to_schedule,
     serial_schedule,
     serialization_graph,
+    validate_schedule,
     view_equivalent,
 )
 from mvsched.core import Budget
@@ -298,6 +301,19 @@ def test_view_search_charges_prefixes_not_pruned_orders():
     budget = Budget(SearchLimits(max_orders=1000))
     w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget)
     assert not w.verdict and w.exhausted == factorial(14) and budget.count < 1000
+
+
+@pytest.mark.parametrize("decide", [is_conflict_serializable, is_view_serializable])
+def test_the_deciders_refuse_an_invalid_schedule(decide):
+    """A read mapped to a commit, or an operation left out of the order: the
+    index walk is not clean, so no verdict is computed on it."""
+    reads = dict(S2.vf)
+    to_commit = make_schedule(S2.txns, S2.order, S2.vorder, {**reads, next(iter(reads)): S2.order[-1]})
+    short = make_schedule(S2.txns, S2.order[:-1], S2.vorder, reads)
+    for s in (to_commit, short):
+        assert validate_schedule(s)
+        with pytest.raises(ScheduleError, match="the schedule is not valid"):
+            decide(s)
 
 
 # --- conflict-serializability on dependency bitmasks against the full graph ----------

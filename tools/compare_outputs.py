@@ -27,7 +27,10 @@ CRLF and CR line endings, a separate workload document, non-ASCII names,
 one document per error message and one per schedule defect that
 validation reports):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
-``serializable --mode view`` and ``allowed``.  Each command runs through
+``serializable --mode view`` and ``allowed``.  Every polygraph-verify
+input also runs through ``polygraph acyclic``, which prints the witness's
+resolved edges, and so do the hand-written polygraph documents of
+``POLYGRAPHS``, which also run through ``polygraph verify``.  Each command runs through
 ``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in its own
 interpreter, as in the benchmark.  The
 reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
@@ -131,6 +134,22 @@ DOCUMENTS = {
     "undecodable": (b"# " + b"x" * 9000 + b"\n\xff\n" + BASE.encode(), None),
 }
 
+#: A polygraph whose 30 arcs are acyclic and whose 8 choices close a cycle
+#: whichever way they are resolved (``tests/test_cli.py``'s dense polygraph).
+DENSE = ("".join(f"node n{k}\n" for k in range(10))
+         + "".join(f"arc n{a} n{b}\n" for a, b in "06 09 10 13 14 15 19 26 29 30 36 39 46 49 50 52 54 56 59 70 73 74 76 "
+                                                  "80 81 82 83 85 86 89".split())
+         + "".join(f"choice n{u} n{v} n{w}\n" for u, v, w in "018 045 063 618 901 935 980 981".split()))
+#: name -> polygraph document, each run through ``polygraph acyclic`` and ``polygraph verify``
+POLYGRAPHS = {
+    "arc-cycle": "node a b c\narc a b\narc b c\narc c a\n",
+    "dense": DENSE,
+    # option 0 of the choice is dead at the root
+    "second": "node u v w\narc w u\narc v u\nchoice u v w\n",
+    # an open choice first, then the second one, which takes option 1
+    "later": "node a b c u v w\narc c a\narc w u\narc v u\nchoice a b c\nchoice u v w\n",
+}
+
 
 def shapes(argv: list[str]) -> list[list[str]]:
     """A benchmark command, ``[*words, *options, "--json", *limits, path]``,
@@ -145,7 +164,9 @@ def shapes(argv: list[str]) -> list[list[str]]:
 
 
 def document_commands(workdir: str) -> list[list[str]]:
-    """Write ``DOCUMENTS`` into ``workdir``; the four schedule commands on each."""
+    """Write ``DOCUMENTS`` and ``POLYGRAPHS`` into ``workdir``; the four
+    schedule commands on each schedule, the two polygraph commands on each
+    polygraph."""
     os.makedirs(workdir)
     out = []
     for name, (schedule, workload) in DOCUMENTS.items():
@@ -158,16 +179,21 @@ def document_commands(workdir: str) -> list[list[str]]:
         extra = ["--workload", paths[1]] if workload is not None else []
         for words in (["check-schedule"], ["serializable", "--mode", "conflict"], ["serializable", "--mode", "view"], ["allowed"]):
             out.append([*words, "--json", paths[0], *extra])
+    for name, text in POLYGRAPHS.items():
+        path = os.path.join(workdir, f"{name}.poly")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out += [["polygraph", "acyclic", "--json", path], ["polygraph", "verify", "--json", path]]
     return out
 
 
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
-    shape, ``check-schedule`` on the schedule-check inputs and ``--method
-    both``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only``
-    on the robust-enum ones,
-    then the commands on ``DOCUMENTS`` (under the name ``documents``), JSON
-    and text."""
+    shape, ``check-schedule`` on the schedule-check inputs, ``polygraph
+    acyclic`` on the polygraph-verify ones, and ``--method both``, the exact
+    modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
+    ones, then the commands on ``DOCUMENTS`` and ``POLYGRAPHS`` (under the
+    name ``documents``), JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
@@ -179,6 +205,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
         if name == "schedule-check":
             inputs = sorted({argv[-1] for argv in argvs[:n] + warmup[:n]})
             runs += [["check-schedule", "--json", path] for path in inputs]
+        if name == "polygraph-verify":
+            runs += [[*argv[:1], "acyclic", *argv[2:]] for argv in argvs[:n] + warmup[:n]]
         if name == "robust-enum":
             exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
             runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs] + exact
