@@ -80,7 +80,6 @@ from .robustness import (
     is_exact_view_robust,
     is_generalized_split_schedule,
     is_view_robust,
-    iter_split_schedules,
     minimize_counterexample,
     restrict_to_cycle,
 )

@@ -383,6 +383,7 @@ class ViolationKind(enum.Enum):
     COMMIT_NOT_LAST = "commit-not-last"
     BAD_OPERATION_ID = "bad-operation-id"
     # schedule-level, structural
+    DUPLICATE_TRANSACTION = "duplicate-transaction"
     UNKNOWN_OPERATION = "unknown-operation"
     DUPLICATE_POSITION = "duplicate-position"
     ORDER_NOT_TOTAL = "order-not-total"
@@ -435,12 +436,13 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     """Check every well-formedness rule of a schedule; empty list means valid.
 
     All defects are reported, not just the first: member transactions are
-    validated, the operation order must be a total order over all operations
-    plus INIT with INIT first, the per-object version orders must cover
-    exactly the writes of that object (INIT first, same-transaction writes
-    in transaction order), the operation order must embed every
-    transaction's internal order, and the version function must map every
-    read to INIT or to an earlier write on the same object.
+    validated and must have distinct ids, the operation order must be a
+    total order over all operations plus INIT with INIT first, the
+    per-object version orders must cover exactly the writes of that object
+    (INIT first, same-transaction writes in transaction order), the
+    operation order must embed every transaction's internal order, and the
+    version function must map every read to INIT or to an earlier write on
+    the same object.
 
     The walk behind :attr:`Schedule.index` clears every rule on the way, so
     a valid schedule leaves its index built for the deciders; the
@@ -451,6 +453,7 @@ def validate_schedule(s: Schedule) -> list[ScheduleViolation]:
     V, K = ScheduleViolation, ViolationKind
     order, pos, vorder, vf = s.order, s.pos, s.vorder, s.vf
     out = [v for t in s.txns for v in validate_transaction(t)]
+    out += [V(K.DUPLICATE_TRANSACTION, t.op_ids) for k, t in enumerate(s.txns) if t.id in s.txn_ids[:k]]
 
     # total order over all operations plus INIT
     all_ops = s.op_by_id.keys()

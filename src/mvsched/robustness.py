@@ -7,16 +7,15 @@ provided: exhaustive enumeration of allowed schedules (the oracle, correct
 at desk scale by construction) and a search for split-form counterexamples,
 which by their shape are serializable in neither the conflict nor the view
 sense.  For level allocations the two must agree, and the test suite holds
-them to that.
+them to that, against an exhaustive split search of its own.
 
 Under a level allocation both run on the workload compiled once into a
 :class:`~mvsched.isolation.LevelEngine`, whose step function completes an
 operation order as it is placed.  :func:`find_split_counterexample`
 decides in polynomial time, classifying transaction pairs and checking
 candidates on small ints, and builds a :class:`Schedule` for its witness
-alone; :func:`iter_split_schedules` tries every subset, permutation and
-pivot, serving predicate allocations and, for level allocations, as the
-exhaustive oracle.  The enumeration (:func:`_enumerate_level`) walks the
+alone; under the predicate it answers None (no split schedule is
+view-serializable).  The enumeration (:func:`_enumerate_level`) walks the
 interleavings depth-first in canonical order, each subset of the sweep
 being a list of transaction numbers: a refused write drops its whole
 subtree, and the robustness deciders check one interleaving per commuting
@@ -49,7 +48,6 @@ from .isolation import (
     Allocation,
     LevelAllocation,
     LevelEngine,
-    complete_under_allocation,
     respects_commit_order,
 )
 from .serializability import (
@@ -669,41 +667,6 @@ def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None
 # ---------------------------------------------------------------------------
 
 
-def iter_split_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Iterator[tuple[tuple[str, ...], Schedule]]:
-    """Every generalized split schedule the search can build from the workload.
-
-    Candidates are tried over subsets ascending by size then lexicographic
-    order, over orderings of each subset, and over pivot operations of the
-    split transaction; each candidate operation order is completed under the
-    (restricted) allocation and kept when the completion is an allowed
-    generalized split schedule.
-    """
-    _check_limits(w, limits)
-    budget = Budget(limits)
-    by_id = {t.id: t for t in w.txns}
-    for size in range(2, len(w.txns) + 1):
-        for subset in itertools.combinations(sorted(by_id), size):
-            sub_alloc = w.alloc.restrict(subset)
-            sub_txns = tuple(by_id[tid] for tid in subset)
-            if not isinstance(sub_alloc, LevelAllocation):
-                free_cands, sources = _vorder_candidates(sub_txns), _read_sources(sub_txns)
-            for perm in itertools.permutations(subset):
-                t1 = by_id[perm[0]]
-                middle_ops = [op for tid in perm[1:] for op in by_id[tid].op_ids]
-                for cut in range(1, len(t1.ops) + 1):
-                    order = (INIT, *t1.op_ids[:cut], *middle_ops, *t1.op_ids[cut:])
-                    if isinstance(sub_alloc, LevelAllocation):
-                        budget.tick()
-                        s = complete_under_allocation(sub_txns, order, sub_alloc)
-                        if s is not None and is_generalized_split_schedule(s)[0]:
-                            yield subset, s
-                    else:
-                        for vorder, seen in _free_completions(_read_options(sources, order), free_cands, budget):
-                            s = make_schedule(sub_txns, order, vorder, {r.id: v for (r, _), v in zip(sources, seen)})
-                            if sub_alloc.holds(s, budget) and is_generalized_split_schedule(s)[0]:
-                                yield subset, s
-
-
 def _shortest_paths(
     start: int, neighbours: list[list[int]], free: set[int], last: set[int], max_len: int
 ) -> Iterator[tuple[int, ...]]:
@@ -757,11 +720,11 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
     :func:`is_generalized_split_schedule`.
 
     The result is the candidate smallest in (size, sorted subset,
-    permutation, cut), the order :func:`iter_split_schedules` yields in.
-    Every two- and three-transaction candidate is tried, so the result is
-    the exhaustive search's first whenever that has at most three
-    transactions; above that there is one path per (T1, cut, T2, Tm), so
-    the size is still minimal but a tie may resolve differently.
+    permutation, cut), the order an exhaustive search tries them in.  Every
+    two- and three-transaction candidate is tried, so the result is that
+    search's first whenever it has at most three transactions; above that
+    there is one path per (T1, cut, T2, Tm), so the size is still minimal
+    but a tie may resolve differently.
     """
     budget = Budget(limits)
     n, bits, ops_of = eng.n, eng.bits, eng.ops_of
@@ -827,13 +790,17 @@ def find_split_counterexample(
 
     Level allocations go to the polynomial decider (see
     :func:`_decide_split` for its witness order); it runs no exhaustive
-    search, so only ``limits.budget_seconds`` applies.  Predicate
-    allocations take the canonically first hit of the exhaustive
-    :func:`iter_split_schedules`.
+    search, so only ``limits.budget_seconds`` applies.  The
+    view-serializable-only predicate admits no split schedule, so the
+    answer is None without a search: every dependency of a generalized
+    split schedule joins ring neighbours (:attr:`SplitDefect.EXTRA_DEPENDENCY`)
+    and its writes install in commit order, so no write is dead, and each
+    ring edge orders its two transactions in every view-equivalent serial
+    order, which the ring makes impossible.
     """
-    if isinstance(w.alloc, LevelAllocation):
-        return _decide_split(w, limits, LevelEngine(w.txns, w.alloc))
-    return next(iter_split_schedules(w, limits), None)
+    if not isinstance(w.alloc, LevelAllocation):
+        return None
+    return _decide_split(w, limits, LevelEngine(w.txns, w.alloc))
 
 
 def decide_with_split(

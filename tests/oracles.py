@@ -20,9 +20,11 @@ do the helpers that left the library for want of another caller:
 start from, ``allowed_under_rc`` and ``allowed_under_si``,
 ``render_polygraph``, and the per-schedule position tables ``_vpos``,
 ``_commit_pos`` and ``_first_pos``.  The split decider oracle classifies
-and checks candidates on completed schedules.  The serial-signature pool looks a
-schedule's reads-from and final versions up among those of every serial
-order.  The view search oracle
+and checks candidates on completed schedules; the split search oracle
+tries every subset, permutation and pivot, completing each order with the
+completion oracle, or in every way under a predicate.  The
+serial-signature pool looks a schedule's reads-from and final versions up
+among those of every serial order.  The view search oracle
 tracks installed versions per serial prefix.  The clause oracles evaluate
 the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
 operation id, where the library reads the schedule's int index; the
@@ -616,7 +618,7 @@ def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
     :func:`is_generalized_split_schedule`.
 
     The result is the candidate smallest in (size, sorted subset,
-    permutation, cut), the order :func:`iter_split_schedules` yields in.
+    permutation, cut), the order :func:`split_schedules_oracle` yields in.
     Every two- and three-transaction candidate is tried, so the result is
     the exhaustive search's first whenever that has at most three
     transactions; above that there is one path per (T1, cut, T2, Tm), so
@@ -666,6 +668,47 @@ def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
                 for path in _shortest_paths(t2, neighbours, others, last, max_len):
                     consider((t1.id,) + path, cut)
     return None if best is None else (best[1], best_schedule)
+
+
+def split_completions_oracle(w: Workload, budget: Budget) -> Iterator[tuple[tuple[str, ...], Schedule]]:
+    """Every completion of a split-form order that has the generalized split
+    shape, as (subset, schedule), allowed or not.  Orders are tried over
+    subsets ascending by size then lexicographic order, over orderings of
+    each subset, and over pivot operations of the split transaction.  Under
+    a level allocation an order's one completion is
+    :func:`complete_under_allocation_oracle`'s, and so allowed, and each
+    order counts as a candidate; under a predicate every valid completion
+    is taken, and each counts."""
+    by_id = {t.id: t for t in w.txns}
+    for size in range(2, len(w.txns) + 1):
+        for subset in itertools.combinations(sorted(by_id), size):
+            txns = tuple(by_id[tid] for tid in subset)
+            for perm in itertools.permutations(subset):
+                t1 = by_id[perm[0]]
+                middle = [op for tid in perm[1:] for op in by_id[tid].op_ids]
+                for cut in range(1, len(t1.ops) + 1):
+                    order = (INIT, *t1.op_ids[:cut], *middle, *t1.op_ids[cut:])
+                    if isinstance(w.alloc, LevelAllocation):
+                        completions = [complete_under_allocation_oracle(txns, order, w.alloc)]
+                    else:
+                        completions = _valid_completions_oracle(txns, order)
+                    for s in completions:
+                        budget.tick()
+                        if s is not None and is_generalized_split_schedule(s)[0]:
+                            yield subset, s
+
+
+def split_schedules_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Iterator[tuple[tuple[str, ...], Schedule]]:
+    """Every generalized split schedule allowed under the restricted
+    allocation, in the order of :func:`split_completions_oracle`: the
+    exhaustive subset, permutation and pivot search that the library's
+    polynomial decider replaced.  A level allocation's completions come from
+    :func:`complete_under_allocation_oracle`, not the library's engine; a
+    predicate's pass its own check."""
+    budget = Budget(limits)
+    for subset, s in split_completions_oracle(w, budget):
+        if isinstance(w.alloc, LevelAllocation) or w.alloc.holds(s, budget):
+            yield subset, s
 
 
 def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
@@ -903,10 +946,14 @@ def dangerous_structures_oracle(
 
 def check_condition_1(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
     """Either the workload is conflict-robust, or a split-form counterexample
-    witnesses that it is not."""
+    witnesses that it is not: the library's split decider finds one under a
+    level allocation, the exhaustive :func:`split_schedules_oracle` under a
+    predicate."""
     if is_conflict_robust(w, limits).robust:
         return True
-    return find_split_counterexample(w, limits) is not None
+    if isinstance(w.alloc, LevelAllocation):
+        return find_split_counterexample(w, limits) is not None
+    return next(split_schedules_oracle(w, limits), None) is not None
 
 
 def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
@@ -993,6 +1040,11 @@ def validate_schedule_oracle(s: Schedule) -> list[ScheduleViolation]:
     out: list[ScheduleViolation] = []
     for t in s.txns:
         out.extend(validate_transaction(t))
+    ids: set[str] = set()
+    for t in s.txns:
+        if t.id in ids:
+            out.append(ScheduleViolation(ViolationKind.DUPLICATE_TRANSACTION, t.op_ids))
+        ids.add(t.id)
 
     all_ops = s.op_by_id.keys()
 

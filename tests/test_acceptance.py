@@ -19,7 +19,7 @@ from corpus import (
     implication_corpus_workloads,
 )
 from fixtures import *
-from oracles import check_condition_1
+from oracles import check_condition_1, split_schedules_oracle
 
 from mvsched import (
     LevelAllocation,
@@ -39,7 +39,6 @@ from mvsched import (
     is_generalized_split_schedule,
     is_view_robust,
     is_view_serializable,
-    iter_split_schedules,
     minimize_counterexample,
     read_last_committed,
     render_workload,
@@ -142,7 +141,7 @@ def test_criterion_4_split_schedules():
     assert ("T1", "T2") in names and ("T1", "T2", "T3") in names
     emitted = 0
     for w in family:
-        for subset, s in iter_split_schedules(w):
+        for subset, s in split_schedules_oracle(w):
             ok, _ = is_generalized_split_schedule(s)
             assert ok
             assert allowed_under_allocation(s, w.alloc.restrict(subset)).allowed

@@ -88,9 +88,10 @@ def tracer_boundaries() -> list[tuple[str, str]]:
 
 #: Boundaries the tracer still lists although the library no longer calls
 #: through them on purpose: the polygraph reduction builds its schedule
-#: without completing an order, so its completions are 0, not lost.  The
+#: without completing an order, and the robustness deciders complete every
+#: order on the compiled engine, so these completions are 0, not lost.  The
 #: next change to the benchmark drops them from the tracer.
-RETIRED_BOUNDARIES = ["mvsched.polygraph.complete_under_allocation"]
+RETIRED_BOUNDARIES = ["mvsched.robustness.complete_under_allocation", "mvsched.polygraph.complete_under_allocation"]
 
 
 def test_every_traced_boundary_resolves_to_a_callable():

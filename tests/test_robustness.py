@@ -28,7 +28,9 @@ from oracles import (
     enumeration_oracle,
     is_multiversion_split_schedule,
     predicate_verdicts_oracle,
+    split_completions_oracle,
     split_decider_oracle,
+    split_schedules_oracle,
     view_signature,
 )
 from oracles import serial_signature_pool as oracle_signature_pool
@@ -54,7 +56,6 @@ from mvsched import (
     is_generalized_split_schedule,
     is_view_robust,
     is_view_serializable,
-    iter_split_schedules,
     make_schedule,
     make_transaction,
     minimize_counterexample,
@@ -248,7 +249,7 @@ def test_split_search_agrees_with_enumeration_oracle():
 
 def test_emitted_split_schedules_are_never_serializable():
     for w in curated_workloads()[:20]:
-        for subset, s in iter_split_schedules(w):
+        for subset, s in split_schedules_oracle(w):
             ok, _ = is_conflict_serializable(s)
             assert not ok
             assert not is_view_serializable(s).verdict
@@ -261,7 +262,7 @@ ORACLE_LIMITS = SearchLimits(max_txns=6, max_ops=24)
 
 
 def exhaustive_split(w):
-    return next(iter_split_schedules(w, ORACLE_LIMITS), None)
+    return next(split_schedules_oracle(w, ORACLE_LIMITS), None)
 
 
 def test_split_decider_matches_the_exhaustive_search_on_the_criterion_5_corpus():
@@ -356,7 +357,7 @@ def test_the_split_decider_rejects_a_candidate_holding_an_ssi_dangerous_structur
     si = Workload(txns, LevelAllocation.uniform(SI, ("T1", "T2", "T3")))
     hit = find_split_counterexample(si)
     assert hit is not None and hit[0] == ("T1", "T2", "T3")
-    assert hit == next(iter_split_schedules(si))
+    assert hit == next(split_schedules_oracle(si))
     assert render_schedule(hit[1]).splitlines()[3] == "order: R2(y) W1(y) W1(z) C1 W3(z) R3(x) C3 W2(x) C2"
 
 
@@ -516,6 +517,29 @@ def predicate_workloads(draw):
 @settings(max_examples=25, deadline=None)
 def test_the_predicate_sweep_matches_the_search_of_every_completion_on_generated_workloads(w):
     assert_predicate_sweep_matches_the_oracle(w)
+
+
+def assert_no_split_schedule_passes_the_predicate(w) -> int:
+    """The exhaustive split search finds nothing under the
+    view-serializable-only predicate, and the library answers None there
+    without searching; the split-shaped completions the predicate rejected
+    are counted, and each fails the definitional signature pool too."""
+    assert list(split_schedules_oracle(w, ORACLE_LIMITS)) == [], w
+    assert find_split_counterexample(w) is None
+    shaped = [s for _, s in split_completions_oracle(w, Budget(ORACLE_LIMITS))]
+    assert all(view_signature(s) not in oracle_signature_pool(s.txns) for s in shaped), w
+    return len(shaped)
+
+
+def test_no_split_schedule_passes_the_view_predicate():
+    assert assert_no_split_schedule_passes_the_predicate(s2_predicate_workload()) > 0
+    assert sum(map(assert_no_split_schedule_passes_the_predicate, view_predicate_workloads())) > 0
+
+
+@given(predicate_workloads())
+@settings(max_examples=40, deadline=None)
+def test_no_split_schedule_passes_the_view_predicate_on_generated_workloads(w):
+    assert_no_split_schedule_passes_the_predicate(w)
 
 
 def _oracle_charge(w, mode):

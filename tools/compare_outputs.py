@@ -13,10 +13,11 @@ shapes the benchmark never issues, again with ``--json`` and as text: the
 path right after the command words, then the limit flags in reverse
 order, then the command's own options; and without the limit flags.  On
 the schedule-check inputs it runs ``check-schedule`` too, and each
-robust-enum command also runs with ``--method both`` in place of
-``--method enumerate``, which reaches the split decider and the check that
-both methods agree, and with ``--mode exact-conflict`` or ``--mode
-exact-view`` in place of its mode, which sweeps the full transaction set
+robust-enum command also runs with ``--method both`` and with ``--method
+split`` in place of ``--method enumerate``, which reach the split decider,
+the check that both methods agree and the refusal of a predicate
+allocation, and with ``--mode exact-conflict`` or ``--mode exact-view`` in
+place of its mode, which sweeps the full transaction set
 alone; and, as issued, at each ``--max-orders`` of ``TRIP_ORDERS``, where
 some stop at the limit and some decide first.  Each robust-enum input also
 runs through ``enumerate --count-only``, under the limits as issued and at
@@ -190,8 +191,8 @@ def document_commands(workdir: str) -> list[list[str]]:
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs, ``polygraph
-    acyclic`` on the polygraph-verify ones, and ``--method both``, the exact
-    modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
+    acyclic`` on the polygraph-verify ones, and ``--method both``,
+    ``--method split``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
     ones, then the commands on ``DOCUMENTS`` and ``POLYGRAPHS`` (under the
     name ``documents``), JSON and text."""
     sys.path.insert(0, BENCH)
@@ -209,7 +210,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
             runs += [[*argv[:1], "acyclic", *argv[2:]] for argv in argvs[:n] + warmup[:n]]
         if name == "robust-enum":
             exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
-            runs += [["both" if a == "enumerate" else a for a in argv] for argv in runs] + exact
+            methods = [[m if a == "enumerate" else a for a in argv] for m in ("both", "split") for argv in runs]
+            runs += methods + exact
             for orders in TRIP_ORDERS:
                 for argv in argvs[:n] + warmup[:n]:
                     at = argv.index("--max-orders") + 1
