@@ -53,7 +53,6 @@ from .isolation import (
     exhibits_dirty_write,
     find_dangerous_structures,
     read_last_committed,
-    respects_commit_order,
 )
 from .polygraph import (
     CompatibilityWitness,

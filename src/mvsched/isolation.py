@@ -16,16 +16,19 @@ is coded once, as the step function of :class:`LevelEngine` over a
 workload compiled to small ints; :func:`complete_under_allocation` drives
 it over one order, the robustness enumeration over every interleaving and
 the split decider over one order per candidate.
-:func:`allowed_under_allocation` stays the clause-by-clause specification.
+:func:`allowed_under_allocation` stays the clause-by-clause specification:
+one :func:`clause_pass` over a schedule's int index evaluates every
+transaction's clauses, and it alone, for every level report, the
+per-operation predicates, the polygraph checks and the split shape.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, ScheduleIndex, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable, serialization_graph
 
@@ -145,41 +148,54 @@ class DangerousStructure:
 
 
 # ---------------------------------------------------------------------------
-# Per-operation clauses
+# The clause pass
 # ---------------------------------------------------------------------------
 
 
-def _commit_ordered(ix: ScheduleIndex, p: int) -> bool:
-    """Whether the write at position ``p`` installs in commit order against
-    every other transaction's write on its object."""
-    txn, rank, commit = ix.txn, ix.rank, ix.commit
-    t, r = txn[p], rank[p]
-    for q in ix.writes[ix.obj[p]]:
-        if txn[q] != t and (r < rank[q]) != (commit[t] < commit[txn[q]]):
-            return False
-    return True
-
-
-def _fresh_window(ix: ScheduleIndex, p: int) -> tuple[int, int]:
-    """The read at position ``p`` observes the newest version committed
-    before a position ``rel`` exactly when ``lo < rel <= hi``: ``lo`` is
-    where the observed version commits (INIT at -1), ``hi`` where the first
-    newer version does (the schedule's length when none does)."""
-    txn, rank, commit, v = ix.txn, ix.rank, ix.commit, ix.vf[p]
-    seen, hi = rank[v], len(txn)
-    for q in ix.writes[ix.obj[p]]:
-        if rank[q] > seen and commit[txn[q]] < hi:
-            hi = commit[txn[q]]
-    return commit[txn[v]], hi
-
-
-def respects_commit_order(s: Schedule, w: OperationId) -> bool:
-    """Versions install in commit order: for every other transaction's write
-    on the same object, vorder and commit order point the same way.  Reads
-    the schedule's int index."""
-    if not s.operation(w).is_write:
-        raise UnknownOperation(f"{w!r} is not a write operation")
-    return _commit_ordered(s.index, s.pos[w])
+def clause_pass(s: Schedule, tids: Iterable[str] | None = None) -> Iterator[tuple]:
+    """Every per-transaction clause in one walk over the int index, in
+    positions of ``s.order``.  Per transaction of ``tids`` (default: all, in
+    ``s.txns`` order) it yields ``(start, bad, windows, dirty, concurrent)``:
+    its first operation; its writes that break commit order (another
+    transaction's write on the object installs on the other side of it than
+    its commit falls); per read ``(p, lo, hi)``, where the read at ``p``
+    observes the newest version committed before a position ``rel`` exactly
+    when ``lo < rel <= hi`` (``lo`` is where the observed version commits,
+    INIT at -1, and ``hi`` where the first newer one does, else the
+    schedule's length); and its first dirty and first concurrent overwrite:
+    pairs (other write, own write) with the own write landing before the
+    other transaction commits, or with the other committing after ``start``,
+    None where there is none.  A dirty write is a concurrent one, so the
+    first dirty pair settles both."""
+    ix = s.index
+    txn, kind, obj, rank, vf, first, commit, writes = ix.txn, ix.kind, ix.obj, ix.rank, ix.vf, ix.first, ix.commit, ix.writes
+    READ, WRITE, size = ix.READ, ix.WRITE, len(txn)
+    numbers = range(len(ix.at)) if tids is None else [ix.number[s.transaction(tid).id] for tid in tids]
+    for i in numbers:
+        start, end = first[i], commit[i]
+        bad, windows, dirty, concurrent = [], [], None, None
+        for p in ix.at[i]:
+            k = kind[p]
+            if k == READ:
+                v = vf[p]
+                seen, hi = rank[v], size
+                for q in writes[obj[p]]:
+                    if rank[q] > seen and commit[txn[q]] < hi:
+                        hi = commit[txn[q]]
+                windows.append((p, commit[txn[v]], hi))
+            elif k == WRITE:
+                r, ordered = rank[p], True
+                for q in writes[obj[p]]:
+                    u = txn[q]
+                    if u != i:
+                        ordered = ordered and (r < rank[q]) == (end < commit[u])
+                        if dirty is None and q < p and start < commit[u]:
+                            concurrent = concurrent or (q, p)
+                            if p < commit[u]:
+                                dirty = (q, p)
+                if not ordered:
+                    bad.append(p)
+        yield start, bad, windows, dirty, concurrent
 
 
 def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
@@ -187,40 +203,23 @@ def read_last_committed(s: Schedule, r: OperationId, rel: OperationId) -> bool:
 
     Holds when the observed version is INIT or committed before ``rel``, and
     no version committed before ``rel`` installs after the observed one.
-    Reads the schedule's int index.
+    Reads the read's window off :func:`clause_pass`.
     """
     if not s.operation(r).is_read:
         raise UnknownOperation(f"{r!r} is not a read operation")
     if s.operation(rel).id.txn != r.txn:
         raise ValueError("the reference operation must belong to the reading transaction")
-    lo, hi = _fresh_window(s.index, s.pos[r])
-    return lo < s.pos[rel] <= hi
-
-
-def _overwrites(ix: ScheduleIndex, order: Sequence[OperationId], i: int) -> tuple[tuple | None, tuple | None]:
-    """The first pairs (other write, own write), in one walk over
-    transaction ``i``'s writes, with ``i``'s write landing after the other
-    and before the other transaction commits (a dirty write) and with the
-    other committing after ``i``'s start (a concurrent write), None where
-    there is none.  A dirty write is a concurrent one, so the walk stops at
-    the first dirty pair."""
-    txn, commit, kind, WRITE = ix.txn, ix.commit, ix.kind, ix.WRITE
-    start, concurrent = ix.first[i], None
-    for p in ix.at[i]:
-        if kind[p] == WRITE:
-            for q in ix.writes[ix.obj[p]]:
-                if txn[q] != i and q < p and start < commit[txn[q]]:
-                    concurrent = concurrent or (order[q], order[p])
-                    if p < commit[txn[q]]:
-                        return (order[q], order[p]), concurrent
-    return None, concurrent
+    (_, _, windows, _, _), = clause_pass(s, (r.txn,))
+    p = s.pos[r]
+    return next(lo < s.pos[rel] <= hi for q, lo, hi in windows if q == p)
 
 
 def _overwrite_witness(s: Schedule, tid: str, concurrent: bool) -> tuple[OperationId, OperationId] | None:
-    """:func:`_overwrites` on the transaction ``tid``: with ``concurrent``
-    its first concurrent write, else its first dirty one."""
-    dirty, concurrent_write = _overwrites(s.index, s.order, s.index.number[s.transaction(tid).id])
-    return concurrent_write if concurrent else dirty
+    """The transaction's first concurrent write with ``concurrent``, else
+    its first dirty one, as operation ids (see :func:`clause_pass`)."""
+    (_, _, _, dirty, concurrent_write), = clause_pass(s, (tid,))
+    pair = concurrent_write if concurrent else dirty
+    return pair and (s.order[pair[0]], s.order[pair[1]])
 
 
 def exhibits_dirty_write(s: Schedule, t: Transaction | str) -> bool:
@@ -238,38 +237,33 @@ def exhibits_concurrent_write(s: Schedule, t: Transaction | str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def allowed_at_levels(s: Schedule, t: Transaction | str, levels: Sequence[IsolationLevel]) -> list[AdmissibilityReport]:
-    """Per level, the transaction's report: the RC clauses for RC, the SI
-    ones for SI and SSI.  The commit-order clause, each read's freshness
-    window and the overwrite walk are evaluated once for all levels, which
-    differ in the read's reference operation (the read itself, or the
-    transaction's first operation) and in dirty against concurrent writes.
-    Reads the int index."""
-    tid = txn_id(t)
-    ix, order = s.index, s.order
-    i = ix.number[s.transaction(tid).id]
-    at, kind, READ, WRITE = ix.at[i], ix.kind, ix.READ, ix.WRITE
-    ordered, windows = [], []  # the commit-order violations; per read, its position and window
-    for p in at:
-        k = kind[p]
-        if k == READ:
-            windows.append((p, *_fresh_window(ix, p)))
-        elif k == WRITE and not _commit_ordered(ix, p):
-            ordered.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],)))
-    rel, reports = ix.first[i], []
-    dirty, concurrent = _overwrites(ix, order, i)
-    for level in levels:
-        si = level is not _RC
-        violations = ordered + [
-            AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (order[p],))
-            for p, lo, hi in windows
-            if not lo < (rel if si else p) <= hi
-        ]
-        overwrite = concurrent if si else dirty
-        if overwrite is not None:
-            violations.append(AdmissibilityViolation(tid, Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE, overwrite))
-        reports.append(AdmissibilityReport(tuple(violations)) if violations else _ALLOWED)
-    return reports
+def allowed_at_levels(s: Schedule, levels: Iterable[Sequence[IsolationLevel]]) -> list[list[AdmissibilityReport]]:
+    """Per transaction of ``s.txns``, a report per level of its entry in
+    ``levels``: the RC clauses for RC, the SI ones for SI and SSI.  One
+    :func:`clause_pass` gives them all; the levels differ only in a read's
+    reference operation (the read itself, or the transaction's first
+    operation) and in dirty against concurrent writes."""
+    order, out = s.order, []
+    for t, mine, (rel, bad, windows, dirty, concurrent) in zip(s.txns, levels, clause_pass(s)):
+        if not bad and concurrent is None and all(lo < rel and p <= hi for p, lo, hi in windows):
+            out.append([_ALLOWED] * len(mine))  # reads fresh at both references (rel <= p), no overwrite
+            continue
+        tid, reports = t.id, []
+        ordered = [AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (order[p],)) for p in bad]
+        for level in mine:
+            si = level is not _RC
+            violations = ordered + [
+                AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (order[p],))
+                for p, lo, hi in windows
+                if not lo < (rel if si else p) <= hi
+            ]
+            overwrite = concurrent if si else dirty
+            if overwrite is not None:
+                clause = Clause.CONCURRENT_WRITE if si else Clause.DIRTY_WRITE
+                violations.append(AdmissibilityViolation(tid, clause, (order[overwrite[0]], order[overwrite[1]])))
+            reports.append(AdmissibilityReport(tuple(violations)) if violations else _ALLOWED)
+        out.append(reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +336,8 @@ def allowed_under_allocation(
         return AdmissibilityReport((AdmissibilityViolation(None, Clause.PREDICATE),))
 
     violations: list[AdmissibilityViolation] = []
-    for t in s.txns:
-        violations.extend(allowed_at_levels(s, t, (alloc.level_of(t.id),))[0].violations)
+    for (report,) in allowed_at_levels(s, ((alloc.level_of(t.id),) for t in s.txns)):
+        violations += report.violations
     ssi_scope = [tid for tid in alloc.ssi_ids() if tid in s.txn_by_id]
     for structure in find_dangerous_structures(s, ssi_scope):
         violations.append(

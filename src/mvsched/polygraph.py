@@ -146,59 +146,70 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     in node order), then the closing writers serially.  Versions install in
     commit order, and every read comes before the first node commit, so it
     observes its choice's opening writer, or INIT on an arc object; the
-    schedule is built from those facts, which :func:`verify_reduction`
-    checks rather than assumes.  The names are ``T:x`` per node,
-    ``T0:u,v,w`` and ``Tinf:u,v,w`` per choice, and objects ``arc:x->y``
-    and ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(``,
-    ``)`` or ``<`` (which version chains and read entries split on) raises
-    :class:`ScheduleError` before anything is built.
+    version orders and the version function are built from those facts as
+    each operation is made, and :func:`verify_reduction` checks them rather
+    than assumes them.  The names are ``T:x`` per node, ``T0:u,v,w`` and
+    ``Tinf:u,v,w`` per choice, and objects ``arc:x->y`` and
+    ``choice:u,v,w``, so a node name holding ``->``, ``,``, ``(``, ``)`` or
+    ``<`` raises :class:`ScheduleError` before anything is built; one search
+    per token over the names joined by line breaks clears them all.
     """
-    named = sorted(p.nodes.union(*p.arcs, *p.choices))
-    for x in named:
-        for bad in ("->", ",", "(", ")", "<"):
-            if bad in x:
-                raise ScheduleError(f"node {x!r} contains {bad!r}, which the reduction cannot encode in its names")
-    # per node, its operations in the five groups above, each in arc or choice order
+    named, tokens = p.nodes.union(*p.arcs, *p.choices), ("->", ",", "(", ")", "<")
+    joined = "\n".join(named)  # no token spans a line break, so one search per token clears every name
+    if any(bad in joined for bad in tokens):
+        for x in sorted(named):
+            for bad in tokens:
+                if bad in x:
+                    raise ScheduleError(f"node {x!r} contains {bad!r}, which the reduction cannot encode in its names")
+    nodes = p.nodes
+    # per node, its operations in the five groups above, each in arc or choice
+    # order, as (action, object, for a read the version it observes)
     groups = {x: ([], [], [], [], []) for x in named}
+    chains: dict[str, list[OperationId]] = {}  # per object, its version order so far
     for u, v in sorted(p.arcs):
         obj = f"arc:{u}->{v}"
-        groups[u][0].append((_READ, obj))
-        groups[v][2].append((_WRITE, obj))
+        groups[u][0].append((_READ, obj, INIT))
+        groups[v][2].append((_WRITE, obj, None))
+        if u in nodes or v in nodes:
+            chains[obj] = [INIT]
     opening, closing = [], []  # per choice, the writers of its first and its last version
     for u, v, w in sorted(p.choices):
         tag = f"{u},{v},{w}"
         obj = "choice:" + tag
-        groups[u][1].append((_READ, obj))
-        groups[v][3].append((_WRITE, obj))
-        groups[w][4].append((_READ, obj))
-        opening.append(_writer("T0:" + tag, obj))
+        t0 = _writer("T0:" + tag, obj)
+        opened = t0.ops[0].id
+        chains[obj] = [INIT, opened]
+        groups[u][1].append((_READ, obj, opened))
+        groups[v][3].append((_WRITE, obj, None))
+        groups[w][4].append((_READ, obj, opened))
+        opening.append(t0)
         closing.append(_writer("Tinf:" + tag, obj))
-    nodes: list[Transaction] = []
-    for x in sorted(p.nodes):
-        tid = "T:" + x
-        # ids built as make_transaction builds them, past the named tuple's Python-level __new__
-        ops = [Operation(tuple.__new__(OperationId, (tid, k)), a, obj)
-               for k, (a, obj) in enumerate(itertools.chain(*groups[x]), 1)]
+    node_txns: list[Transaction] = []
+    vf: dict[OperationId, OperationId] = {}
+    for x in sorted(nodes):
+        tid, ops = "T:" + x, []
+        for k, (a, obj, seen) in enumerate(itertools.chain(*groups[x]), 1):
+            # ids built as make_transaction builds them, past the named tuple's Python-level __new__
+            opid = tuple.__new__(OperationId, (tid, k))
+            ops.append(Operation(opid, a, obj))
+            if seen is None:
+                chains[obj].append(opid)  # the node's version, between its choice's two writers
+            else:
+                vf[opid] = seen
         ops.append(Operation(tuple.__new__(OperationId, (tid, len(ops) + 1)), _COMMIT))
-        nodes.append(Transaction(tid, tuple(ops)))
-    concurrent = [t.ops for t in nodes if len(t.ops) > 1]
+        node_txns.append(Transaction(tid, tuple(ops)))
+    for t in closing:
+        chains[t.ops[0].obj].append(t.ops[0].id)
+    concurrent = [t.ops for t in node_txns if len(t.ops) > 1]
     order = [INIT, *[op.id for t in opening for op in t.ops]]
     order += [ops[0].id for ops in concurrent]
     order += [op.id for ops in concurrent for op in ops[1:-1]]
     order += [ops[-1].id for ops in concurrent]
-    order += [t.ops[0].id for t in nodes if len(t.ops) == 1]
+    order += [t.ops[0].id for t in node_txns if len(t.ops) == 1]
     order += [op.id for t in closing for op in t.ops]
     # an object's writers commit in the order of their ids: T0:, T:, Tinf:
-    txns = tuple(sorted(opening + nodes + closing, key=attrgetter("id")))
-    ops = [op for t in txns for op in t.ops]
-    chains: dict[str, list[OperationId]] = {}
-    for op in ops:
-        if op.action is _WRITE:
-            chains.setdefault(op.obj, [INIT]).append(op.id)
-    reads = [op for op in ops if op.action is _READ]
-    vorder = {obj: tuple(c) for obj, c in chains.items()} | {op.obj: (INIT,) for op in reads if op.obj not in chains}
-    opened = {t.ops[0].obj: t.ops[0].id for t in opening}
-    vf = {op.id: opened.get(op.obj, INIT) for op in reads}
+    txns = tuple(sorted(opening + node_txns + closing, key=attrgetter("id")))
+    vorder = {obj: tuple(c) for obj, c in chains.items()}
     return txns, Schedule(txns=txns, order=tuple(order), vorder=vorder, vf=vf)
 
 
@@ -229,7 +240,8 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
     linear in size, and that its view-serializability verdict coincides
     with the polygraph's acyclicity verdict.  The reduction is built
     without the clauses, so these checks are independent of it; one clause
-    pass per transaction (:func:`allowed_at_levels`) gives both reports.
+    pass over the schedule (:func:`allowed_at_levels`) gives every
+    transaction's RC and SI reports, which hold the four clause checks.
     Each of the two searches gets its own ``Budget(limits)``: only
     ``limits.max_orders`` and ``limits.budget_seconds`` bound them,
     whatever the polygraph's size.
@@ -240,24 +252,21 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
     violations = validate_schedule(s)
     checks.append(ReductionCheck("schedule-valid", not violations, "; ".join(map(str, violations))))
 
-    # each transaction's RC and SI reports hold the four clause checks below
-    reports = [allowed_at_levels(s, t, (IsolationLevel.RC, IsolationLevel.SI)) for t in s.txns]
-    rc, si = [r for r, _ in reports], [r for _, r in reports]
-
-    def failing(reports, clause):
-        return [v for r in reports for v in r.violations if v.clause is clause]
-
-    bad_commit = [v.witnesses[0] for v in failing(rc, Clause.COMMIT_ORDER)]
+    bad_commit, cw, stale_self, stale_first, not_rc, not_si = [], [], [], [], [], []
+    for t, (rc, si) in zip(s.txns, allowed_at_levels(s, [(IsolationLevel.RC, IsolationLevel.SI)] * len(s.txns))):
+        if rc.violations:
+            not_rc.append(t.id)
+            bad_commit += [v.witnesses[0] for v in rc.violations if v.clause is Clause.COMMIT_ORDER]
+            stale_self += [v.witnesses[0] for v in rc.violations if v.clause is Clause.READ_LAST_COMMITTED]
+        if si.violations:
+            not_si.append(t.id)
+            cw += [v.txn for v in si.violations if v.clause is Clause.CONCURRENT_WRITE]
+            stale_first += [v.witnesses[0] for v in si.violations if v.clause is Clause.READ_LAST_COMMITTED]
     checks.append(ReductionCheck("writes-respect-commit-order", not bad_commit, repr(bad_commit)))
-    cw = [v.txn for v in failing(si, Clause.CONCURRENT_WRITE)]
     checks.append(ReductionCheck("no-concurrent-writes", not cw, repr(cw)))
-    stale_self = [v.witnesses[0] for v in failing(rc, Clause.READ_LAST_COMMITTED)]
     checks.append(ReductionCheck("reads-fresh-at-read", not stale_self, repr(stale_self)))
-    stale_first = [v.witnesses[0] for v in failing(si, Clause.READ_LAST_COMMITTED)]
     checks.append(ReductionCheck("reads-fresh-at-start", not stale_first, repr(stale_first)))
-    not_rc = [t.id for t, r in zip(s.txns, rc) if not r.allowed]
     checks.append(ReductionCheck("rc-admissible", not_rc == [], repr(not_rc)))
-    not_si = [t.id for t, r in zip(s.txns, si) if not r.allowed]
     checks.append(ReductionCheck("si-admissible", not_si == [], repr(not_si)))
 
     total_ops = sum(len(t.ops) for t in txns)

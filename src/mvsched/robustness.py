@@ -48,7 +48,7 @@ from .isolation import (
     Allocation,
     LevelAllocation,
     LevelEngine,
-    respects_commit_order,
+    clause_pass,
 )
 from .serializability import (
     dependency_masks,
@@ -655,10 +655,8 @@ def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None
     for u, v in pairs:
         if (index[u] + 1) % n != index[v]:
             return False, SplitDefect.EXTRA_DEPENDENCY
-    for t in s.txns:
-        for op in t.ops:
-            if op.is_write and not respects_commit_order(s, op.id):
-                return False, SplitDefect.COMMIT_ORDER
+    if any(bad for _, bad, _, _, _ in clause_pass(s)):
+        return False, SplitDefect.COMMIT_ORDER
     return True, None
 
 

@@ -7,18 +7,20 @@ from math import factorial
 import pytest
 
 from corpus import enumerate_valid_schedules, implication_corpus_workloads
-from oracles import conflict_serializable_oracle, view_serializable_oracle
+from oracles import conflict_serializable_oracle, level_reports_oracle, view_serializable_oracle
 
-from mvsched import is_conflict_serializable, is_view_serializable
+from mvsched import IsolationLevel, allowed_at_levels, is_conflict_serializable, is_view_serializable
 
 
 @pytest.fixture(scope="session")
 def corpus_scan():
     """One pass over every valid schedule of the criterion-3 corpus for the
     checks that need all of them: the conflict verdict and cycle against the
-    graph oracle, conflict- implying view-serializability, and the view
-    search against the permutation oracle.  It keeps counts and the first
-    schedule the conflict oracle disagrees on, never the schedules."""
+    graph oracle, conflict- implying view-serializability, the view search
+    against the permutation oracle, and every transaction's RC, SI and SSI
+    reports from one clause pass against the clause oracle.  It keeps counts
+    and the first schedule the conflict oracle disagrees on, never the
+    schedules."""
     stats = {
         "schedules": 0,
         "conflict_serializable": 0,
@@ -26,7 +28,9 @@ def corpus_scan():
         "first_conflict_mismatch": None,
         "implication_failures": 0,
         "oracle_mismatches": 0,
+        "level_report_mismatches": 0,
     }
+    levels = tuple(IsolationLevel)
     for txns in implication_corpus_workloads():
         for s in enumerate_valid_schedules(txns):
             stats["schedules"] += 1
@@ -47,4 +51,6 @@ def corpus_scan():
                 stats["oracle_mismatches"] += 1
             elif not witness.verdict and witness.exhausted != factorial(len(s.txns)):
                 stats["oracle_mismatches"] += 1
+            if allowed_at_levels(s, [levels] * len(s.txns)) != level_reports_oracle(s):
+                stats["level_report_mismatches"] += 1
     return stats

@@ -11,13 +11,16 @@ where the library lists every dependency in one pass over the schedule's int
 index; the serialization graph, the conflict oracle, which finds the
 shortest cycle of the full graph, and ``depends_on`` and conflict
 equivalence, which only the tests use, are built on them.  The enumeration
-oracle completes one interleaving at a time.  The predicate sweep oracle
+oracle completes one interleaving at a time; with a memo of first
+failures it lists each subset below the full set once per transaction
+set and levels.  The predicate sweep oracle
 runs the view search on every completion, where the library searches each
 view signature once.  The recognizers of single-version serial schedules
 and of the looser split shape with a serial tail serve the tests alone, as
 do the helpers that left the library for want of another caller:
 ``split``, the conflict rule ``conflicting`` that the dependency oracles
-start from, ``allowed_under_rc`` and ``allowed_under_si``,
+start from, ``allowed_under_rc``, ``allowed_under_si`` and
+``respects_commit_order``, which read the library's clause pass,
 ``render_polygraph``, and the per-schedule position tables ``_vpos``,
 ``_commit_pos`` and ``_first_pos``.  The split decider oracle classifies
 and checks candidates on completed schedules; the split search oracle
@@ -31,7 +34,8 @@ operation id, where the library reads the schedule's int index; the
 dangerous-structure oracle chains those rw-antidependencies over every
 triple of its scope, and it alone also takes the reading in which a chain
 closes on its own start.  The reduction-check oracle evaluates each clause
-per operation where the library reads the per-transaction reports.  The
+per operation where the library reads the per-transaction reports, on the
+library's reduction or a given one.  The
 validation oracle runs every per-offender loop, where the library clears
 every rule on the walk that builds the schedule's int index; the index
 oracle is the old builder, which indexes a valid schedule and checks
@@ -104,6 +108,7 @@ from mvsched import (
     validate_transaction,
 )
 from mvsched.core import DEFAULT_LIMITS, Budget, ScheduleIndex, txn_id
+from mvsched.isolation import clause_pass
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
 from mvsched.robustness import _iter_interleavings, _whole_txn_groups
 from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle
@@ -711,28 +716,49 @@ def split_schedules_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -
             yield subset, s
 
 
-def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS):
+def first_failures_oracle(w: Workload, memo: dict, allowed: list[Schedule] | None = None) -> tuple:
+    """The first allowed schedule of ``w`` (``allowed``, or else from
+    :func:`allowed_schedules_oracle` under the default limits) that is not
+    conflict-serializable, and the first that is not view-serializable, or
+    None; kept in ``memo`` per transaction set and allocation, which recur
+    across the allocations and subsets of a corpus."""
+    level = isinstance(w.alloc, LevelAllocation)
+    key = (w.txns, tuple(sorted(w.alloc.levels.items())) if level else w.alloc)
+    if key not in memo:
+        if allowed is None:
+            allowed = list(allowed_schedules_oracle(w, Budget(DEFAULT_LIMITS)))
+        memo[key] = tuple(next((s for s in allowed if _fails(s, view)), None) for view in (False, True))
+    return memo[key]
+
+
+def enumeration_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS, memo: dict | None = None):
     """What the enumeration must give for a level allocation or the
     view-serializable-only predicate, from the per-order oracle: the
     allowed schedules over the full set, and per robustness mode the first
     allowed schedule failing its serializability notion as (subset,
     schedule), or None.  Subset modes scan every subset, smallest first,
-    then lexicographic; the exact modes the full set."""
+    then lexicographic; the exact modes the full set.  With ``memo`` the
+    subsets below the full set read their failures from
+    :func:`first_failures_oracle`, under the default limits."""
     ids = sorted(w.txn_ids)
     budget = Budget(limits)
     found = {}
     allowed: list[Schedule] = []
     for k in range(len(ids) + 1):
         for subset in itertools.combinations(ids, k):
-            allowed = list(allowed_schedules_oracle(w.restrict(subset), budget))
             full = k == len(ids)
+            if memo is None or full:
+                allowed = list(allowed_schedules_oracle(w.restrict(subset), budget))
             for view, mode, exact in (
                 (False, RobustnessMode.CONFLICT, RobustnessMode.EXACT_CONFLICT),
                 (True, RobustnessMode.VIEW, RobustnessMode.EXACT_VIEW),
             ):
                 if mode in found and not full:
                     continue
-                bad = next((s for s in allowed if _fails(s, view)), None)
+                if memo is None:
+                    bad = next((s for s in allowed if _fails(s, view)), None)
+                else:
+                    bad = first_failures_oracle(w.restrict(subset), memo, allowed if full else None)[view]
                 if bad is not None:
                     found.setdefault(mode, (subset, bad))
                     if full:
@@ -863,7 +889,7 @@ def read_last_committed_oracle(s: Schedule, r: OperationId, rel: OperationId) ->
     observed = s.vf[r]
     if not observed.is_init and _commit_pos(s)[observed.txn] >= rel_pos:
         return False
-    vpos = _vpos(s)[read_op.obj]
+    vpos = _vpos(s).get(read_op.obj, {INIT: 0})  # an object only read may go without a version order
     observed_rank = vpos[observed]
     for w in s.writes_by_obj.get(read_op.obj, ()):
         if _commit_pos(s)[w.id.txn] < rel_pos and vpos[w.id] > observed_rank:
@@ -974,20 +1000,46 @@ def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> Admi
     return AdmissibilityReport(tuple(violations))
 
 
+def level_reports_oracle(s: Schedule) -> list[list[AdmissibilityReport]]:
+    """Per transaction, its RC, SI and SSI reports by
+    :func:`allowed_at_level_oracle`: what :func:`allowed_at_levels` must give
+    on ``[(RC, SI, SSI)] * len(s.txns)``."""
+    reports = [(allowed_at_level_oracle(s, t, False), allowed_at_level_oracle(s, t, True)) for t in s.txns]
+    return [[rc, si, si] for rc, si in reports]
+
+
+def _allowed_at(s: Schedule, t: Transaction | str, level: IsolationLevel) -> AdmissibilityReport:
+    """The library's report on the transaction at one level."""
+    i = s.index.number[s.transaction(txn_id(t)).id]
+    return allowed_at_levels(s, [(level,)] * len(s.txns))[i][0]
+
+
 def allowed_under_rc(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads fresh at the moment of the read, no dirty writes."""
-    return allowed_at_levels(s, t, (IsolationLevel.RC,))[0]
+    return _allowed_at(s, t, IsolationLevel.RC)
 
 
 def allowed_under_si(s: Schedule, t: Transaction | str) -> AdmissibilityReport:
     """Commit-ordered writes, reads from the transaction-start snapshot, no concurrent writes."""
-    return allowed_at_levels(s, t, (IsolationLevel.SI,))[0]
+    return _allowed_at(s, t, IsolationLevel.SI)
 
 
-def reduction_checks_oracle(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[ReductionCheck, ...]:
+def respects_commit_order(s: Schedule, w: OperationId) -> bool:
+    """Versions install in commit order: the library's clause pass on the
+    write's transaction does not list the write."""
+    if not s.operation(w).is_write:
+        raise UnknownOperation(f"{w!r} is not a write operation")
+    (_, bad, _, _, _), = clause_pass(s, (w.txn,))
+    return s.pos[w] not in bad
+
+
+def reduction_checks_oracle(
+    p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS, reduction: tuple | None = None
+) -> tuple[ReductionCheck, ...]:
     """The checks of :func:`verify_reduction`, each clause evaluated on its
-    own for every operation and transaction."""
-    txns, s = reduce_to_schedule(p)
+    own for every operation and transaction, on ``reduction`` (the pair
+    :func:`reduce_to_schedule` returns) or, when None, on ``p``'s own."""
+    txns, s = reduce_to_schedule(p) if reduction is None else reduction
     checks: list[ReductionCheck] = []
 
     violations = validate_schedule(s)

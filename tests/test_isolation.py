@@ -14,6 +14,7 @@ from corpus import (
     dense_polygraphs,
     enumerate_valid_schedules,
     implication_corpus_workloads,
+    mutated_schedules,
     random_polygraphs,
     random_workloads,
     valid_schedules,
@@ -25,8 +26,10 @@ from oracles import (
     allowed_under_si,
     complete_under_allocation_oracle,
     dangerous_structures_oracle,
+    level_reports_oracle,
     overwrite_witness_oracle,
     read_last_committed_oracle,
+    respects_commit_order,
     respects_commit_order_oracle,
     rw_edges_oracle,
 )
@@ -38,6 +41,7 @@ from mvsched import (
     ConflictKind,
     LevelAllocation,
     PredicateAllocation,
+    ScheduleError,
     UnknownOperation,
     Workload,
     allowed_at_levels,
@@ -50,7 +54,6 @@ from mvsched import (
     make_transaction,
     read_last_committed,
     reduce_to_schedule,
-    respects_commit_order,
     serial_schedule,
     serialization_graph,
     validate_schedule,
@@ -438,9 +441,9 @@ def rw_witnesses(s, scope):
 
 
 def assert_clauses_match_the_oracles(s) -> bool:
-    """Every clause, both per-transaction reports (one level at a time and
-    both from one clause pass), the rw-antidependencies
-    and the dangerous structures under either reading of the pivot (over all
+    """Every clause, both per-transaction reports (one level at a time, and
+    the three levels of every transaction from one clause pass), the
+    rw-antidependencies and the dangerous structures under either reading of the pivot (over all
     transactions and over all but the first) agree with the oracles,
     violations, witnesses and their order included; whether some
     transaction fails its RC or SI report."""
@@ -457,8 +460,7 @@ def assert_clauses_match_the_oracles(s) -> bool:
             report = allowed(s, t)
             assert report == allowed_at_level_oracle(s, t, si), (s, t.id, si)
             failed |= not report.allowed
-        expected = [allowed_at_level_oracle(s, t, si) for si in (False, True, True)]
-        assert allowed_at_levels(s, t, (RC, SI, SSI)) == expected, (s, t.id)
+    assert allowed_at_levels(s, [(RC, SI, SSI)] * len(s.txns)) == level_reports_oracle(s), s
     for scope in (frozenset(s.txn_ids), frozenset(s.txn_ids[1:])):
         assert rw_witnesses(s, scope) == rw_edges_oracle(s, scope), (s, scope)
         got = find_dangerous_structures(s, scope)
@@ -483,6 +485,25 @@ def test_clauses_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():
             failing += assert_clauses_match_the_oracles(s)
             checked += 1
     assert checked > 4000 and failing > checked // 2
+
+
+def test_level_reports_match_the_oracle_on_the_criterion_3_corpus(corpus_scan):
+    assert corpus_scan["schedules"] > 100_000
+    assert corpus_scan["level_report_mismatches"] == 0
+
+
+@given(mutated_schedules())
+@settings(max_examples=500, deadline=None)
+def test_level_reports_match_the_oracle_on_mutated_schedules(s):
+    """The edited schedules of the validation differential: the clause pass
+    refuses one that validation lists a defect of, and gives every other
+    the oracle's reports."""
+    levels = [(RC, SI, SSI)] * len(s.txns)
+    if validate_schedule(s) and s.txns:
+        with pytest.raises(ScheduleError):
+            allowed_at_levels(s, levels)
+    else:
+        assert allowed_at_levels(s, levels) == level_reports_oracle(s), s
 
 
 @given(valid_schedules())

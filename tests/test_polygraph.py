@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 import re
 from math import factorial
 
@@ -20,6 +22,7 @@ from oracles import (
 )
 
 from mvsched import (
+    INIT,
     LimitExceeded,
     Polygraph,
     PolygraphDefect,
@@ -313,3 +316,63 @@ def test_verify_reduction_checks_match_the_per_clause_oracle():
     same names, verdicts and details as evaluating each clause on its own."""
     for p in random_polygraphs(300) + dense_polygraphs(40):
         assert verify_reduction(p).checks == reduction_checks_oracle(p), p
+
+
+def stale_read(s, rng):
+    """A read that observes its choice's opening writer pointed at INIT, a
+    version older than the one committed before it."""
+    reads = sorted(r for r, v in s.vf.items() if not v.is_init)
+    return reads and dataclasses.replace(s, vf={**s.vf, rng.choice(reads): INIT})
+
+
+def swapped_versions(s, rng):
+    """Two versions of a choice object's chain swapped."""
+    objs = sorted(obj for obj, chain in s.vorder.items() if len(chain) > 2)
+    if not objs:
+        return None
+    obj = rng.choice(objs)
+    chain = list(s.vorder[obj])
+    i, j = rng.sample(range(1, len(chain)), 2)
+    chain[i], chain[j] = chain[j], chain[i]
+    return dataclasses.replace(s, vorder={**s.vorder, obj: tuple(chain)})
+
+
+def early_commit(s, rng):
+    """A node's commit moved to just before a later node's read of an
+    object the node writes, which keeps the schedule valid."""
+    pos = s.pos
+    moves = sorted(
+        (t.ops[-1].id, r.id)
+        for t in s.txns
+        if t.id.startswith("T:") and len(t.ops) > 1
+        for r in s.reads
+        if r.id.txn != t.id and pos[r.id] > pos[t.ops[-2].id] and any(op.is_write and op.obj == r.obj for op in t.ops)
+    )
+    if not moves:
+        return None
+    commit, read = rng.choice(moves)
+    order = [opid for opid in s.order if opid != commit]
+    order.insert(order.index(read), commit)
+    return dataclasses.replace(s, order=tuple(order))
+
+
+def test_verify_reduction_checks_match_the_per_clause_oracle_on_defective_reductions(monkeypatch):
+    """One defect at a time injected into each reduction of the seeded
+    corpus: verify gives the oracle's check names, verdicts and details, the
+    order of the listed ids included.  Every kind of defect fails some
+    check on many reductions, and some details list several ids."""
+    rng = random.Random(23)
+    failing, listing = {stale_read: 0, swapped_versions: 0, early_commit: 0}, 0
+    for p in random_polygraphs(300):
+        txns, s = reduce_to_schedule(p)
+        for defect in failing:
+            bad = defect(s, rng)
+            if not bad:
+                continue
+            assert validate_schedule(bad) == [], (p, defect.__name__)
+            monkeypatch.setattr(polygraph, "reduce_to_schedule", lambda _, bad=bad: (txns, bad))
+            checks = verify_reduction(p).checks
+            assert checks == reduction_checks_oracle(p, reduction=(txns, bad)), (p, defect.__name__)
+            failing[defect] += not all(c.passed for c in checks)
+            listing += any(c.detail.count(",") >= 1 and c.detail.startswith("[") for c in checks)
+    assert min(failing.values()) >= 100 and listing >= 100, (failing, listing)

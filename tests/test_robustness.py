@@ -26,6 +26,7 @@ from oracles import (
     conflict_serializable_oracle,
     enumerate_allowed_oracle,
     enumeration_oracle,
+    first_failures_oracle,
     is_multiversion_split_schedule,
     predicate_verdicts_oracle,
     split_completions_oracle,
@@ -435,8 +436,8 @@ def _rendered(w, ce):
     return subset, render_schedule(s, w.alloc.restrict(subset))
 
 
-def assert_enumeration_matches_the_oracle(w):
-    allowed, expected = enumeration_oracle(w)
+def assert_enumeration_matches_the_oracle(w, memo=None):
+    allowed, expected = enumeration_oracle(w, memo=memo)
     assert list(enumerate_allowed_schedules(w)) == allowed, w
     for mode, decide in DECIDERS.items():
         verdict = decide(w)
@@ -444,9 +445,18 @@ def assert_enumeration_matches_the_oracle(w):
         assert _rendered(w, verdict.counterexample) == _rendered(w, expected[mode]), (w, mode)
 
 
-def test_enumeration_matches_the_per_order_oracle_on_the_criterion_5_corpus():
+@pytest.fixture(scope="module")
+def criterion_5_failures():
+    """The memo of :func:`first_failures_oracle` that both criterion-5 tests
+    read: their (transaction subset, levels) pairs recur across the corpus's
+    allocations, and whichever test runs first fills it.  It keeps two
+    schedules per pair, never a listing."""
+    return {}
+
+
+def test_enumeration_matches_the_per_order_oracle_on_the_criterion_5_corpus(criterion_5_failures):
     for w in criterion_5_workloads():
-        assert_enumeration_matches_the_oracle(w)
+        assert_enumeration_matches_the_oracle(w, criterion_5_failures)
 
 
 def test_enumeration_matches_the_per_order_oracle_on_four_transactions():
@@ -613,20 +623,18 @@ def _cleared_subsets(w, view):
                 yield tuple(w.txns[i].id for i in subset)
 
 
-def assert_cleared_subsets_never_fail(w):
-    """No allowed schedule of a cleared subset fails, by the per-order oracle;
-    and in the view sense, a transaction reading its own earlier write fails
-    alone, so the guard is needed.  Returns how many cleared subsets have two
+def assert_cleared_subsets_never_fail(w, memo=None):
+    """No allowed schedule of a cleared subset fails, by the per-order oracle
+    (through ``memo`` when given, see :func:`first_failures_oracle`); and in
+    the view sense, a transaction reading its own earlier write fails alone,
+    so the guard is needed.  Returns how many cleared subsets have two
     transactions or more."""
-    cleared = 0
+    cleared, memo = 0, {} if memo is None else memo
     for view in (False, True):
         for subset in _cleared_subsets(w, view):
             cleared += len(subset) >= 2
-            for s in allowed_schedules_oracle(w.restrict(subset), Budget(SearchLimits())):
-                if view:
-                    assert view_signature(s) in oracle_signature_pool(s.txns), (w, subset)
-                else:
-                    assert conflict_serializable_oracle(s)[0], (w, subset)
+            failure = first_failures_oracle(w.restrict(subset), memo)[view]
+            assert failure is None, (w, subset, failure)
     for t in w.txns:
         if _reads_its_own_write(t):
             s = next(allowed_schedules_oracle(w.restrict([t.id]), Budget(SearchLimits())))
@@ -634,8 +642,8 @@ def assert_cleared_subsets_never_fail(w):
     return cleared
 
 
-def test_no_subset_the_static_test_clears_fails_on_the_criterion_5_corpus():
-    cleared = sum(assert_cleared_subsets_never_fail(w) for w in criterion_5_workloads())
+def test_no_subset_the_static_test_clears_fails_on_the_criterion_5_corpus(criterion_5_failures):
+    cleared = sum(assert_cleared_subsets_never_fail(w, criterion_5_failures) for w in criterion_5_workloads())
     assert cleared >= 500
 
 
