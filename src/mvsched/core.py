@@ -587,11 +587,12 @@ class SearchLimits:
     counts candidates: operation orders, those dropped with a rejected
     prefix and those the robustness deciders skip as equivalent to an order
     already checked included (and, for predicate allocations, candidate
-    version-data completions), the choice resolutions polygraph acyclicity
-    tries, and the prefixes the view search extends.  The clock is read at
-    every count and where nothing is counted: per serial order of the level
-    walk's signature pool and per (T1, cut) of the split decider (once, when
-    no subset can fail).
+    version-data completions), the root step and each option tested of
+    polygraph acyclicity, and the prefixes the view search extends plus the
+    options its completion checks test when they branch.  The clock is read
+    at every count and where nothing is counted: per serial order of the
+    level walk's signature pool and per (T1, cut) of the split decider
+    (once, when no subset can fail).
     """
 
     max_txns: int = 4

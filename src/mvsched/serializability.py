@@ -9,13 +9,13 @@ readers, and each object's final writer must follow its other writers and
 their readers.  One engine (:func:`resolve_choices`) closes the required
 predecessors as reachability bitsets and propagates such writer choices; it
 also decides polygraph acyclicity.  A contradiction at its root refutes
-before any search.  Otherwise the search walks serial prefixes in canonical
-(lexicographic) order against the propagated closure, so whether a prefix
-can be completed depends only on the set of transactions placed, and a
-bitmask of that set is the memo of failed prefixes.  It discards only
-prefixes with no completion, so the witness returned is the canonically
-first one; ``exhausted`` counts the serial orders accounted for, which is
-n! on a negative answer.
+before any search.  Otherwise the search places one transaction per depth,
+in canonical (lexicographic) order: the first whose closed predecessors are
+placed and after which the engine can still complete the order.  It never
+backtracks, so the witness returned is the canonically first one;
+``exhausted`` counts the serial orders accounted for, which is n! on a
+negative answer.  The completion check branches, so the worst case stays
+exponential.
 """
 
 from __future__ import annotations
@@ -304,32 +304,44 @@ def _settle(reach: list[int], back: list[int], choices: Iterable[tuple[int, int,
         choices = still
 
 
+def _branch(reach: list[int], back: list[int], choices: list | None, budget: Budget) -> list[int] | None:
+    """The ``back`` closure of the first resolution of ``choices``, the
+    choices :func:`_settle` left open on the closure (None after a failure),
+    that leaves the graph acyclic, or None: branches on the first open
+    choice, option 0 first, and propagates below each branch.  Each option
+    tested there is one candidate of ``budget``."""
+    # per search node: its closure, the choices left, and the option its branch adds
+    stack = [(reach, back, choices, None)]
+    while stack:
+        reach, back, choices, option = stack.pop()
+        if option:
+            _add(reach, back, *option)
+            choices, tested = _settle(reach, back, choices)
+            budget.tick(tested)
+        if choices == []:
+            return back
+        if choices:
+            (k, w, rs), rest = choices[0], choices[1:]
+            stack += [(reach.copy(), back.copy(), rest, (1 << k, w)), (reach, back, rest, (rs, k))]
+    return None
+
+
 def resolve_choices(pred: Sequence[int], choices: Sequence[tuple[int, int, int]], budget: Budget) -> list[int] | None:
     """The ``back`` closure of the first resolution of ``choices`` (in their
     order, option 0 first) that leaves the graph acyclic, or None.
 
-    The root step closes the fixed edges and propagates every choice; the
-    search then branches on the first open choice, option 0 first, and
-    propagates below each branch.  Propagation drops only options with no
+    The root step closes the fixed edges and propagates every choice; then
+    :func:`_branch` searches.  Propagation drops only options with no
     acyclic completion, so the first resolution found is the first in
     canonical order; the worst case stays exponential.  The root step is one
     candidate of ``budget`` and each option tested one more."""
     budget.tick()
     root = _closure(pred)
-    # per search node: its closure, the choices left, and the option its branch adds
-    stack = [(*root, choices, None)] if root else []
-    while stack:
-        reach, back, choices, option = stack.pop()
-        if option:
-            _add(reach, back, *option)
-        still, tested = _settle(reach, back, choices)
-        budget.tick(tested)
-        if still == []:
-            return back
-        if still:
-            (k, w, rs), rest = still[0], still[1:]
-            stack += [(reach.copy(), back.copy(), rest, (1 << k, w)), (reach, back, rest, (rs, k))]
-    return None
+    if root is None:
+        return None
+    still, tested = _settle(*root, choices)
+    budget.tick(tested)
+    return _branch(*root, still, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +353,7 @@ def resolve_choices(pred: Sequence[int], choices: Sequence[tuple[int, int, int]]
 class ViewWitness:
     """Outcome of the view-serializability test.
 
-    ``exhausted`` counts serial orders ruled out (each pruned prefix accounts
+    ``exhausted`` counts serial orders ruled out (each refused prefix accounts
     for all of its completions), plus the witness itself when one is found:
     the witness's rank in lexicographic order plus one, and n! on a
     negative verdict.
@@ -439,6 +451,21 @@ def _factorial_base(digits: Sequence[int]) -> int:
     return total + (digits[0] if digits else 0)
 
 
+def _completes(back: list[int], path: list[int], rest: int, choices: list, budget: Budget) -> bool:
+    """Whether some serial order runs ``path``, then the transactions of the
+    bitmask ``rest``, and resolves the open ``choices`` of the closure
+    ``back``: the closure is rebuilt with ``path`` as a chain and an edge
+    from its last transaction to each of ``rest``, the choices are settled
+    on it uncharged, and any left open go to :func:`_branch`."""
+    pred = back.copy()
+    for a, b in zip(path, path[1:]):
+        pred[b] |= 1 << a
+    for r in _bits(rest):
+        pred[r] |= 1 << path[-1]
+    closed = _closure(pred)
+    return closed is not None and _branch(*closed, _settle(*closed, choices)[0], budget) is not None
+
+
 def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWitness:
     """Search all serial orders for one view-equivalent to ``s``.
 
@@ -449,18 +476,18 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     writer's last write).  After the empty prefix's candidate, the root step
     closes the predecessors and propagates the choices (see
     :func:`resolve_choices`); a contradiction there refutes with
-    ``exhausted`` n!.  Otherwise serial prefixes are extended in
-    lexicographic order, placing a transaction only when its closed
-    predecessors are placed and no open choice forbids it.  Each discarded
-    prefix accounts for every serial order extending it, and only prefixes
-    with no completion are discarded, so the first completed order is the
-    canonically first witness and ``exhausted`` is its rank plus one (n! on
-    a negative verdict).  Each prefix extended is one candidate charged to
-    ``budget`` (``Budget(DEFAULT_LIMITS)`` when None); the worst case stays
-    exponential.  The memo of failed prefixes gains at most one entry per
-    candidate: an entry of a 26-transaction schedule took 66 to 88 bytes
-    (tracemalloc, 64-bit CPython 3.11, sets of 10^4 to 10^6 such masks),
-    about 0.9 GB at the default 10^7 candidates.
+    ``exhausted`` n!.  Otherwise each depth places the first transaction,
+    in index order, whose closed predecessors are placed and, when the root
+    step left choices open, after which :func:`_completes` finds the rest
+    can follow.  Only prefixes that can be completed are kept, so the search
+    never backtracks, the order it completes is the canonically first
+    witness, and each transaction refused at depth d accounts for the
+    (n - d - 1)! orders extending it: ``exhausted`` is the witness's rank
+    plus one, and n! when every first transaction is refused.  Each prefix
+    extended is one candidate charged to ``budget``
+    (``Budget(DEFAULT_LIMITS)`` when None), and so is each option a
+    completion check tests while it branches; the worst case stays
+    exponential.
     """
     if budget is None:
         budget = Budget(DEFAULT_LIMITS)
@@ -474,47 +501,19 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     left_open = root and _settle(*root, _writer_choices(shared, *root))[0]
     if left_open is None:
         return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
-    need, forbid = root[1], [[] for _ in range(n)]
-    for k, w, rs in left_open:
-        forbid[k].append((1 << w, rs))
-
-    failed: set[int] = set()
-    path: list[int] = []
-    # iterative, so the transaction count is not bounded by the recursion limit
-    resume = [0]  # per depth, the next transaction index to try there
-    # per k, the discarded prefixes that left k transactions to place: each
+    need, path, left = root[1], [], (1 << n) - 1
+    # per k, the transactions refused with k left to place after them: each
     # stands for k! serial orders, summed only when the search ends
-    pruned = [0] * n
-    mask, full = 0, (1 << n) - 1
-    while True:
-        depth = len(path)
-        if depth == n:
-            witness = tuple(s.txns[i].id for i in path)
-            return ViewWitness(verdict=True, witness=witness, exhausted=_factorial_base(pruned) + 1)
-        left = ~mask
-        free = left & full >> resume[-1] << resume[-1]  # the candidates still to try here
-        while free:
-            bit = free & -free
-            i = bit.bit_length() - 1
-            if (
-                need[i] & left
-                or mask | bit in failed
-                or forbid[i] and any(mask & w and rs & left for w, rs in forbid[i])
-            ):
-                pruned[n - depth - 1] += 1
-                free ^= bit
-            else:
+    refused = [0] * n
+    while left:
+        for i in _bits(left):
+            if not need[i] & left and (not left_open or _completes(need, [*path, i], left ^ 1 << i, left_open, budget)):
                 break
-        if free:
-            resume[-1] = i + 1
-            resume.append(0)
-            path.append(i)
-            mask |= 1 << i
-            if depth + 1 < n:
-                budget.tick()
-            continue
-        resume.pop()
-        if not path:
-            return ViewWitness(verdict=False, witness=None, exhausted=_factorial_base(pruned))
-        failed.add(mask)
-        mask &= ~(1 << path.pop())
+            refused[n - len(path) - 1] += 1
+        else:  # only at depth 0: a kept prefix can be completed
+            return ViewWitness(verdict=False, witness=None, exhausted=_factorial_base(refused))
+        path.append(i)
+        left ^= 1 << i
+        if left:
+            budget.tick()
+    return ViewWitness(verdict=True, witness=tuple(s.txns[i].id for i in path), exhausted=_factorial_base(refused) + 1)

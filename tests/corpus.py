@@ -284,6 +284,32 @@ def dense_polygraphs(count: int, seed: int = 5301, nodes: int = 6, choices: int 
     return out
 
 
+def planted_polygraphs(count: int, nodes: int, choices: int, seed: int):
+    """Seeded acyclic polygraphs of ``nodes`` nodes and ``choices`` choices.
+    Each draws a hidden order of its nodes and keeps the order's forward
+    arcs at density 0.1; a drawn choice ``(u, v, w)``, with its arc ``w ->
+    u``, is kept only when the order runs ``w`` before ``u`` and satisfies
+    one of its options, ``u`` before ``v`` or ``v`` before ``w``.  So the
+    hidden order resolves every choice, and no cycle is planted."""
+    from mvsched import Polygraph
+
+    rng = random.Random(seed)
+    names = [f"n{k}" for k in range(nodes)]
+    out = []
+    for _ in range(count):
+        order = rng.sample(names, nodes)
+        at = {x: k for k, x in enumerate(order)}
+        arcs = {(a, b) for a, b in itertools.combinations(order, 2) if rng.random() < 0.1}
+        kept: set[tuple[str, str, str]] = set()
+        while len(kept) < choices:
+            u, v, w = rng.sample(names, 3)
+            if at[w] < at[u] and (at[u] < at[v] or at[v] < at[w]):
+                kept.add((u, v, w))
+                arcs.add((w, u))
+        out.append(Polygraph.of(names, arcs, kept))
+    return out
+
+
 def four_txn_workloads(count: int, seed: int = 4044, read_write_first: bool = False) -> list[Workload]:
     """Seeded four-transaction workloads of one body operation each (8
     operations, 2,520 orders) over ``OBJECTS``.  Every third one runs at

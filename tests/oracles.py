@@ -982,15 +982,25 @@ def check_condition_1(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> boo
     return next(split_schedules_oracle(w, limits), None) is not None
 
 
-def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> AdmissibilityReport:
+def _commit_order_violations(s: Schedule, tid: str) -> list[AdmissibilityViolation]:
+    """The transaction's writes that :func:`respects_commit_order_oracle` refuses, as violations."""
+    return [
+        AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,))
+        for op in s.transaction(tid).ops
+        if op.is_write and not respects_commit_order_oracle(s, op.id)
+    ]
+
+
+def allowed_at_level_oracle(
+    s: Schedule, t: Transaction | str, si: bool, unordered: list[AdmissibilityViolation] | None = None
+) -> AdmissibilityReport:
     """The RC clauses, or with ``si`` the SI ones: they differ in the read's
-    reference operation and in dirty against concurrent writes."""
+    reference operation and in dirty against concurrent writes.  The
+    commit-order clause is the same at both levels, so ``unordered``, its
+    violations when already evaluated, is taken as it is."""
     tid = txn_id(t)
     ops = s.transaction(tid).ops
-    violations: list[AdmissibilityViolation] = []
-    for op in ops:
-        if op.is_write and not respects_commit_order_oracle(s, op.id):
-            violations.append(AdmissibilityViolation(tid, Clause.COMMIT_ORDER, (op.id,)))
+    violations = list(_commit_order_violations(s, tid) if unordered is None else unordered)
     for op in ops:
         if op.is_read and not read_last_committed_oracle(s, op.id, ops[0].id if si else op.id):
             violations.append(AdmissibilityViolation(tid, Clause.READ_LAST_COMMITTED, (op.id,)))
@@ -1003,9 +1013,14 @@ def allowed_at_level_oracle(s: Schedule, t: Transaction | str, si: bool) -> Admi
 def level_reports_oracle(s: Schedule) -> list[list[AdmissibilityReport]]:
     """Per transaction, its RC, SI and SSI reports by
     :func:`allowed_at_level_oracle`: what :func:`allowed_at_levels` must give
-    on ``[(RC, SI, SSI)] * len(s.txns)``."""
-    reports = [(allowed_at_level_oracle(s, t, False), allowed_at_level_oracle(s, t, True)) for t in s.txns]
-    return [[rc, si, si] for rc, si in reports]
+    on ``[(RC, SI, SSI)] * len(s.txns)``.  The commit order of each write is
+    evaluated once, for both levels."""
+    out = []
+    for t in s.txns:
+        unordered = _commit_order_violations(s, t.id)
+        si = allowed_at_level_oracle(s, t, True, unordered)
+        out.append([allowed_at_level_oracle(s, t, False, unordered), si, si])
+    return out
 
 
 def _allowed_at(s: Schedule, t: Transaction | str, level: IsolationLevel) -> AdmissibilityReport:

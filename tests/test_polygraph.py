@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import graphlib
 import random
 import re
 from math import factorial
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from corpus import dense_polygraphs, polygraphs, random_polygraphs
+from corpus import dense_polygraphs, planted_polygraphs, polygraphs, random_polygraphs
 from oracles import (
     allowed_under_rc,
     allowed_under_si,
@@ -32,9 +33,11 @@ from mvsched import (
     is_view_serializable,
     reduce_to_schedule,
     render_schedule,
+    serial_schedule,
     validate_polygraph,
     validate_schedule,
     verify_reduction,
+    view_equivalent,
 )
 from mvsched import polygraph, serializability
 from mvsched.core import Budget
@@ -289,6 +292,28 @@ def test_a_refuted_reduction_charges_the_empty_prefix_only():
         budget = Budget(SearchLimits(max_orders=1))
         w = is_view_serializable(s, budget=budget)
         assert (w.verdict, w.witness, w.exhausted, budget.count) == (False, None, factorial(len(s.txns)), 1), p
+
+
+@pytest.mark.parametrize("nodes, choices, seed", [(20, 26, 20), (30, 40, 31), (60, 80, 60)])
+def test_planted_acyclic_polygraphs_decide_on_both_sides(nodes, choices, seed):
+    """A hidden order resolves every choice: the reduction checks pass with
+    both verdicts true, each witness is checked on its own, and the view
+    search places the 72, 110 and 220 transactions within 10^4 candidates.
+    A search that backtracks on the choices it cannot settle needs more than
+    10^4 on each, and more than 2 * 10^6 at 30 nodes and 40 choices."""
+    (p,) = planted_polygraphs(1, nodes, choices, seed)
+    r = verify_reduction(p)
+    assert r.ok and r.polygraph_acyclic and r.schedule_view_serializable
+    assert all(c.passed for c in r.checks), r.checks
+    s = reduce_to_schedule(p)[1]
+    w = is_view_serializable(s, budget=Budget(SearchLimits(max_orders=10_000)))
+    assert w.verdict and view_equivalent(s, serial_schedule(tuple(s.txn_by_id[t] for t in w.witness)))
+    ok, witness = is_acyclic_polygraph(p)
+    assert ok and len(witness.extra_edges) == choices
+    graph = {v: set() for v in p.nodes}
+    for a, b in p.arcs | set(witness.extra_edges):
+        graph[b].add(a)
+    assert len(list(graphlib.TopologicalSorter(graph).static_order())) == nodes  # raises CycleError on a cycle
 
 
 def test_verify_reduction_examples():

@@ -33,6 +33,7 @@ from mvsched import (
     INIT,
     ConflictKind,
     LimitExceeded,
+    Polygraph,
     SearchLimits,
     ObjectNeverWritten,
     ScheduleError,
@@ -50,6 +51,7 @@ from mvsched import (
     validate_schedule,
     view_equivalent,
 )
+from mvsched import serializability
 from mvsched.core import Budget
 
 
@@ -301,6 +303,54 @@ def test_view_search_charges_prefixes_not_pruned_orders():
     budget = Budget(SearchLimits(max_orders=1000))
     w = is_view_serializable(reduce_to_schedule(cyclic)[1], budget=budget)
     assert not w.verdict and w.exhausted == factorial(14) and budget.count < 1000
+
+
+def test_view_search_matches_the_oracle_where_the_root_step_leaves_choices_open(monkeypatch):
+    """The reductions of ``random_polygraphs(2000)`` whose root step leaves
+    writer choices open, so that each placement asks the engine whether the
+    rest can follow: the same verdict, witness and count of orders as the
+    per-order search.  [213], [1515] and [1999] are among them, where a
+    search that places on the predecessors and the choices alone backtracks
+    (11, 15 and 10 candidates against 9, 9 and 8 transactions)."""
+    completes, asked = serializability._completes, []
+
+    def spy(*args):
+        asked.append(args)
+        return completes(*args)
+
+    monkeypatch.setattr(serializability, "_completes", spy)
+    compared = []
+    for k, p in enumerate(random_polygraphs(2000)):
+        s = reduce_to_schedule(p)[1]
+        asked.clear()
+        got = is_view_serializable(s)
+        if asked:
+            want = view_search_oracle(s, **REDUCTION_BOUNDS)
+            assert (got.verdict, got.witness, got.exhausted) == (want.verdict, want.witness, want.exhausted), k
+            compared.append(k)
+    assert len(compared) > 100 and {213, 1515, 1999} <= set(compared)
+
+
+@pytest.mark.parametrize(
+    "k, count",
+    [
+        (1999, 8),  # a prefix per transaction: none refused after it is placed
+        (213, 9),
+        (42, 8),  # every completion check settles its choices without branching
+        (1676, 13),  # the first check branches and tests two options
+    ],
+)
+def test_view_search_charges_each_prefix_and_each_option_a_completion_check_tests(k, count):
+    p = random_polygraphs(2000)[k]
+    if k == 1999:
+        arcs, choices = [("n0", "n2"), ("n1", "n3")], [("n2", "n3", "n0"), ("n3", "n0", "n1")]
+        assert p == Polygraph.of(["n0", "n1", "n2", "n3"], arcs, choices)
+    s = reduce_to_schedule(p)[1]
+    budget = Budget(SearchLimits())
+    assert is_view_serializable(s, budget=budget).verdict
+    assert budget.count == count
+    with pytest.raises(LimitExceeded):
+        is_view_serializable(s, budget=Budget(SearchLimits(max_orders=count - 1)))
 
 
 @pytest.mark.parametrize("decide", [is_conflict_serializable, is_view_serializable])

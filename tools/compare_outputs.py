@@ -31,9 +31,13 @@ each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Every polygraph-verify
 input also runs through ``polygraph acyclic``, which prints the witness's
 resolved edges, and so do the hand-written polygraph documents of
-``POLYGRAPHS``, which also run through ``polygraph verify``.  Each command runs through
-``mvsched.cli.run`` of this tree and of ``BASE_SRC``, each side in its own
-interpreter, as in the benchmark.  The
+``POLYGRAPHS``, which also run through ``polygraph verify``.  Both kinds of
+polygraph also run through ``polygraph reduce``, whose written schedule
+document is compared with its report, and then that document through
+``serializable --mode view``, which prints the view witness and the orders
+it accounts for.  Each command runs through ``mvsched.cli.run`` of this
+tree and of ``BASE_SRC``, each side in its own interpreter and working
+directory, where ``polygraph reduce`` writes, as in the benchmark.  The
 reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
 script exits 1 if there is one.  ``--limit N`` keeps the first N inputs of
 each workload's measured and warm-up sets.
@@ -149,6 +153,9 @@ POLYGRAPHS = {
     "second": "node u v w\narc w u\narc v u\nchoice u v w\n",
     # an open choice first, then the second one, which takes option 1
     "later": "node a b c u v w\narc c a\narc w u\narc v u\nchoice a b c\nchoice u v w\n",
+    # reductions on which a view search that does not ask the engine for a completion backtracks
+    "backtracks": "node n0 n1 n2 n3\narc n0 n2\narc n1 n3\nchoice n2 n3 n0\nchoice n3 n0 n1\n",
+    "backtracks-twice": "node n0 n1 n2 n3 n4\narc n2 n0\narc n3 n2\narc n4 n1\nchoice n1 n2 n4\nchoice n2 n4 n3\n",
 }
 
 
@@ -164,10 +171,21 @@ def shapes(argv: list[str]) -> list[list[str]]:
     return [argv, reordered, [*words, *options, "--json", path]]
 
 
+def reduce_commands(paths) -> list[list[str]]:
+    """``polygraph reduce`` on each polygraph, into a file of the working
+    directory named after the polygraph's directory and name, then
+    ``serializable --mode view`` on that file."""
+    out = []
+    for path in paths:
+        doc = "-".join(path.split(os.sep)[-2:]) + ".sched"
+        out += [["polygraph", "reduce", "-o", doc, "--json", path], ["serializable", "--mode", "view", "--json", doc]]
+    return out
+
+
 def document_commands(workdir: str) -> list[list[str]]:
     """Write ``DOCUMENTS`` and ``POLYGRAPHS`` into ``workdir``; the four
-    schedule commands on each schedule, the two polygraph commands on each
-    polygraph."""
+    schedule commands on each schedule, the polygraph commands and
+    :func:`reduce_commands` on each polygraph."""
     os.makedirs(workdir)
     out = []
     for name, (schedule, workload) in DOCUMENTS.items():
@@ -185,13 +203,13 @@ def document_commands(workdir: str) -> list[list[str]]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out += [["polygraph", "acyclic", "--json", path], ["polygraph", "verify", "--json", path]]
-    return out
+    return out + reduce_commands(os.path.join(workdir, f"{name}.poly") for name in POLYGRAPHS)
 
 
 def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list[str]]]:
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs, ``polygraph
-    acyclic`` on the polygraph-verify ones, and ``--method both``,
+    acyclic`` and :func:`reduce_commands` on the polygraph-verify ones, and ``--method both``,
     ``--method split``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
     ones, then the commands on ``DOCUMENTS`` and ``POLYGRAPHS`` (under the
     name ``documents``), JSON and text."""
@@ -208,6 +226,7 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
             runs += [["check-schedule", "--json", path] for path in inputs]
         if name == "polygraph-verify":
             runs += [[*argv[:1], "acyclic", *argv[2:]] for argv in argvs[:n] + warmup[:n]]
+            runs += reduce_commands(argv[-1] for argv in argvs[:n] + warmup[:n])
         if name == "robust-enum":
             exact = [[f"exact-{a}" if a in ("conflict", "view") else a for a in argv] for argv in runs]
             methods = [[m if a == "enumerate" else a for a in argv] for m in ("both", "split") for argv in runs]
@@ -227,8 +246,11 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
 
 
 def child(src: str, argvs_path: str, results_path: str) -> None:
-    """Run every argv through ``src``'s ``mvsched.cli.run``; write exit codes and reports."""
+    """Run every argv through ``src``'s ``mvsched.cli.run`` in the directory
+    of ``results_path``; write exit codes and reports, each report of
+    ``polygraph reduce`` followed by the document it wrote."""
     sys.path[:0] = [src, BENCH]
+    os.chdir(os.path.dirname(results_path))
     import decide
     from mvsched import cli
 
@@ -237,12 +259,17 @@ def child(src: str, argvs_path: str, results_path: str) -> None:
     results = []
     for argv in argvs:
         _, code, report = decide.run_one(cli, argv)
+        written = argv[argv.index("-o") + 1] if "-o" in argv else None
+        if written and os.path.exists(written):
+            with open(written, encoding="utf-8", newline="") as fh:
+                report += fh.read()
         results.append([str(code), ELAPSED.sub("", report)])
     with open(results_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
 
 def run_side(src: str, argvs_path: str, results_path: str) -> list:
+    os.makedirs(os.path.dirname(results_path))
     subprocess.run([sys.executable, os.path.abspath(__file__), "--child", src, argvs_path, results_path], check=True)
     with open(results_path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -265,8 +292,8 @@ def main(argv=None) -> int:
         argvs_path = os.path.join(workdir, "argvs.json")
         with open(argvs_path, "w", encoding="utf-8") as fh:
             json.dump([argv for _, argv in runs], fh)
-        ours = run_side(os.path.join(ROOT, "src"), argvs_path, os.path.join(workdir, "ours.json"))
-        theirs = run_side(base, argvs_path, os.path.join(workdir, "base.json"))
+        ours = run_side(os.path.join(ROOT, "src"), argvs_path, os.path.join(workdir, "ours", "results.json"))
+        theirs = run_side(base, argvs_path, os.path.join(workdir, "base", "results.json"))
     differ = [(run, a, b) for run, a, b in zip(runs, ours, theirs) if a != b]
     for (name, argv), (code, report), (base_code, base_report) in differ:
         print(f"DIFFERS {name}: {' '.join(argv)}")
