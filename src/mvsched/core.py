@@ -10,8 +10,9 @@ operation order and in every per-object version order.
 
 All schedule types here are immutable values and all functions on them are
 pure, so callers are free to share them across threads and to evaluate many
-schedules in parallel.  The search limits every search obeys, and the
-per-call :class:`Budget` that enforces them, live here too.
+schedules in parallel; operation ids, operations and transactions are named
+tuples.  The search limits every search obeys, and the per-call
+:class:`Budget` that enforces them, live here too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class Action(enum.Enum):
 
 # looking a member up on an Enum class is slow; the per-operation tests use these
 _READ, _WRITE, _COMMIT = Action
-_setattr = object.__setattr__  # sets a field of a frozen instance, as a dataclass's ``__init__`` does
 
 
 class _cached(cached_property):
@@ -71,28 +71,30 @@ class OperationId(NamedTuple):
 INIT = OperationId("", 0)
 
 
-@dataclass(frozen=True, init=False)
-class Operation:
-    """A single read, write, or commit.
-
-    Reads and writes carry exactly one object; commits carry none.  This is
-    enforced in ``__init__``, at construction time, because no useful value
-    violates it.
-    """
-
+class _OperationFields(NamedTuple):
     id: OperationId
     action: Action
     obj: str | None = None
 
-    def __init__(self, id: OperationId, action: Action, obj: str | None = None) -> None:
+
+class Operation(_OperationFields):
+    """A single read, write, or commit: a named tuple ``(id, action, obj)``.
+
+    Reads and writes carry exactly one object; commits carry none.
+    ``Operation(...)`` enforces this in ``__new__``, because no useful value
+    violates it; this package's builders, whose values hold it by
+    construction, skip the check with ``tuple.__new__(Operation, fields)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: OperationId, action: Action, obj: str | None = None) -> "Operation":
         if action is _COMMIT:
             if obj is not None:
                 raise ValueError(f"commit {id!r} must not carry an object")
         elif not obj:
             raise ValueError(f"{action.value} operation {id!r} needs a nonempty object")
-        _setattr(self, "id", id)
-        _setattr(self, "action", action)
-        _setattr(self, "obj", obj)
+        return tuple.__new__(cls, (id, action, obj))
 
     @property
     def is_read(self) -> bool:
@@ -107,14 +109,12 @@ class Operation:
         return self.action is _COMMIT
 
     def __repr__(self) -> str:
-        if self.is_commit:
-            return f"C[{self.id.txn}]"
-        return f"{self.action.value}[{self.id.txn}]({self.obj})"
+        opid, action, obj = self
+        return f"C[{opid.txn}]" if action is _COMMIT else f"{action.value}[{opid.txn}]({obj})"
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """A finite sequence of operations ending in its unique commit.
+class Transaction(NamedTuple):
+    """A finite sequence of operations ending in its unique commit; a named tuple.
 
     Multiple reads and multiple writes of the same object are permitted.
     Structural rules (commit placement, id/index consistency) are checked by
@@ -125,34 +125,36 @@ class Transaction:
     id: str
     ops: tuple[Operation, ...]
 
-    @_cached
+    @property
     def op_ids(self) -> tuple[OperationId, ...]:
-        return tuple(op.id for op in self.ops)
+        return tuple([op.id for op in self.ops])
 
     @property
     def read_only(self) -> bool:
         """True when every non-commit operation is a read (or there are none)."""
-        return all(not op.is_write for op in self.ops)
+        return all(op.action is not _WRITE for op in self.ops)
 
 
 _RW_TOKEN = re.compile(r"([RW])\(([^()\s<]+)\)")
+_BODY = re.compile(r"(?:\s*(?:C|[RW]\([^()\s<]+\))(?!\S))*\s*")
+_TOKEN = re.compile(r"([RW])\(([^()\s<]+)\)|C")
+_ACTIONS = {"R": _READ, "W": _WRITE, "": _COMMIT}
 
 
 def make_transaction(tid: str, actions: str) -> Transaction:
     """Build a transaction from compact notation, e.g. ``"R(t) W(t) C"``.
 
-    Indices are assigned positionally starting at 1.
+    Indices are assigned positionally starting at 1.  One regex clears the whole
+    body; only a body it refuses is walked token by token, for the first bad one.
     """
-    ops: list[Operation] = []
-    for k, token in enumerate(actions.split(), start=1):
-        opid = tuple.__new__(OperationId, (tid, k))
-        if token == "C":
-            ops.append(Operation(opid, _COMMIT))
-        elif m := _RW_TOKEN.fullmatch(token):
-            ops.append(Operation(opid, _READ if m[1] == "R" else _WRITE, m[2]))
-        else:
-            raise ValueError(f"bad operation token {token!r} in transaction {tid}")
-    return Transaction(tid, tuple(ops))
+    if _BODY.fullmatch(actions) is None:
+        for token in actions.split():
+            if token != "C" and not _RW_TOKEN.fullmatch(token):
+                raise ValueError(f"bad operation token {token!r} in transaction {tid}")
+    new = tuple.__new__
+    ops = [new(Operation, (new(OperationId, (tid, k)), _ACTIONS[a], obj or None))
+           for k, (a, obj) in enumerate(_TOKEN.findall(actions), 1)]
+    return new(Transaction, (tid, tuple(ops)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +280,7 @@ class ScheduleIndex:
         number, at, writes = self.number, self.at, self.writes = {}, [], {}
         first, commit = self.first, self.commit = [], []
         READ, WRITE, COMMIT = self.READ, self.WRITE, self.COMMIT
-        # each chain entry's rank, and its chain's object in obj until the walk below reaches it
+        # each chain entry's rank, and its chain's object in obj, which a read's entry gets from the walk below
         clean, entries = get(INIT) == 0, 0
         for o, chain in s.vorder.items():
             clean = clean and len(chain) > 0 and chain[0] == INIT
@@ -288,15 +290,13 @@ class ScheduleIndex:
                 rank[q], obj[q] = r, o
         obj[0] = None  # INIT's, which every chain's first entry set
         nops = nreads = 0
-        for i, t in enumerate(s.txns):
-            tid, ops, n = t.id, t.ops, len(t.ops)
+        for i, (tid, ops) in enumerate(s.txns):
+            n = len(ops)
             number[tid], here, prev, k = i, [], 0, 0
             at.append(here)
             nops += n
-            clean = clean and n > 0 and ops[-1].action is _COMMIT
-            for op in ops:
+            for opid, a, o in ops:  # each operation read once, by unpacking
                 k += 1
-                opid, o = op.id, op.obj
                 p = get(opid, -1)
                 here.append(p)
                 if p <= prev or opid != (tid, k):  # out of the order, before its predecessor, or misnumbered
@@ -309,9 +309,9 @@ class ScheduleIndex:
                     continue
                 if o not in writes:
                     writes[o] = []
-                if op.action is _WRITE:
+                if a is _WRITE:
                     kind[p], ws = WRITE, writes[o]
-                    # in its object's chain, above this transaction's last write of it
+                    # in its object's chain, which wrote obj[p], above this transaction's last write of it
                     clean = clean and obj[p] == o and not (ws and txn[ws[-1]] == i and rank[ws[-1]] >= rank[p])
                     ws.append(p)
                 else:
@@ -320,7 +320,8 @@ class ScheduleIndex:
                     # INIT, or a write of the object placed earlier: one in its chain if not walked yet
                     q = seen[p] = get(vf.get(opid), -1)
                     clean = clean and (q == 0 or 0 < q < p and obj[q] == o and kind[q] != READ)
-                obj[p] = o
+                    obj[p] = o
+            clean = clean and n > 0 and a is _COMMIT  # the last operation's action, when there is one
             first.append(here[0] if n else -1)
             commit.append(prev if n else -1)
         first.append(-1)

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import DEFAULT_LIMITS, INIT, Action, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
 from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable, serialization_graph
 
@@ -40,6 +40,7 @@ class IsolationLevel(enum.Enum):
 
 
 _RC, _SI, _SSI = IsolationLevel  # faster to compare with than a lookup on the Enum class
+_READ = Action.READ
 
 
 @dataclass(frozen=True)
@@ -393,19 +394,19 @@ class LevelEngine:
         for i, t in enumerate(txns):
             g0 = len(opids)
             bd, ws, wm, tm = [], [], 0, 0
-            for g, op in enumerate(t.ops, g0):
-                opids.append(op.id)
+            for g, (opid, action, name) in enumerate(t.ops, g0):  # each operation read once, by unpacking
+                opids.append(opid)
                 owner.append(i)
-                if op.obj is None:
+                if name is None:
                     kind.append(COMMIT)
                     obj_of.append(-1)
                     first_write.append(False)
                     continue
-                o = obj_ids.setdefault(op.obj, len(obj_ids))
+                o = obj_ids.setdefault(name, len(obj_ids))
                 obj_of.append(o)
                 bd.append(g)
                 tm |= 1 << o
-                if op.is_read:
+                if action is _READ:
                     kind.append(READ)
                     first_write.append(False)
                     reads.append((g, i, o))

@@ -17,7 +17,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     DEFAULT_LIMITS,
@@ -130,8 +130,9 @@ def is_acyclic_polygraph(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) ->
 
 
 def _writer(tid: str, obj: str) -> Transaction:
-    first, commit = tuple.__new__(OperationId, (tid, 1)), tuple.__new__(OperationId, (tid, 2))
-    return Transaction(tid, (Operation(first, _WRITE, obj), Operation(commit, _COMMIT)))
+    new = tuple.__new__
+    first, commit = new(OperationId, (tid, 1)), new(OperationId, (tid, 2))
+    return new(Transaction, (tid, (new(Operation, (first, _WRITE, obj)), new(Operation, (commit, _COMMIT, None)))))
 
 
 def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]:
@@ -185,27 +186,32 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
         opening.append(t0)
         closing.append(_writer("Tinf:" + tag, obj))
     node_txns: list[Transaction] = []
+    node_ids: list[list[OperationId]] = []  # per node transaction, its ids, which the order lists
     vf: dict[OperationId, OperationId] = {}
+    new = tuple.__new__  # ids and operations built as make_transaction builds them
     for x in sorted(nodes):
-        tid, ops = "T:" + x, []
+        tid, ops, ids = "T:" + x, [], []
         for k, (a, obj, seen) in enumerate(itertools.chain(*groups[x]), 1):
-            # ids built as make_transaction builds them, past the named tuple's Python-level __new__
-            opid = tuple.__new__(OperationId, (tid, k))
-            ops.append(Operation(opid, a, obj))
+            opid = new(OperationId, (tid, k))
+            ids.append(opid)
+            ops.append(new(Operation, (opid, a, obj)))
             if seen is None:
                 chains[obj].append(opid)  # the node's version, between its choice's two writers
             else:
                 vf[opid] = seen
-        ops.append(Operation(tuple.__new__(OperationId, (tid, len(ops) + 1)), _COMMIT))
-        node_txns.append(Transaction(tid, tuple(ops)))
+        ids.append(new(OperationId, (tid, len(ids) + 1)))
+        ops.append(new(Operation, (ids[-1], _COMMIT, None)))
+        node_txns.append(new(Transaction, (tid, tuple(ops))))
+        node_ids.append(ids)
     for t in closing:
-        chains[t.ops[0].obj].append(t.ops[0].id)
-    concurrent = [t.ops for t in node_txns if len(t.ops) > 1]
+        w = t.ops[0]
+        chains[w.obj].append(w.id)
+    concurrent = [ids for ids in node_ids if len(ids) > 1]
     order = [INIT, *[op.id for t in opening for op in t.ops]]
-    order += [ops[0].id for ops in concurrent]
-    order += [op.id for ops in concurrent for op in ops[1:-1]]
-    order += [ops[-1].id for ops in concurrent]
-    order += [t.ops[0].id for t in node_txns if len(t.ops) == 1]
+    order += [ids[0] for ids in concurrent]
+    order += [opid for ids in concurrent for opid in ids[1:-1]]
+    order += [ids[-1] for ids in concurrent]
+    order += [ids[0] for ids in node_ids if len(ids) == 1]
     order += [op.id for t in closing for op in t.ops]
     # an object's writers commit in the order of their ids: T0:, T:, Tinf:
     txns = tuple(sorted(opening + node_txns + closing, key=attrgetter("id")))
@@ -213,8 +219,7 @@ def reduce_to_schedule(p: Polygraph) -> tuple[tuple[Transaction, ...], Schedule]
     return txns, Schedule(txns=txns, order=tuple(order), vorder=vorder, vf=vf)
 
 
-@dataclass(frozen=True)
-class ReductionCheck:
+class ReductionCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -247,10 +252,8 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
     whatever the polygraph's size.
     """
     txns, s = reduce_to_schedule(p)
-    checks: list[ReductionCheck] = []
-
     violations = validate_schedule(s)
-    checks.append(ReductionCheck("schedule-valid", not violations, "; ".join(map(str, violations))))
+    checks = [("schedule-valid", not violations, "; ".join(map(str, violations)))]  # (name, passed, detail)
 
     bad_commit, cw, stale_self, stale_first, not_rc, not_si = [], [], [], [], [], []
     for t, (rc, si) in zip(s.txns, allowed_at_levels(s, [(IsolationLevel.RC, IsolationLevel.SI)] * len(s.txns))):
@@ -262,27 +265,20 @@ def verify_reduction(p: Polygraph, limits: SearchLimits = DEFAULT_LIMITS) -> Red
             not_si.append(t.id)
             cw += [v.txn for v in si.violations if v.clause is Clause.CONCURRENT_WRITE]
             stale_first += [v.witnesses[0] for v in si.violations if v.clause is Clause.READ_LAST_COMMITTED]
-    checks.append(ReductionCheck("writes-respect-commit-order", not bad_commit, repr(bad_commit)))
-    checks.append(ReductionCheck("no-concurrent-writes", not cw, repr(cw)))
-    checks.append(ReductionCheck("reads-fresh-at-read", not stale_self, repr(stale_self)))
-    checks.append(ReductionCheck("reads-fresh-at-start", not stale_first, repr(stale_first)))
-    checks.append(ReductionCheck("rc-admissible", not_rc == [], repr(not_rc)))
-    checks.append(ReductionCheck("si-admissible", not_si == [], repr(not_si)))
+    checks.append(("writes-respect-commit-order", not bad_commit, repr(bad_commit)))
+    checks.append(("no-concurrent-writes", not cw, repr(cw)))
+    checks.append(("reads-fresh-at-read", not stale_self, repr(stale_self)))
+    checks.append(("reads-fresh-at-start", not stale_first, repr(stale_first)))
+    checks.append(("rc-admissible", not_rc == [], repr(not_rc)))
+    checks.append(("si-admissible", not_si == [], repr(not_si)))
 
     total_ops = sum(len(t.ops) for t in txns)
     expected = 2 * len(p.arcs) + 7 * len(p.choices) + len(p.nodes)
-    checks.append(
-        ReductionCheck("size-linear", total_ops == expected, f"ops={total_ops}, expected={expected}")
-    )
+    checks.append(("size-linear", total_ops == expected, f"ops={total_ops}, expected={expected}"))
 
     acyclic, _ = is_acyclic_polygraph(p, limits)
     vs = is_view_serializable(s, budget=Budget(limits))
-    checks.append(
-        ReductionCheck(
-            "verdicts-match",
-            acyclic == vs.verdict,
-            f"acyclic={acyclic}, view-serializable={vs.verdict}",
-        )
-    )
+    checks.append(("verdicts-match", acyclic == vs.verdict, f"acyclic={acyclic}, view-serializable={vs.verdict}"))
 
-    return ReductionReport(polygraph_acyclic=acyclic, schedule_view_serializable=vs.verdict, checks=tuple(checks))
+    checks = tuple([tuple.__new__(ReductionCheck, c) for c in checks])  # past the named tuple's Python-level __new__
+    return ReductionReport(polygraph_acyclic=acyclic, schedule_view_serializable=vs.verdict, checks=checks)

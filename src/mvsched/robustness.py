@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, make_schedule
+from .core import DEFAULT_LIMITS, INIT, Action, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, make_schedule
 from .errors import LimitExceeded, NotACycle, TransactionSetMismatch
 from .isolation import (
     Allocation,
@@ -56,6 +56,8 @@ from .serializability import (
     is_conflict_serializable,
     serialization_graph,
 )
+
+_WRITE = Action.WRITE
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,9 @@ def _vorder_candidates(txns: Sequence[Transaction]) -> dict[str, list[tuple[Oper
     """Per object, every version order consistent with transaction-internal order."""
     writes: dict[str, list[OperationId]] = {}
     for t in txns:
-        for op in t.ops:
-            if op.is_write:
-                writes.setdefault(op.obj, []).append(op.id)
+        for opid, action, obj in t.ops:
+            if action is _WRITE:
+                writes.setdefault(obj, []).append(opid)
     out: dict[str, list[tuple[OperationId, ...]]] = {}
     for obj, wids in writes.items():
         valid: list[tuple[OperationId, ...]] = []
@@ -489,8 +491,8 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
             if failing == "conflict":
                 writers = {o: [number[q.txn] for q in chain] for o, chain in vorder.items()}
                 reads = [
-                    (number[r.id.txn], r.obj, 0 if v.is_init else vorder[r.obj].index(v) + 1)
-                    for (r, _), v in zip(sources, seen)
+                    (number[rid.txn], o, 0 if v.is_init else vorder[o].index(v) + 1)
+                    for ((rid, _, o), _), v in zip(sources, seen)
                 ]
                 if not has_cycle(dependency_masks(len(txns), writers, reads)):
                     continue

@@ -205,9 +205,9 @@ class _OpResolver:
             self.compact, ids = True, self.ids
             for tid, t in self.txns.items():
                 m = _NUMBERED_TXN.match(tid)
-                for op in t.ops if m else ():
-                    short = f"C{m[1]}" if op.obj is None else f"{'R' if op.action is _READ else 'W'}{m[1]}({op.obj})"
-                    ids[short] = None if short in ids else op.id
+                for opid, action, obj in t.ops if m else ():
+                    short = f"C{m[1]}" if obj is None else f"{'R' if action is _READ else 'W'}{m[1]}({obj})"
+                    ids[short] = None if short in ids else opid
         return self.ids
 
     def resolve(self, token: str, lineno: int) -> OperationId:

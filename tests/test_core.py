@@ -37,6 +37,7 @@ from mvsched import (
     validate_transaction,
 )
 from mvsched.core import Budget
+from mvsched.polygraph import ReductionCheck
 
 
 def kinds(violations):
@@ -53,6 +54,35 @@ def test_operation_object_rules():
         Operation(OperationId("T1", 1), Action.READ, None)
     with pytest.raises(ValueError):
         Operation(OperationId("T1", 1), Action.WRITE, "")
+    with pytest.raises(ValueError):
+        Operation(OperationId("T1", 1), Action.READ)  # the object defaults to None
+
+
+def test_values_are_named_tuples():
+    """Operations, transactions and reduction checks compare equal to, hash
+    like and unpack as the plain tuples of their fields, refuse assignment,
+    and keep their reprs."""
+    read, commit = Operation(OperationId("T1", 1), Action.READ, "x"), Operation(OperationId("T1", 2), Action.COMMIT)
+    t = Transaction("T1", (read, commit))
+    check = ReductionCheck("size-linear", True)
+    for value, fields in (
+        (read, (("T1", 1), Action.READ, "x")),
+        (commit, (("T1", 2), Action.COMMIT, None)),
+        (t, ("T1", (read, commit))),
+        (check, ("size-linear", True, "")),
+    ):
+        assert value == fields and hash(value) == hash(fields) and tuple(value) == fields
+        a, b, *rest = value
+        assert (a, b, *rest) == fields
+        assert pickle.loads(pickle.dumps(value)) == value
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    assert (repr(read), repr(commit)) == ("R[T1](x)", "C[T1]")
+    assert repr(Operation(OperationId("T2", 1), Action.WRITE, "y")) == "W[T2](y)"
+    assert t.op_ids == (("T1", 1), ("T1", 2)) and all(type(i) is OperationId for i in t.op_ids)
+    assert (read.is_read, read.is_write, commit.is_commit) == (True, False, True)
+    assert t.read_only and not make_transaction("T2", "R(x) W(x) C").read_only
 
 
 def test_init_identity():

@@ -25,10 +25,13 @@ from oracles import (
 from mvsched import (
     INIT,
     LimitExceeded,
+    Operation,
+    OperationId,
     Polygraph,
     PolygraphDefect,
     ScheduleError,
     SearchLimits,
+    Transaction,
     is_acyclic_polygraph,
     is_view_serializable,
     reduce_to_schedule,
@@ -41,6 +44,7 @@ from mvsched import (
 )
 from mvsched import polygraph, serializability
 from mvsched.core import Budget
+from mvsched.polygraph import ReductionCheck
 
 CHOICE = Polygraph.of("uvw", [("w", "u")], [("u", "v", "w")])
 TWO_CYCLE = Polygraph.of("ab", [("a", "b"), ("b", "a")])
@@ -277,6 +281,21 @@ def test_reduction_size_is_linear():
         txns, _ = reduce_to_schedule(p)
         total = sum(len(t.ops) for t in txns)
         assert total == 2 * len(p.arcs) + 7 * len(p.choices) + len(p.nodes)
+
+
+def test_reduction_builds_values_the_checked_constructors_accept():
+    """The reduction makes its ids, operations and transactions with
+    ``tuple.__new__``, past ``Operation``'s commit/object check: each is of
+    its named-tuple type and rebuilds through the checking constructor."""
+    for p in random_polygraphs(2000) + dense_polygraphs(300):
+        txns, s = reduce_to_schedule(p)
+        assert s.txns is txns
+        for t in txns:
+            assert type(t) is Transaction
+            for op in t.ops:
+                assert type(op) is Operation and type(op.id) is OperationId and op == Operation(*op), (p, op)
+    for p in random_polygraphs(50):
+        assert all(type(c) is ReductionCheck for c in verify_reduction(p).checks)
 
 
 # --- verification -------------------------------------------------------------------

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import curated_txn_sets, enumerate_valid_schedules, random_polygraphs, valid_schedules
+from corpus import (
+    curated_txn_sets,
+    enumerate_valid_schedules,
+    four_txn_workloads,
+    random_polygraphs,
+    random_workloads,
+    three_small_txn_workloads,
+    two_txn_shape_workloads,
+    valid_schedules,
+)
 from fixtures import *
 from oracles import OpResolverOracle, make_transaction_oracle, parse_schedule_document_oracle, render_polygraph
 
@@ -16,6 +25,7 @@ from mvsched import (
     INIT,
     Action,
     Operation,
+    OperationId,
     Transaction,
     IsolationLevel,
     LevelAllocation,
@@ -471,3 +481,42 @@ def test_make_transaction_matches_the_oracle_on_malformed_tokens(actions):
 @given(st.text(alphabet="RWCc()<x# \t", max_size=14))
 def test_make_transaction_matches_the_oracle(actions):
     assert _building(make_transaction, actions) == _building(make_transaction_oracle, actions)
+
+
+def assert_builds_as_the_oracle(actions):
+    """``make_transaction`` gives the oracle's transaction, whose operations
+    the checking ``Operation(...)`` built, or raises the oracle's message;
+    its values are of the named-tuple types, not plain tuples."""
+    built = _building(make_transaction, actions)
+    assert built == _building(make_transaction_oracle, actions), actions
+    if not isinstance(built, str):
+        assert type(built) is Transaction
+        assert all(type(op) is Operation and type(op.id) is OperationId for op in built.ops)
+
+
+def test_make_transaction_matches_the_oracle_on_the_corpus_transactions():
+    """Every transaction of the corpora, written back as its ``txn`` body."""
+    txns = {t for ts in curated_txn_sets() for t in ts}
+    txns |= {t for ts in two_txn_shape_workloads() + three_small_txn_workloads() for t in ts}
+    txns |= {t for w in random_workloads(300) + four_txn_workloads(300) for t in w.txns}
+    assert len(txns) > 50
+    for t in txns:
+        body = " ".join("C" if op.is_commit else f"{op.action.value}({op.obj})" for op in t.ops)
+        assert_builds_as_the_oracle(body)
+        assert make_transaction(t.id, body) == t
+
+
+#: read, write and commit tokens, and one of each shape the grammar refuses
+_BODY_TOKENS = ["R(x)", "W(y)", "C", "R(é)", "W(x_1)", "R()", "W(a<b)", "R(x)W(y)", "C(x)", "X(y)", "R(x", "c", "RC"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(_BODY_TOKENS), max_size=6),
+    st.lists(st.sampled_from([" ", "\t", "  ", " \t ", "\n"]), min_size=7, max_size=7),
+    st.sampled_from(["", " ", "\t"]),
+)
+def test_make_transaction_matches_the_oracle_on_drawn_bodies(tokens, gaps, lead):
+    """Bodies of valid and refused tokens, between spaces, tabs and line
+    breaks: the first refused token names the error, as token by token."""
+    assert_builds_as_the_oracle(lead + "".join(t + g for t, g in zip(tokens, gaps)))

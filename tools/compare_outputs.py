@@ -25,8 +25,9 @@ each ``TRIP_ORDERS``.  Last come the hand-written
 schedule documents of ``DOCUMENTS``, which reach the reader's branches the
 generated inputs never do (compact and ambiguous references, comments,
 CRLF and CR line endings, a separate workload document, non-ASCII names,
-one document per error message and one per schedule defect that
-validation reports):
+one document per error message, one per shape of operation token the
+transaction grammar refuses, and one per schedule defect that validation
+reports):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Every polygraph-verify
 input also runs through ``polygraph acyclic``, which prints the witness's
@@ -93,6 +94,14 @@ DOCUMENTS = {
     "txn-without-id": (BASE.replace("txn T2:", "txn :"), None),
     "txn-id-with-chain-separator": (BASE.replace("T2", "T<2"), None),
     "bad-operation-token": (BASE.replace("R(y)", "R(y"), None),
+    # one per shape of token the transaction grammar refuses, and tabs between tokens
+    "empty-object-token": (BASE.replace("R(y) C", "R() C"), None),
+    "object-with-chain-separator": (BASE.replace("R(y) C", "W(a<b) C"), None),
+    "tokens-without-a-space": (BASE.replace("W(x) R(y) C", "W(x)R(y) C"), None),
+    "commit-with-an-object": (BASE.replace("R(y) C", "R(y) C(x)"), None),
+    "unknown-action": (BASE.replace("R(y) C", "X(y) R(y) C"), None),
+    "tab-inside-a-token": (BASE.replace("R(y) C", "R(y\t) C"), None),
+    "tabs-between-tokens": (BASE.replace("txn T1: R(x) W(x) C", "txn T1:\tR(x)\t W(x)\tC"), None),
     "invalid-transaction": (BASE.replace("R(y) C", "R(y)"), None),
     "bad-allocation-token": (BASE.replace("T2=SI", "T2"), None),
     "unknown-level": (BASE.replace("T2=SI", "T2=XX"), None),
