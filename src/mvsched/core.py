@@ -81,9 +81,9 @@ class Operation(_OperationFields):
     """A single read, write, or commit: a named tuple ``(id, action, obj)``.
 
     Reads and writes carry exactly one object; commits carry none.
-    ``Operation(...)`` enforces this in ``__new__``, because no useful value
-    violates it; this package's builders, whose values hold it by
-    construction, skip the check with ``tuple.__new__(Operation, fields)``.
+    ``Operation(...)``, ``_make`` and ``_replace`` enforce this in ``__new__``,
+    because no useful value violates it; this package's builders, whose values
+    hold it by construction, skip the check with ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -95,6 +95,10 @@ class Operation(_OperationFields):
         elif not obj:
             raise ValueError(f"{action.value} operation {id!r} needs a nonempty object")
         return tuple.__new__(cls, (id, action, obj))
+
+    @classmethod
+    def _make(cls, iterable) -> "Operation":
+        return cls(*iterable)
 
     @property
     def is_read(self) -> bool:
@@ -135,25 +139,21 @@ class Transaction(NamedTuple):
         return all(op.action is not _WRITE for op in self.ops)
 
 
-_RW_TOKEN = re.compile(r"([RW])\(([^()\s<]+)\)")
-_BODY = re.compile(r"(?:\s*(?:C|[RW]\([^()\s<]+\))(?!\S))*\s*")
-_TOKEN = re.compile(r"([RW])\(([^()\s<]+)\)|C")
+_TOKEN = re.compile(r"(?:([RW])\(([^()\s<]+)\)|C)(?!\S)|(?P<refused>\S+)")
 _ACTIONS = {"R": _READ, "W": _WRITE, "": _COMMIT}
 
 
 def make_transaction(tid: str, actions: str) -> Transaction:
     """Build a transaction from compact notation, e.g. ``"R(t) W(t) C"``.
 
-    Indices are assigned positionally starting at 1.  One regex clears the whole
-    body; only a body it refuses is walked token by token, for the first bad one.
+    Indices are assigned positionally starting at 1.  One regex match per
+    token of the body; the first token it refuses names the error.
     """
-    if _BODY.fullmatch(actions) is None:
-        for token in actions.split():
-            if token != "C" and not _RW_TOKEN.fullmatch(token):
-                raise ValueError(f"bad operation token {token!r} in transaction {tid}")
-    new = tuple.__new__
-    ops = [new(Operation, (new(OperationId, (tid, k)), _ACTIONS[a], obj or None))
-           for k, (a, obj) in enumerate(_TOKEN.findall(actions), 1)]
+    new, ops = tuple.__new__, []
+    for k, (a, obj, refused) in enumerate(_TOKEN.findall(actions), 1):
+        if refused:
+            raise ValueError(f"bad operation token {refused!r} in transaction {tid}")
+        ops.append(new(Operation, (new(OperationId, (tid, k)), _ACTIONS[a], obj or None)))
     return new(Transaction, (tid, tuple(ops)))
 
 

@@ -56,6 +56,12 @@ def test_operation_object_rules():
         Operation(OperationId("T1", 1), Action.WRITE, "")
     with pytest.raises(ValueError):
         Operation(OperationId("T1", 1), Action.READ)  # the object defaults to None
+    read = Operation(OperationId("T1", 1), Action.READ, "x")
+    with pytest.raises(ValueError):
+        read._replace(obj=None)
+    with pytest.raises(ValueError):
+        Operation._make((OperationId("T1", 1), Action.COMMIT, "x"))
+    assert read._replace(obj="y") == Operation(OperationId("T1", 1), Action.READ, "y")
 
 
 def test_values_are_named_tuples():

@@ -477,12 +477,6 @@ def test_make_transaction_matches_the_oracle_on_malformed_tokens(actions):
     assert _building(make_transaction, actions) == _building(make_transaction_oracle, actions)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="RWCc()<x# \t", max_size=14))
-def test_make_transaction_matches_the_oracle(actions):
-    assert _building(make_transaction, actions) == _building(make_transaction_oracle, actions)
-
-
 def assert_builds_as_the_oracle(actions):
     """``make_transaction`` gives the oracle's transaction, whose operations
     the checking ``Operation(...)`` built, or raises the oracle's message;
@@ -508,15 +502,19 @@ def test_make_transaction_matches_the_oracle_on_the_corpus_transactions():
 
 #: read, write and commit tokens, and one of each shape the grammar refuses
 _BODY_TOKENS = ["R(x)", "W(y)", "C", "R(é)", "W(x_1)", "R()", "W(a<b)", "R(x)W(y)", "C(x)", "X(y)", "R(x", "c", "RC"]
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t ", "\n"])
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    st.lists(st.sampled_from(_BODY_TOKENS), max_size=6),
-    st.lists(st.sampled_from([" ", "\t", "  ", " \t ", "\n"]), min_size=7, max_size=7),
-    st.sampled_from(["", " ", "\t"]),
-)
-def test_make_transaction_matches_the_oracle_on_drawn_bodies(tokens, gaps, lead):
-    """Bodies of valid and refused tokens, between spaces, tabs and line
-    breaks: the first refused token names the error, as token by token."""
-    assert_builds_as_the_oracle(lead + "".join(t + g for t, g in zip(tokens, gaps)))
+@st.composite
+def token_bodies(draw):
+    """Valid and refused tokens between spaces, tabs and line breaks."""
+    tokens = draw(st.lists(st.sampled_from(_BODY_TOKENS), max_size=6))
+    return draw(st.sampled_from(["", " ", "\t"])) + "".join(t + draw(_GAPS) for t in tokens)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(alphabet="RWCc()<x# \t", max_size=14), token_bodies()))
+def test_make_transaction_matches_the_oracle(actions):
+    """Drawn text, and bodies of drawn tokens: the first refused token names
+    the error, as token by token."""
+    assert_builds_as_the_oracle(actions)
