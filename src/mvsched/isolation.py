@@ -6,7 +6,7 @@ reference operation (the read itself for RC, the transaction's first
 operation for SI), and RC forbids dirty writes where SI forbids the broader
 class of concurrent writes.  SSI additionally rules out a whole-schedule
 pattern of two consecutive rw-antidependencies between concurrent
-transactions.
+transactions, decided by one linear rule over an rw index (:func:`_chains`).
 
 Because commit order pins the version order and the read rules pin the
 version function, a total operation order has at most one completion into
@@ -15,7 +15,7 @@ keeps exhaustive enumeration of allowed schedules finite.  The completion
 is coded once, as the step function of :class:`LevelEngine` over a
 workload compiled to small ints; :func:`complete_under_allocation` drives
 it over one order, the robustness enumeration over every interleaving and
-the split decider over one order per candidate.
+the split decider over one order per pair and one for its winner.
 :func:`allowed_under_allocation` stays the clause-by-clause specification:
 one :func:`clause_pass` over a schedule's int index evaluates every
 transaction's clauses, and it alone, for every level report, the
@@ -28,9 +28,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import DEFAULT_LIMITS, INIT, Action, Budget, OperationId, Schedule, SearchLimits, Transaction, are_concurrent, txn_id
+from .core import DEFAULT_LIMITS, INIT, Action, Budget, OperationId, Schedule, SearchLimits, Transaction, txn_id
 from .errors import AllocationIncomplete, UnknownOperation
-from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable, serialization_graph
+from .serializability import ConflictKind, DependencyEdge, dependency_masks, is_view_serializable, set_bits
 
 
 class IsolationLevel(enum.Enum):
@@ -62,9 +62,6 @@ class LevelAllocation:
     def restrict(self, txn_ids: Iterable[str]) -> "LevelAllocation":
         keep = set(txn_ids)
         return LevelAllocation({tid: lvl for tid, lvl in self.levels.items() if tid in keep})
-
-    def ssi_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(tid for tid, lvl in self.levels.items() if lvl is IsolationLevel.SSI))
 
 
 #: Name of the test-only predicate allocation admitting exactly the
@@ -272,45 +269,57 @@ def allowed_at_levels(s: Schedule, levels: Iterable[Sequence[IsolationLevel]]) -
 # ---------------------------------------------------------------------------
 
 
+def _chains(rw: Sequence[int], first: Sequence[int], commit: Sequence[int], writer: Sequence) -> Iterator[tuple[int, int, int]]:
+    """Dangerous structures (t1, t2, t3), ascending; ``rw[t]`` holds those t
+    rw-precedes.  t2's earliest-committing t3 decides each edge t1 -> t2: it
+    must commit before t1's bound (its commit, or its start if read-only)."""
+    ends: dict[int, tuple] = {}  # per t2 reached: the earliest commit of its t3s (else its own) and the t3s
+    for t1, m in enumerate(rw):
+        while m:  # inline, as this runs at every leaf of the enumeration
+            low = m & -m
+            t2 = low.bit_length() - 1
+            m ^= low
+            if first[t1] < commit[t2] and first[t2] < commit[t1]:
+                if t2 not in ends:
+                    ts = [t3 for t3 in set_bits(rw[t2]) if first[t2] < commit[t3] < commit[t2]]
+                    ends[t2] = (min([commit[t3] for t3 in ts], default=commit[t2]), ts)
+                bound = commit[t1] if writer[t1] else first[t1]
+                if ends[t2][0] < bound:
+                    yield from ((t1, t2, t3) for t3 in ends[t2][1] if commit[t3] < bound)
+
+
 def find_dangerous_structures(s: Schedule, scope: Iterable[str]) -> list[DangerousStructure]:
-    """All chains t1 -> t2 -> t3 of rw-antidependencies within ``scope`` where
-    both hops are between concurrent transactions, t3 commits before t2 and
-    before t1, and a read-only t1 starts only after t3 commits.
+    """All chains t1 -> t2 -> t3 of rw-antidependencies within ``scope``, in
+    ascending order, where both hops are between concurrent transactions, t3
+    commits before t2 and t1, and a read-only t1 starts after t3 commits.
 
     With the ends equal (t1 == t3) the commit clause "t3 commits before t1"
-    degenerates; read literally it is false, which rules such chains out, so
-    a scope of fewer than three transactions holds none.  Each hop's
-    witness is the pair's least rw-antidependency in
-    :func:`serialization_graph`.
-    """
+    degenerates; read literally it is false, so a scope of fewer than three
+    transactions holds none.  :func:`_chains` decides on the int index's rw
+    edges, with no serialization graph; a hop's witness is its least rw edge."""
     scope_set = frozenset(scope)
     for tid in scope_set:
         s.transaction(tid)
     if len(scope_set) < 3:
         return []
-    rw: dict[tuple[str, str], DependencyEdge] = {}
-    for (u, v), deps in serialization_graph(s).edges.items():
-        first = next((d for d in deps if d.kind is ConflictKind.RW), None)
-        if first is not None and u in scope_set and v in scope_set:
-            rw[u, v] = first
     ix = s.index
-    start, commit = ({t: ends[ix.number[t]] for t in scope_set} for ends in (ix.first, ix.commit))
-    found: list[DangerousStructure] = []
-    for t1 in sorted(scope_set):
-        for t2 in sorted(scope_set):
-            if (t1, t2) not in rw:
-                continue
-            for t3 in sorted(scope_set):
-                if (t2, t3) not in rw:
-                    continue
-                if commit[t3] >= commit[t1] or commit[t3] >= commit[t2]:
-                    continue
-                if not are_concurrent(s, t1, t2) or not are_concurrent(s, t2, t3):
-                    continue
-                if s.transaction(t1).read_only and commit[t3] >= start[t1]:
-                    continue
-                found.append(DangerousStructure(t1, t2, t3, (rw[(t1, t2)], rw[(t2, t3)])))
-    return found
+    txn, kind, obj, rank, vf, writes, READ, WRITE = ix.txn, ix.kind, ix.obj, ix.rank, ix.vf, ix.writes, ix.READ, ix.WRITE
+    ids = sorted(scope_set)
+    local = {ix.number[tid]: k for k, tid in enumerate(ids)}  # schedule's transaction number -> scope's
+    hops: dict[tuple[int, int], tuple[int, int]] = {}  # (t, u) -> its least (read, write) positions
+    rw, writer = [0] * len(ids), [False] * len(ids)
+    for i, k in local.items():  # positions ascend with operation indexes within a transaction
+        for p in ix.at[i]:
+            if kind[p] == READ:
+                for q in writes[obj[p]]:
+                    u = local.get(txn[q], k)  # k for the reader itself and for writers out of scope
+                    if u != k and rank[q] > rank[vf[p]]:
+                        hops.setdefault((k, u), (p, q))
+                        rw[k] |= 1 << u
+            writer[k] = writer[k] or kind[p] == WRITE
+    found = list(_chains(rw, [ix.first[i] for i in local], [ix.commit[i] for i in local], writer))
+    edge = {pair: DependencyEdge(s.order[p], s.order[q], ConflictKind.RW) for pair, (p, q) in hops.items()} if found else {}
+    return [DangerousStructure(ids[t1], ids[t2], ids[t3], (edge[t1, t2], edge[t2, t3])) for t1, t2, t3 in found]
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +348,8 @@ def allowed_under_allocation(
     violations: list[AdmissibilityViolation] = []
     for (report,) in allowed_at_levels(s, ((alloc.level_of(t.id),) for t in s.txns)):
         violations += report.violations
-    ssi_scope = [tid for tid in alloc.ssi_ids() if tid in s.txn_by_id]
-    for structure in find_dangerous_structures(s, ssi_scope):
-        violations.append(
-            AdmissibilityViolation(structure.t2, Clause.DANGEROUS_STRUCTURE, (structure.t1, structure.t2, structure.t3))
-        )
+    for d in find_dangerous_structures(s, [t.id for t in s.txns if alloc.levels[t.id] is _SSI]):
+        violations.append(AdmissibilityViolation(d.t2, Clause.DANGEROUS_STRUCTURE, (d.t1, d.t2, d.t3)))
     return AdmissibilityReport(tuple(violations))
 
 
@@ -523,28 +529,22 @@ class LevelEngine:
         writers = {o: [owner[g] for g in chains[o]] for o in self.written}
         return dependency_masks(self.n, writers, [(t, o, rank[vf[g]]) for g, t, o in self.active_reads])
 
-    def dangerous(self) -> bool:
-        """Whether the completed walk holds a dangerous structure among its
-        SSI transactions, as :func:`find_dangerous_structures` defines it."""
-        mask, bits, first, commit, ssi = self.mask, self.bits, self.first, self.commit, self.ssi
-        if bin(mask & self.ssi_mask).count("1") < 3:
-            return False
-        rw: dict[int, int] = {}
+    def antidependencies(self) -> list[int]:
+        """Per SSI transaction of the completed walk, the bitmask of the SSI ones it rw-precedes."""
+        ssi, bits, owner, rank, vf, chains = self.ssi, self.bits, self.owner, self.rank, self.vf, self.chains
+        rw = [0] * self.n
         for g, t, o in self.active_reads:
             if ssi[t]:
-                for wg in self.chains[o][self.rank[self.vf[g]] :]:
-                    u = self.owner[wg]
+                for wg in chains[o][rank[vf[g]] :]:
+                    u = owner[wg]
                     if u != t and ssi[u]:
-                        rw[t] = rw.get(t, 0) | bits[u]
-        for t1, r1 in rw.items():
-            for t2, r2 in rw.items():
-                if not r1 & bits[t2] or not (first[t1] < commit[t2] and first[t2] < commit[t1]):
-                    continue
-                for t3 in self.active:  # concurrent with t2 and committing before it
-                    if r2 & bits[t3] and first[t2] < commit[t3] < commit[t2]:
-                        if commit[t3] < commit[t1] and (self.wmask[t1] or commit[t3] < first[t1]):
-                            return True
-        return False
+                        rw[t] |= bits[u]
+        return rw
+
+    def dangerous(self) -> bool:
+        """Whether the completed walk holds a dangerous structure: :func:`_chains` on its rw index."""
+        gate = (self.mask & self.ssi_mask).bit_count() >= 3
+        return gate and next(_chains(self.antidependencies(), self.first, self.commit, self.wmask), None) is not None
 
     def schedule(self, order: list[int]) -> Schedule:
         """The completed walk over ``order`` as a :class:`Schedule`."""

@@ -713,11 +713,11 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
     T1 -> T2 and Tm -> T1 (T2 is first, Tm last, the rest free); on a
     chordless path only consecutive transactions conflict, and the serial
     middle gives each such pair its one forward dependency.  A
-    two-transaction candidate's ring is its two ways.  Each candidate is
-    therefore only completed over its subset on the compiled workload,
-    which rejects the one case left (the SSI dangerous structure Tm -> T1
-    -> T2).  Only the winner becomes a :class:`Schedule`, re-checked with
-    :func:`is_generalized_split_schedule`.
+    two-transaction candidate's ring is its two ways, its completion its
+    pair walk.  A path candidate's write conflicts involve T1 and complete
+    in pair walks, and its serial middle leaves one possible SSI structure,
+    Tm -> T1 -> T2, which ``consider`` refuses from the pair walks' rw edges.
+    The winner alone is re-walked and re-checked (:func:`is_generalized_split_schedule`).
 
     The result is the candidate smallest in (size, sorted subset,
     permutation, cut), the order an exhaustive search tries them in.  Every
@@ -727,7 +727,7 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
     but a tie may resolve differently.
     """
     budget = Budget(limits)
-    n, bits, ops_of = eng.n, eng.bits, eng.ops_of
+    n, bits, ops_of, ssi = eng.n, eng.bits, eng.ops_of, eng.ssi
     pairs = _conflict_pairs(eng)
     if not _has_conflict_cycle(pairs, (1 << n) - 1):
         budget.tick(0)  # no candidate can close a ring; the clock is read once, as by the search
@@ -744,11 +744,8 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
 
     def consider(perm: tuple[int, ...], cut: int) -> None:
         nonlocal best
-        subset = tuple(sorted(perm))
-        key = (len(perm), subset, perm, cut)
-        if best is not None and key >= best:
-            return
-        if eng.walk(split_order(perm, cut), list(subset)):
+        key = (len(perm), tuple(sorted(perm)), perm, cut)
+        if (best is None or key < best) and not (len(perm) > 2 and into & bits[perm[-1]] and out & bits[perm[1]]):
             best = key
 
     for t1 in range(n):
@@ -756,13 +753,18 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
         for cut in range(1, len(ops_of[t1])):
             budget.tick(0)
             first, last = [], set()  # those with only T1 -> Tj, only Tj -> T1
+            into = out = 0  # the SSI Tj with Tj ->rw T1, and with T1 ->rw Tj, when T1 is SSI
             for tj in neighbours[t1]:
                 if not eng.walk(split_order((t1, tj), cut), sorted((t1, tj))):
                     continue
                 succ = eng.dependencies()
                 forward, backward = succ[t1] & bits[tj], succ[tj] & bits[t1]
+                if ssi[t1] and ssi[tj]:
+                    rw = eng.antidependencies()
+                    out |= rw[t1] & bits[tj]
+                    into |= bits[tj] if rw[tj] & bits[t1] else 0
                 if forward and backward:
-                    consider((t1, tj), cut)
+                    consider((t1, tj), cut)  # the pair walk was the candidate's own
                 elif forward:
                     first.append(tj)
                 elif backward:
@@ -775,10 +777,8 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
         return None
     _, subset, perm, cut = best
     order = split_order(perm, cut)
-    eng.walk(order, list(subset))
-    s = eng.schedule(order)
-    if not is_generalized_split_schedule(s)[0]:
-        raise RuntimeError("the split decider accepted a schedule that is not a generalized split schedule")
+    if not eng.walk(order, list(subset)) or not is_generalized_split_schedule(s := eng.schedule(order))[0]:
+        raise RuntimeError("the split decider accepted a candidate that is not an allowed generalized split schedule")
     return tuple(w.txn_ids[i] for i in subset), s
 
 

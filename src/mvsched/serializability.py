@@ -224,7 +224,7 @@ def view_equivalent(s: Schedule, s2: Schedule) -> bool:
 # or is dead (an edge of it closes a cycle), is an O(1) test on the closure.
 
 
-def _bits(m: int):  # the set bits of m, lowest first
+def set_bits(m: int):  # the set bits of m, lowest first
     while m:
         low = m & -m
         yield low.bit_length() - 1
@@ -265,11 +265,11 @@ def _closure(pred: Sequence[int]) -> tuple[list[int], list[int]] | None:
 def _add(reach: list[int], back: list[int], rs: int, k: int) -> None:
     """Close the edges ``r -> k``, ``r`` in ``rs``, none of them dead, into the closure."""
     into, out = rs, reach[k]
-    for r in _bits(rs):
+    for r in set_bits(rs):
         into |= back[r]
-    for y in _bits(out):
+    for y in set_bits(out):
         back[y] |= into
-    for x in _bits(into):
+    for x in set_bits(into):
         reach[x] |= out
 
 
@@ -437,9 +437,9 @@ def _writer_choices(shared, reach: list[int], back: list[int]):
     for ks, pairs in shared:
         for w, rs in pairs:
             after = -1
-            for r in _bits(rs):
+            for r in set_bits(rs):
                 after &= reach[r]
-            for k in _bits(ks & ~(after | back[w] | 1 << w)):
+            for k in set_bits(ks & ~(after | back[w] | 1 << w)):
                 yield k, w, rs & ~(1 << k)
 
 
@@ -460,7 +460,7 @@ def _completes(back: list[int], path: list[int], rest: int, choices: list, budge
     pred = back.copy()
     for a, b in zip(path, path[1:]):
         pred[b] |= 1 << a
-    for r in _bits(rest):
+    for r in set_bits(rest):
         pred[r] |= 1 << path[-1]
     closed = _closure(pred)
     return closed is not None and _branch(*closed, _settle(*closed, choices)[0], budget) is not None
@@ -506,7 +506,7 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     # stands for k! serial orders, summed only when the search ends
     refused = [0] * n
     while left:
-        for i in _bits(left):
+        for i in set_bits(left):
             if not need[i] & left and (not left_open or _completes(need, [*path, i], left ^ 1 << i, left_open, budget)):
                 break
             refused[n - len(path) - 1] += 1

@@ -245,6 +245,23 @@ def criterion_5_workloads() -> Iterator[Workload]:
     yield from random_workloads(500)
 
 
+def ssi_heavy_workloads(count: int, seed: int = 1212) -> list[Workload]:
+    """Seeded workloads of 4-6 transactions of 1-3 reads and writes over five
+    objects (none reading its own write), each transaction SSI with odds
+    one half: sparse enough for rings of three and four transactions, and
+    SSI enough for dangerous structures to reject candidates."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, txns = rng.randint(4, 6), []
+        while len(txns) < n:
+            body = [(rng.choice("RW"), rng.choice("vwxyz")) for _ in range(rng.randint(1, 3))]
+            if not any(a == "R" and ("W", o) in body[:k] for k, (a, o) in enumerate(body)):
+                txns.append(shape_txn(f"T{len(txns) + 1}", body))
+        out.append(Workload(tuple(txns), LevelAllocation({t.id: rng.choice((SSI, SSI, SI, RC)) for t in txns})))
+    return out
+
+
 def random_polygraphs(count: int, seed: int = 421771, max_nodes: int = 5, max_choices: int = 3):
     """Seeded valid polygraphs for the reduction harness."""
     from mvsched import Polygraph

@@ -17,6 +17,7 @@ from corpus import (
     mutated_schedules,
     random_polygraphs,
     random_workloads,
+    ssi_heavy_workloads,
     valid_schedules,
 )
 from fixtures import *
@@ -59,7 +60,7 @@ from mvsched import (
     validate_schedule,
 )
 from mvsched.core import Budget, SearchLimits
-from mvsched.isolation import _overwrite_witness
+from mvsched.isolation import LevelEngine, _overwrite_witness
 from mvsched.robustness import _iter_interleavings
 
 
@@ -226,6 +227,29 @@ def test_serial_schedule_has_no_dangerous_structures():
 def test_scope_restricts_structures():
     assert find_dangerous_structures(S1, ("T1", "T2")) == []
     assert find_dangerous_structures(S1, ("T2", "T3")) == []
+
+
+def test_a_read_only_t1_needs_the_earliest_committing_t3():
+    """T2 rw-precedes T3 and T4, which both commit while T2 runs, T4 first;
+    the read-only T1 rw-precedes T2 and starts between the two commits, so
+    only T4, the earliest, closes a structure."""
+    txns = (
+        make_transaction("T1", "R(z) C"),
+        make_transaction("T2", "R(x) R(y) W(z) C"),
+        make_transaction("T3", "W(x) C"),
+        make_transaction("T4", "W(y) C"),
+    )
+    steps = (("T2", 1), ("T2", 2), ("T4", 1), ("T4", 2), ("T1", 1), ("T3", 1), ("T3", 2), ("T1", 2), ("T2", 3), ("T2", 4))
+    order = [opid(t, k) for t, k in steps]
+    s = complete_under_allocation(txns, order, all_level(SI, *txns))
+    ids = ("T1", "T2", "T3", "T4")
+    found = find_dangerous_structures(s, ids)
+    assert [(d.t1, d.t2, d.t3) for d in found] == [("T1", "T2", "T4")]
+    assert found == dangerous_structures_oracle(s, ids)
+    assert complete_under_allocation(txns, order, all_level(SSI, *txns)) is None
+    # without T4 in scope only T3 is left, and it commits after T1 starts
+    assert find_dangerous_structures(s, ("T1", "T2", "T3")) == []
+    assert complete_under_allocation(txns, order, LevelAllocation({"T1": SSI, "T2": SSI, "T3": SSI, "T4": SI})) == s
 
 
 def _two_txn_pivot_schedule():
@@ -396,6 +420,45 @@ def test_completion_matches_the_oracle_on_the_criterion_5_corpus():
                 assert_completion_matches_the_oracle(w.txns, order, w.alloc)
                 checked += 1
     assert checked > 30_000
+
+
+def assert_dangerous_matches_the_oracle(eng, order, active) -> bool | None:
+    """After a walk of ``order`` over ``active`` that places every operation,
+    :meth:`LevelEngine.dangerous` answers as the oracle does on the completed
+    schedule and its SSI transactions; that answer, or None when the walk
+    refuses an operation."""
+    eng.start(active)
+    if not all(eng.place(g, d) for d, g in enumerate(order)):
+        return None
+    got = eng.dangerous()
+    scope = [eng.txns[i].id for i in active if eng.ssi[i]]
+    assert got == bool(dangerous_structures_oracle(eng.schedule(order), scope)), (eng.txns, order, scope)
+    return got
+
+
+def test_the_walk_finds_a_dangerous_structure_exactly_when_the_oracle_does():
+    """Every interleaving of each criterion-5 workload with three SSI
+    transactions or more (with fewer, both answer no without a search), and
+    on each SSI-heavy workload 50 random interleavings of random subsets of
+    three of its SSI transactions or more."""
+    answers = []
+    for w in criterion_5_workloads():
+        eng = LevelEngine(w.txns, w.alloc)
+        if sum(eng.ssi) >= 3:
+            for order in _iter_interleavings(w.txns, Budget(SearchLimits())):
+                answers.append(assert_dangerous_matches_the_oracle(eng, eng.order_of(order), list(range(eng.n))))
+    assert answers.count(True) > 200 and answers.count(False) > 10_000
+    rng, answers = random.Random(26), []
+    for w in ssi_heavy_workloads(600):
+        eng = LevelEngine(w.txns, w.alloc)
+        ssi = [i for i in range(eng.n) if eng.ssi[i]]
+        for _ in range(50 if len(ssi) >= 3 else 0):
+            active = sorted(rng.sample(ssi, rng.randint(3, len(ssi))))
+            left = {i: list(eng.ops_of[i]) for i in active}
+            slots = [i for i in active for _ in left[i]]
+            rng.shuffle(slots)
+            answers.append(assert_dangerous_matches_the_oracle(eng, [left[i].pop(0) for i in slots], active))
+    assert answers.count(True) > 50 and answers.count(False) > 5_000
 
 
 _BODY_OPS = st.sampled_from([f"{a}({o})" for a in "RW" for o in "xyz"])

@@ -17,7 +17,7 @@ from corpus import (
     four_txn_workloads,
     random_txn,
     random_workloads,
-    shape_txn,
+    ssi_heavy_workloads,
 )
 from fixtures import *
 from oracles import (
@@ -314,23 +314,6 @@ def test_split_decider_matches_the_schedule_based_decider_it_replaced():
 @settings(max_examples=60, deadline=None)
 def test_split_decider_matches_the_schedule_based_decider_on_generated_workloads(w):
     assert find_split_counterexample(w) == split_decider_oracle(w)
-
-
-def ssi_heavy_workloads(count: int, seed: int = 1212) -> list[Workload]:
-    """Seeded workloads of 4-6 transactions of 1-3 reads and writes over five
-    objects (none reading its own write), each transaction SSI with odds
-    one half: sparse enough for rings of three and four transactions, and
-    SSI enough for dangerous structures to reject candidates."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n, txns = rng.randint(4, 6), []
-        while len(txns) < n:
-            body = [(rng.choice("RW"), rng.choice("vwxyz")) for _ in range(rng.randint(1, 3))]
-            if not any(a == "R" and ("W", o) in body[:k] for k, (a, o) in enumerate(body)):
-                txns.append(shape_txn(f"T{len(txns) + 1}", body))
-        out.append(Workload(tuple(txns), LevelAllocation({t.id: rng.choice((SSI, SSI, SI, RC)) for t in txns})))
-    return out
 
 
 def test_split_decider_matches_the_schedule_based_decider_on_ssi_heavy_workloads():

@@ -26,8 +26,8 @@ schedule documents of ``DOCUMENTS``, which reach the reader's branches the
 generated inputs never do (compact and ambiguous references, comments,
 CRLF and CR line endings, a separate workload document, non-ASCII names,
 one document per error message, one per shape of operation token the
-transaction grammar refuses, and one per schedule defect that validation
-reports):
+transaction grammar refuses, one per schedule defect that validation
+reports, and SSI schedules with no, one and several dangerous structures):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Every polygraph-verify
 input also runs through ``polygraph acyclic``, which prints the witness's
@@ -146,6 +146,33 @@ DOCUMENTS = {
     "workload-allocation-extra": (BASE, BARE.replace("T2=SI", "T2=SI T3=RC")),
     "missing-file": (None, None),
     "undecodable": (b"# " + b"x" * 9000 + b"\n\xff\n" + BASE.encode(), None),
+    # SSI schedules with no, one and several dangerous structures
+    "ssi-no-structure": (
+        "txn T1: R(x) W(w) C\ntxn T2: R(y) W(x) C\ntxn T3: W(y) C\nalloc T1=SSI T2=SSI T3=SSI\n"
+        "order: R1(x) R2(y) W2(x) C2 W1(w) C1 W3(y) C3\nreads: R1(x)<-init R2(y)<-init\n"
+        "vorder w: init<W1(w)\nvorder x: init<W2(x)\nvorder y: init<W3(y)\n", None),
+    "ssi-one-structure": (
+        "txn T1: R(x) W(y) C\ntxn T2: R(y) W(z) C\ntxn T3: R(z) W(x) C\nalloc T1=SSI T2=SSI T3=SSI\n"
+        "order: R1(x) R2(y) R3(z) W1(y) C1 W2(z) C2 W3(x) C3\nreads: R1(x)<-init R2(y)<-init R3(z)<-init\n"
+        "vorder x: init<W3(x)\nvorder y: init<W1(y)\nvorder z: init<W2(z)\n", None),
+    # the read-only T1 starts between the commits of T4 and T3: only T4 closes a structure
+    "ssi-read-only-t1": (
+        "txn T1: R(z) C\ntxn T2: R(x) R(y) W(z) C\ntxn T3: W(x) C\ntxn T4: W(y) C\nalloc T1=SSI T2=SSI T3=SSI T4=SSI\n"
+        "order: R2(x) R2(y) W4(y) C4 R1(z) W3(x) C3 C1 W2(z) C2\nreads: R1(z)<-init R2(x)<-init R2(y)<-init\n"
+        "vorder x: init<W3(x)\nvorder y: init<W4(y)\nvorder z: init<W2(z)\n", None),
+    "ssi-several-structures": (
+        "txn T1: R(z) W(w) C\ntxn T2: R(x) R(y) W(z) C\ntxn T3: W(x) C\ntxn T4: W(y) C\ntxn T5: R(z) C\n"
+        "alloc T1=SSI T2=SSI T3=SSI T4=SSI T5=SSI\n"
+        "order: R1(z) R2(x) R2(y) W4(y) C4 R5(z) W3(x) C3 C5 W1(w) C1 W2(z) C2\n"
+        "reads: R1(z)<-init R2(x)<-init R2(y)<-init R5(z)<-init\n"
+        "vorder w: init<W1(w)\nvorder x: init<W3(x)\nvorder y: init<W4(y)\nvorder z: init<W2(z)\n", None),
+    "ssi-six-transactions": (
+        "txn T1: R(a) W(b) C\ntxn T2: R(b) R(c) W(a) C\ntxn T3: W(c) C\ntxn T4: R(d) W(e) C\ntxn T5: R(e) W(f) C\n"
+        "txn T6: R(f) W(d) C\nalloc T1=SSI T2=SSI T3=SSI T4=SSI T5=SSI T6=SSI\n"
+        "order: R1(a) R2(b) R2(c) R4(d) R5(e) R6(f) W3(c) C3 W6(d) C6 W5(f) C5 W1(b) C1 W2(a) C2 W4(e) C4\n"
+        "reads: R1(a)<-init R2(b)<-init R2(c)<-init R4(d)<-init R5(e)<-init R6(f)<-init\n"
+        "vorder a: init<W2(a)\nvorder b: init<W1(b)\nvorder c: init<W3(c)\nvorder d: init<W6(d)\nvorder e: init<W4(e)\n"
+        "vorder f: init<W5(f)\n", None),
 }
 
 #: A polygraph whose 30 arcs are acyclic and whose 8 choices close a cycle
