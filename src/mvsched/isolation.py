@@ -297,12 +297,12 @@ def find_dangerous_structures(s: Schedule, scope: Iterable[str]) -> list[Dangero
     degenerates; read literally it is false, so a scope of fewer than three
     transactions holds none.  :func:`_chains` decides on the int index's rw
     edges, with no serialization graph; a hop's witness is its least rw edge."""
-    scope_set = frozenset(scope)
-    for tid in scope_set:
-        s.transaction(tid)
+    scope_set, ix = frozenset(scope), s.index
+    if not ix.number.keys() >= scope_set:
+        for tid in scope_set:
+            s.transaction(tid)  # UnknownOperation for a stranger
     if len(scope_set) < 3:
         return []
-    ix = s.index
     txn, kind, obj, rank, vf, writes, READ, WRITE = ix.txn, ix.kind, ix.obj, ix.rank, ix.vf, ix.writes, ix.READ, ix.WRITE
     ids = sorted(scope_set)
     local = {ix.number[tid]: k for k, tid in enumerate(ids)}  # schedule's transaction number -> scope's
