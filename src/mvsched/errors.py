@@ -32,16 +32,9 @@ class LimitExceeded(ScheduleError):
 
 
 class ParseError(ScheduleError):
-    """A text document could not be parsed.
+    """A text document could not be parsed; ``line`` is the 1-based line
+    number where it is known."""
 
-    Carries a 1-based line number and, where it is known, a 1-based column.
-    """
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.message = message
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")

@@ -7,15 +7,16 @@ transaction whose version it sees as a required predecessor, each other
 writer of the object must come before that version's writer or after its
 readers, and each object's final writer must follow its other writers and
 their readers.  One engine (:func:`resolve_choices`) closes the required
-predecessors as reachability bitsets and propagates such writer choices; it
-also decides polygraph acyclicity.  A contradiction at its root refutes
-before any search.  Otherwise the search places one transaction per depth,
-in canonical (lexicographic) order: the first whose closed predecessors are
-placed and after which the engine can still complete the order.  It never
-backtracks, so the witness returned is the canonically first one;
-``exhausted`` counts the serial orders accounted for, which is n! on a
-negative answer.  The completion check branches, so the worst case stays
-exponential.
+predecessors into reachability bitsets, one edge set at a time
+(:func:`_add`), and propagates such writer choices; it also decides
+polygraph acyclicity.  A contradiction at its root refutes before any
+search.  Otherwise the search places one transaction per depth, in
+canonical (lexicographic) order: the first whose closed predecessors are
+placed and after which the engine can still complete the order, on the
+closure carried from the depth before.  It never backtracks, so the witness
+returned is the canonically first one; ``exhausted`` counts the serial
+orders accounted for, which is n! on a negative answer.  The completion
+check branches, so the worst case stays exponential.
 """
 
 from __future__ import annotations
@@ -232,33 +233,15 @@ def set_bits(m: int):  # the set bits of m, lowest first
 
 
 def _closure(pred: Sequence[int]) -> tuple[list[int], list[int]] | None:
-    """Kahn's pass with in-degree counts, O(n + e) bitset operations: the
-    closure ``(reach, back)`` of the fixed edges, or None on a cycle."""
-    n, order = len(pred), []
-    succ: list[list[int]] = [[] for _ in pred]
+    """The closure ``(reach, back)`` of the fixed edges, or None on a cycle:
+    each node's predecessors are closed in by :func:`_add`, unless the node
+    already reaches one of them."""
+    reach, back = [1 << v for v in range(len(pred))], [0] * len(pred)
     for v, m in enumerate(pred):
-        if not m:
-            order.append(v)
-        while m:  # inline, as this is the hottest loop of a small search
-            low = m & -m
-            succ[low.bit_length() - 1].append(v)
-            m ^= low
-    indeg, back = list(map(int.bit_count, pred)), [0] * n
-    for u in order:  # grows as nodes lose their last predecessor
-        b = back[u] | 1 << u
-        for v in succ[u]:
-            back[v] |= b
-            indeg[v] -= 1
-            if not indeg[v]:
-                order.append(v)
-    if len(order) < n:
-        return None
-    reach = [0] * n
-    for u in reversed(order):
-        r = 1 << u
-        for v in succ[u]:
-            r |= reach[v]
-        reach[u] = r
+        if m:
+            if reach[v] & m:
+                return None
+            _add(reach, back, m, v)
     return reach, back
 
 
@@ -451,19 +434,22 @@ def _factorial_base(digits: Sequence[int]) -> int:
     return total + (digits[0] if digits else 0)
 
 
-def _completes(back: list[int], path: list[int], rest: int, choices: list, budget: Budget) -> bool:
-    """Whether some serial order runs ``path``, then the transactions of the
-    bitmask ``rest``, and resolves the open ``choices`` of the closure
-    ``back``: the closure is rebuilt with ``path`` as a chain and an edge
-    from its last transaction to each of ``rest``, the choices are settled
-    on it uncharged, and any left open go to :func:`_branch`."""
-    pred = back.copy()
-    for a, b in zip(path, path[1:]):
-        pred[b] |= 1 << a
+def _completes(reach: list[int], back: list[int], i: int, rest: int, choices: list, budget: Budget) -> tuple | None:
+    """The closure ``(reach, back)`` with ``i`` placed before the bitmask
+    ``rest``, settled, and the ``choices`` it leaves open, or None when no
+    serial order runs the placed transactions, ``i``, then ``rest`` and
+    resolves them.  Every placed transaction precedes ``i`` and ``rest``
+    and nothing of ``rest`` reaches ``i``, so two writes to a copy close
+    the new edges; the choices are settled on it uncharged, and any left
+    open go to :func:`_branch` on a copy."""
+    reach, back = reach.copy(), back.copy()
+    reach[i] |= rest
     for r in set_bits(rest):
-        pred[r] |= 1 << path[-1]
-    closed = _closure(pred)
-    return closed is not None and _branch(*closed, _settle(*closed, choices)[0], budget) is not None
+        back[r] |= 1 << i
+    still = _settle(reach, back, choices)[0]
+    if still is None or still and _branch(reach.copy(), back.copy(), still, budget) is None:
+        return None
+    return reach, back, still
 
 
 def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWitness:
@@ -471,23 +457,22 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
 
     :func:`_placement_constraints` turns view-equivalence into required
     predecessors and writer choices, or fails a schedule no serial order can
-    match (a read that sees a write other than its writer's last, or skips
-    its own transaction's earlier write; a final version that is not its
-    writer's last write).  After the empty prefix's candidate, the root step
-    closes the predecessors and propagates the choices (see
-    :func:`resolve_choices`); a contradiction there refutes with
-    ``exhausted`` n!.  Otherwise each depth places the first transaction,
-    in index order, whose closed predecessors are placed and, when the root
-    step left choices open, after which :func:`_completes` finds the rest
-    can follow.  Only prefixes that can be completed are kept, so the search
-    never backtracks, the order it completes is the canonically first
-    witness, and each transaction refused at depth d accounts for the
-    (n - d - 1)! orders extending it: ``exhausted`` is the witness's rank
-    plus one, and n! when every first transaction is refused.  Each prefix
-    extended is one candidate charged to ``budget``
-    (``Budget(DEFAULT_LIMITS)`` when None), and so is each option a
-    completion check tests while it branches; the worst case stays
-    exponential.
+    match (a read that sees a write other than its writer's last, or skips its
+    own transaction's earlier write; a final version that is not its writer's
+    last write).  After the empty prefix's candidate, the root step closes the
+    predecessors and propagates the choices (see :func:`resolve_choices`); a
+    contradiction there refutes with ``exhausted`` n!.  Otherwise each depth
+    places the first transaction, in index order, whose closed predecessors are
+    placed and, while choices are open, after which :func:`_completes` finds
+    the rest can follow; the closure it settles is carried to the next depth.
+    Only prefixes that can be completed are kept, so the search never
+    backtracks, the order it completes is the canonically first witness, and
+    each transaction refused at depth d accounts for the (n - d - 1)! orders
+    extending it: ``exhausted`` is the witness's rank plus one, and n! when
+    every first transaction is refused.  Each prefix extended is one candidate
+    charged to ``budget`` (``Budget(DEFAULT_LIMITS)`` when None), and so is
+    each option a completion check tests while it branches; the worst case
+    stays exponential.
     """
     if budget is None:
         budget = Budget(DEFAULT_LIMITS)
@@ -498,20 +483,22 @@ def is_view_serializable(s: Schedule, *, budget: Budget | None = None) -> ViewWi
     pred, shared = constraints
     budget.tick()  # the empty prefix
     root = _closure(pred)
-    left_open = root and _settle(*root, _writer_choices(shared, *root))[0]
-    if left_open is None:
+    still = root and _settle(*root, _writer_choices(shared, *root))[0]
+    if still is None:
         return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
-    need, path, left = root[1], [], (1 << n) - 1
+    (reach, back), path, left = root, [], (1 << n) - 1
     # per k, the transactions refused with k left to place after them: each
     # stands for k! serial orders, summed only when the search ends
     refused = [0] * n
     while left:
         for i in set_bits(left):
-            if not need[i] & left and (not left_open or _completes(need, [*path, i], left ^ 1 << i, left_open, budget)):
+            if not back[i] & left and (not still or (closed := _completes(reach, back, i, left ^ 1 << i, still, budget))):
                 break
             refused[n - len(path) - 1] += 1
         else:  # only at depth 0: a kept prefix can be completed
             return ViewWitness(verdict=False, witness=None, exhausted=_factorial_base(refused))
+        if still:  # with no choice open, nothing more is forced and the closure stays as it is
+            reach, back, still = closed
         path.append(i)
         left ^= 1 << i
         if left:

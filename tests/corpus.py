@@ -24,6 +24,7 @@ from mvsched import (
     Schedule,
     Transaction,
     Workload,
+    complete_under_allocation,
     make_schedule,
     make_transaction,
     validate_schedule,
@@ -259,6 +260,36 @@ def ssi_heavy_workloads(count: int, seed: int = 1212) -> list[Workload]:
             if not any(a == "R" and ("W", o) in body[:k] for k, (a, o) in enumerate(body)):
                 txns.append(shape_txn(f"T{len(txns) + 1}", body))
         out.append(Workload(tuple(txns), LevelAllocation({t.id: rng.choice((SSI, SSI, SI, RC)) for t in txns})))
+    return out
+
+
+def read_only_t1_chains(count: int, seed: int = 2627) -> list[tuple[Workload, Schedule]]:
+    """Seeded SSI workloads of 4-7 transactions, each with the schedule that
+    SI completes from one interleaving of them, around a planted chain: t2
+    reads a and b, its two t3s write them and commit while it runs, and the
+    read-only t1, which reads t2's object c, starts between their commits;
+    t2 then writes c and commits last.  Only the t3 that commits first
+    closes a structure with t1, and names are drawn at random, so it is
+    listed second about as often as first.  The other transactions, of 1-3
+    reads and writes over a, b, c and d, interleave anywhere."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 7)
+        bodies = [[("R", "c")], [("R", "a"), ("R", "b"), ("W", "c")], [("W", "a")], [("W", "b")]]
+        while len(bodies) < n:
+            body = [(rng.choice("RW"), rng.choice("abcd")) for _ in range(rng.randint(1, 3))]
+            if not _reads_own_write(body):
+                bodies.append(body)
+        txns = [shape_txn(f"T{k}", body) for k, body in zip(rng.sample(range(1, n + 1), n), bodies)]
+        (r1, c1), (r2a, r2b, w2, c2), first, second = (t.op_ids for t in txns[:4])
+        seqs = [[r2a, r2b, *first, r1, *second, c1, w2, c2], *(list(t.op_ids) for t in txns[4:])]
+        slots = [k for k, ops in enumerate(seqs) for _ in ops]
+        rng.shuffle(slots)
+        txns.sort(key=lambda t: t.id)
+        s = complete_under_allocation(txns, [seqs[k].pop(0) for k in slots], LevelAllocation.uniform(SI, [t.id for t in txns]))
+        if s is not None:
+            out.append((Workload(tuple(txns), LevelAllocation.uniform(SSI, [t.id for t in txns])), s))
     return out
 
 

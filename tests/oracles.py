@@ -28,7 +28,10 @@ tries every subset, permutation and pivot, completing each order with the
 completion oracle, or in every way under a predicate.  The
 serial-signature pool looks a schedule's reads-from and final versions up
 among those of every serial order.  The view search oracle
-tracks installed versions per serial prefix.  The clause oracles evaluate
+tracks installed versions per serial prefix.  The closure oracle is Kahn's
+pass, which the engine ran before it closed every edge set by one
+operation, and the rebuild oracle the view search that rebuilt the closure
+on it for every completion check.  The clause oracles evaluate
 the RC/SI clauses and the SSI rw-antidependencies on dictionaries keyed by
 operation id, where the library reads the schedule's int index; the
 dangerous-structure oracle chains those rw-antidependencies over every
@@ -111,7 +114,17 @@ from mvsched.core import DEFAULT_LIMITS, Budget, ScheduleIndex, txn_id
 from mvsched.isolation import clause_pass
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
 from mvsched.robustness import _iter_interleavings, _whole_txn_groups
-from mvsched.serializability import ViewWitness, _shortest_cycle, has_cycle
+from mvsched.serializability import (
+    ViewWitness,
+    _branch,
+    _factorial_base,
+    _placement_constraints,
+    _settle,
+    _shortest_cycle,
+    _writer_choices,
+    has_cycle,
+    set_bits,
+)
 
 
 def _per_schedule(build):
@@ -855,6 +868,77 @@ def view_search_oracle(s: Schedule, *, max_txns: int = 8, max_ops: int = 24) -> 
     found = explore(0, {})
     witness = tuple(txns[i].id for i in path) if found else None
     return ViewWitness(verdict=found, witness=witness, exhausted=exhausted)
+
+
+def closure_oracle(pred: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """The old ``_closure``: Kahn's pass with in-degree counts, O(n + e)
+    bitset operations, gives the closure ``(reach, back)`` of the fixed
+    edges ``pred``, or None on a cycle."""
+    n, order = len(pred), []
+    succ: list[list[int]] = [[] for _ in pred]
+    for v, m in enumerate(pred):
+        if not m:
+            order.append(v)
+        for u in set_bits(m):
+            succ[u].append(v)
+    indeg, back = list(map(int.bit_count, pred)), [0] * n
+    for u in order:  # grows as nodes lose their last predecessor
+        b = back[u] | 1 << u
+        for v in succ[u]:
+            back[v] |= b
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    if len(order) < n:
+        return None
+    reach = [0] * n
+    for u in reversed(order):
+        r = 1 << u
+        for v in succ[u]:
+            r |= reach[v]
+        reach[u] = r
+    return reach, back
+
+
+def view_search_rebuild_oracle(s: Schedule, budget: Budget) -> ViewWitness:
+    """The old :func:`is_view_serializable`: the same greedy placement, but
+    each completion check rebuilds the closure with :func:`closure_oracle`
+    from the root's, with the placed transactions as a chain and an edge
+    from the candidate to every transaction left, and settles the root's
+    open choices on it again."""
+    n = len(s.txns)
+    constraints = _placement_constraints(s)
+    if constraints is None:
+        return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
+    pred, shared = constraints
+    budget.tick()  # the empty prefix
+    root = closure_oracle(pred)
+    left_open = root and _settle(*root, _writer_choices(shared, *root))[0]
+    if left_open is None:
+        return ViewWitness(verdict=False, witness=None, exhausted=factorial(n))
+    need, path, left, refused = root[1], [], (1 << n) - 1, [0] * n
+
+    def completes(prefix: list[int], rest: int) -> bool:
+        chained = need.copy()
+        for a, b in zip(prefix, prefix[1:]):
+            chained[b] |= 1 << a
+        for r in set_bits(rest):
+            chained[r] |= 1 << prefix[-1]
+        closed = closure_oracle(chained)
+        return closed is not None and _branch(*closed, _settle(*closed, left_open)[0], budget) is not None
+
+    while left:
+        for i in set_bits(left):
+            if not need[i] & left and (not left_open or completes([*path, i], left ^ 1 << i)):
+                break
+            refused[n - len(path) - 1] += 1
+        else:
+            return ViewWitness(verdict=False, witness=None, exhausted=_factorial_base(refused))
+        path.append(i)
+        left ^= 1 << i
+        if left:
+            budget.tick()
+    return ViewWitness(verdict=True, witness=tuple(s.txns[i].id for i in path), exhausted=_factorial_base(refused) + 1)
 
 
 def respects_commit_order_oracle(s: Schedule, w: OperationId) -> bool:

@@ -17,6 +17,7 @@ from corpus import (
     mutated_schedules,
     random_polygraphs,
     random_workloads,
+    read_only_t1_chains,
     ssi_heavy_workloads,
     valid_schedules,
 )
@@ -438,9 +439,10 @@ def assert_dangerous_matches_the_oracle(eng, order, active) -> bool | None:
 
 def test_the_walk_finds_a_dangerous_structure_exactly_when_the_oracle_does():
     """Every interleaving of each criterion-5 workload with three SSI
-    transactions or more (with fewer, both answer no without a search), and
-    on each SSI-heavy workload 50 random interleavings of random subsets of
-    three of its SSI transactions or more."""
+    transactions or more (with fewer, both answer no without a search), on
+    each SSI-heavy workload 50 random interleavings of random subsets of
+    three of its SSI transactions or more, and the planted chains whose
+    read-only t1 needs t2's earliest-committing t3."""
     answers = []
     for w in criterion_5_workloads():
         eng = LevelEngine(w.txns, w.alloc)
@@ -459,6 +461,9 @@ def test_the_walk_finds_a_dangerous_structure_exactly_when_the_oracle_does():
             rng.shuffle(slots)
             answers.append(assert_dangerous_matches_the_oracle(eng, [left[i].pop(0) for i in slots], active))
     assert answers.count(True) > 50 and answers.count(False) > 5_000
+    for w, s in read_only_t1_chains(300):
+        eng = LevelEngine(w.txns, w.alloc)
+        assert assert_dangerous_matches_the_oracle(eng, eng.order_of(s.order), list(range(eng.n)))
 
 
 _BODY_OPS = st.sampled_from([f"{a}({o})" for a in "RW" for o in "xyz"])
@@ -536,6 +541,14 @@ def assert_clauses_match_the_oracles(s) -> bool:
 def test_clauses_match_the_oracles_on_polygraph_reductions():
     for p in random_polygraphs(300) + dense_polygraphs(40):
         assert not assert_clauses_match_the_oracles(reduce_to_schedule(p)[1]), p
+
+
+def test_clauses_match_the_oracles_on_planted_read_only_t1_chains():
+    """Each holds a dangerous structure whose read-only t1 starts between
+    the commits of two t3s."""
+    for _, s in read_only_t1_chains(300):
+        assert_clauses_match_the_oracles(s)
+        assert find_dangerous_structures(s, s.txn_ids), s
 
 
 def test_clauses_match_the_oracles_on_a_sample_of_the_criterion_3_corpus():

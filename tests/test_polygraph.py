@@ -313,13 +313,15 @@ def test_a_refuted_reduction_charges_the_empty_prefix_only():
         assert (w.verdict, w.witness, w.exhausted, budget.count) == (False, None, factorial(len(s.txns)), 1), p
 
 
-@pytest.mark.parametrize("nodes, choices, seed", [(20, 26, 20), (30, 40, 31), (60, 80, 60)])
+@pytest.mark.parametrize("nodes, choices, seed", [(20, 26, 20), (30, 40, 31), (60, 80, 60), (100, 130, 100), (200, 260, 200)])
 def test_planted_acyclic_polygraphs_decide_on_both_sides(nodes, choices, seed):
     """A hidden order resolves every choice: the reduction checks pass with
     both verdicts true, each witness is checked on its own, and the view
-    search places the 72, 110 and 220 transactions within 10^4 candidates.
+    search places the 72, 110, 220, 360 and 720 transactions within 10^4
+    candidates.
     A search that backtracks on the choices it cannot settle needs more than
-    10^4 on each, and more than 2 * 10^6 at 30 nodes and 40 choices."""
+    10^4 on each of the first three, and more than 2 * 10^6 at 30 nodes and
+    40 choices."""
     (p,) = planted_polygraphs(1, nodes, choices, seed)
     r = verify_reduction(p)
     assert r.ok and r.polygraph_acyclic and r.schedule_view_serializable

@@ -8,11 +8,13 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     dense_polygraphs,
     enumerate_valid_schedules,
     implication_corpus_workloads,
+    planted_polygraphs,
     random_polygraphs,
     three_small_txn_workloads,
     two_txn_shape_workloads,
@@ -20,12 +22,14 @@ from corpus import (
 )
 from fixtures import *
 from oracles import (
+    closure_oracle,
     conflict_equivalent_oracle,
     conflict_serializable_oracle,
     conflicting,
     depends_on_oracle,
     serialization_graph_oracle,
     view_search_oracle,
+    view_search_rebuild_oracle,
     view_serializable_oracle,
 )
 
@@ -329,6 +333,43 @@ def test_view_search_matches_the_oracle_where_the_root_step_leaves_choices_open(
             assert (got.verdict, got.witness, got.exhausted) == (want.verdict, want.witness, want.exhausted), k
             compared.append(k)
     assert len(compared) > 100 and {213, 1515, 1999} <= set(compared)
+
+
+@st.composite
+def digraphs(draw):
+    """Per-node predecessor bitmasks of 1-40 nodes: up to 3n edges that run
+    forward in a hidden order, and up to two more anywhere, self-loops
+    included, which may close cycles."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    order, pred, node = draw(st.permutations(range(n))), [0] * n, st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        if a != b:
+            pred[order[max(a, b)]] |= 1 << order[min(a, b)]
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=2)):
+        pred[v] |= 1 << u
+    return pred
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_the_closure_matches_kahns_pass(pred):
+    assert serializability._closure(pred) == closure_oracle(pred)
+
+
+def test_view_search_matches_the_rebuild_oracle():
+    """The search that carries its closure from depth to depth gives the
+    same verdict, witness, count of orders and charge as the one that
+    rebuilt the closure for each completion check, on reductions of random,
+    dense and planted polygraphs."""
+    planted = [p for nodes, choices in ((20, 26), (30, 40), (60, 80)) for p in planted_polygraphs(1, nodes, choices, nodes)]
+    verdicts = []
+    for p in random_polygraphs(2000) + dense_polygraphs(300) + planted:
+        s = reduce_to_schedule(p)[1]
+        got, want = Budget(SearchLimits()), Budget(SearchLimits())
+        w, v = is_view_serializable(s, budget=got), view_search_rebuild_oracle(s, want)
+        assert (w.verdict, w.witness, w.exhausted, got.count) == (v.verdict, v.witness, v.exhausted, want.count), p
+        verdicts.append(w.verdict)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 500 and all(verdicts[-3:])
 
 
 @pytest.mark.parametrize(

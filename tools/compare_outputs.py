@@ -31,12 +31,14 @@ reports, and SSI schedules with no, one and several dangerous structures):
 each runs through ``check-schedule``, ``serializable --mode conflict``,
 ``serializable --mode view`` and ``allowed``.  Every polygraph-verify
 input also runs through ``polygraph acyclic``, which prints the witness's
-resolved edges, and so do the hand-written polygraph documents of
-``POLYGRAPHS``, which also run through ``polygraph verify``.  Both kinds of
-polygraph also run through ``polygraph reduce``, whose written schedule
-document is compared with its report, and then that document through
-``serializable --mode view``, which prints the view witness and the orders
-it accounts for.  Each command runs through ``mvsched.cli.run`` of this
+resolved edges, and so do the polygraph documents of ``POLYGRAPHS``, which
+also run through ``polygraph verify``: hand-written ones, and two planted
+acyclic ones of 60 and 100 nodes, whose reductions place 220 and 360
+transactions, so that a view witness that changes at scale shows.  Both
+kinds of polygraph also run through ``polygraph reduce``, whose written
+schedule document is compared with its report, and then that document
+through ``serializable --mode view``, which prints the view witness and
+the orders it accounts for.  Each command runs through ``mvsched.cli.run`` of this
 tree and of ``BASE_SRC``, each side in its own interpreter and working
 directory, where ``polygraph reduce`` writes, as in the benchmark.  The
 reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
@@ -47,8 +49,10 @@ each workload's measured and warm-up sets.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -181,6 +185,27 @@ DENSE = ("".join(f"node n{k}\n" for k in range(10))
          + "".join(f"arc n{a} n{b}\n" for a, b in "06 09 10 13 14 15 19 26 29 30 36 39 46 49 50 52 54 56 59 70 73 74 76 "
                                                   "80 81 82 83 85 86 89".split())
          + "".join(f"choice n{u} n{v} n{w}\n" for u, v, w in "018 045 063 618 901 935 980 981".split()))
+
+
+def planted(nodes: int, choices: int, seed: int) -> str:
+    """The document of ``planted_polygraphs(1, nodes, choices, seed)`` in
+    ``tests/corpus.py``: the forward arcs of a hidden order at density 0.1,
+    and choices, each with its arc, that the order resolves."""
+    rng = random.Random(seed)
+    names = [f"n{k}" for k in range(nodes)]
+    order = rng.sample(names, nodes)
+    at = {x: k for k, x in enumerate(order)}
+    arcs = {(a, b) for a, b in itertools.combinations(order, 2) if rng.random() < 0.1}
+    kept: set[tuple[str, str, str]] = set()
+    while len(kept) < choices:
+        u, v, w = rng.sample(names, 3)
+        if at[w] < at[u] and (at[u] < at[v] or at[v] < at[w]):
+            kept.add((u, v, w))
+            arcs.add((w, u))
+    lines = [f"node {x}" for x in sorted(names)] + [f"arc {a} {b}" for a, b in sorted(arcs)]
+    return "\n".join(lines + [f"choice {u} {v} {w}" for u, v, w in sorted(kept)]) + "\n"
+
+
 #: name -> polygraph document, each run through ``polygraph acyclic`` and ``polygraph verify``
 POLYGRAPHS = {
     "arc-cycle": "node a b c\narc a b\narc b c\narc c a\n",
@@ -192,6 +217,8 @@ POLYGRAPHS = {
     # reductions on which a view search that does not ask the engine for a completion backtracks
     "backtracks": "node n0 n1 n2 n3\narc n0 n2\narc n1 n3\nchoice n2 n3 n0\nchoice n3 n0 n1\n",
     "backtracks-twice": "node n0 n1 n2 n3 n4\narc n2 n0\narc n3 n2\narc n4 n1\nchoice n1 n2 n4\nchoice n2 n4 n3\n",
+    "planted-60-80": planted(60, 80, 60),
+    "planted-100-130": planted(100, 130, 100),
 }
 
 
