@@ -15,7 +15,7 @@ keeps exhaustive enumeration of allowed schedules finite.  The completion
 is coded once, as the step function of :class:`LevelEngine` over a
 workload compiled to small ints; :func:`complete_under_allocation` drives
 it over one order, the robustness enumeration over every interleaving and
-the split decider over one order per pair and one for its winner.
+the split decider over its winner.
 :func:`allowed_under_allocation` stays the clause-by-clause specification:
 one :func:`clause_pass` over a schedule's int index evaluates every
 transaction's clauses, and it alone, for every level report, the
@@ -394,12 +394,12 @@ class LevelEngine:
         # it is its transaction's first on that object
         opids, owner, kind, obj_of, first_write = [INIT], [-1], [-1], [-1], [False]
         # per transaction: its operations, its reads and writes, (object, g) per
-        # write, and bitmasks of the objects it writes and of those it touches
-        self.ops_of, body, writes_of, self.wmask, self.touch = [], [], [], [], []
+        # write, and bitmasks of the objects it reads and of those it writes
+        self.ops_of, body, writes_of, self.rmask, self.wmask = [], [], [], [], []
         reads = self.reads = []  # (g, transaction, object), in transaction order
         for i, t in enumerate(txns):
             g0 = len(opids)
-            bd, ws, wm, tm = [], [], 0, 0
+            bd, ws, rm, wm = [], [], 0, 0
             for g, (opid, action, name) in enumerate(t.ops, g0):  # each operation read once, by unpacking
                 opids.append(opid)
                 owner.append(i)
@@ -411,11 +411,11 @@ class LevelEngine:
                 o = obj_ids.setdefault(name, len(obj_ids))
                 obj_of.append(o)
                 bd.append(g)
-                tm |= 1 << o
                 if action is _READ:
                     kind.append(READ)
                     first_write.append(False)
                     reads.append((g, i, o))
+                    rm |= 1 << o
                 else:
                     kind.append(WRITE)
                     first_write.append(not wm >> o & 1)
@@ -424,8 +424,8 @@ class LevelEngine:
             self.ops_of.append(list(range(g0, len(opids))))
             body.append(bd)
             writes_of.append(ws)
+            self.rmask.append(rm)
             self.wmask.append(wm)
-            self.touch.append(tm)
         self.opids, self.owner, self.kind, self.obj_of, self.writes_of = opids, owner, kind, obj_of, writes_of
         self.names = list(obj_ids)
         heads = [gs[0] if gs else -1 for gs in self.ops_of]
@@ -488,10 +488,7 @@ class LevelEngine:
             self.chains[o].clear()
             self.pending[o] = 0
         self.active = active
-        mask = 0
-        for i in active:
-            mask |= self.bits[i]
-        self.mask = mask
+        self.mask = mask = sum(self.bits[i] for i in active)
         self.written = list(dict.fromkeys(o for i in active for o, _ in self.writes_of[i]))
         self.active_reads = [(g, t, o) for g, t, o in self.reads if mask & self.bits[t]]
 
@@ -529,8 +526,11 @@ class LevelEngine:
         writers = {o: [owner[g] for g in chains[o]] for o in self.written}
         return dependency_masks(self.n, writers, [(t, o, rank[vf[g]]) for g, t, o in self.active_reads])
 
-    def antidependencies(self) -> list[int]:
-        """Per SSI transaction of the completed walk, the bitmask of the SSI ones it rw-precedes."""
+    def dangerous(self) -> bool:
+        """Whether the completed walk holds a dangerous structure: :func:`_chains`
+        on its rw index, per SSI transaction the SSI ones it rw-precedes."""
+        if (self.mask & self.ssi_mask).bit_count() < 3:
+            return False
         ssi, bits, owner, rank, vf, chains = self.ssi, self.bits, self.owner, self.rank, self.vf, self.chains
         rw = [0] * self.n
         for g, t, o in self.active_reads:
@@ -539,12 +539,7 @@ class LevelEngine:
                     u = owner[wg]
                     if u != t and ssi[u]:
                         rw[t] |= bits[u]
-        return rw
-
-    def dangerous(self) -> bool:
-        """Whether the completed walk holds a dangerous structure: :func:`_chains` on its rw index."""
-        gate = (self.mask & self.ssi_mask).bit_count() >= 3
-        return gate and next(_chains(self.antidependencies(), self.first, self.commit, self.wmask), None) is not None
+        return next(_chains(rw, self.first, self.commit, self.wmask), None) is not None
 
     def schedule(self, order: list[int]) -> Schedule:
         """The completed walk over ``order`` as a :class:`Schedule`."""

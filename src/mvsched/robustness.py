@@ -40,6 +40,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import DEFAULT_LIMITS, INIT, Action, Budget, Operation, OperationId, Schedule, SearchLimits, Transaction, make_schedule
@@ -176,17 +177,8 @@ def _vorder_candidates(txns: Sequence[Transaction]) -> dict[str, list[tuple[Oper
                 writes.setdefault(obj, []).append(opid)
     out: dict[str, list[tuple[OperationId, ...]]] = {}
     for obj, wids in writes.items():
-        valid: list[tuple[OperationId, ...]] = []
-        for perm in itertools.permutations(wids):
-            rank = {wid: i for i, wid in enumerate(perm)}
-            ok = True
-            for a, b in zip(wids, wids[1:]):
-                if a.txn == b.txn and rank[a] >= rank[b]:
-                    ok = False
-                    break
-            if ok:
-                valid.append(perm)
-        out[obj] = valid
+        own = [(a, b) for a, b in zip(wids, wids[1:]) if a.txn == b.txn]  # consecutive writes of one transaction
+        out[obj] = [perm for perm in itertools.permutations(wids) if all(perm.index(a) < perm.index(b) for a, b in own)]
     return out
 
 
@@ -248,7 +240,7 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     """
     eng.start(active)
     n, bits, ops_of, kind, owner, obj_of = eng.n, eng.bits, eng.ops_of, eng.kind, eng.owner, eng.obj_of
-    rc, ssi, wmask, touch, chains, vf = eng.rc, eng.ssi, eng.wmask, eng.touch, eng.chains, eng.vf
+    rc, ssi, rmask, wmask, chains, vf = eng.rc, eng.ssi, eng.rmask, eng.wmask, eng.chains, eng.vf
     place, undo, dangerous = eng.place, eng.undo, eng.dangerous
     WRITE, COMMIT = eng.WRITE, eng.COMMIT
     check_ssi = sum(ssi[i] for i in active) >= 3
@@ -274,7 +266,7 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
             return bool(wmask[t] & wmask[u]) or both_ssi
         if (kind[h] == WRITE or rc[u]) and wmask[t] >> obj_of[h] & 1:
             return True
-        return h == ops_of[u][0] and not rc[u] and bool(wmask[t] & touch[u] or both_ssi)
+        return h == ops_of[u][0] and not rc[u] and bool(wmask[t] & (rmask[u] | wmask[u]) or both_ssi)
 
     read_gids = [g for g, _, _ in eng.active_reads]
     written = eng.written
@@ -363,7 +355,7 @@ def _conflict_pairs(eng: LevelEngine) -> list[tuple[int, int, int]]:
     such operation pairs they have, 2 standing for two or more.  Every
     dependency between two transactions, in any schedule, comes from one
     such pair, and each pair gives it exactly one direction."""
-    n, wmask, touch = eng.n, eng.wmask, eng.touch
+    n, rmask, wmask = eng.n, eng.rmask, eng.wmask
     reads = [[0] * len(eng.names) for _ in range(n)]
     writes = [[0] * len(eng.names) for _ in range(n)]
     for _, i, o in eng.reads:
@@ -373,7 +365,7 @@ def _conflict_pairs(eng: LevelEngine) -> list[tuple[int, int, int]]:
             writes[i][o] += 1
     out = []
     for i, j in itertools.combinations(range(n), 2):
-        shared = wmask[i] & touch[j] | wmask[j] & touch[i]  # the objects they conflict on
+        shared = wmask[i] & (rmask[j] | wmask[j]) | wmask[j] & rmask[i]  # the objects they conflict on
         if shared & (shared - 1):
             out.append((i, j, 2))
         elif shared:
@@ -635,15 +627,10 @@ def is_generalized_split_schedule(s: Schedule) -> tuple[bool, SplitDefect | None
     t1, run = ops[0].txn, 1  # the split transaction and its first run's length
     while run < len(ops) and ops[run].txn == t1:
         run += 1
-    t1_ops = s.txn_by_id[t1].op_ids
-    rest = t1_ops[run:]
-    if rest:
-        if tuple(ops[-len(rest) :]) != rest:
-            return False, SplitDefect.FORM
-        middle = ops[run : len(ops) - len(rest)]
-    else:
-        middle = ops[run:]
-    seq_mid = _whole_txn_groups(s, middle, exclude={t1})
+    rest = s.txn_by_id[t1].op_ids[run:]
+    if rest and tuple(ops[-len(rest) :]) != rest:
+        return False, SplitDefect.FORM
+    seq_mid = _whole_txn_groups(s, ops[run : len(ops) - len(rest)], exclude={t1})
     if seq_mid is None or 1 + len(seq_mid) != len(s.txns):
         return False, SplitDefect.FORM
     seq = [t1] + seq_mid
@@ -695,29 +682,62 @@ def _shortest_paths(
         frontier = nxt
 
 
+def _split_pairs(eng: LevelEngine, t1: int, tjs: Iterable[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Per cut of T1 (1 to its length - 1), the pair orders ``T1[:cut] . Tj .
+    T1[cut:]`` of the ``tjs`` by the rule of :func:`_decide_split`, as masks of
+    the Tj: completes, T1 -> Tj, Tj -> T1, and (both SSI) T1 ->rw Tj, Tj ->rw T1."""
+    kind, obj_of, rmask, wmask, bits, ssi = eng.kind, eng.obj_of, eng.rmask, eng.wmask, eng.bits, eng.ssi
+    ops, rc1, r1, w1 = eng.ops_of[t1], eng.rc[t1], rmask[t1], wmask[t1]
+    rs = [1 << obj_of[g] if kind[g] == eng.READ else 0 for g in ops]
+    ws = [1 << obj_of[g] if kind[g] == eng.WRITE else 0 for g in ops]
+    # per k, (ra, wa) of ops[:k + 1] and (rb, wb) of ops[k:]
+    before = zip(itertools.accumulate(rs, or_), itertools.accumulate(ws, or_))
+    after = list(zip(itertools.accumulate(rs[::-1], or_), itertools.accumulate(ws[::-1], or_)))[::-1]
+    for (ra, wa), (rb, wb) in zip(before, after[1:]):
+        blocked, seen, back = (wa, ra, w1 | rb) if rc1 else (wa | wb, ra | rb, w1)
+        done = forward = backward = out = into = 0
+        for tj in tjs:
+            wj, rj, b = wmask[tj], rmask[tj], bits[tj]
+            if not blocked & wj:
+                done |= b
+                forward |= b if seen & wj else 0
+                backward |= b if back & wj or rj & w1 else 0
+                if ssi[t1] and ssi[tj]:
+                    out, into = out | (b if r1 & wj else 0), into | (b if rj & w1 else 0)
+        yield done, forward, backward, out, into
+
+
 def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[tuple[str, ...], Schedule] | None:
     """Polynomial split-schedule search for a level allocation, compiled as ``eng``.
 
     In an order ``T1[:cut] . T2 ... Tm . T1[cut:]`` the middle runs
     serially, so every conflicting pair of middle transactions carries a
-    single forward dependency, and the dependencies, dirty writes and
-    concurrent writes between T1 and a middle transaction are those of the
-    two-transaction order ``T1[:cut] . Tj . T1[cut:]`` alone.  Per (T1, cut)
+    single forward dependency, and T1 meets each middle Tj as in the pair
+    order ``T1[:cut] . Tj . T1[cut:]``.  There Tj runs whole inside T1's
+    span and nothing commits between T1's first operation and Tj's commit:
+    every read sees INIT but an RC T1's from the cut on, which sees Tj's
+    writes, and Tj's versions precede T1's.  So, on the objects T1 reads
+    (ra) and writes (wa) before the cut and from it on (rb, wb), w1 = wa |
+    wb, and those Tj reads (rj) and writes (wj), :func:`_split_pairs` finds
+    in O(1): the pair completes iff ``not wa & wj`` (else a dirty write) and
+    T1 is RC or ``not wb & wj`` (else a concurrent write); T1 -> Tj iff
+    ``(ra | (0 if RC else rb)) & wj`` (rw); Tj -> T1 iff ``w1 & wj`` (ww),
+    ``rj & w1`` (rw) or T1 is RC and ``rb & wj`` (wr); both SSI, T1 ->rw Tj
+    iff ``(ra | rb) & wj`` and Tj ->rw T1 iff ``rj & w1``; and no dangerous
+    structure fits, as one needs three SSI transactions.  Per (T1, cut)
     each other transaction is therefore: free (no conflict with T1), first
     (only T1 -> Tj), last (only Tj -> T1), a two-transaction candidate (both
-    ways) or excluded (the pair has no completion).  A generalized split
-    schedule is then T1 with a first T2, a chordless path through free
-    transactions and a last Tm; a breadth-first shortest path is chordless.
-    Such a candidate's dependencies are exactly the ring T1 -> T2 -> ... ->
-    Tm -> T1, with no check needed: between T1 and the others there are only
-    T1 -> T2 and Tm -> T1 (T2 is first, Tm last, the rest free); on a
-    chordless path only consecutive transactions conflict, and the serial
-    middle gives each such pair its one forward dependency.  A
-    two-transaction candidate's ring is its two ways, its completion its
-    pair walk.  A path candidate's write conflicts involve T1 and complete
-    in pair walks, and its serial middle leaves one possible SSI structure,
-    Tm -> T1 -> T2, which ``consider`` refuses from the pair walks' rw edges.
-    The winner alone is re-walked and re-checked (:func:`is_generalized_split_schedule`).
+    ways) or excluded (no completion).  A generalized split schedule is
+    then T1 with a first T2, a chordless path through free transactions and
+    a last Tm; a breadth-first shortest path is chordless.  Its
+    dependencies are exactly the ring T1 -> T2 -> ... -> Tm -> T1: between
+    T1 and the others there are only T1 -> T2 and Tm -> T1, on a chordless
+    path only consecutive transactions conflict, and the serial middle
+    orders each such pair forward.  Its write conflicts involve T1 and
+    complete in its pairs, and its serial middle leaves one possible SSI
+    structure, Tm -> T1 -> T2, which ``consider`` refuses from the pairs'
+    rw edges.  The winner alone is walked, and re-checked
+    (:func:`is_generalized_split_schedule`).
 
     The result is the candidate smallest in (size, sorted subset,
     permutation, cut), the order an exhaustive search tries them in.  Every
@@ -727,7 +747,7 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
     but a tie may resolve differently.
     """
     budget = Budget(limits)
-    n, bits, ops_of, ssi = eng.n, eng.bits, eng.ops_of, eng.ssi
+    n, bits, ops_of = eng.n, eng.bits, eng.ops_of
     pairs = _conflict_pairs(eng)
     if not _has_conflict_cycle(pairs, (1 << n) - 1):
         budget.tick(0)  # no candidate can close a ring; the clock is read once, as by the search
@@ -738,10 +758,6 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
         neighbours[j].append(i)
     best: tuple | None = None
 
-    def split_order(perm: tuple[int, ...], cut: int) -> list[int]:
-        head = ops_of[perm[0]]
-        return head[:cut] + [g for j in perm[1:] for g in ops_of[j]] + head[cut:]
-
     def consider(perm: tuple[int, ...], cut: int) -> None:
         nonlocal best
         key = (len(perm), tuple(sorted(perm)), perm, cut)
@@ -750,33 +766,22 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
 
     for t1 in range(n):
         others = set(range(n)) - {t1} - set(neighbours[t1])
-        for cut in range(1, len(ops_of[t1])):
+        for cut, (_, forward, backward, out, into) in enumerate(_split_pairs(eng, t1, neighbours[t1]), 1):
             budget.tick(0)
-            first, last = [], set()  # those with only T1 -> Tj, only Tj -> T1
-            into = out = 0  # the SSI Tj with Tj ->rw T1, and with T1 ->rw Tj, when T1 is SSI
+            last = {tj for tj in neighbours[t1] if backward & ~forward & bits[tj]}
             for tj in neighbours[t1]:
-                if not eng.walk(split_order((t1, tj), cut), sorted((t1, tj))):
-                    continue
-                succ = eng.dependencies()
-                forward, backward = succ[t1] & bits[tj], succ[tj] & bits[t1]
-                if ssi[t1] and ssi[tj]:
-                    rw = eng.antidependencies()
-                    out |= rw[t1] & bits[tj]
-                    into |= bits[tj] if rw[tj] & bits[t1] else 0
-                if forward and backward:
-                    consider((t1, tj), cut)  # the pair walk was the candidate's own
-                elif forward:
-                    first.append(tj)
-                elif backward:
-                    last.add(tj)
-            for t2 in first:
-                max_len = n - 1 if best is None else best[0] - 1
-                for path in _shortest_paths(t2, neighbours, others, last, max_len):
-                    consider((t1,) + path, cut)
+                if forward & backward & bits[tj]:
+                    consider((t1, tj), cut)
+            for t2 in neighbours[t1]:
+                if forward & ~backward & bits[t2]:  # a first T2
+                    max_len = n - 1 if best is None else best[0] - 1
+                    for path in _shortest_paths(t2, neighbours, others, last, max_len):
+                        consider((t1,) + path, cut)
     if best is None:
         return None
     _, subset, perm, cut = best
-    order = split_order(perm, cut)
+    head = ops_of[perm[0]]
+    order = head[:cut] + [g for j in perm[1:] for g in ops_of[j]] + head[cut:]
     if not eng.walk(order, list(subset)) or not is_generalized_split_schedule(s := eng.schedule(order))[0]:
         raise RuntimeError("the split decider accepted a candidate that is not an allowed generalized split schedule")
     return tuple(w.txn_ids[i] for i in subset), s

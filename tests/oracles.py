@@ -22,8 +22,10 @@ do the helpers that left the library for want of another caller:
 start from, ``allowed_under_rc``, ``allowed_under_si`` and
 ``respects_commit_order``, which read the library's clause pass,
 ``render_polygraph``, and the per-schedule position tables ``_vpos``,
-``_commit_pos`` and ``_first_pos``.  The split decider oracle classifies
-and checks candidates on completed schedules; the split search oracle
+``_commit_pos`` and ``_first_pos``.  The split pair oracle completes a
+two-transaction split order and reads its edges off the graph oracles; the
+split decider oracle classifies on it and checks candidates on completed
+schedules; the split search oracle
 tries every subset, permutation and pivot, completing each order with the
 completion oracle, or in every way under a predicate.  The
 serial-signature pool looks a schedule's reads-from and final versions up
@@ -618,6 +620,23 @@ def is_multiversion_split_schedule(s: Schedule) -> tuple[bool, int | None]:
     return False, None
 
 
+def split_pair_oracle(w: Workload, t1: str, cut: int, tj: str) -> tuple[bool, bool, bool, bool, bool]:
+    """The pair order ``T1[:cut] . Tj . T1[cut:]`` of a level workload,
+    completed by :func:`complete_under_allocation_oracle`: whether it
+    completes, whether it has T1 -> Tj and Tj -> T1 in
+    :func:`serialization_graph_oracle`, and, when both are SSI, T1 ->rw Tj
+    and Tj ->rw T1 in :func:`rw_edges_oracle`."""
+    by_id = {t.id: t for t in w.txns}
+    a, b = by_id[t1], by_id[tj]
+    s = complete_under_allocation_oracle((a, b), (INIT, *a.op_ids[:cut], *b.op_ids, *a.op_ids[cut:]), w.alloc)
+    if s is None:
+        return False, False, False, False, False
+    pairs = serialization_graph_oracle(s).edge_pairs
+    ssi = w.alloc.level_of(t1) is w.alloc.level_of(tj) is IsolationLevel.SSI
+    rw = rw_edges_oracle(s, frozenset((t1, tj))) if ssi else {}
+    return True, (t1, tj) in pairs, (tj, t1) in pairs, (t1, tj) in rw, (tj, t1) in rw
+
+
 def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> tuple[tuple[str, ...], Schedule] | None:
     """Polynomial split-schedule search for a level allocation.
 
@@ -665,16 +684,10 @@ def split_decider_oracle(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> 
         for cut in range(1, len(t1.ops)):
             if time.monotonic() >= deadline:
                 raise LimitExceeded("search exceeded its wall-clock budget")
-            head, tail = t1.op_ids[:cut], t1.op_ids[cut:]
             first: list[str] = []
             last: set[str] = set()
             for tid in neighbours[t1.id]:
-                tj = by_id[tid]
-                s = complete_under_allocation_oracle((t1, tj), (INIT,) + head + tj.op_ids + tail, w.alloc)
-                if s is None:
-                    continue
-                pairs = serialization_graph_oracle(s).edge_pairs
-                forward, backward = (t1.id, tid) in pairs, (tid, t1.id) in pairs
+                _, forward, backward, _, _ = split_pair_oracle(w, t1.id, cut, tid)
                 if forward and backward:
                     consider((t1.id, tid), cut)
                 elif forward:

@@ -31,6 +31,7 @@ from oracles import (
     predicate_verdicts_oracle,
     split_completions_oracle,
     split_decider_oracle,
+    split_pair_oracle,
     split_schedules_oracle,
     view_signature,
 )
@@ -68,7 +69,7 @@ from mvsched import (
 )
 from mvsched.core import Budget
 from mvsched.isolation import LevelEngine
-from mvsched.robustness import _conflict_pairs, _has_conflict_cycle, _own_write_readers
+from mvsched.robustness import _conflict_pairs, _has_conflict_cycle, _own_write_readers, _split_pairs
 
 
 # --- recognizers ------------------------------------------------------------
@@ -325,6 +326,61 @@ def test_split_decider_matches_the_schedule_based_decider_on_ssi_heavy_workloads
         assert got == split_decider_oracle(w), w
         sizes += [len(got[0])] if got else []
     assert sizes.count(2) > 100 and sizes.count(3) > 30 and sizes.count(4) > 0
+
+
+def split_pairs(w):
+    """Per (T1, cut, Tj != T1), by id, the rule's (completes, forward,
+    backward, out, into) from :func:`_split_pairs` on the compiled workload."""
+    eng = LevelEngine(w.txns, w.alloc)
+    ids, out = w.txn_ids, {}
+    for t1 in range(eng.n):
+        tjs = [j for j in range(eng.n) if j != t1]
+        cuts = list(_split_pairs(eng, t1, tjs))
+        assert len(cuts) == len(eng.ops_of[t1]) - 1
+        for cut, masks in enumerate(cuts, 1):
+            for tj in tjs:
+                out[ids[t1], cut, ids[tj]] = tuple(bool(m >> tj & 1) for m in masks)
+    return out
+
+
+def assert_split_pairs_match_the_oracle(w):
+    for (t1, cut, tj), got in split_pairs(w).items():
+        assert got == split_pair_oracle(w, t1, cut, tj), (w, t1, cut, tj)
+
+
+def test_the_pair_rule_matches_the_pair_oracle_on_the_criterion_5_corpus():
+    for w in criterion_5_workloads():
+        assert_split_pairs_match_the_oracle(w)
+
+
+def test_the_pair_rule_matches_the_pair_oracle_on_ssi_heavy_workloads():
+    for w in ssi_heavy_workloads(600):
+        assert_split_pairs_match_the_oracle(w)
+
+
+@given(level_workloads())
+@settings(max_examples=150, deadline=None)
+def test_the_pair_rule_matches_the_pair_oracle_on_generated_workloads(w):
+    assert_split_pairs_match_the_oracle(w)
+
+
+def test_the_pair_rule_on_hand_built_pairs():
+    """A commit-only transaction (no cut, and no object to shift by); an RC
+    T1 that reads after the cut what Tj writes sees Tj's version (Tj ->wr
+    T1) where an SI one sees INIT (T1 ->rw Tj); a T1 that writes and reads
+    one object on both sides of the cut."""
+    def pairs(levels, **bodies):
+        w = Workload(tuple(make_transaction(t, b) for t, b in bodies.items()), LevelAllocation(dict(zip(bodies, levels))))
+        assert_split_pairs_match_the_oracle(w)
+        return split_pairs(w)
+
+    assert pairs((RC, SI), T1="C", T2="W(x) C") == {("T2", 1, "T1"): (True, False, False, False, False)}
+    assert find_split_counterexample(Workload((make_transaction("T1", "C"),), LevelAllocation({"T1": SSI}))) is None
+    for level, edges in ((RC, (False, True)), (SI, (True, False)), (SSI, (True, False))):
+        assert pairs((level, level), T1="W(y) R(x) C", T2="W(x) C")["T1", 1, "T2"] == (True, *edges, level is SSI and edges[0], False)
+    both = pairs((RC, RC), T1="W(x) R(y) W(x) R(y) C", T2="W(y) C")
+    assert [both["T1", cut, "T2"] for cut in (1, 2, 3, 4)] == [(True, False, True, False, False), (True, True, True, False, False), (True, True, True, False, False), (True, True, False, False, False)]
+    assert [pairs((SI, SI), T1="W(x) R(y) W(x) C", T2=tj)["T1", 2, "T2"][:3] for tj in ("W(x) C", "R(x) C", "W(y) C")] == [(False, False, False), (True, False, True), (True, True, False)]
 
 
 def test_the_split_decider_rejects_a_candidate_holding_an_ssi_dangerous_structure():

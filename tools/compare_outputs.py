@@ -38,7 +38,11 @@ transactions, so that a view witness that changes at scale shows.  Both
 kinds of polygraph also run through ``polygraph reduce``, whose written
 schedule document is compared with its report, and then that document
 through ``serializable --mode view``, which prints the view witness and
-the orders it accounts for.  Each command runs through ``mvsched.cli.run`` of this
+the orders it accounts for.  The ring workloads of ``RINGS`` (SSI, SI, SI
+write-skew and mixed RC/SI/SSI rings of 4, 8 and 40 transactions) run
+through ``robust --method split`` in conflict and view mode, so that a
+split witness of 40 transactions that changes shows, and those of 4 also
+through ``--method both``.  Each command runs through ``mvsched.cli.run`` of this
 tree and of ``BASE_SRC``, each side in its own interpreter and working
 directory, where ``polygraph reduce`` writes, as in the benchmark.  The
 reports' ``elapsed_ms`` / ``elapsed-ms`` lines are dropped.  Every command whose exit code or report differs is listed, and the
@@ -222,6 +226,28 @@ POLYGRAPHS = {
 }
 
 
+def ring(body: str, levels: str, n: int) -> str:
+    """The workload document of ``n`` transactions in a ring: ``Ti`` runs
+    ``body`` with ``{i}`` for i and ``{j}`` for its successor i mod n + 1,
+    and takes the ``levels`` in turn."""
+    lv = levels.split()
+    txns = "".join(f"txn T{i}: " + body.format(i=i, j=i % n + 1) + "\n" for i in range(1, n + 1))
+    return txns + "alloc " + " ".join(f"T{i}={lv[(i - 1) % len(lv)]}" for i in range(1, n + 1)) + "\n"
+
+
+#: name -> (body, levels) of the ring workloads of ``RINGS``
+RING_FAMILIES = {
+    "ssi-ring": ("R(x{i}) W(x{j}) C", "SSI"),  # robust
+    "si-ring": ("R(x{i}) W(x{j}) C", "SI"),  # not robust, the whole ring its witness
+    "si-write-skew-ring": ("R(x{i}) R(x{j}) W(x{i}) C", "SI"),
+    "mixed-ring": ("R(x{i}) W(x{j}) C", "RC SI SSI"),
+}
+#: name -> ring workload document, each run through ``robust --method split``
+#: in both modes, and through ``--method both`` at 4 transactions, where the
+#: enumeration is cheap; at 40 the witnesses are long
+RINGS = {f"{name}-{n}": ring(*family, n) for name, family in RING_FAMILIES.items() for n in (4, 8, 40)}
+
+
 def shapes(argv: list[str]) -> list[list[str]]:
     """A benchmark command, ``[*words, *options, "--json", *limits, path]``,
     as issued, reordered and without its limit flags."""
@@ -246,9 +272,10 @@ def reduce_commands(paths) -> list[list[str]]:
 
 
 def document_commands(workdir: str) -> list[list[str]]:
-    """Write ``DOCUMENTS`` and ``POLYGRAPHS`` into ``workdir``; the four
-    schedule commands on each schedule, the polygraph commands and
-    :func:`reduce_commands` on each polygraph."""
+    """Write ``DOCUMENTS``, ``POLYGRAPHS`` and ``RINGS`` into ``workdir``;
+    the four schedule commands on each schedule, the polygraph commands and
+    :func:`reduce_commands` on each polygraph, and the robust commands on
+    each ring."""
     os.makedirs(workdir)
     out = []
     for name, (schedule, workload) in DOCUMENTS.items():
@@ -266,6 +293,12 @@ def document_commands(workdir: str) -> list[list[str]]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out += [["polygraph", "acyclic", "--json", path], ["polygraph", "verify", "--json", path]]
+    for name, text in RINGS.items():
+        path = os.path.join(workdir, f"{name}.wl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        methods = ("split", "both") if name.endswith("-4") else ("split",)
+        out += [["robust", "--mode", mode, "--method", m, "--json", path] for m in methods for mode in ("conflict", "view")]
     return out + reduce_commands(os.path.join(workdir, f"{name}.poly") for name in POLYGRAPHS)
 
 
@@ -274,8 +307,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
     shape, ``check-schedule`` on the schedule-check inputs, ``polygraph
     acyclic`` and :func:`reduce_commands` on the polygraph-verify ones, and ``--method both``,
     ``--method split``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
-    ones, then the commands on ``DOCUMENTS`` and ``POLYGRAPHS`` (under the
-    name ``documents``), JSON and text."""
+    ones, then the commands on ``DOCUMENTS``, ``POLYGRAPHS`` and ``RINGS`` (under
+    the name ``documents``), JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
 
