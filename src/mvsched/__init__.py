@@ -70,7 +70,6 @@ from .robustness import (
     RobustnessVerdict,
     SplitDefect,
     Workload,
-    decide_with_split,
     enumerate_allowed_schedules,
     extend_with_serial_tail,
     find_split_counterexample,

@@ -28,8 +28,8 @@ from .errors import LimitExceeded, ParseError, ScheduleError
 from .isolation import IsolationLevel, LevelAllocation, allowed_under_allocation
 from .polygraph import is_acyclic_polygraph, reduce_to_schedule, verify_reduction
 from .robustness import (
+    RobustnessMode,
     Workload,
-    decide_with_split,
     enumerate_allowed_schedules,
     find_split_counterexample,
     is_conflict_robust,
@@ -329,23 +329,20 @@ def _cmd_robust(args: argparse.Namespace) -> Report:
     if method != "enumerate" and not isinstance(w.alloc, LevelAllocation):
         raise ParseError("the split method decides level allocations only")
     details: dict = {"mode": mode, "method": method}
-    if method == "enumerate":
+    robust = ce = None
+    if method != "split":
         decide = {"conflict": is_conflict_robust, "view": is_view_robust,
                   "exact-conflict": is_exact_conflict_robust, "exact-view": is_exact_view_robust}[mode]
-        verdict, hit = decide(w, args.limits), None
-    elif mode == "conflict" and method == "split":
-        verdict, hit = None, find_split_counterexample(w, args.limits)
-    else:
-        # the enumeration, the own-write check (view) and the split search on one compiled workload
-        verdict, hit = decide_with_split(w, mode, method, args.limits)
-    if method == "split":
-        robust, ce = hit is None, hit
-    else:
+        verdict = decide(w, args.limits)
         robust, ce = verdict.robust, verdict.counterexample
-        if method == "both":
-            if robust != (hit is None):
-                error = "internal disagreement between split search and enumeration"
-                return Report(None, {"error": error, "enumerate": robust, "split": hit is None})
+    if method != "enumerate":
+        hit = find_split_counterexample(w, args.limits, RobustnessMode(mode))
+        if robust is None:
+            robust, ce = hit is None, hit
+        elif robust != (hit is None):
+            error = "internal disagreement between split search and enumeration"
+            return Report(None, {"error": error, "enumerate": robust, "split": hit is None})
+        else:
             details["methods-agree"] = True
     if ce:
         details["counterexample"] = _counterexample_details(w, ce)

@@ -9,25 +9,25 @@ which by their shape are serializable in neither the conflict nor the view
 sense.  For level allocations the two must agree, and the test suite holds
 them to that, against an exhaustive split search of its own.
 
-Under a level allocation both run on the workload compiled once into a
+Under a level allocation each decider compiles the workload once into a
 :class:`~mvsched.isolation.LevelEngine`, whose step function completes an
 operation order as it is placed.  :func:`find_split_counterexample`
 decides in polynomial time, classifying transaction pairs and checking
 candidates on small ints, and builds a :class:`Schedule` for its witness
-alone; under the predicate it answers None (no split schedule is
-view-serializable).  The enumeration (:func:`_enumerate_level`) walks the
-interleavings depth-first in canonical order, each subset of the sweep
-being a list of transaction numbers: a refused write drops its whole
-subtree, and the robustness deciders check one interleaving per commuting
-class (sleep sets, after Godefroid's partial-order methods).  The
-counterexamples are those of the full walk, and ``max_orders`` counts
-every interleaving, dropped and skipped ones included, so limits are hit
-where completing each interleaving would hit them.  A subset whose static
-conflict multigraph is a forest cannot fail (:func:`_has_conflict_cycle`)
-and is charged without a walk.  Predicate allocations still complete every
-interleaving, in every way, and search each view signature once per
-subset (:func:`_enumerate_allowed`).  :func:`decide_with_split` runs the
-split method, and both methods together, on one compiled workload.
+alone; in the view sense a transaction reading its own earlier write
+comes first, and under the predicate it answers None (no split schedule
+is view-serializable).  The enumeration, one sweep (:func:`_sweep`)
+behind the listing and the four deciders, walks each level subset's
+interleavings depth-first in canonical order (:func:`_enumerate_level`):
+a refused write drops its whole subtree, and the robustness deciders
+check one interleaving per commuting class (sleep sets, after Godefroid's
+partial-order methods).  The counterexamples are those of the full walk,
+and ``max_orders`` counts every interleaving, dropped and skipped ones
+included, so limits are hit where completing each interleaving would hit
+them.  A subset whose static conflict multigraph is a forest cannot fail
+(:func:`_has_conflict_cycle`) and is charged without a walk.  Predicate
+allocations still complete every interleaving, in every way, and search
+each view signature once per subset (:func:`_enumerate_allowed`).
 
 Also here: the recognizer of the split-schedule shape and the three
 constructive schedule transforms (serial-tail extension, restriction to a
@@ -107,18 +107,6 @@ class RobustnessVerdict:
     counterexample: tuple[tuple[str, ...], Schedule] | None
 
 
-def _check_limits(w: Workload, limits: SearchLimits) -> None:
-    if len(w.txns) > limits.max_txns:
-        raise LimitExceeded(f"{len(w.txns)} transactions exceed the limit of {limits.max_txns}")
-    if w.total_ops > limits.max_ops:
-        raise LimitExceeded(f"{w.total_ops} operations exceed the limit of {limits.max_ops}")
-
-
-def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
-
-
 def _multinomial(counts: Iterable[int]) -> int:
     """Number of interleavings of sequences with these lengths."""
     total, out = 0, 1
@@ -131,55 +119,50 @@ def _multinomial(counts: Iterable[int]) -> int:
 def _iter_interleavings(txns: Sequence[Transaction], budget: Budget) -> Iterator[tuple[OperationId, ...]]:
     """All operation orders respecting each transaction's internal order.
 
-    Canonical order: at every step the next operation is taken from the
-    transaction with the smallest id whose turn is possible, exploring
-    depth-first, so serial-prefix orders come out before heavily interleaved
-    ones and results are reproducible.  The walk keeps its own stack, so a
-    long transaction does not run into the recursion limit.
+    Canonical order: an order is the word of its operations' transaction
+    numbers, and the words come out lexicographically, each the next
+    permutation of the multiset of those numbers, so serial-prefix orders
+    come out before heavily interleaved ones and results are reproducible.
     """
     seqs = [t.op_ids for t in txns]
-    n = len(seqs)
-    total = sum(len(ops) for ops in seqs)
-    idx = [0] * n
-    path: list[OperationId] = [INIT]
-    nxt = [0] * (total + 1)  # per depth: the next transaction to try there
-    on = [0] * total  # per depth: the transaction placed there
-    d = 0
+    word = [i for i, ops in enumerate(seqs) for _ in ops]
+    path = [INIT, *[op for ops in seqs for op in ops]]
+    placed = [len(ops) for ops in seqs]  # per transaction, its operations in the path
     while True:
-        if d == total:
-            budget.tick()
-            yield tuple(path)
-        else:
-            i = nxt[d]
-            while i < n and idx[i] == len(seqs[i]):
-                i += 1
-            if i < n:
-                nxt[d] = i + 1
-                path.append(seqs[i][idx[i]])
-                idx[i] += 1
-                on[d] = i
-                d += 1
-                nxt[d] = 0
-                continue
-        if d == 0:
+        budget.tick()
+        yield tuple(path)
+        k = len(word) - 2  # the last ascent; the letters after it never rise
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
             return
-        d -= 1
-        idx[on[d]] -= 1
-        path.pop()
+        j = len(word) - 1  # the last letter above word[k]
+        while word[j] <= word[k]:
+            j -= 1
+        for i in word[k:]:
+            placed[i] -= 1
+        word[k], word[j] = word[j], word[k]
+        word[k + 1 :] = word[:k:-1]
+        for d in range(k, len(word)):  # only the operations from the ascent on move
+            i = word[d]
+            path[d + 1] = seqs[i][placed[i]]
+            placed[i] += 1
 
 
-def _vorder_candidates(txns: Sequence[Transaction]) -> dict[str, list[tuple[OperationId, ...]]]:
-    """Per object, every version order consistent with transaction-internal order."""
+def _version_orders(txns: Sequence[Transaction]) -> list[dict[str, tuple[OperationId, ...]]]:
+    """Every version order consistent with transaction-internal order, each
+    a chain per object written, the objects in sorted order."""
     writes: dict[str, list[OperationId]] = {}
     for t in txns:
         for opid, action, obj in t.ops:
             if action is _WRITE:
                 writes.setdefault(obj, []).append(opid)
-    out: dict[str, list[tuple[OperationId, ...]]] = {}
-    for obj, wids in writes.items():
+    objs, per_obj = sorted(writes), []
+    for obj in objs:
+        wids = writes[obj]
         own = [(a, b) for a, b in zip(wids, wids[1:]) if a.txn == b.txn]  # consecutive writes of one transaction
-        out[obj] = [perm for perm in itertools.permutations(wids) if all(perm.index(a) < perm.index(b) for a, b in own)]
-    return out
+        per_obj.append([perm for perm in itertools.permutations(wids) if all(perm.index(a) < perm.index(b) for a, b in own)])
+    return [dict(zip(objs, chains)) for chains in itertools.product(*per_obj)]
 
 
 def _read_sources(txns: Sequence[Transaction]) -> list[tuple[Operation, list[OperationId]]]:
@@ -196,22 +179,7 @@ def _read_options(sources: list[tuple[Operation, list[OperationId]]], order: tup
     return tuple(tuple([INIT] + [w for w in ws if pos[w] < pos[r.id]]) for r, ws in sources)
 
 
-def _free_completions(
-    options: tuple, vorder_cands: dict[str, list[tuple[OperationId, ...]]], budget: Budget
-) -> Iterator[tuple[dict[str, tuple[OperationId, ...]], tuple[OperationId, ...]]]:
-    """Every valid completion of an operation order whose reads have these
-    ``options`` (see :func:`_read_options`), each counted as a candidate:
-    all version orders crossed with all version functions, as (version
-    order, per read the write it sees)."""
-    objs = sorted(vorder_cands)
-    for chains in itertools.product(*(vorder_cands[obj] for obj in objs)):
-        vorder = dict(zip(objs, chains))
-        for choice in itertools.product(*options):
-            budget.tick()
-            yield vorder, choice
-
-
-def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failing: str | None) -> Iterator[Schedule]:
+def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failing: str | None, own: int) -> Iterator[Schedule]:
     """The allowed schedules over the transactions ``active`` of a compiled
     level workload, in canonical order, the engine's step completing each
     while the walk places its operations.
@@ -220,23 +188,24 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     whole subtree below it, charged to the budget interleaving by
     interleaving; SSI dangerous structures are checked at the leaf.  With
     ``failing`` (``"conflict"`` or ``"view"``) only the schedules that are
-    not serializable in that sense come out (a bitmask cycle test, or,
-    when that finds a cycle or a transaction reads its own earlier write,
-    the view signature looked up in :func:`serial_signature_pool`), and the
-    walk keeps a sleep set of transactions per depth.  Two operations of different
-    transactions are dependent when both write one object; when one is T's
-    commit and the other a write of an object T writes, an RC read of one,
-    or the first operation of a non-RC transaction U where T writes an
-    object U touches or both are SSI under the three-SSI gate of the
-    dangerous-structure check; or when both are commits whose write sets
-    meet or that are both SSI under that gate.  Swapping adjacent
-    commuting operations keeps the dropped-prefix decision, the completion
-    and the orders the dangerous-structure check compares.  A child's
-    sleep set holds the transactions, asleep at the parent or explored
-    there before it, whose next operation commutes with the one placed; a
-    sleeping transaction is not placed and its subtree is charged like a
-    dropped one.  So the first failing leaf, least of its class, is never
-    skipped, and every interleaving is still charged once.
+    not serializable in that sense come out (a bitmask cycle test, or, when
+    that finds a cycle or a transaction of ``own`` is active, the view
+    signature looked up in :func:`serial_signature_pool`), and the walk
+    keeps a sleep set of transactions per depth.  In the view sense ``own``
+    holds the transactions of :func:`_own_write_readers`, else none.  Two
+    operations of different transactions are dependent when both write one
+    object; when one is T's commit and the other a write of an object T
+    writes, an RC read of one, or the first operation of a non-RC
+    transaction U where T writes an object U touches or both are SSI under
+    the three-SSI gate of the dangerous-structure check; or when both are
+    commits whose write sets meet or that are both SSI under that gate.
+    Swapping adjacent commuting operations keeps the dropped-prefix
+    decision, the completion and the orders the dangerous-structure check
+    compares.  A child's sleep set holds the transactions, asleep at the
+    parent or explored there before it, whose next operation commutes with
+    the one placed; a sleeping transaction is not placed and its subtree is
+    charged like a dropped one.  So the first failing leaf, least of its
+    class, is never skipped, and every interleaving is still charged once.
     """
     eng.start(active)
     n, bits, ops_of, kind, owner, obj_of = eng.n, eng.bits, eng.ops_of, eng.kind, eng.owner, eng.obj_of
@@ -271,7 +240,7 @@ def _enumerate_level(eng: LevelEngine, active: list[int], budget: Budget, failin
     read_gids = [g for g, _, _ in eng.active_reads]
     written = eng.written
     pool: set | None = None
-    own_write = failing == "view" and bool(_own_write_readers(eng) & eng.mask)
+    own_write = bool(own & eng.mask)
 
     def view_fails() -> bool:
         nonlocal pool
@@ -432,8 +401,10 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
     transaction set, in canonical order; with ``failing`` (``"conflict"``
     or ``"view"``) only those that are not serializable in that sense.
 
-    Every interleaving is completed in every way (see
-    :func:`_free_completions`).  The predicate, a view search, reads only a
+    Every interleaving is completed in every way, each completion counted
+    as a candidate: every version order (see :func:`_version_orders`)
+    crossed with every version function, the versions its reads may see
+    (see :func:`_read_options`).  The predicate, a view search, reads only a
     completion's view signature: the version each read sees and each
     object's final version, never the operation order.  So each signature
     is searched once per call, on a :class:`Schedule` built for it, and a
@@ -454,7 +425,7 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
     number = {t.id: k for k, t in enumerate(txns)}
     sources = _read_sources(txns)
     read_ids = [r.id for r, _ in sources]
-    vorder_cands = _vorder_candidates(txns)
+    vorders = _version_orders(txns)
     searched: dict[tuple, tuple[bool, int]] = {}  # view signature -> (admitted, candidates charged)
     swept: dict[tuple, int] = {}  # read options -> candidates charged by an interleaving with them
     for order in _iter_interleavings(txns, budget):
@@ -463,7 +434,8 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
             budget.tick(swept[options])
             continue
         start, out = budget.count, False
-        for vorder, seen in _free_completions(options, vorder_cands, budget):
+        for vorder, seen in ((vorder, seen) for vorder in vorders for seen in itertools.product(*options)):
+            budget.tick()
             signature = (seen, tuple([chain[-1] for chain in vorder.values()]))
             s = None
             if signature in searched:
@@ -494,6 +466,41 @@ def _enumerate_allowed(w: Workload, budget: Budget, failing: str | None = None) 
             swept[options] = budget.count - start
 
 
+def _sweep(
+    w: Workload, limits: SearchLimits, failing: str | None, subsets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], Schedule]]:
+    """Per subset of ``subsets`` (tuples of transaction numbers), under one
+    budget, the allowed schedules over it in canonical order as (subset,
+    schedule); with ``failing`` (``"conflict"`` or ``"view"``) only those
+    not serializable in that sense.  A level workload is compiled once
+    (see :func:`_enumerate_level`), and with ``failing`` a subset whose
+    conflict multigraph is a forest (:func:`_has_conflict_cycle`), in the
+    view sense also without a transaction reading its own earlier write,
+    has no failing schedule: it is charged its interleavings at once, as
+    the walk would charge them.  A predicate workload is restricted to
+    each subset (see :func:`_enumerate_allowed`)."""
+    if len(w.txns) > limits.max_txns:
+        raise LimitExceeded(f"{len(w.txns)} transactions exceed the limit of {limits.max_txns}")
+    if w.total_ops > limits.max_ops:
+        raise LimitExceeded(f"{w.total_ops} operations exceed the limit of {limits.max_ops}")
+    budget = Budget(limits)
+    if isinstance(w.alloc, LevelAllocation):
+        eng = LevelEngine(w.txns, w.alloc)
+        pairs = _conflict_pairs(eng)
+        own = _own_write_readers(eng) if failing == "view" else 0
+        for subset in subsets:
+            mask = sum(eng.bits[i] for i in subset)
+            if failing and not (mask & own or _has_conflict_cycle(pairs, mask)):
+                budget.tick(_multinomial(len(eng.ops_of[i]) for i in subset))
+                continue
+            for s in _enumerate_level(eng, list(subset), budget, failing, own):
+                yield subset, s
+    else:
+        for subset in subsets:
+            for s in _enumerate_allowed(w.restrict(w.txn_ids[i] for i in subset), budget, failing):
+                yield subset, s
+
+
 def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> Iterator[Schedule]:
     """Yield, in canonical order, every schedule over the workload's full
     transaction set that is allowed under its allocation.
@@ -505,11 +512,8 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
     interleaving crossed with every version order and version function)
     are generated and filtered, under the same limits.
     """
-    _check_limits(w, limits)
-    if isinstance(w.alloc, LevelAllocation):
-        yield from _enumerate_level(LevelEngine(w.txns, w.alloc), list(range(len(w.txns))), Budget(limits), None)
-    else:
-        yield from _enumerate_allowed(w, Budget(limits))
+    for _, s in _sweep(w, limits, None, [tuple(range(len(w.txns)))]):
+        yield s
 
 
 # ---------------------------------------------------------------------------
@@ -517,42 +521,18 @@ def enumerate_allowed_schedules(w: Workload, limits: SearchLimits = DEFAULT_LIMI
 # ---------------------------------------------------------------------------
 
 
-def _first_failure(
-    w: Workload, limits: SearchLimits, mode: RobustnessMode, eng: LevelEngine | None = None
-) -> RobustnessVerdict:
-    """The one sweep behind the four deciders: the allowed schedules of each
-    subset, smallest first and under one shared budget (the exact modes
-    sweep just the full set), until one is not serializable in the mode's
-    sense; that one is the counterexample.  A level workload is compiled
-    once (or comes compiled as ``eng``), and each subset is a list of its
-    transaction numbers.  A level subset whose conflict multigraph is a
-    forest (see :func:`_has_conflict_cycle`), in the view sense also
-    without a transaction reading its own earlier write, has no failing
-    schedule: it is not walked, and the budget is charged its
-    interleavings at once, as the walk would charge them."""
-    _check_limits(w, limits)
-    budget = Budget(limits)
-    failing = mode.value.removeprefix("exact-")
-    ids = w.txn_ids
-    everything = tuple(range(len(ids)))
-    subsets = [everything] if mode.value.startswith("exact-") else _subsets(everything)
-    if eng is None and isinstance(w.alloc, LevelAllocation):
-        eng = LevelEngine(w.txns, w.alloc)
-    if eng is not None:
-        pairs = _conflict_pairs(eng)
-        guarded = _own_write_readers(eng) if failing == "view" else 0
-    for subset in subsets:
-        if eng is not None:
-            mask = sum(eng.bits[i] for i in subset)
-            if not (mask & guarded or _has_conflict_cycle(pairs, mask)):
-                budget.tick(_multinomial(len(eng.ops_of[i]) for i in subset))
-                continue
-            bad = next(_enumerate_level(eng, list(subset), budget, failing), None)
-        else:
-            bad = next(_enumerate_allowed(w.restrict(ids[i] for i in subset), budget, failing), None)
-        if bad is not None:
-            return RobustnessVerdict(False, mode, (tuple(ids[i] for i in subset), bad))
-    return RobustnessVerdict(True, mode, None)
+def _first_failure(w: Workload, limits: SearchLimits, mode: RobustnessMode) -> RobustnessVerdict:
+    """The decision behind the four deciders: the first schedule of
+    :func:`_sweep` that is not serializable in the mode's sense, over each
+    subset, smallest first (the exact modes sweep just the full set), is
+    the counterexample; without one the workload is robust."""
+    n = len(w.txns)
+    subsets = [tuple(range(n))] if mode.value.startswith("exact-") else (
+        c for k in range(n + 1) for c in itertools.combinations(range(n), k))
+    hit = next(_sweep(w, limits, mode.value.removeprefix("exact-"), subsets), None)
+    if hit is None:
+        return RobustnessVerdict(True, mode, None)
+    return RobustnessVerdict(False, mode, (tuple(w.txn_ids[i] for i in hit[0]), hit[1]))
 
 
 def is_exact_conflict_robust(w: Workload, limits: SearchLimits = DEFAULT_LIMITS) -> RobustnessVerdict:
@@ -788,10 +768,12 @@ def _decide_split(w: Workload, limits: SearchLimits, eng: LevelEngine) -> tuple[
 
 
 def find_split_counterexample(
-    w: Workload, limits: SearchLimits = DEFAULT_LIMITS
+    w: Workload, limits: SearchLimits = DEFAULT_LIMITS, mode: RobustnessMode = RobustnessMode.CONFLICT
 ) -> tuple[tuple[str, ...], Schedule] | None:
     """A generalized split schedule allowed under the restricted allocation,
-    as (subset, schedule), or None when no subset admits one.
+    as (subset, schedule), or None when no subset admits one.  In ``mode``
+    VIEW a transaction reading its own earlier write comes first, alone
+    (see :func:`_own_write_counterexample`), as in :func:`is_view_robust`.
 
     Level allocations go to the polynomial decider (see
     :func:`_decide_split` for its witness order); it runs no exhaustive
@@ -801,26 +783,16 @@ def find_split_counterexample(
     split schedule joins ring neighbours (:attr:`SplitDefect.EXTRA_DEPENDENCY`)
     and its writes install in commit order, so no write is dead, and each
     ring edge orders its two transactions in every view-equivalent serial
-    order, which the ring makes impossible.
+    order, which the ring makes impossible.  The exact modes, which quantify
+    over the full transaction set alone, are refused with ValueError.
     """
+    if mode not in (RobustnessMode.CONFLICT, RobustnessMode.VIEW):
+        raise ValueError(f"the split method decides the subset modes only, not {mode.value}")
     if not isinstance(w.alloc, LevelAllocation):
         return None
-    return _decide_split(w, limits, LevelEngine(w.txns, w.alloc))
-
-
-def decide_with_split(
-    w: Workload, mode: str, method: str, limits: SearchLimits = DEFAULT_LIMITS
-) -> tuple[RobustnessVerdict | None, tuple[tuple[str, ...], Schedule] | None]:
-    """``robust --mode conflict|view --method split|both`` on a
-    level-allocated workload compiled once: the enumeration's verdict under
-    ``"both"`` (None under ``"split"``), and the split method's
-    counterexample or None.  In the view sense that is first a transaction
-    reading its own earlier write (see :func:`_own_write_counterexample`),
-    which no split schedule shows, then the split search's."""
     eng = LevelEngine(w.txns, w.alloc)
-    verdict = _first_failure(w, limits, RobustnessMode(mode), eng) if method == "both" else None
-    own = _own_write_counterexample(w, eng) if mode == "view" else None
-    return verdict, own or _decide_split(w, limits, eng)
+    own = _own_write_counterexample(w, eng) if mode is RobustnessMode.VIEW else None
+    return own or _decide_split(w, limits, eng)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ from mvsched import (
 from mvsched.core import DEFAULT_LIMITS, Budget, ScheduleIndex, txn_id
 from mvsched.isolation import clause_pass
 from mvsched.polygraph import CompatibilityWitness, ReductionCheck
-from mvsched.robustness import _iter_interleavings, _whole_txn_groups
+from mvsched.robustness import _whole_txn_groups
 from mvsched.serializability import (
     ViewWitness,
     _branch,
@@ -441,6 +441,45 @@ def complete_under_allocation_oracle(
     return s
 
 
+def interleavings_oracle(txns: Sequence[Transaction], budget: Budget) -> Iterator[tuple[OperationId, ...]]:
+    """All operation orders respecting each transaction's internal order, by
+    a depth-first walk that at every step takes the next operation from the
+    transaction with the smallest number whose turn is possible, each order
+    ticking ``budget`` once: the reference for the library's walk, which
+    steps through the same orders as next permutations of a word.  The walk
+    keeps its own stack, so a long transaction does not run into the
+    recursion limit."""
+    seqs = [t.op_ids for t in txns]
+    n = len(seqs)
+    total = sum(len(ops) for ops in seqs)
+    idx = [0] * n
+    path: list[OperationId] = [INIT]
+    nxt = [0] * (total + 1)  # per depth: the next transaction to try there
+    on = [0] * total  # per depth: the transaction placed there
+    d = 0
+    while True:
+        if d == total:
+            budget.tick()
+            yield tuple(path)
+        else:
+            i = nxt[d]
+            while i < n and idx[i] == len(seqs[i]):
+                i += 1
+            if i < n:
+                nxt[d] = i + 1
+                path.append(seqs[i][idx[i]])
+                idx[i] += 1
+                on[d] = i
+                d += 1
+                nxt[d] = 0
+                continue
+        if d == 0:
+            return
+        d -= 1
+        idx[on[d]] -= 1
+        path.pop()
+
+
 def _valid_completions_oracle(txns: Sequence[Transaction], order: tuple[OperationId, ...]) -> Iterator[Schedule]:
     """Every valid schedule with this operation order, in the library's
     order: each object's version orders (objects sorted, writes permuted in
@@ -471,7 +510,7 @@ def allowed_schedules_oracle(w: Workload, budget: Budget):
     drops rejected prefixes whole; under the view-serializable-only
     predicate, every valid schedule whose view signature is in
     :func:`serial_signature_pool`, where the library runs its view search."""
-    for order in _iter_interleavings(w.txns, budget):
+    for order in interleavings_oracle(w.txns, budget):
         if isinstance(w.alloc, LevelAllocation):
             s = complete_under_allocation_oracle(w.txns, order, w.alloc)
             if s is not None:
@@ -489,7 +528,7 @@ def enumerate_allowed_oracle(w: Workload, budget: Budget, failing: str | None = 
     that sense, checked by :func:`is_conflict_serializable` or by a second
     view search.  The library searches each view signature once per call
     and charges it at every completion."""
-    for order in _iter_interleavings(w.txns, budget):
+    for order in interleavings_oracle(w.txns, budget):
         for s in _valid_completions_oracle(w.txns, order):
             budget.tick()
             if not w.alloc.holds(s, budget):

@@ -28,6 +28,7 @@ from oracles import (
     allowed_under_si,
     complete_under_allocation_oracle,
     dangerous_structures_oracle,
+    interleavings_oracle,
     level_reports_oracle,
     overwrite_witness_oracle,
     read_last_committed_oracle,
@@ -62,7 +63,6 @@ from mvsched import (
 )
 from mvsched.core import Budget, SearchLimits
 from mvsched.isolation import LevelEngine, _overwrite_witness
-from mvsched.robustness import _iter_interleavings
 
 
 # --- commit order -----------------------------------------------------------
@@ -171,7 +171,7 @@ def test_serial_schedules_have_no_dirty_or_concurrent_writes():
 def test_dirty_write_implies_concurrent_write_on_random_schedules():
     for w in random_workloads(60, seed=5):
         budget = Budget(SearchLimits())
-        for order in _iter_interleavings(w.txns, budget):
+        for order in interleavings_oracle(w.txns, budget):
             s = complete_under_allocation(w.txns, order, LevelAllocation.uniform(RC, (t.id for t in w.txns)))
             if s is None:
                 continue
@@ -359,7 +359,7 @@ def test_serial_order_always_completes():
 def test_completion_is_allowed_and_preserves_order():
     for w in random_workloads(40, seed=77):
         budget = Budget(SearchLimits())
-        for order in _iter_interleavings(w.txns, budget):
+        for order in interleavings_oracle(w.txns, budget):
             s = complete_under_allocation(w.txns, order, w.alloc)
             if s is not None:
                 assert s.order == order
@@ -416,7 +416,7 @@ def test_completion_matches_the_oracle_on_the_criterion_5_corpus():
     enumeration tests walk all of them through the same step function)."""
     checked = 0
     for w in criterion_5_workloads():
-        for k, order in enumerate(_iter_interleavings(w.txns, Budget(SearchLimits()))):
+        for k, order in enumerate(interleavings_oracle(w.txns, Budget(SearchLimits()))):
             if k % 37 == 0:
                 assert_completion_matches_the_oracle(w.txns, order, w.alloc)
                 checked += 1
@@ -447,7 +447,7 @@ def test_the_walk_finds_a_dangerous_structure_exactly_when_the_oracle_does():
     for w in criterion_5_workloads():
         eng = LevelEngine(w.txns, w.alloc)
         if sum(eng.ssi) >= 3:
-            for order in _iter_interleavings(w.txns, Budget(SearchLimits())):
+            for order in interleavings_oracle(w.txns, Budget(SearchLimits())):
                 answers.append(assert_dangerous_matches_the_oracle(eng, eng.order_of(order), list(range(eng.n))))
     assert answers.count(True) > 200 and answers.count(False) > 10_000
     rng, answers = random.Random(26), []

@@ -27,6 +27,7 @@ from oracles import (
     enumerate_allowed_oracle,
     enumeration_oracle,
     first_failures_oracle,
+    interleavings_oracle,
     is_multiversion_split_schedule,
     predicate_verdicts_oracle,
     split_completions_oracle,
@@ -69,7 +70,7 @@ from mvsched import (
 )
 from mvsched.core import Budget
 from mvsched.isolation import LevelEngine
-from mvsched.robustness import _conflict_pairs, _has_conflict_cycle, _own_write_readers, _split_pairs
+from mvsched.robustness import _conflict_pairs, _has_conflict_cycle, _iter_interleavings, _own_write_readers, _split_pairs
 
 
 # --- recognizers ------------------------------------------------------------
@@ -326,6 +327,47 @@ def test_split_decider_matches_the_schedule_based_decider_on_ssi_heavy_workloads
         assert got == split_decider_oracle(w), w
         sizes += [len(got[0])] if got else []
     assert sizes.count(2) > 100 and sizes.count(3) > 30 and sizes.count(4) > 0
+
+
+def assert_the_split_entry_decides_the_mode(w) -> bool:
+    """In the view sense the split entry answers None exactly when the
+    enumeration finds the workload view-robust, and when a transaction
+    reads an object it wrote earlier, it gives the enumeration's
+    counterexample; in the conflict sense it is still the decider the
+    schedule-based oracle checks.  Returns whether the view answer is a
+    transaction alone."""
+    verdict = is_view_robust(w)
+    got = find_split_counterexample(w, mode=RobustnessMode.VIEW)
+    assert (got is None) == verdict.robust, w
+    if any(_reads_its_own_write(t) for t in w.txns):
+        assert got == verdict.counterexample, w
+    assert find_split_counterexample(w, mode=RobustnessMode.CONFLICT) == split_decider_oracle(w), w
+    return got is not None and len(got[0]) == 1
+
+
+def test_the_split_entry_decides_the_view_sense_on_reads_of_own_writes():
+    assert all(assert_the_split_entry_decides_the_mode(w) for w in own_write_workloads())
+
+
+def test_the_split_entry_refuses_the_exact_modes():
+    for mode in (RobustnessMode.EXACT_CONFLICT, RobustnessMode.EXACT_VIEW):
+        for w in (s2_workload(RC), s2_predicate_workload()):
+            with pytest.raises(ValueError, match="subset modes only"):
+                find_split_counterexample(w, mode=mode)
+
+
+def test_the_split_entry_decides_the_view_sense_on_the_criterion_5_corpus():
+    """The corpus has no transaction reading its own write, so there the
+    view answer is the conflict one."""
+    for w in criterion_5_workloads():
+        assert not assert_the_split_entry_decides_the_mode(w)
+        assert find_split_counterexample(w, mode=RobustnessMode.VIEW) == find_split_counterexample(w)
+
+
+@given(level_workloads(max_n=3))
+@settings(max_examples=60, deadline=None)
+def test_the_split_entry_decides_the_view_sense_on_generated_workloads(w):
+    assert_the_split_entry_decides_the_mode(w)
 
 
 def split_pairs(w):
@@ -692,17 +734,23 @@ def test_no_subset_the_static_test_clears_fails_on_generated_workloads(w):
     assert_cleared_subsets_never_fail(w)
 
 
-def test_enumeration_matches_the_oracle_on_reads_of_own_writes():
-    """A transaction reading its own earlier write fails the view sense
-    alone, though its conflict multigraph is a forest: the static test
-    must not clear it there."""
+def own_write_workloads():
+    """Every level allocation of four transaction sets in which a
+    transaction reads an object it wrote earlier."""
     bodies = [("W(x) R(x)",), ("R(y)", "W(x) R(x)"), ("W(x) R(y)", "W(y) W(x) R(x)"), ("R(x) W(y)", "W(z) R(z) R(y)")]
     for body in bodies:
         txns = tuple(make_transaction(f"T{i}", f"{b} C") for i, b in enumerate(body, 1))
         for levels in itertools.product((RC, SI, SSI), repeat=len(txns)):
-            w = Workload(txns, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)}))
-            assert_enumeration_matches_the_oracle(w)
-            assert not is_view_robust(w).robust and not is_exact_view_robust(w).robust
+            yield Workload(txns, LevelAllocation({t.id: lvl for t, lvl in zip(txns, levels)}))
+
+
+def test_enumeration_matches_the_oracle_on_reads_of_own_writes():
+    """A transaction reading its own earlier write fails the view sense
+    alone, though its conflict multigraph is a forest: the static test
+    must not clear it there."""
+    for w in own_write_workloads():
+        assert_enumeration_matches_the_oracle(w)
+        assert not is_view_robust(w).robust and not is_exact_view_robust(w).robust
 
 
 def test_the_static_test_sees_parallel_conflicts_and_rings():
@@ -912,6 +960,43 @@ def test_all_ssi_soundness_depends_on_the_degenerate_pivot_reading():
     assert find_split_counterexample(w) is not None
 
 
+def _interleaving_run(walk, txns, limits):
+    """The orders ``walk`` yields under ``limits``, the budget's count at
+    each, whether it stopped at a limit, and the budget's final count."""
+    budget, orders, counts = Budget(limits), [], []
+    try:
+        for order in walk(txns, budget):
+            orders.append(order)
+            counts.append(budget.count)
+    except LimitExceeded:
+        return orders, counts, True, budget.count
+    return orders, counts, False, budget.count
+
+
+def test_the_interleaving_walk_matches_the_oracle_on_random_transaction_sets():
+    """The next permutations of the word of transaction numbers are the
+    orders of the depth-first walk, in its order and with its charges, on
+    sets of 0-4 transactions, commit-only ones included; at every
+    ``max_orders`` up to the total both stop after the same order.  Sets
+    have at most seven operations, so every limit can be tried."""
+    rng, sizes = random.Random(29), []
+    while len(sizes) < 150:
+        bodies = [[rng.choice(("R(x)", "W(x)", "R(y)", "W(y)")) for _ in range(rng.randint(0, 2))] for _ in range(rng.randint(0, 4))]
+        if sum(len(body) + 1 for body in bodies) > 7:
+            continue
+        txns = tuple(make_transaction(f"T{i}", " ".join(body + ["C"])) for i, body in enumerate(bodies, 1))
+        expected = _interleaving_run(interleavings_oracle, txns, SearchLimits())
+        assert _interleaving_run(_iter_interleavings, txns, SearchLimits()) == expected, bodies
+        total = len(expected[0])
+        assert expected[1] == list(range(1, total + 1)) and expected[3] == total
+        for k in range(1, total + 1):
+            got = _interleaving_run(_iter_interleavings, txns, SearchLimits(max_orders=k))
+            assert got == _interleaving_run(interleavings_oracle, txns, SearchLimits(max_orders=k)), (bodies, k)
+            assert got[0] == expected[0][:k] and got[2] == (k < total), (bodies, k)
+        sizes.append(len(txns))
+    assert all(sizes.count(n) >= 10 for n in range(5))
+
+
 def test_every_all_ssi_schedule_is_conflict_serializable_with_degenerate_pivot():
     # exhaustive at desk scale: with chains allowed to loop back to their
     # start, schedules admissible under an all-SSI allocation never carry a
@@ -919,14 +1004,13 @@ def test_every_all_ssi_schedule_is_conflict_serializable_with_degenerate_pivot()
     from corpus import three_small_txn_workloads, two_txn_shape_workloads, sampled_three_txn_workloads
     from oracles import complete_under_allocation_oracle
     from mvsched.core import Budget
-    from mvsched.robustness import _iter_interleavings
 
     families = two_txn_shape_workloads() + three_small_txn_workloads()
     families += sampled_three_txn_workloads(8, seed=0xA11CE)
     for txns in families:
         alloc = LevelAllocation.uniform(SSI, (t.id for t in txns))
         budget = Budget(SearchLimits())
-        for order in _iter_interleavings(tuple(sorted(txns, key=lambda t: t.id)), budget):
+        for order in interleavings_oracle(tuple(sorted(txns, key=lambda t: t.id)), budget):
             s = complete_under_allocation_oracle(txns, order, alloc, allow_degenerate_pivot=True)
             if s is None:
                 continue

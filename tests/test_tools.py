@@ -23,7 +23,7 @@ def compare(base) -> subprocess.CompletedProcess:
 def test_the_tree_agrees_with_itself():
     done = compare(ROOT / "src")
     assert done.returncode == 0, done.stdout + done.stderr
-    summary = "1104 runs (documents, polygraph-verify, robust-enum, robust-split, schedule-check; seed 3, JSON and text): 0 differ"
+    summary = "1112 runs (documents, polygraph-verify, robust-enum, robust-split, schedule-check; seed 3, JSON and text): 0 differ"
     assert summary in done.stdout
 
 
@@ -35,9 +35,9 @@ def test_a_changed_report_is_listed(tmp_path):
     cli.write_text(text.replace('lines.append(f"verdict: {verdict}")', 'lines.append(f"verdict = {verdict}")'), encoding="utf-8")
     done = compare(tmp_path / "src")
     assert done.returncode == 1, done.stdout + done.stderr
-    # every text report changed, no JSON one did: 200 on the generated inputs, 352 on the hand-written and planted
+    # every text report changed, no JSON one did: 204 on the generated inputs, 352 on the hand-written and planted
     # documents and the rings
-    assert done.stdout.count("DIFFERS ") == 552 and ": 552 differ from " in done.stdout
+    assert done.stdout.count("DIFFERS ") == 556 and ": 556 differ from " in done.stdout
     assert "--json" not in "".join(line for line in done.stdout.splitlines() if line.startswith("DIFFERS"))
 
 

@@ -21,7 +21,9 @@ place of its mode, which sweeps the full transaction set
 alone; and, as issued, at each ``--max-orders`` of ``TRIP_ORDERS``, where
 some stop at the limit and some decide first.  Each robust-enum input also
 runs through ``enumerate --count-only``, under the limits as issued and at
-each ``TRIP_ORDERS``.  Last come the hand-written
+each ``TRIP_ORDERS``, and through ``enumerate`` under the limits as issued,
+which lists every allowed schedule, so that a change in the order or the
+content of the listing shows.  Last come the hand-written
 schedule documents of ``DOCUMENTS``, which reach the reader's branches the
 generated inputs never do (compact and ambiguous references, comments,
 CRLF and CR line endings, a separate workload document, non-ASCII names,
@@ -306,8 +308,8 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
     """(workload, argv) for every command of the four workloads in every
     shape, ``check-schedule`` on the schedule-check inputs, ``polygraph
     acyclic`` and :func:`reduce_commands` on the polygraph-verify ones, and ``--method both``,
-    ``--method split``, the exact modes, ``TRIP_ORDERS`` and ``enumerate --count-only`` on the robust-enum
-    ones, then the commands on ``DOCUMENTS``, ``POLYGRAPHS`` and ``RINGS`` (under
+    ``--method split``, the exact modes, ``TRIP_ORDERS``, ``enumerate --count-only`` and ``enumerate`` on
+    the robust-enum ones, then the commands on ``DOCUMENTS``, ``POLYGRAPHS`` and ``RINGS`` (under
     the name ``documents``), JSON and text."""
     sys.path.insert(0, BENCH)
     from run import WORKLOADS, prepare
@@ -336,6 +338,7 @@ def commands(seed: int, limit: int | None, workdir: str) -> list[tuple[str, list
                 at = limits.index("--max-orders") + 1
                 for orders in (limits[at], *TRIP_ORDERS):
                     runs.append(["enumerate", "--count-only", "--json", *limits[:at], orders, *limits[at + 1:], path])
+                runs.append(["enumerate", "--json", *limits, path])
         out += [(name, argv) for argv in runs]
     out += [("documents", argv) for argv in document_commands(os.path.join(workdir, "documents"))]
     return [run for name, argv in out for run in ((name, argv), (name, [a for a in argv if a != "--json"]))]
